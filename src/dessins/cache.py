@@ -5,11 +5,14 @@ canonical rendering of all pieces (one term per line, sorted by the
 canonical key order, so lower degrees come first).  The body is
 append-only by degree: the body of a deeper cache is a byte-prefix
 extension of any shallower one, and re-running with a covering cache
-reloads the pieces instead of recomputing them.
+reloads the pieces instead of recomputing them.  A cache is written to a
+temporary file beside it and renamed into place, so a crash or a second
+writer never leaves half a cache.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 from .evolution import ConnectedSeries
@@ -40,11 +43,23 @@ def parse_cache(text: str) -> ConnectedSeries:
 
 
 def load_cache(path: str | Path) -> ConnectedSeries:
-    return parse_cache(Path(path).read_text(encoding="ascii"))
+    """Parse a cache file; a non-integral marked count is reported as a
+    corrupt file (ValueError), not as an engine failure."""
+    try:
+        return parse_cache(Path(path).read_text(encoding="ascii"))
+    except ArithmeticError as exc:
+        raise ValueError(f"corrupt cache {str(path)!r}: {exc}") from exc
 
 
 def save_cache(path: str | Path, series: ConnectedSeries) -> None:
-    Path(path).write_text(render_cache(series), encoding="ascii", newline="\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(render_cache(series), encoding="ascii", newline="\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_or_compute(dmax: int, cache_path: str | Path | None = None) -> ConnectedSeries:

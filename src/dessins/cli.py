@@ -10,7 +10,8 @@ Subcommands:
 
 All outputs are exact (rationals as num/den, big integers as decimal
 strings) and byte-deterministic for fixed flags.  Exit codes: 0 pass,
-1 check failure, 2 usage error, 3 I/O error.
+1 check failure (a verification mismatch or an engine invariant), 2
+usage error, 3 I/O error or unreadable input.
 """
 
 from __future__ import annotations
@@ -343,10 +344,15 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         # corrupted cache files and similar bad inputs
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ArithmeticError as exc:
+        # the engine's own integrality checks (cache input arrives as
+        # ValueError, see cache.load_cache)
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 def entry() -> None:

@@ -22,6 +22,24 @@ follows from weights < d and the seed alone.  Coefficient arithmetic is
 exact throughout; internally each piece is manipulated as its "marked"
 integer form (d times the weighted counts), which keeps the hot
 convolution loops in plain big-integer arithmetic.
+
+All moves run on one kernel over packed keys: k, l, m_1, m_2, ... sit
+in consecutive ``bits``-bit fields of one int, k lowest, so a move adds
+precomputed unit vectors (1: a white vertex, ``V``: a black one,
+``E[i]``: a part of size i) and the pair product of two profiles is one
+integer addition.  The degree recursion, the public operators and
+``partition_function`` all encode, run the same kernel and decode.
+
+Packed keys cannot carry or alias.  Packing is linear, so only the
+vector of each emitted key matters, not the order of the additions that
+build it.  E[i] is subtracted only from a key with m_i >= 1, so that
+vector is non-negative, and each of its entries (k, l, every
+multiplicity, every componentwise sum the pair product forms) is at most
+the largest weight W the call can produce: a connected piece of weight n
+has k, l, m_i <= n by the genus relation.  The width has 2^bits > W --
+from dmax in ``ConnectedSeries.extended_to``, from the largest k, l or
+weight the call can produce in the public wrappers -- so every field
+holds its entry exactly and distinct keys get distinct codes.
 """
 
 from __future__ import annotations
@@ -46,136 +64,144 @@ SEED_KEY: RawKey = (1, 1, (1,))
 
 
 # ---------------------------------------------------------------------------
-# raw kernels on plain {key: coefficient} dicts
-#
-# Coefficients may be int or Fraction; the kernels only ever multiply by
-# integers, so integer inputs stay integer.  Truncation is not applied
-# here (callers either filter afterwards or control the loop depth).
+# packed-key kernel on {packed key: coefficient} dicts (int or Fraction
+# coefficients; only integer factors are applied, so ints stay ints)
 # ---------------------------------------------------------------------------
 
-def _grow_raw(terms: Mapping[RawKey, object]) -> dict:
-    out: dict = {}
-    for (k, l, m), c in terms.items():
-        for idx, mult in enumerate(m):
-            if mult:
-                key = (k, l, m[:idx] + (mult - 1,) + ((m[idx + 1] + 1,) + m[idx + 2:]
-                       if idx + 1 < len(m) else (1,)))
-                out[key] = out.get(key, 0) + (idx + 1) * mult * c
-    return out
+class _Packing:
+    """Bit-field layout for keys whose entries are all at most ``bound``."""
+
+    __slots__ = ("bits", "mask", "V", "E")
+
+    def __init__(self, bound: int):
+        self.bits = bits = bound.bit_length()  # 2^bits > bound
+        self.mask = (1 << bits) - 1
+        self.V = 1 << bits
+        self.E = [0] + [1 << bits * (i + 1) for i in range(1, bound + 1)]
+
+    def encode(self, key: RawKey) -> int:
+        k, l, m = key
+        bits = self.bits
+        code = k | l << bits
+        for i, x in enumerate(m, 2):
+            code |= x << bits * i
+        return code
+
+    def decode(self, code: int) -> RawKey:
+        bits, mask = self.bits, self.mask
+        k, l = code & mask, code >> bits & mask
+        code >>= 2 * bits
+        m = []
+        while code:
+            m.append(code & mask)
+            code >>= bits
+        return (k, l, tuple(m))
+
+    def parts(self, code: int) -> list[tuple[int, int]]:
+        """(i, m_i) for every part size i present in the key."""
+        return [(i, x) for i, x in enumerate(self.decode(code)[2], 1) if x]
+
+    def encode_terms(self, terms: Mapping[RawKey, object]) -> dict:
+        return {self.encode(key): c for key, c in terms.items()}
 
 
-def _splitjoin_raw(terms: Mapping[RawKey, object]) -> dict:
-    out: dict = {}
-    for (k, l, m), c in terms.items():
-        sizes = [i + 1 for i, x in enumerate(m) if x]
-        # split one cycle of size r into j and r + 1 - j (ordered)
-        for r in sizes:
-            base = multiplicities_decr(m, r)
-            f = r * m[r - 1] * c
-            for j in range(1, r + 1):
-                key = (k, l, multiplicities_incr(multiplicities_incr(base, j),
-                                                 r + 1 - j))
-                out[key] = out.get(key, 0) + f
-        # join two cycles j, j2 of one component into j + j2 + 1 (ordered)
-        for j in sizes:
-            for j2 in sizes:
-                if j == j2:
-                    ways = m[j - 1] * (m[j - 1] - 1)
-                    if not ways:
-                        continue
-                else:
-                    ways = m[j - 1] * m[j2 - 1]
-                base = multiplicities_decr(multiplicities_decr(m, j), j2)
-                key = (k, l, multiplicities_incr(base, j + j2 + 1))
-                out[key] = out.get(key, 0) + j * j2 * ways * c
-    return out
+def _grow(pk: _Packing, src: Mapping, out: dict, factor=1, shifts=(0,)) -> None:
+    """Add factor * sum_r r t_{r+1} d/dt_r (src) to out, once per shift."""
+    E = pk.E
+    for code, c in src.items():
+        fc = factor * c
+        for r, x in pk.parts(code):
+            key = code - E[r] + E[r + 1]
+            v = r * x * fc
+            for s in shifts:
+                out[key + s] = out.get(key + s, 0) + v
 
 
-def _diff_lists(terms: Mapping[RawKey, object]) -> list:
-    """Partial derivatives bucketed by variable index.
+def _split_join(pk: _Packing, src: Mapping, out: dict, factor=1) -> None:
+    """Add factor * (one-component cycle surgery)(src) to out.
 
-    Returns a sorted list of (j, [(key, m_j * coeff), ...]).
+    A cycle of size r splits into the ordered pairs (j, r + 1 - j); the
+    two orders of a pair give one key, so each pair is emitted once with
+    weight 2, plus the middle term for odd r.  Two cycles j != j2 join
+    into j + j2 + 1 from both orders, again emitted once with weight 2.
     """
+    E = pk.E
+    for code, c in src.items():
+        fc = factor * c
+        parts = pk.parts(code)
+        for a, (r, x) in enumerate(parts):
+            f = r * x * fc
+            base = code - E[r]
+            for j in range(1, r // 2 + 1):
+                key = base + E[j] + E[r + 1 - j]
+                out[key] = out.get(key, 0) + 2 * f
+            if r % 2:
+                key = base + 2 * E[(r + 1) // 2]
+                out[key] = out.get(key, 0) + f
+            if x > 1:
+                key = base - E[r] + E[2 * r + 1]
+                out[key] = out.get(key, 0) + r * (x - 1) * f
+            for j2, x2 in parts[a + 1:]:
+                key = base - E[j2] + E[r + j2 + 1]
+                out[key] = out.get(key, 0) + 2 * j2 * x2 * f
+
+
+def _diff_buckets(pk: _Packing, src: Mapping) -> list:
+    """j * d/dt_j (src) for every j, as a sorted [(j, [(key, coeff), ...])]."""
+    E = pk.E
     buckets: dict[int, list] = {}
-    for (k, l, m), c in terms.items():
-        for idx, mult in enumerate(m):
-            if mult:
-                j = idx + 1
-                buckets.setdefault(j, []).append(
-                    ((k, l, multiplicities_decr(m, j)), mult * c))
+    for code, c in src.items():
+        for j, x in pk.parts(code):
+            buckets.setdefault(j, []).append((code - E[j], j * x * c))
     return sorted(buckets.items())
 
 
-def _sum_incr(m1: Multiplicities, m2: Multiplicities, i: int) -> Multiplicities:
-    """m1 + m2 + e_i."""
-    n = max(len(m1), len(m2), i)
-    out = [0] * n
-    for idx, x in enumerate(m1):
-        out[idx] = x
-    for idx, x in enumerate(m2):
-        out[idx] += x
-    out[i - 1] += 1
-    return tuple(out)
-
-
-def _pairjoin_accumulate(a: Mapping, b: Mapping, factor, out: dict) -> None:
-    """Add factor * sum_{j,j2} j*j2*t_{j+j2+1} (d a/d t_j)(d b/d t_j2) to out."""
-    da = _diff_lists(a)
-    db = _diff_lists(b)
+def _join_pair(pk: _Packing, da: list, db: list, out: dict, factor=1) -> None:
+    """Add factor * sum_{j,j2} t_{j+j2+1} (j d/dt_j a)(j2 d/dt_j2 b) to out,
+    from the derivative buckets da, db of a and b."""
+    E = pk.E
+    get = out.get
     for j, ta in da:
         for j2, tb in db:
-            w = factor * j * j2
-            tgt = j + j2 + 1
-            for (k1, l1, m1), c1 in ta:
-                wc1 = w * c1
-                for (k2, l2, m2), c2 in tb:
-                    key = (k1 + k2, l1 + l2, _sum_incr(m1, m2, tgt))
-                    v = out.get(key, 0) + wc1 * c2
-                    if v:
-                        out[key] = v
-                    elif key in out:
-                        del out[key]
-
-
-def _linear_accumulate(terms: Mapping, factor, out: dict) -> None:
-    """Add factor * ((u + v) * grow + split_or_join)(terms) to out."""
-    for (k, l, m), c in _grow_raw(terms).items():
-        fc = factor * c
-        for key in ((k + 1, l, m), (k, l + 1, m)):
-            v = out.get(key, 0) + fc
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    for key, c in _splitjoin_raw(terms).items():
-        v = out.get(key, 0) + factor * c
-        if v:
-            out[key] = v
-        elif key in out:
-            del out[key]
+            inc = E[j + j2 + 1]
+            for c1, v1 in ta:
+                kc = c1 + inc
+                fv = factor * v1
+                for c2, v2 in tb:
+                    key = kc + c2
+                    out[key] = get(key, 0) + fv * v2
 
 
 # ---------------------------------------------------------------------------
 # public operator wrappers
 # ---------------------------------------------------------------------------
 
-def _wrap(raw: dict, truncation: int) -> GradedSeries:
-    out = {key: c for key, c in raw.items()
+def _entry_bound(terms: Mapping[RawKey, object]) -> int:
+    """Largest k, l or weight among the keys."""
+    return max((max(k, l, partition_weight(m)) for k, l, m in terms), default=0)
+
+
+def _decoded(pk: _Packing, raw: dict, truncation: int, win: int | None,
+             op: str) -> GradedSeries:
+    """The kernel's output as a series; weight win in must give win + 1 out."""
+    out = {key: c for key, c in ((pk.decode(code), c) for code, c in raw.items())
            if c and partition_weight(key[2]) <= truncation}
-    return GradedSeries(out, truncation, _raw=True)
+    res = GradedSeries(out, truncation, _raw=True)
+    if win is not None and not res.is_zero() and res.homogeneous_weight() != win + 1:
+        raise AssertionError(f"{op} must raise the weight by 1")
+    return res
 
 
-def _check_weight_shift(inp: GradedSeries, res: GradedSeries, shift: int, op: str):
-    win, wout = inp.homogeneous_weight(), res.homogeneous_weight()
-    if win is not None and not res.is_zero() and wout != win + shift:
-        raise AssertionError(f"{op} must raise the weight by {shift}")
+def _linear_op(series: GradedSeries, move, op: str) -> GradedSeries:
+    pk = _Packing(_entry_bound(series._terms) + 1)
+    out: dict = {}
+    move(pk, pk.encode_terms(series._terms), out)
+    return _decoded(pk, out, series.truncation, series.homogeneous_weight(), op)
 
 
 def grow_cycle(series: GradedSeries) -> GradedSeries:
     """Lengthen one cycle by one: sum_r r * t_{r+1} * d/dt_r."""
-    res = _wrap(_grow_raw(series._terms), series.truncation)
-    _check_weight_shift(series, res, 1, "grow_cycle")
-    return res
+    return _linear_op(series, _grow, "grow_cycle")
 
 
 def split_or_join_cycles(series: GradedSeries) -> GradedSeries:
@@ -185,9 +211,7 @@ def split_or_join_cycles(series: GradedSeries) -> GradedSeries:
     joins an ordered pair of cycles (j, j2) into one of size j + j2 + 1;
     the combined move raises the weight by exactly one.
     """
-    res = _wrap(_splitjoin_raw(series._terms), series.truncation)
-    _check_weight_shift(series, res, 1, "split_or_join_cycles")
-    return res
+    return _linear_op(series, _split_join, "split_or_join_cycles")
 
 
 def join_components(a: GradedSeries, b: GradedSeries) -> GradedSeries:
@@ -197,15 +221,13 @@ def join_components(a: GradedSeries, b: GradedSeries) -> GradedSeries:
     two partial derivatives.  The result weight is weight(a) + weight(b)
     + 1 on homogeneous inputs.
     """
+    pk = _Packing(_entry_bound(a._terms) + _entry_bound(b._terms) + 1)
     out: dict = {}
-    trunc = min(a.truncation, b.truncation)
-    _pairjoin_accumulate(a._terms, b._terms, 1, out)
-    res = _wrap(out, trunc)
+    _join_pair(pk, _diff_buckets(pk, pk.encode_terms(a._terms)),
+               _diff_buckets(pk, pk.encode_terms(b._terms)), out)
     wa, wb = a.homogeneous_weight(), b.homogeneous_weight()
-    if wa is not None and wb is not None and not res.is_zero():
-        if res.homogeneous_weight() != wa + wb + 1:
-            raise AssertionError("join_components must raise total weight by 1")
-    return res
+    return _decoded(pk, out, min(a.truncation, b.truncation),
+                    None if wa is None or wb is None else wa + wb, "join_components")
 
 
 # ---------------------------------------------------------------------------
@@ -216,86 +238,49 @@ def _marked_terms(terms: Mapping[RawKey, object], d: int) -> dict[RawKey, int]:
     """d times the coefficients, as exact integers (the marked counts)."""
     out: dict[RawKey, int] = {}
     for key, c in terms.items():
-        v = c * d
-        if isinstance(v, Fraction):
-            if v.denominator != 1:
+        if isinstance(c, Fraction):
+            v, r = divmod(c.numerator * d, c.denominator)
+            if r:
                 raise ArithmeticError(f"marked count at {key!r} is not integral")
-            v = v.numerator
+        else:
+            v = c * d
         out[key] = v
     return out
 
 
-def _next_marked(marked: Sequence[dict], d: int) -> dict[RawKey, int]:
-    """Marked piece of weight d from the marked pieces 1 .. d-1.
+def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
+                 d: int) -> dict[int, int]:
+    """Packed marked piece of weight d from the packed marked pieces 1 .. d-1.
 
     d*F_d = ((u+v)*grow + split_or_join) F_{d-1}
             + sum_{n=1}^{d-2} join_components(F_n, F_{d-1-n});
     with F_n = (marked_n)/n every contribution is integral only as a
     whole, so everything is accumulated over the common denominator C.
-
-    Hot path: inside this call multiplicity vectors are packed into one
-    integer (bit fields wide enough that componentwise sums cannot
-    carry), so combining two profiles in the pair convolution is a
-    single addition.
+    Both join_components and the denominator n*(d-1-n) are symmetric
+    under n <-> d-1-n, so the pair sum runs over n <= (d-1)/2 and doubles
+    each term with n != d-1-n.  ``buckets`` holds the derivative buckets
+    of the pieces and grows with them, so each is built once.
     """
     if d < 2:
         raise ValueError("the seed piece is fixed, recursion starts at d = 2")
-    bits = max(6, d.bit_length() + 1)  # multiplicities stay < d, sums < 2^bits
-    mask = (1 << bits) - 1
-
-    def encode(m: Multiplicities) -> int:
-        code = 0
-        for i, x in enumerate(m):
-            code |= x << (bits * i)
-        return code
-
-    def decode(code: int) -> Multiplicities:
-        out = []
-        while code:
-            out.append(code & mask)
-            code >>= bits
-        return tuple(out)
-
-    diff_cache: dict[int, list] = {}
-
-    def diff_encoded(n: int) -> list:
-        """Derivative buckets of marked piece n with packed profiles."""
-        if n not in diff_cache:
-            buckets: dict[int, list] = {}
-            for (k, l, m), c in marked[n - 1].items():
-                code = encode(m)
-                for idx, mult in enumerate(m):
-                    if mult:
-                        buckets.setdefault(idx + 1, []).append(
-                            ((k, l, code - (1 << (bits * idx))), mult * c))
-            diff_cache[n] = sorted(buckets.items())
-        return diff_cache[n]
-
-    denoms = [d - 1] + [n * (d - 1 - n) for n in range(1, d - 1)]
-    C = lcm(*denoms)
-    lin: dict = {}
-    _linear_accumulate(marked[d - 2], C // (d - 1), lin)
-    acc: dict = {(k, l, encode(m)): v for (k, l, m), v in lin.items()}
-    for n in range(1, d - 1):
-        factor = C // (n * (d - 1 - n))
-        for j, ta in diff_encoded(n):
-            for j2, tb in diff_encoded(d - 1 - n):
-                w = factor * j * j2
-                inc = 1 << (bits * (j + j2))  # multiply by t_{j+j2+1}
-                for (k1, l1, c1), v1 in ta:
-                    wv1 = w * v1
-                    kc = c1 + inc
-                    for (k2, l2, c2), v2 in tb:
-                        key = (k1 + k2, l1 + l2, kc + c2)
-                        acc[key] = acc.get(key, 0) + wv1 * v2
-    out: dict[RawKey, int] = {}
-    for (k, l, code), v in acc.items():
+    while len(buckets) < d - 2:
+        buckets.append(_diff_buckets(pk, packed[len(buckets)]))
+    C = lcm(d - 1, *(n * (d - 1 - n) for n in range(1, d - 1)))
+    acc: dict = {}
+    _grow(pk, packed[d - 2], acc, C // (d - 1), (1, pk.V))
+    _split_join(pk, packed[d - 2], acc, C // (d - 1))
+    for n in range(1, (d - 1) // 2 + 1):
+        n2 = d - 1 - n
+        factor = C // (n * n2) * (1 if n == n2 else 2)
+        _join_pair(pk, buckets[n - 1], buckets[n2 - 1], acc, factor)
+    out: dict[int, int] = {}
+    for code, v in acc.items():
         if v:
             q, r = divmod(v, C)
             if r:
                 raise ArithmeticError(
-                    f"marked count at {(k, l, decode(code))!r} is not integral")
-            out[(k, l, decode(code))] = q
+                    f"marked count at {pk.decode(code)!r} is not integral")
+            out[code] = q
     return out
 
 
@@ -303,10 +288,13 @@ def next_piece(pieces: Sequence[GradedSeries],
                truncation: int | None = None) -> GradedSeries:
     """Piece of weight d = len(pieces) + 1 from the pieces 1 .. d - 1."""
     d = len(pieces) + 1
-    marked = [_marked_terms(p._terms, n) for n, p in enumerate(pieces, 1)]
-    raw = _next_marked(marked, d)
+    # a pair product adds two keys of the pieces plus one part
+    pk = _Packing(2 * max((_entry_bound(p._terms) for p in pieces), default=0) + 1)
+    packed = [pk.encode_terms(_marked_terms(p._terms, n))
+              for n, p in enumerate(pieces, 1)]
+    raw = _next_marked(pk, packed, [], d)
     trunc = d if truncation is None else truncation
-    return GradedSeries({key: Fraction(v, d) for key, v in raw.items()},
+    return GradedSeries({pk.decode(code): Fraction(v, d) for code, v in raw.items()},
                         trunc, _raw=True)
 
 
@@ -357,10 +345,15 @@ class ConnectedSeries:
                 if dmax < self.dmax else self
         marked = list(self._marked_list())
         fractions = [p._terms for p in self._pieces]
+        pk = _Packing(dmax)  # validated pieces: k, l, m_i <= degree <= dmax
+        packed = [pk.encode_terms(t) for t in marked]
+        buckets: list = []
         for d in range(self.dmax + 1, dmax + 1):
-            raw = _next_marked(marked, d)
-            marked.append(raw)
-            fractions.append({key: Fraction(v, d) for key, v in raw.items()})
+            raw = _next_marked(pk, packed, buckets, d)
+            packed.append(raw)
+            piece = {pk.decode(code): v for code, v in raw.items()}
+            marked.append(piece)
+            fractions.append({key: Fraction(v, d) for key, v in piece.items()})
         pieces = [GradedSeries(t, dmax, _raw=True) for t in fractions]
         out = ConnectedSeries(pieces, validate=True)
         out._marked = marked
@@ -428,18 +421,20 @@ def partition_function(dmax: int) -> GradedSeries:
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
     z: dict[RawKey, Fraction] = {(0, 0, ()): Fraction(1)}
-    x: dict = {(0, 0, ()): 1}
+    pk = _Packing(max(dmax, 1))  # k, l, m_i <= n in the weight-n piece
+    seed = pk.encode(SEED_KEY)
+    x: dict = {0: 1}
     fact = 1
     for n in range(1, dmax + 1):
         nxt: dict = {}
-        _linear_accumulate(x, 1, nxt)
-        for (k, l, m), c in x.items():
-            key = (k + 1, l + 1, multiplicities_incr(m, 1))
-            nxt[key] = nxt.get(key, 0) + c
-        x = {key: c for key, c in nxt.items() if c}
+        _grow(pk, x, nxt, 1, (1, pk.V))
+        _split_join(pk, x, nxt)
+        for code, c in x.items():
+            nxt[code + seed] = nxt.get(code + seed, 0) + c
+        x = {code: c for code, c in nxt.items() if c}
         fact *= n
-        for key, c in x.items():
-            z[key] = Fraction(c, fact)
+        for code, c in x.items():
+            z[pk.decode(code)] = Fraction(c, fact)
     out = GradedSeries(z, dmax, _raw=True)
     out.validate_disconnected()
     return out

@@ -43,6 +43,9 @@ GOLDEN = Path(__file__).parent / "data" / "table1.csv"
 
 def _cli(*argv, env_extra=None):
     env = {k: v for k, v in os.environ.items() if k != "DESSIN_CACHE"}
+    # the child runs this checkout's src/, like the in-process tests
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
+from dessins import cache
 from dessins.cache import (
     load_cache,
     load_or_compute,
@@ -74,3 +78,42 @@ def test_load_or_compute_extends(tmp_path):
 
 def test_load_or_compute_without_cache():
     assert load_or_compute(2).pieces == ConnectedSeries.compute(2).pieces
+
+
+def test_load_reports_non_integral_cache_as_corrupt(tmp_path, engine6):
+    path = tmp_path / "f.cache"
+    path.write_text(render_cache(engine6).replace("2 1 1 1,1 1/2", "2 1 1 1,1 1/3"))
+    with pytest.raises(ValueError, match="corrupt cache"):
+        load_cache(path)
+
+
+def test_failed_write_leaves_previous_cache(tmp_path, engine6, monkeypatch):
+    path = tmp_path / "f.cache"
+    save_cache(path, engine6.extended_to(4))
+    before = path.read_bytes()
+
+    def half_write(self, text, *args, **kwargs):
+        with open(self, "w", encoding="ascii") as fh:
+            fh.write(text[:len(text) // 2])
+        raise OSError("disk full")
+
+    with monkeypatch.context() as m:
+        m.setattr(Path, "write_text", half_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_cache(path, engine6)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["f.cache"]
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(cache.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="rename failed"):
+            save_cache(path, engine6)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["f.cache"]
+
+    save_cache(path, engine6)
+    assert path.read_text() == render_cache(engine6)
+    assert os.listdir(tmp_path) == ["f.cache"]

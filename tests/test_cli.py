@@ -154,6 +154,34 @@ def test_corrupt_cache_is_io_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_non_integral_cache_is_input_error(tmp_path, capsys):
+    from dessins.cache import load_or_compute
+
+    path = tmp_path / "bad.cache"
+    load_or_compute(3, path)
+    text = path.read_text()
+    path.write_text(text.replace("2 1 1 1,1 1/2", "2 1 1 1,1 1/3"))
+    code, _, err = run(capsys, "table", "--dmax", "3", "--cache", str(path))
+    assert code == 3
+    assert err.startswith("error: corrupt cache")
+
+
+def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
+    from dessins import evolution
+
+    real_grow = evolution._grow
+
+    def leaky_grow(pk, src, out, *args):
+        real_grow(pk, src, out, *args)
+        out[next(iter(out))] += 1  # one stray unit breaks integrality at d = 3
+
+    monkeypatch.setattr(evolution, "_grow", leaky_grow)
+    code, out, err = run(capsys, "table", "--dmax", "3", "--marked")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal check failed: marked count at")
+
+
 def test_verification_failure_exits_1(tmp_path, capsys):
     # a cache that passes the structural validation (physical key,
     # integral marked count) but carries a wrong value must be caught by

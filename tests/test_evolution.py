@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dessins.cache import load_cache, save_cache
 from dessins.evolution import (
     ConnectedSeries,
     grow_cycle,
@@ -96,6 +97,40 @@ def test_seed_and_low_degrees(engine6):
 def test_next_piece_degree_2():
     seed = GradedSeries(PIECE_1, 1)
     assert dict(next_piece([seed]).terms) == PIECE_2
+
+
+def _assembled_piece(pieces, d):
+    """Piece d by the insertion formula, from the public operators and the
+    full pair sum n = 1 .. d-2 (no symmetry shortcut)."""
+    prev = pieces[d - 2]
+    u_plus_v = GradedSeries({(1, 0, ()): 1, (0, 1, ()): 1}, d)
+    total = u_plus_v * grow_cycle(prev) + split_or_join_cycles(prev)
+    for n in range(1, d - 1):
+        total = total + join_components(pieces[n - 1], pieces[d - 2 - n])
+    return total.scaled(F(1, d))
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+def test_next_piece_matches_public_operator_assembly(engine10, d):
+    pieces = engine10.pieces[:d - 1]
+    assembled = _assembled_piece(pieces, d)
+    assert next_piece(pieces) == assembled
+    assert dict(assembled.terms) == dict(engine10.piece(d).terms)
+
+
+@pytest.mark.parametrize("start, stop", [(3, 9), (12, 17)])
+def test_extension_across_field_widths(start, stop):
+    # packed fields are dmax.bit_length() wide: the lower pieces are re-encoded
+    # from 2 to 4 bits (3 -> 9) and from 4 to 5 bits (12 -> 17)
+    extended = ConnectedSeries.compute(start).extended_to(stop)
+    assert extended.pieces == ConnectedSeries.compute(stop).pieces
+
+
+def test_cache_loaded_series_extends(tmp_path):
+    path = tmp_path / "f.cache"
+    save_cache(path, ConnectedSeries.compute(6))
+    loaded = load_cache(path)
+    assert loaded.extended_to(10).pieces == ConnectedSeries.compute(10).pieces
 
 
 def test_compute_validates_and_is_deterministic():
