@@ -7,7 +7,8 @@ append-only by degree: the body of a deeper cache is a byte-prefix
 extension of any shallower one, and re-running with a covering cache
 reloads the pieces instead of recomputing them.  A cache is written to a
 temporary file beside it and renamed into place, so a crash or a second
-writer never leaves half a cache.
+writer never leaves half a cache.  Loading checks each degree's marked
+counts against their row sum, so a cut or edited file is rejected.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from .counts import indecomposable_count
 from .evolution import ConnectedSeries
 from .series import GradedSeries
 
@@ -39,7 +41,12 @@ def parse_cache(text: str) -> ConnectedSeries:
         key_weight = sum((i + 1) * x for i, x in enumerate(key[2]))
         buckets[key_weight - 1][key] = c
     pieces = [GradedSeries(b, dmax, _raw=True) for b in buckets]
-    return ConnectedSeries(pieces)  # validates seed, physicality, integrality
+    series = ConnectedSeries(pieces)  # validates seed, physicality, integrality
+    for d, marked in enumerate(series._marked_list(), 1):
+        if sum(marked.values()) != indecomposable_count(d + 1):
+            raise ValueError(f"corrupt cache: degree-{d} marked counts do not "
+                             f"sum to A003319({d + 1})")
+    return series
 
 
 def load_cache(path: str | Path) -> ConnectedSeries:

@@ -63,6 +63,17 @@ def genus_table(series: ConnectedSeries) -> GenusTable:
     return table
 
 
+def indecomposable_count(n: int) -> int:
+    """Indecomposable permutations of n symbols (OEIS A003319); the
+    marked counts of the degree-d piece sum to indecomposable_count(d + 1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a = [0, 1]
+    for m in range(2, n + 1):
+        a.append(factorial(m) - sum(a[j] * factorial(m - j) for j in range(1, m)))
+    return a[n]
+
+
 def marked_count_genus0(d: int) -> int:
     """Closed form for the planar marked count: 3*2^(d-1)*(2d)!/(d!(d+2)!)."""
     if d < 1:

@@ -156,20 +156,26 @@ def _diff_buckets(pk: _Packing, src: Mapping) -> list:
     return sorted(buckets.items())
 
 
+def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
+    """Add factor * (ta)(tb), every key shifted by inc, to out: the product
+    of two packed [(key, coeff), ...] lists is one key addition per pair.
+    Zero sums stay in out."""
+    get = out.get
+    for c1, v1 in ta:
+        kc = c1 + inc
+        fv = factor * v1
+        for c2, v2 in tb:
+            key = kc + c2
+            out[key] = get(key, 0) + fv * v2
+
+
 def _join_pair(pk: _Packing, da: list, db: list, out: dict, factor=1) -> None:
     """Add factor * sum_{j,j2} t_{j+j2+1} (j d/dt_j a)(j2 d/dt_j2 b) to out,
     from the derivative buckets da, db of a and b."""
     E = pk.E
-    get = out.get
     for j, ta in da:
         for j2, tb in db:
-            inc = E[j + j2 + 1]
-            for c1, v1 in ta:
-                kc = c1 + inc
-                fv = factor * v1
-                for c2, v2 in tb:
-                    key = kc + c2
-                    out[key] = get(key, 0) + fv * v2
+            _convolve(ta, tb, out, factor, E[j + j2 + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +326,13 @@ class ConnectedSeries:
     def _validate(self) -> None:
         if self._pieces[0]._terms != {SEED_KEY: 1}:
             raise ValueError("degree-1 piece must be exactly u*v*t1")
+        marked = []
         for d, piece in enumerate(self._pieces, 1):
             if piece.homogeneous_weight() != d:
                 raise ValueError(f"piece {d} is not homogeneous of weight {d}")
             piece.validate_connected()
-            _marked_terms(piece._terms, d)
+            marked.append(_marked_terms(piece._terms, d))
+        self._marked = marked
 
     # -- construction ----------------------------------------------------------
 
@@ -343,21 +351,16 @@ class ConnectedSeries:
         if dmax <= self.dmax:
             return ConnectedSeries(self._pieces[:dmax], validate=False) \
                 if dmax < self.dmax else self
-        marked = list(self._marked_list())
         fractions = [p._terms for p in self._pieces]
         pk = _Packing(dmax)  # validated pieces: k, l, m_i <= degree <= dmax
-        packed = [pk.encode_terms(t) for t in marked]
+        packed = [pk.encode_terms(t) for t in self._marked_list()]
         buckets: list = []
         for d in range(self.dmax + 1, dmax + 1):
             raw = _next_marked(pk, packed, buckets, d)
             packed.append(raw)
-            piece = {pk.decode(code): v for code, v in raw.items()}
-            marked.append(piece)
-            fractions.append({key: Fraction(v, d) for key, v in piece.items()})
+            fractions.append({pk.decode(code): Fraction(v, d) for code, v in raw.items()})
         pieces = [GradedSeries(t, dmax, _raw=True) for t in fractions]
-        out = ConnectedSeries(pieces, validate=True)
-        out._marked = marked
-        return out
+        return ConnectedSeries(pieces, validate=True)  # keeps the marked dicts
 
     # -- access ------------------------------------------------------------------
 
@@ -444,12 +447,6 @@ def partition_function(dmax: int) -> GradedSeries:
 # coefficient-level recursion (diagnostic identity, never a solver)
 # ---------------------------------------------------------------------------
 
-def _lookup(cs: ConnectedSeries, k: int, l: int, m: Multiplicities) -> Fraction:
-    if k < 1 or l < 1:
-        return Fraction(0)
-    return cs.coefficient(k, l, m)
-
-
 def _splits(m: Multiplicities) -> Iterator[tuple[Multiplicities, Multiplicities]]:
     for choice in product(*(range(x + 1) for x in m)):
         yield (canonical_multiplicities(choice),
@@ -465,7 +462,8 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     degree d; the one-edge seed enters as a Kronecker term at d = 1.
     Evaluated purely from the already computed table, this must agree
     with coefficient() on every key (exercised by the test suite); it is
-    never used to build the table.
+    never used to build the table.  The moves build canonical keys of known
+    weight, read straight from that piece's terms.
     """
     mm = canonical_multiplicities(m)
     d = partition_weight(mm)
@@ -477,13 +475,15 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     if (k, l, mm) == SEED_KEY:
         total += 1
     sizes = [i + 1 for i, x in enumerate(mm) if x]
+    terms = [{}] + [p._terms for p in cs.pieces]  # terms[w]: the weight-w piece
+    get = terms[d - 1].get  # the first three moves remove one edge in place
 
     # double-edge insertion: a cycle i-1 grew to i, a vertex was added
     for i in sizes:
         if i >= 2:
             ref = multiplicities_incr(multiplicities_decr(mm, i), i - 1)
             f = (i - 1) * (mm[i - 2] + 1)
-            total += f * (_lookup(cs, k - 1, l, ref) + _lookup(cs, k, l - 1, ref))
+            total += f * (get((k - 1, l, ref), 0) + get((k, l - 1, ref), 0))
 
     # one cycle i-1 was split into j + j2 (ordered pairs)
     for j in sizes:
@@ -496,7 +496,7 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
             if f:
                 base = multiplicities_decr(multiplicities_decr(mm, j), j2)
                 ref = multiplicities_incr(base, i - 1)
-                total += f * _lookup(cs, k, l, ref)
+                total += f * get((k, l, ref), 0)
 
     # two cycles j, j2 of one component were joined into j + j2 + 1
     for c in sizes:
@@ -510,7 +510,7 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
             mj2 = mm[j2 - 1] if j2 <= len(mm) else 0
             f = j * j2 * (mj + 1) * (mj2 + 1 + (j == j2))
             ref = multiplicities_incr(multiplicities_incr(base, j), j2)
-            total += f * _lookup(cs, k, l, ref)
+            total += f * get((k, l, ref), 0)
 
     # cycles of two separate components were joined into j + j2 + 1
     for c in sizes:
@@ -526,11 +526,13 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
                 f2 = (m2[j2 - 1] if j2 <= len(m2) else 0) + 1
                 r1 = multiplicities_incr(m1, j)
                 r2 = multiplicities_incr(m2, j2)
+                w1 = partition_weight(r1)
+                get1, get2 = terms[w1].get, terms[d - 1 - w1].get
                 for k1 in range(1, k):
                     for l1 in range(1, l):
-                        a = _lookup(cs, k1, l1, r1)
+                        a = get1((k1, l1, r1), 0)
                         if a:
-                            b = _lookup(cs, k - k1, l - l1, r2)
+                            b = get2((k - k1, l - l1, r2), 0)
                             if b:
                                 total += jf * f1 * f2 * a * b
     return total / d

@@ -13,16 +13,36 @@ Equations are data, not code: an equation is a list of (coefficient,
 factors) pairs, each factor a multi-index of t-derivatives, and the whole
 equation moved to one side.  Further hierarchy equations can be added to
 KP_EQUATIONS without touching the evaluator.
+
+The evaluator runs on the packed keys and the pair convolution of
+``evolution`` with plain integer coefficients.  With F_d = M_d / d (M_d
+the integer marked piece), the s^n value of a product of r derivative
+factors is the sum over n_1 + ... + n_r = n of prod_j U_j(n_j) / n_j,
+U_j the factor's derivative of M.  Each prod n_j divides n! (it divides
+prod n_j!, which divides n!), so P_n = n! times that value is an
+integer.  One factor has P_n = (n-1)! U(n), a derivative of the integer
+piece G_n = n! F_n = (n-1)! M_n; appending a factor gives the binomial
+convolution P_n = sum_b C(n, b) P_head(n-b) (b-1)! U(b).  With L the lcm
+of an equation's coefficient denominators, L * n! times its residual is
+the integer sum of (coeff * L) P_n, which vanishes exactly when the
+residual does; a Fraction is formed only when residual() returns it.
+
+Keys are packed with 2^bits > nmax.  A table entry at s-degree n is a
+derivative of one piece of weight n, or a product of derivatives of
+pieces whose weights sum to n; derivatives only lower an m_i that is at
+least one, and pieces have k, l, m_i <= weight, so every field of every
+key, sums included, stays in 0 .. n <= nmax and cannot carry or alias.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import comb, factorial, lcm
+from typing import Sequence
 
-from .evolution import ConnectedSeries
-from .series import GradedSeries, RawKey, TruncationError, multiplicities_decr
+from .evolution import ConnectedSeries, _convolve, _Packing
+from .series import GradedSeries, TruncationError
 
 MultiIndex = tuple[int, ...]
 Term = tuple[Fraction, tuple[MultiIndex, ...]]
@@ -97,112 +117,70 @@ def equation_by_id(eq_id: int) -> KpEquation:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _diff_raw(terms: Mapping[RawKey, int], i: int) -> dict[RawKey, int]:
-    out: dict[RawKey, int] = {}
-    for (k, l, m), c in terms.items():
-        if len(m) >= i and m[i - 1]:
-            out[(k, l, multiplicities_decr(m, i))] = m[i - 1] * c
-    return out
-
-
-def _multi_diff(terms: Mapping[RawKey, int], multi: MultiIndex) -> dict:
-    out = dict(terms)
-    for i in multi:
-        if not out:
-            break
-        out = _diff_raw(out, i)
-    return out
-
-
-def _mul_raw(a: Mapping, b: Mapping) -> dict:
-    out: dict = {}
-    items_b = list(b.items())
-    for (k1, l1, m1), c1 in a.items():
-        for (k2, l2, m2), c2 in items_b:
-            if len(m1) < len(m2):
-                mm = tuple(x + y for x, y in zip(m1, m2)) + m2[len(m1):]
-            else:
-                mm = tuple(x + y for x, y in zip(m1, m2)) + m1[len(m2):]
-            key = (k1 + k2, l1 + l2, mm)
-            v = out.get(key, 0) + c1 * c2
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-    return out
-
-
-def _add_scaled(acc: dict, terms: Mapping, scale: Fraction) -> None:
-    if not scale:
-        return
-    for key, v in terms.items():
-        w = acc.get(key, 0) + scale * v
-        if w:
-            acc[key] = w
-        elif key in acc:
-            del acc[key]
-
-
 class KpEvaluator:
-    """Shared derivative/product tables for residuals up to one s-bound."""
+    """Shared derivative/product tables for residuals up to one s-bound;
+    entry n of a table is a packed [(key, int), ...] list."""
 
     def __init__(self, series: ConnectedSeries, nmax: int):
         if nmax > series.dmax:
             raise TruncationError(
                 f"s-degree {nmax} beyond computed degree {series.dmax}")
         self.nmax = nmax
-        # marked pieces: index d holds d * (weight-d piece), integer coefficients
-        self._marked = [None] + [series.marked_piece(d)
-                                 for d in range(1, nmax + 1)]
+        self._pk = pk = _Packing(max(nmax, 1))
+        # entry d: G_d = d! F_d = (d-1)! times the marked piece d * F_d
+        self._pieces = [None] + [
+            [(code, factorial(d - 1) * c) for code, c in pk.encode_terms(t).items()]
+            for d, t in enumerate(series._marked_list()[:nmax], 1)]
         self._derivs: dict[MultiIndex, list] = {}
         self._products: dict[tuple[MultiIndex, ...], list] = {}
 
     def _deriv(self, multi: MultiIndex) -> list:
+        """Entry d: the multi-derivative of G_d."""
         if multi not in self._derivs:
-            self._derivs[multi] = [None] + [
-                _multi_diff(self._marked[d], multi)
-                for d in range(1, self.nmax + 1)]
+            pk, tables = self._pk, self._pieces
+            for i in multi:
+                shift = pk.bits * (i + 1)  # the field of m_i
+                mask, e = pk.mask, 1 << shift
+                tables = [None] + [
+                    [(code - e, x * c) for code, c in terms if (x := code >> shift & mask)]
+                    for terms in tables[1:]]
+            self._derivs[multi] = tables
         return self._derivs[multi]
 
     def _product(self, factors: tuple[MultiIndex, ...]) -> list:
-        """s-indexed values of a product of derivative factors.
-
-        Entry n is a {key: Fraction} dict; the marked normalization 1/d
-        per factor is folded in here.
-        """
-        if factors in self._products:
-            return self._products[factors]
-        n_factors = len(factors)
-        out: list = [None] * (self.nmax + 1)
-        if n_factors == 1:
-            U = self._deriv(factors[0])
-            for n in range(1, self.nmax + 1):
+        """Entry n: P_n, n! times the s^n value of the product of factors."""
+        if len(factors) == 1:
+            return self._deriv(factors[0])
+        if factors not in self._products:
+            head, U = self._product(factors[:-1]), self._deriv(factors[-1])
+            out: list = [None] * (self.nmax + 1)
+            for n in range(len(factors), self.nmax + 1):
                 acc: dict = {}
-                _add_scaled(acc, U[n], Fraction(1, n))
-                out[n] = acc
-        else:
-            head = self._product(factors[:-1])
-            U = self._deriv(factors[-1])
-            for n in range(n_factors, self.nmax + 1):
-                acc = {}
-                for a in range(n_factors - 1, n):
-                    b = n - a
-                    if head[a] and U[b]:
-                        _add_scaled(acc, _mul_raw(head[a], U[b]), Fraction(1, b))
-                out[n] = acc
-        self._products[factors] = out
-        return out
+                for b in range(1, n - len(factors) + 2):
+                    if head[n - b] and U[b]:
+                        _convolve(head[n - b], U[b], acc, comb(n, b))
+                out[n] = [(code, v) for code, v in acc.items() if v]
+            self._products[factors] = out
+        return self._products[factors]
+
+    def _scaled_residual(self, eq: KpEquation, n: int) -> tuple[dict, int]:
+        """(L * n! times the s^n residual as packed ints, L * n!)."""
+        if not 1 <= n <= self.nmax:
+            raise TruncationError(f"s-degree {n} outside 1..{self.nmax}")
+        L = lcm(*(coeff.denominator for coeff, _ in eq.terms))
+        acc: dict = {}
+        for coeff, factors in eq.terms:
+            scale = coeff.numerator * (L // coeff.denominator)
+            for code, v in self._product(factors)[n] or ():
+                acc[code] = acc.get(code, 0) + scale * v
+        return {code: v for code, v in acc.items() if v}, L * factorial(n)
 
     def residual(self, eq: KpEquation, n: int) -> GradedSeries:
         """s^n coefficient of the residual; a polynomial in u, v, t."""
-        if not 1 <= n <= self.nmax:
-            raise TruncationError(f"s-degree {n} outside 1..{self.nmax}")
-        acc: dict = {}
-        for coeff, factors in eq.terms:
-            vals = self._product(factors)[n]
-            if vals:
-                _add_scaled(acc, vals, coeff)
-        return GradedSeries(acc, n, _raw=True)
+        terms, den = self._scaled_residual(eq, n)
+        decode = self._pk.decode
+        return GradedSeries({decode(code): Fraction(v, den)
+                             for code, v in terms.items()}, n, _raw=True)
 
 
 def kp_residual(series: ConnectedSeries, eq: KpEquation, n: int) -> GradedSeries:
@@ -240,6 +218,6 @@ def kp_report(series: ConnectedSeries, nmax: int,
     for eq in equations:
         eq.weight()  # audit homogeneity before trusting the data
         for n in range(1, nmax + 1):
-            res = evaluator.residual(eq, n)
-            rows.append(KpRow(eq.id, n, len(res), res.is_zero()))
+            terms = len(evaluator._scaled_residual(eq, n)[0])
+            rows.append(KpRow(eq.id, n, terms, not terms))
     return KpReport(nmax, tuple(rows))

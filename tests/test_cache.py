@@ -13,6 +13,7 @@ from dessins.cache import (
     render_cache,
     save_cache,
 )
+from dessins.cli import main
 from dessins.evolution import ConnectedSeries
 
 
@@ -117,3 +118,39 @@ def test_failed_write_leaves_previous_cache(tmp_path, engine6, monkeypatch):
     save_cache(path, engine6)
     assert path.read_text() == render_cache(engine6)
     assert os.listdir(tmp_path) == ["f.cache"]
+
+
+def _mutated_cache8(engine10, mutation: str) -> str:
+    lines = render_cache(engine10.extended_to(8)).splitlines(keepends=True)
+    middle = len(lines) // 2  # an interior line of degree 7
+    if mutation == "truncated":
+        return "".join(lines[:-3])
+    if mutation == "line_deleted":
+        return "".join(lines[:middle] + lines[middle + 1:])
+    d, k, l, profile, coeff = lines[middle].split()
+    lines[middle] = f"{d} {k} {l} {profile} -{coeff}\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("mutation", ["truncated", "line_deleted", "sign_flipped"])
+def test_mutated_cache_is_rejected(tmp_path, capsys, engine10, mutation):
+    path = tmp_path / "f.cache"
+    path.write_text(_mutated_cache8(engine10, mutation))
+    with pytest.raises(ValueError, match="corrupt cache"):
+        load_cache(path)
+    assert main(["table", "--dmax", "8", "--marked", "--cache", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: corrupt cache")
+
+
+def test_valid_cache_loads_with_identical_output(tmp_path, capsys, engine10):
+    path = tmp_path / "f.cache"
+    save_cache(path, engine10.extended_to(8))
+    before = path.read_bytes()
+    assert load_cache(path).pieces == engine10.extended_to(8).pieces
+    argv = ["table", "--dmax", "8", "--marked"]
+    assert main(argv) == 0
+    cold = capsys.readouterr().out
+    assert main(argv + ["--cache", str(path)]) == 0
+    assert capsys.readouterr().out == cold
+    assert path.read_bytes() == before

@@ -184,8 +184,8 @@ def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
 
 def test_verification_failure_exits_1(tmp_path, capsys):
     # a cache that passes the structural validation (physical key,
-    # integral marked count) but carries a wrong value must be caught by
-    # the verification commands with exit code 1
+    # integral marked count, degree row sum) but carries wrong values must
+    # be caught by the verification commands with exit code 1
     from dessins.cache import load_or_compute, save_cache
     from dessins.evolution import ConnectedSeries
     from dessins.series import GradedSeries
@@ -194,7 +194,8 @@ def test_verification_failure_exits_1(tmp_path, capsys):
     good = load_or_compute(3, path)
     pieces = list(good.pieces)
     terms = dict(pieces[2].terms)
-    terms[(2, 2, (0, 0, 1))] = terms[(2, 2, (0, 0, 1))] + 1
+    terms[(2, 2, (0, 0, 1))] = terms[(2, 2, (0, 0, 1))] + 1  # genus 0
+    terms[(1, 1, (0, 0, 1))] = terms[(1, 1, (0, 0, 1))] - 1  # genus 1, same row sum
     pieces[2] = GradedSeries(terms, 3)
     save_cache(path, ConnectedSeries(pieces))
 

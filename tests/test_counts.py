@@ -8,6 +8,7 @@ import pytest
 from dessins.counts import (
     GenusTable,
     genus_table,
+    indecomposable_count,
     marked_count_genus0,
     marked_count_genus1,
 )
@@ -24,6 +25,13 @@ SMALL_ROWS = {
     7: [9152, 14805, 4956, 180],
     8: [54912, 131307, 77992, 9132],
 }
+
+
+def test_indecomposable_count():
+    assert [indecomposable_count(n) for n in range(1, 10)] == \
+        [1, 1, 3, 13, 71, 461, 3447, 29093, 273343]
+    with pytest.raises(ValueError):
+        indecomposable_count(0)
 
 
 def test_genus0_closed_form():

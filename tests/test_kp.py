@@ -9,11 +9,12 @@ from dessins.evolution import ConnectedSeries
 from dessins.kp import (
     KP_EQUATIONS,
     KpEquation,
+    KpRow,
     equation_by_id,
     kp_report,
     kp_residual,
 )
-from dessins.series import GradedSeries, TruncationError
+from dessins.series import GradedSeries, TruncationError, partition_weight
 
 
 def test_equation_weights():
@@ -83,3 +84,49 @@ def test_residuals_below_corruption_degree_stay_zero(engine10):
     mutated = _corrupt(engine10, 6, (1, 1, (6,)))
     report = kp_report(mutated, 5)
     assert report.passed
+
+
+def _residuals_by_series_algebra(series: ConnectedSeries, nmax: int) -> dict:
+    """{(eq id, n): residual terms} from GradedSeries algebra on the
+    combined series: every term of an equation lowers the t-weight by
+    eq.weight(), so the s^n residual is the weight-(n - eq.weight()) part."""
+    F = series.extended_to(nmax).combined()
+    out = {}
+    for eq in KP_EQUATIONS:
+        total = GradedSeries.zero(nmax)
+        for coeff, factors in eq.terms:
+            term = GradedSeries.one(nmax)
+            for multi in factors:
+                dF = F
+                for i in multi:
+                    dF = dF.diff_t(i)
+                term = term * dF
+            total = total + term.scaled(coeff)
+        for n in range(1, nmax + 1):
+            out[(eq.id, n)] = {key: c for key, c in total.terms.items()
+                               if partition_weight(key[2]) == n - eq.weight()}
+    return out
+
+
+def test_residuals_match_series_algebra(engine10):
+    rng = random.Random(20261018)
+    candidates = [(d, key) for d in range(4, 8)
+                  for key in sorted(engine10.piece(d).terms)
+                  if len(key[2]) >= 1 and key[2][0] >= 2]
+    series = [engine10] + [_corrupt(engine10, d, key, delta)
+                           for (d, key), delta in zip(rng.sample(candidates, 3),
+                                                      (1, -1, 2))]
+    for i, s in enumerate(series):
+        want = _residuals_by_series_algebra(s, 8)
+        for eq in KP_EQUATIONS:
+            for n in range(1, 9):
+                got = kp_residual(s, eq, n)
+                assert dict(got.terms) == want[(eq.id, n)], (i, eq.id, n)
+                assert all(isinstance(c, Fraction) for c in got.terms.values())
+        assert any(want.values()) == (i > 0)
+
+
+def test_report_at_degree_14(engine14):
+    report = kp_report(engine14, 14)
+    assert report.rows == tuple(KpRow(eq, n, 0, True)
+                                for eq in (1, 2, 3, 4) for n in range(1, 15))
