@@ -8,53 +8,75 @@ extension of any shallower one, and re-running with a covering cache
 reloads the pieces instead of recomputing them.  A cache is written to a
 temporary file beside it and renamed into place, so a crash or a second
 writer never leaves half a cache.  Loading checks each degree's marked
-counts against their row sum, so a cut or edited file is rejected.
+counts against their row sum and requires the lines in strictly
+increasing canonical order, so a cut, reordered or edited file is
+rejected.
 """
 
 from __future__ import annotations
 
 import os
+from math import gcd
 from pathlib import Path
 
 from .counts import indecomposable_count
-from .evolution import ConnectedSeries
-from .series import GradedSeries
+from .evolution import SEED_KEY, ConnectedSeries
+from .series import genus_at, parse_lines, render_lines
 
 HEADER_TAG = "DESSIN-F v1"
 
 
 def render_cache(series: ConnectedSeries) -> str:
-    return (f"{HEADER_TAG} dmax={series.dmax}\n"
-            + series.combined().render() + "\n")
+    def terms():  # canonical order: by weight, then by (k, l, m)
+        for d, marked in enumerate(series._marked, 1):
+            for key in sorted(marked):
+                v = marked[key]
+                g = gcd(v, d)
+                yield d, key, v // g, d // g
+    body = "\n".join(render_lines(terms()))
+    return f"{HEADER_TAG} dmax={series.dmax}\n{body}\n"
 
 
 def parse_cache(text: str) -> ConnectedSeries:
+    """The series a cache text holds, read in one pass to marked counts.
+
+    A malformed, reordered, repeated or unphysical line, a degree outside
+    the header's range, a wrong seed or a degree whose marked counts do
+    not sum to A003319(d+1) raises ValueError; a coefficient whose marked
+    count is not an integer raises ArithmeticError.
+    """
     head, _, body = text.partition("\n")
     fields = head.split()
-    if (len(fields) != 3 or [fields[0], fields[1]] != HEADER_TAG.split()
+    if (len(fields) != 3 or fields[:2] != HEADER_TAG.split()
             or not fields[2].startswith("dmax=")):
         raise ValueError(f"not a series cache (header {head!r})")
     dmax = int(fields[2][len("dmax="):])
-    combined = GradedSeries.parse(body, dmax)
-    buckets: list[dict] = [{} for _ in range(dmax)]
-    for key, c in combined.terms.items():
-        key_weight = sum((i + 1) * x for i, x in enumerate(key[2]))
-        buckets[key_weight - 1][key] = c
-    pieces = [GradedSeries(b, dmax, _raw=True) for b in buckets]
-    series = ConnectedSeries(pieces)  # validates seed, physicality, integrality
-    for d, marked in enumerate(series._marked_list(), 1):
-        if sum(marked.values()) != indecomposable_count(d + 1):
-            raise ValueError(f"corrupt cache: degree-{d} marked counts do not "
-                             f"sum to A003319({d + 1})")
-    return series
+    marked: dict[int, dict] = {}  # by degree; no allocation from the header
+    for lineno, d, key, num, den in parse_lines(body, start=2):
+        if not 1 <= d <= dmax:
+            raise ValueError(f"line {lineno}: degree {d} outside 1..{dmax}")
+        genus_at(d, key)  # the key's genus relation
+        v, r = divmod(num * d, den)
+        if r:
+            raise ArithmeticError(
+                f"line {lineno}: marked count at {key!r} is not integral")
+        marked.setdefault(d, {})[key] = v
+    if marked.get(1) != {SEED_KEY: 1}:
+        raise ValueError("degree-1 piece must be exactly u*v*t1")
+    for d in range(2, dmax + 1):
+        if sum(marked.get(d, {}).values()) != indecomposable_count(d + 1):
+            raise ValueError(f"degree-{d} marked counts do not sum to "
+                             f"A003319({d + 1})")
+    return ConnectedSeries._from_marked([marked[d] for d in range(1, dmax + 1)],
+                                        validate=False)
 
 
 def load_cache(path: str | Path) -> ConnectedSeries:
-    """Parse a cache file; a non-integral marked count is reported as a
-    corrupt file (ValueError), not as an engine failure."""
+    """Parse a cache file; every rejection, a non-integral marked count
+    included, is reported as ValueError("corrupt cache ...")."""
     try:
         return parse_cache(Path(path).read_text(encoding="ascii"))
-    except ArithmeticError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise ValueError(f"corrupt cache {str(path)!r}: {exc}") from exc
 
 

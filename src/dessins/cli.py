@@ -27,7 +27,7 @@ from .counts import GenusTable, genus_table, marked_count_genus0, marked_count_g
 from .evolution import recursion_rhs
 from .kp import KP_EQUATIONS, equation_by_id, kp_report
 from .oracle import CLASSES_LIMIT, compare_with_series
-from .series import parts_list, partition_weight
+from .series import partition_weight, profile_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -112,10 +112,6 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _profile_string(m) -> str:
-    return ",".join(str(p) for p in parts_list(m)) or "-"
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def cmd_oracle(args) -> int:
             "types": len(table.counts), "total_pairs": str(table.total),
             "mismatches": [
                 {"k": diff.key[0], "l": diff.key[1],
-                 "profile": _profile_string(diff.key[2]),
+                 "profile": profile_text(diff.key[2]),
                  "oracle": str(diff.oracle), "engine": str(diff.engine)}
                 for diff in diffs],
             "pass": not diffs,
@@ -256,7 +252,7 @@ def cmd_oracle(args) -> int:
                  f"{len(table.counts)} types, {table.total} transitive pairs"]
         for diff in diffs:
             lines.append(f"MISMATCH k={diff.key[0]} l={diff.key[1]} "
-                         f"profile={_profile_string(diff.key[2])}: "
+                         f"profile={profile_text(diff.key[2])}: "
                          f"oracle={diff.oracle} engine={diff.engine}")
         lines.append("all types agree" if not diffs
                      else f"{len(diffs)} types disagree")
@@ -309,7 +305,7 @@ def cmd_recursion(args) -> int:
         payload = {"dmax": args.dmax, "keys_checked": checked,
                    "mismatches": [
                        {"k": key[0], "l": key[1],
-                        "profile": _profile_string(key[2]),
+                        "profile": profile_text(key[2]),
                         "table": str(want), "recursion": str(got)}
                        for key, want, got in bad],
                    "pass": not bad}
@@ -318,7 +314,7 @@ def cmd_recursion(args) -> int:
         lines = [f"recursion cross-check dmax={args.dmax}: {checked} keys"]
         for key, want, got in bad:
             lines.append(f"MISMATCH k={key[0]} l={key[1]} "
-                         f"profile={_profile_string(key[2])}: "
+                         f"profile={profile_text(key[2])}: "
                          f"table={want} recursion={got}")
         lines.append("both paths agree" if not bad
                      else f"{len(bad)} keys disagree")

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .evolution import ConnectedSeries
-from .series import genus_of
+from .series import genus_at
 
 
 @dataclass(frozen=True)
@@ -45,17 +45,19 @@ class GenusTable:
 def genus_table(series: ConnectedSeries) -> GenusTable:
     """Collapse the series to counts by (degree, genus).
 
-    Every monomial of weight d contributes its coefficient to the genus
-    read off from 2g - 2 = d - (k + l + parts).  Entries exist for all
+    Every monomial of weight d contributes its marked count to the genus
+    read off from 2g - 2 = d - (k + l + parts); each cell is one Fraction
+    of the summed marked counts over d.  Entries exist for all
     0 <= g <= (d-1)//2 (as exact zeros where nothing contributes), and
     the marked counts are checked to be integers.
     """
     entries: dict[tuple[int, int], Fraction] = {}
-    for d in range(1, series.dmax + 1):
-        for g in range(GenusTable.max_genus(d) + 1):
-            entries[(d, g)] = Fraction(0)
-        for key, c in series.piece(d).terms.items():
-            entries[(d, genus_of(key))] += c
+    for d, marked in enumerate(series._marked, 1):
+        sums = [0] * (GenusTable.max_genus(d) + 1)
+        for key, v in marked.items():
+            sums[genus_at(d, key)] += v
+        for g, v in enumerate(sums):
+            entries[(d, g)] = Fraction(v, d)
     table = GenusTable(series.dmax, entries)
     for d in range(1, series.dmax + 1):
         for g in range(GenusTable.max_genus(d) + 1):

@@ -55,6 +55,7 @@ from .series import (
     RawKey,
     TruncationError,
     canonical_multiplicities,
+    genus_at,
     multiplicities_decr,
     multiplicities_incr,
     partition_weight,
@@ -69,15 +70,22 @@ SEED_KEY: RawKey = (1, 1, (1,))
 # ---------------------------------------------------------------------------
 
 class _Packing:
-    """Bit-field layout for keys whose entries are all at most ``bound``."""
+    """Bit-field layout for keys whose entries are all at most ``bound``.
 
-    __slots__ = ("bits", "mask", "V", "E")
+    The decoded profile and part list of each packed profile (a key's
+    fields above k and l) are memoised: keys of one computation share
+    few profiles.
+    """
+
+    __slots__ = ("bits", "mask", "V", "E", "_profiles", "_parts")
 
     def __init__(self, bound: int):
         self.bits = bits = bound.bit_length()  # 2^bits > bound
         self.mask = (1 << bits) - 1
         self.V = 1 << bits
         self.E = [0] + [1 << bits * (i + 1) for i in range(1, bound + 1)]
+        self._profiles: dict[int, Multiplicities] = {}
+        self._parts: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def encode(self, key: RawKey) -> int:
         k, l, m = key
@@ -87,19 +95,28 @@ class _Packing:
             code |= x << bits * i
         return code
 
+    def _profile(self, prof: int) -> Multiplicities:
+        m = self._profiles.get(prof)
+        if m is None:
+            bits, mask, code, out = self.bits, self.mask, prof, []
+            while code:
+                out.append(code & mask)
+                code >>= bits
+            m = self._profiles[prof] = tuple(out)
+        return m
+
     def decode(self, code: int) -> RawKey:
         bits, mask = self.bits, self.mask
-        k, l = code & mask, code >> bits & mask
-        code >>= 2 * bits
-        m = []
-        while code:
-            m.append(code & mask)
-            code >>= bits
-        return (k, l, tuple(m))
+        return (code & mask, code >> bits & mask, self._profile(code >> 2 * bits))
 
-    def parts(self, code: int) -> list[tuple[int, int]]:
+    def parts(self, code: int) -> tuple[tuple[int, int], ...]:
         """(i, m_i) for every part size i present in the key."""
-        return [(i, x) for i, x in enumerate(self.decode(code)[2], 1) if x]
+        prof = code >> 2 * self.bits
+        p = self._parts.get(prof)
+        if p is None:
+            p = self._parts[prof] = tuple(
+                (i, x) for i, x in enumerate(self._profile(prof), 1) if x)
+        return p
 
     def encode_terms(self, terms: Mapping[RawKey, object]) -> dict:
         return {self.encode(key): c for key, c in terms.items()}
@@ -307,32 +324,45 @@ def next_piece(pieces: Sequence[GradedSeries],
 class ConnectedSeries:
     """Homogeneous pieces of the connected series for degrees 1 .. dmax.
 
-    Construction validates the seed, per-piece homogeneity, the genus
-    relation on every key, and integrality of the marked counts.
+    Only the marked counts are stored: per degree d, {(k, l, m): d * N}
+    with int values.  The Fraction pieces (``pieces``, ``piece``,
+    ``combined``) are built from them on first use and kept.
+    Construction checks integrality of the marked counts and, unless
+    ``validate`` is false, the seed, per-piece homogeneity and the genus
+    relation on every key.
     """
 
-    __slots__ = ("_pieces", "_marked")
+    __slots__ = ("_marked", "_pieces")
 
     def __init__(self, pieces: Sequence[GradedSeries], *, validate: bool = True):
-        dmax = len(pieces)
-        if dmax < 1:
+        self._init([_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)],
+                   validate)
+
+    @classmethod
+    def _from_marked(cls, marked: Sequence[dict[RawKey, int]],
+                     validate: bool) -> "ConnectedSeries":
+        series = cls.__new__(cls)
+        series._init(marked, validate)
+        return series
+
+    def _init(self, marked: Sequence[dict[RawKey, int]], validate: bool) -> None:
+        if not marked:
             raise ValueError("need at least the degree-1 piece")
-        self._pieces = tuple(
-            GradedSeries(p._terms, dmax, _raw=True) for p in pieces)
-        self._marked: list[dict[RawKey, int]] | None = None
+        self._marked = tuple(marked)
+        self._pieces: tuple[GradedSeries, ...] | None = None
         if validate:
             self._validate()
 
     def _validate(self) -> None:
-        if self._pieces[0]._terms != {SEED_KEY: 1}:
+        if self._marked[0] != {SEED_KEY: 1}:
             raise ValueError("degree-1 piece must be exactly u*v*t1")
-        marked = []
-        for d, piece in enumerate(self._pieces, 1):
-            if piece.homogeneous_weight() != d:
-                raise ValueError(f"piece {d} is not homogeneous of weight {d}")
-            piece.validate_connected()
-            marked.append(_marked_terms(piece._terms, d))
-        self._marked = marked
+        for d, marked in enumerate(self._marked, 1):
+            if not marked:
+                raise ValueError(f"piece {d} is empty")
+            for key in marked:
+                if partition_weight(key[2]) != d:
+                    raise ValueError(f"piece {d} is not homogeneous of weight {d}")
+                genus_at(d, key)
 
     # -- construction ----------------------------------------------------------
 
@@ -341,41 +371,44 @@ class ConnectedSeries:
         """Build the series up to degree dmax from the one-edge seed."""
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
-        seed = GradedSeries({SEED_KEY: Fraction(1)}, 1, _raw=True)
-        return cls((seed,), validate=False).extended_to(dmax)
+        return cls._from_marked([{SEED_KEY: 1}], validate=False).extended_to(dmax)
 
     def extended_to(self, dmax: int) -> "ConnectedSeries":
         """Same series computed (or cut back) to another degree bound."""
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
         if dmax <= self.dmax:
-            return ConnectedSeries(self._pieces[:dmax], validate=False) \
+            return ConnectedSeries._from_marked(self._marked[:dmax], validate=False) \
                 if dmax < self.dmax else self
-        fractions = [p._terms for p in self._pieces]
         pk = _Packing(dmax)  # validated pieces: k, l, m_i <= degree <= dmax
-        packed = [pk.encode_terms(t) for t in self._marked_list()]
+        packed = [pk.encode_terms(t) for t in self._marked]
+        marked = list(self._marked)
         buckets: list = []
         for d in range(self.dmax + 1, dmax + 1):
             raw = _next_marked(pk, packed, buckets, d)
             packed.append(raw)
-            fractions.append({pk.decode(code): Fraction(v, d) for code, v in raw.items()})
-        pieces = [GradedSeries(t, dmax, _raw=True) for t in fractions]
-        return ConnectedSeries(pieces, validate=True)  # keeps the marked dicts
+            marked.append({pk.decode(code): v for code, v in raw.items()})
+        return ConnectedSeries._from_marked(marked, validate=True)
 
     # -- access ------------------------------------------------------------------
 
     @property
     def dmax(self) -> int:
-        return len(self._pieces)
+        return len(self._marked)
 
     @property
     def pieces(self) -> tuple[GradedSeries, ...]:
+        if self._pieces is None:
+            self._pieces = tuple(
+                GradedSeries({key: Fraction(v, d) for key, v in marked.items()},
+                             self.dmax, _raw=True)
+                for d, marked in enumerate(self._marked, 1))
         return self._pieces
 
     def piece(self, d: int) -> GradedSeries:
         if not 1 <= d <= self.dmax:
             raise TruncationError(f"degree {d} outside 1..{self.dmax}")
-        return self._pieces[d - 1]
+        return self.pieces[d - 1]
 
     def coefficient(self, k: int, l: int, m: Sequence[int]) -> Fraction:
         """Weighted count for the type (k, l, m); exact, 0 when absent."""
@@ -385,26 +418,20 @@ class ConnectedSeries:
             raise TruncationError(f"weight {d} beyond computed degree {self.dmax}")
         if d == 0 or k < 1 or l < 1:
             return Fraction(0)
-        return Fraction(self._pieces[d - 1]._terms.get((k, l, mm), 0))
+        return Fraction(self._marked[d - 1].get((k, l, mm), 0), d)
 
     def combined(self) -> GradedSeries:
         """All pieces merged into one series truncated at dmax."""
         out: dict = {}
-        for piece in self._pieces:
+        for piece in self.pieces:
             out.update(piece._terms)
         return GradedSeries(out, self.dmax, _raw=True)
-
-    def _marked_list(self) -> list[dict[RawKey, int]]:
-        if self._marked is None:
-            self._marked = [_marked_terms(p._terms, d)
-                            for d, p in enumerate(self._pieces, 1)]
-        return self._marked
 
     def marked_piece(self, d: int) -> dict[RawKey, int]:
         """d times the degree-d piece, with integer coefficients."""
         if not 1 <= d <= self.dmax:
             raise TruncationError(f"degree {d} outside 1..{self.dmax}")
-        return dict(self._marked_list()[d - 1])
+        return dict(self._marked[d - 1])
 
     def __repr__(self) -> str:
         return f"ConnectedSeries(dmax={self.dmax})"

@@ -130,7 +130,7 @@ class KpEvaluator:
         # entry d: G_d = d! F_d = (d-1)! times the marked piece d * F_d
         self._pieces = [None] + [
             [(code, factorial(d - 1) * c) for code, c in pk.encode_terms(t).items()]
-            for d, t in enumerate(series._marked_list()[:nmax], 1)]
+            for d, t in enumerate(series._marked[:nmax], 1)]
         self._derivs: dict[MultiIndex, list] = {}
         self._products: dict[tuple[MultiIndex, ...], list] = {}
 

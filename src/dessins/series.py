@@ -16,6 +16,7 @@ freely inside one term map).  No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -49,7 +50,7 @@ def canonical_multiplicities(m: Sequence[int]) -> Multiplicities:
 
 def partition_weight(m: Sequence[int]) -> int:
     """Weight sum(i * m_i); the number of edges d of the counted maps."""
-    return sum((i + 1) * x for i, x in enumerate(m))
+    return sum(map(mul, m, range(1, len(m) + 1)))
 
 
 def partition_parts(m: Sequence[int]) -> int:
@@ -128,11 +129,15 @@ def genus_of(key: RawKey) -> int:
     non-negative even integer.  Anything else raises NonPhysicalKeyError,
     which always signals an internal bug in a series labelled connected.
     """
+    return genus_at(partition_weight(key[2]), key)
+
+
+def genus_at(d: int, key: RawKey) -> int:
+    """``genus_of(key)`` for a key whose weight d is already known."""
     k, l, m = key
-    d = partition_weight(m)
     if k < 1 or l < 1 or d < 1:
         raise NonPhysicalKeyError(f"key {key!r} needs k, l >= 1 and weight >= 1")
-    twice = d - k - l - partition_parts(m) + 2
+    twice = d - k - l - sum(m) + 2  # sum(m): the number of parts
     if twice < 0 or twice % 2:
         raise NonPhysicalKeyError(f"key {key!r} has no integer genus >= 0")
     return twice // 2
@@ -362,44 +367,85 @@ class GradedSeries:
     # -- canonical text form --------------------------------------------------------
 
     def render(self) -> str:
-        """One line per term: ``d k l <profile> <num>/<den>``.
-
-        The profile is the comma-separated part list in decreasing order
-        ('-' for the empty partition); lines follow the canonical key
-        order, so the output is byte-deterministic.
-        """
-        lines = []
-        for key, c in self.sorted_items():
-            prof = ",".join(str(p) for p in parts_list(key.m)) or "-"
-            lines.append(f"{key.weight()} {key.k} {key.l} {prof} "
-                         f"{c.numerator}/{c.denominator}")
-        return "\n".join(lines)
+        """One line per term (see ``render_lines``), in the canonical key
+        order, so the output is byte-deterministic."""
+        items = ((key, Fraction(self._terms[key]))
+                 for key in sorted(self._terms, key=sort_key))
+        return "\n".join(render_lines(
+            (partition_weight(key[2]), key, c.numerator, c.denominator)
+            for key, c in items))
 
     @classmethod
     def parse(cls, text: str, truncation: int) -> "GradedSeries":
-        """Inverse of render(); strict about the line format."""
+        """Inverse of render(); strict about the line format, which
+        includes the canonical line order (see ``parse_lines``)."""
         out: dict[RawKey, Coefficient] = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) != 5:
-                raise ValueError(f"line {lineno}: expected 5 fields, got {line!r}")
-            d, k, l = (int(fields[0]), int(fields[1]), int(fields[2]))
-            m = () if fields[3] == "-" else from_parts(
-                int(p) for p in fields[3].split(","))
-            if partition_weight(m) != d:
-                raise ValueError(f"line {lineno}: profile weight != {d}")
-            key = (k, l, m)
-            if key in out:
-                raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            c = Fraction(fields[4])
-            if c == 0:
-                raise ValueError(f"line {lineno}: zero coefficient stored")
-            out[key] = c
-        series = cls(out, truncation)
-        return series
+        for lineno, d, key, num, den in parse_lines(text):
+            if d > truncation:
+                raise TruncationError(
+                    f"line {lineno}: weight {d} exceeds truncation {truncation}")
+            out[key] = Fraction(num, den)
+        return cls(out, truncation, _raw=True)
+
+
+# ---------------------------------------------------------------------------
+# canonical text form of one term (shared with the series cache)
+# ---------------------------------------------------------------------------
+
+def profile_text(m: Multiplicities) -> str:
+    """Comma-separated parts in decreasing order, '-' for the empty one."""
+    return ",".join(str(p) for p in parts_list(m)) or "-"
+
+
+def render_lines(terms: Iterable[tuple[int, RawKey, int, int]]) -> list[str]:
+    """``d k l <profile> <num>/<den>`` for each term ``(d, key, num, den)``,
+    the coefficient num/den of a key of weight d."""
+    profiles: dict[Multiplicities, str] = {}  # profiles repeat across lines
+    lines = []
+    for d, (k, l, m), num, den in terms:
+        prof = profiles.get(m)
+        if prof is None:
+            prof = profiles[m] = profile_text(m)
+        lines.append(f"{d} {k} {l} {prof} {num}/{den}")
+    return lines
+
+
+def parse_lines(text: str, start: int = 1
+                ) -> Iterator[tuple[int, int, RawKey, int, int]]:
+    """Inverse of ``render_lines`` over the non-blank lines of ``text``.
+
+    Yields ``(lineno, d, key, num, den)`` (lines numbered from ``start``)
+    with a canonical key of weight d, k, l >= 0, num != 0 and den > 0,
+    the keys strictly increasing in canonical order (so none repeats);
+    any other line raises ValueError naming its number.
+    """
+    profiles: dict[str, tuple[Multiplicities, int]] = {"-": ((), 0)}
+    prev: tuple = ()
+    for lineno, line in enumerate(text.splitlines(), start):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 5:
+            raise ValueError(f"line {lineno}: expected 5 fields, got {line!r}")
+        try:
+            d, k, l = int(fields[0]), int(fields[1]), int(fields[2])
+            prof = profiles.get(fields[3])
+            if prof is None:
+                m = from_parts(int(p) for p in fields[3].split(","))
+                prof = profiles[fields[3]] = (m, partition_weight(m))
+            num, _, den = fields[4].partition("/")
+            num, den = int(num), int(den)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if den <= 0 or num == 0 or k < 0 or l < 0 or prof[1] != d:
+            raise ValueError(f"line {lineno}: not a term of weight {d} with "
+                             f"k, l >= 0 and a nonzero <num>/<den>: {line!r}")
+        order = (d, k, l, prof[0])
+        if order <= prev:
+            raise ValueError(f"line {lineno}: key out of canonical order or "
+                             f"repeated: {line!r}")
+        prev = order
+        yield lineno, d, (k, l, prof[0]), num, den
 
 
 # ---------------------------------------------------------------------------

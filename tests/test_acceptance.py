@@ -106,8 +106,9 @@ def test_criterion_2_closed_formulas(engine20):
 
 @pytest.mark.parametrize("d,method", [(1, "full"), (2, "full"), (3, "full"),
                                       (4, "full"), (5, "full"), (6, "full"),
-                                      (7, "full"), (8, "classes"),
-                                      (9, "classes")])
+                                      pytest.param(7, "full", marks=pytest.mark.slow),
+                                      (8, "classes"),
+                                      pytest.param(9, "classes", marks=pytest.mark.slow)])
 def test_criterion_3_oracle_equivalence(engine14, d, method):
     table, diffs = compare_with_series(engine14, d, method)
     marked_total = sum(engine14.marked_piece(d).values())

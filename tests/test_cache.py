@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,21 @@ def test_round_trip(engine6):
     parsed = parse_cache(text)
     assert parsed.pieces == engine6.pieces
     assert render_cache(parsed) == text
+
+
+def test_d14_cache_bytes_are_pinned(engine14):
+    text = render_cache(engine14).encode("ascii")
+    assert len(text) == 242283
+    assert hashlib.sha256(text).hexdigest() == (
+        "4749c0293251626d4e1b168f0269b86e9d7dd2f884e6c971cb1966c5b48e486c")
+
+
+def test_d14_round_trip_keeps_marked_and_fraction_pieces(engine14):
+    computed = ConnectedSeries.compute(14)
+    parsed = parse_cache(render_cache(engine14))
+    assert all(parsed.marked_piece(d) == computed.marked_piece(d)
+               for d in range(1, 15))
+    assert parsed.pieces == computed.pieces
 
 
 def test_body_is_prefix_extension(engine6):
@@ -127,12 +143,18 @@ def _mutated_cache8(engine10, mutation: str) -> str:
         return "".join(lines[:-3])
     if mutation == "line_deleted":
         return "".join(lines[:middle] + lines[middle + 1:])
+    if mutation == "reordered":
+        lines[middle], lines[middle + 1] = lines[middle + 1], lines[middle]
+        return "".join(lines)
+    if mutation == "duplicated":
+        return "".join(lines[:middle + 1] + lines[middle:])
     d, k, l, profile, coeff = lines[middle].split()
     lines[middle] = f"{d} {k} {l} {profile} -{coeff}\n"
     return "".join(lines)
 
 
-@pytest.mark.parametrize("mutation", ["truncated", "line_deleted", "sign_flipped"])
+@pytest.mark.parametrize("mutation", ["truncated", "line_deleted", "sign_flipped",
+                                      "reordered", "duplicated"])
 def test_mutated_cache_is_rejected(tmp_path, capsys, engine10, mutation):
     path = tmp_path / "f.cache"
     path.write_text(_mutated_cache8(engine10, mutation))

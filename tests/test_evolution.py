@@ -149,6 +149,14 @@ def test_compute_validates_and_is_deterministic():
         a.marked_piece(0)
 
 
+def test_fraction_pieces_are_built_once(engine6):
+    series = ConnectedSeries.compute(6)
+    assert series.pieces is series.pieces
+    assert series.piece(3) is series.pieces[2]
+    assert series.pieces == engine6.pieces
+    assert all(isinstance(c, F) for p in series.pieces for c in p.terms.values())
+
+
 def test_constructor_rejects_bad_pieces():
     with pytest.raises(ValueError):
         ConnectedSeries([mono(1, 1, (2,))])  # wrong seed

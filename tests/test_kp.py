@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dessins.evolution import ConnectedSeries
+from dessins.evolution import ConnectedSeries, recursion_rhs
 from dessins.kp import (
     KP_EQUATIONS,
     KpEquation,
@@ -62,6 +62,16 @@ def _corrupt(series: ConnectedSeries, d: int, key, delta=1) -> ConnectedSeries:
     terms[key] = terms.get(key, 0) + delta
     pieces[d - 1] = GradedSeries(terms, series.dmax)
     return ConnectedSeries(pieces)
+
+
+def test_recursion_catches_what_kp_misses(engine10):
+    # +1 at a key no factor's derivatives reach: all four KP equations
+    # stay satisfied, the coefficient recursion flags the key
+    key = (1, 7, (0, 0, 0, 0, 0, 0, 1))
+    mutated = _corrupt(engine10, 7, key)
+    assert kp_report(mutated, 10).passed
+    assert recursion_rhs(mutated, *key) == engine10.coefficient(*key)
+    assert mutated.coefficient(*key) == engine10.coefficient(*key) + 1
 
 
 def test_mutation_sensitivity(engine10):
