@@ -45,6 +45,7 @@ holds its entry exactly and distinct keys get distinct codes.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import lcm
 from typing import Iterator, Mapping, Sequence
@@ -474,10 +475,13 @@ def partition_function(dmax: int) -> GradedSeries:
 # coefficient-level recursion (diagnostic identity, never a solver)
 # ---------------------------------------------------------------------------
 
-def _splits(m: Multiplicities) -> Iterator[tuple[Multiplicities, Multiplicities]]:
-    for choice in product(*(range(x + 1) for x in m)):
-        yield (canonical_multiplicities(choice),
-               canonical_multiplicities(tuple(t - c for t, c in zip(m, choice))))
+@lru_cache(maxsize=None)
+def _splits(m: Multiplicities) -> tuple[tuple[Multiplicities, Multiplicities], ...]:
+    """Every way to share the parts of m between two components; memoised
+    per profile (at most the partitions of weight <= dmax)."""
+    return tuple((canonical_multiplicities(choice),
+                  canonical_multiplicities(tuple(t - c for t, c in zip(m, choice))))
+                 for choice in product(*(range(x + 1) for x in m)))
 
 
 def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
@@ -490,27 +494,28 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     Evaluated purely from the already computed table, this must agree
     with coefficient() on every key (exercised by the test suite); it is
     never used to build the table.  The moves build canonical keys of known
-    weight, read straight from that piece's terms.
+    weight, read straight from that piece's marked counts M_w = w * N_w:
+    the three in-piece moves sum to S / (d - 1), the two-component move to
+    sum over w1 of P[w1] / (w1 * (d - 1 - w1)), with S and P[w1] integers,
+    and the whole is one Fraction over a common denominator.
     """
     mm = canonical_multiplicities(m)
     d = partition_weight(mm)
     if d > cs.dmax:
         raise TruncationError(f"weight {d} beyond computed degree {cs.dmax}")
-    if d == 0:
-        return Fraction(0)
-    total = Fraction(0)
-    if (k, l, mm) == SEED_KEY:
-        total += 1
+    if d <= 1:  # no lower piece to insert an edge into
+        return Fraction(int((k, l, mm) == SEED_KEY))
     sizes = [i + 1 for i, x in enumerate(mm) if x]
-    terms = [{}] + [p._terms for p in cs.pieces]  # terms[w]: the weight-w piece
-    get = terms[d - 1].get  # the first three moves remove one edge in place
+    marked = ({},) + cs._marked  # marked[w]: the weight-w marked counts
+    get = marked[d - 1].get  # the first three moves remove one edge in place
+    inpiece = 0
 
     # double-edge insertion: a cycle i-1 grew to i, a vertex was added
     for i in sizes:
         if i >= 2:
             ref = multiplicities_incr(multiplicities_decr(mm, i), i - 1)
             f = (i - 1) * (mm[i - 2] + 1)
-            total += f * (get((k - 1, l, ref), 0) + get((k, l - 1, ref), 0))
+            inpiece += f * (get((k - 1, l, ref), 0) + get((k, l - 1, ref), 0))
 
     # one cycle i-1 was split into j + j2 (ordered pairs)
     for j in sizes:
@@ -523,7 +528,7 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
             if f:
                 base = multiplicities_decr(multiplicities_decr(mm, j), j2)
                 ref = multiplicities_incr(base, i - 1)
-                total += f * get((k, l, ref), 0)
+                inpiece += f * get((k, l, ref), 0)
 
     # two cycles j, j2 of one component were joined into j + j2 + 1
     for c in sizes:
@@ -537,29 +542,38 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
             mj2 = mm[j2 - 1] if j2 <= len(mm) else 0
             f = j * j2 * (mj + 1) * (mj2 + 1 + (j == j2))
             ref = multiplicities_incr(multiplicities_incr(base, j), j2)
-            total += f * get((k, l, ref), 0)
+            inpiece += f * get((k, l, ref), 0)
 
-    # cycles of two separate components were joined into j + j2 + 1
+    # cycles of two separate components were joined into j + j2 + 1;
+    # pairs[w1] collects the products of marked counts of weights w1, d-1-w1
+    pairs: dict[int, int] = {}
     for c in sizes:
         if c < 3:
             continue
         i = c - 1
-        rest = multiplicities_decr(mm, c)
-        for j in range(1, i):
-            j2 = i - j
-            jf = j * j2
-            for m1, m2 in _splits(rest):
-                f1 = (m1[j - 1] if j <= len(m1) else 0) + 1
-                f2 = (m2[j2 - 1] if j2 <= len(m2) else 0) + 1
+        for m1, m2 in _splits(multiplicities_decr(mm, c)):
+            w = partition_weight(m1)
+            for j in range(1, i):
+                j2 = i - j
                 r1 = multiplicities_incr(m1, j)
                 r2 = multiplicities_incr(m2, j2)
-                w1 = partition_weight(r1)
-                get1, get2 = terms[w1].get, terms[d - 1 - w1].get
+                w1 = w + j
+                get1, get2 = marked[w1].get, marked[d - 1 - w1].get
+                ab = 0
                 for k1 in range(1, k):
                     for l1 in range(1, l):
                         a = get1((k1, l1, r1), 0)
                         if a:
                             b = get2((k - k1, l - l1, r2), 0)
                             if b:
-                                total += jf * f1 * f2 * a * b
-    return total / d
+                                ab += a * b
+                if ab:
+                    f1 = m1[j - 1] + 1 if j <= len(m1) else 1
+                    f2 = m2[j2 - 1] + 1 if j2 <= len(m2) else 1
+                    pairs[w1] = pairs.get(w1, 0) + j * j2 * f1 * f2 * ab
+
+    dens = {w1: w1 * (d - 1 - w1) for w1 in pairs}
+    C = lcm(d - 1, *dens.values())
+    num = inpiece * (C // (d - 1))
+    num += sum(p * (C // dens[w1]) for w1, p in pairs.items())
+    return Fraction(num, C * d)

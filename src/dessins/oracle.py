@@ -15,6 +15,14 @@ cycle type, weighted by the conjugacy class size, which is exact because
 every binned statistic is invariant under simultaneous conjugation.
 A tiny pure-Python scan (method "naive") cross-checks the vectorized
 kernel at small d.
+
+Each permutation's cycle type is computed once per degree (powers and a
+Moebius inversion over the table of S_d).  As tau runs over S_d, so does
+sigma*tau: the scan finds each product's row in that table by its code
+and reads the type stored there.  A row's code reads the row as a
+base-d numeral, so it is < d^d, which is < 2^31 for d <= CLASSES_LIMIT
+= 9; codes and place values are int32, and the table refuses any degree
+where the bound fails rather than alias two rows.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from functools import lru_cache
 from itertools import permutations as iter_permutations
 from math import factorial
 import os
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,9 +121,23 @@ def _moebius(n: int) -> int:
     return -1 if primes % 2 else 1
 
 
+class _Tables(NamedTuple):
+    T: np.ndarray          # (d!, d) int8, all of S_d in lexicographic order
+    flat_t: np.ndarray     # flat gather indices of T and of its inverses
+    flat_tinv: np.ndarray
+    place: np.ndarray      # int32 place values d^(d-1-i) of the row codes
+    rowcodes: np.ndarray   # T @ place, strictly increasing
+    tidx: np.ndarray       # index into types of each row's cycle type
+    types: list            # the partitions of d in code order
+    lcounts: np.ndarray    # cycle count of each row
+
+
 @lru_cache(maxsize=None)
-def _tau_tables(d: int):
-    """Shared per-degree tables: all of S_d plus flat gather indices."""
+def _tau_tables(d: int) -> _Tables:
+    """Shared per-degree tables: all of S_d in lexicographic order, flat
+    gather indices, and each row's base-d code and cycle type."""
+    if d ** d > 2 ** 31:
+        raise ValueError(f"row codes of degree {d} overflow int32")
     T = np.array(list(iter_permutations(range(d))), dtype=np.int8)
     TINV = np.argsort(T, axis=1).astype(np.int8)
     N = T.shape[0]
@@ -137,17 +160,20 @@ def _tau_tables(d: int):
         code_to_type[code] = m
     codes_sorted = np.array(sorted(code_to_type), dtype=np.int64)
     types_sorted = [code_to_type[int(c)] for c in codes_sorted]
-    lcounts = _row_cycle_data(T, rowbase, W, base)[0]
-    return (T, rowbase, flat_t, flat_tinv, W, base,
-            codes_sorted, types_sorted, lcounts)
+    lcounts, codes = _row_cycle_data(T, flat_t, W, base)
+    tidx = np.searchsorted(codes_sorted, codes)
+    # row r read as a base-d numeral; strictly increasing down T
+    place = np.array([d ** (d - 1 - i) for i in range(d)], dtype=np.int32)
+    return _Tables(T, flat_t, flat_tinv, place, T @ place, tidx, types_sorted,
+                   lcounts)
 
 
-def _row_cycle_data(P: np.ndarray, rowbase: np.ndarray, W: np.ndarray,
+def _row_cycle_data(P: np.ndarray, flat_p: np.ndarray, W: np.ndarray,
                     base) -> tuple:
-    """(cycle counts, partition codes) for every permutation row of P."""
+    """(cycle counts, partition codes) for every permutation row of P,
+    given P's flat gather indices."""
     n, d = P.shape
     idx = np.arange(d, dtype=P.dtype)
-    flat_p = (rowbase + P).ravel()
     fix = np.empty((n, d), dtype=np.int16)
     Q = P
     fix[:, 0] = (Q == idx).sum(axis=1, dtype=np.int16)
@@ -184,11 +210,15 @@ def _invert(p) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _product_rows(sig: np.ndarray, tables) -> np.ndarray:
+    """Row index in T of sigma composed after tau_r, for every row r."""
+    return np.searchsorted(tables.rowcodes, sig[tables.T] @ tables.place)
+
+
 def _scan_sigma(sigma, weight: int, tables, counts: dict) -> None:
     """Bin the pairs (sigma, tau) over every tau; exact integer counts."""
-    (T, rowbase, flat_t, flat_tinv, W, base,
-     codes_sorted, types_sorted, lcounts) = tables
-    N, d = T.shape
+    N, d = tables.T.shape
+    flat_t, flat_tinv = tables.flat_t, tables.flat_tinv
     sig = np.asarray(sigma, dtype=np.int8)
     k_sigma = cycle_count(sigma)
 
@@ -214,15 +244,12 @@ def _scan_sigma(sigma, weight: int, tables, counts: dict) -> None:
             comp = nxt
         trans = comp.max(axis=1) == 0
 
-    prod = sig[T]  # row r holds sigma composed after tau_r
-    _, codes = _row_cycle_data(prod, rowbase, W, base)
-    type_idx = np.searchsorted(codes_sorted, codes)
-
-    combined = type_idx * (d + 1) + lcounts
-    binned = np.bincount(combined[trans], minlength=len(types_sorted) * (d + 1))
+    # the products sigma*tau_r run over S_d once: type each by its row
+    combined = tables.tidx[_product_rows(sig, tables)] * (d + 1) + tables.lcounts
+    binned = np.bincount(combined[trans], minlength=len(tables.types) * (d + 1))
     for flat in np.flatnonzero(binned):
         t_idx, l = divmod(int(flat), d + 1)
-        key = (k_sigma, l, types_sorted[t_idx])
+        key = (k_sigma, l, tables.types[t_idx])
         counts[key] = counts.get(key, 0) + int(binned[flat]) * weight
 
 
@@ -289,6 +316,13 @@ def _naive_counts(d: int) -> dict[RawKey, int]:
     return counts
 
 
+def _auto_threads() -> int:
+    """CPUs this process may run on, at most 8."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(8, len(os.sched_getaffinity(0)))
+    return min(8, os.cpu_count() or 1)
+
+
 def transitive_pair_counts(d: int, method: str = "auto",
                            threads: int = 1) -> PairCounts:
     """Count transitive pairs binned by (cycles of sigma, cycles of tau,
@@ -325,7 +359,7 @@ def transitive_pair_counts(d: int, method: str = "auto",
 
     tables = _tau_tables(d)
     if threads == 0:
-        threads = min(8, os.cpu_count() or 1)
+        threads = _auto_threads()
     counts: dict[RawKey, int] = {}
     if threads > 1 and len(sigmas) > threads:
         chunks = [sigmas[i::threads] for i in range(threads)]

@@ -238,6 +238,13 @@ def test_recursion_matches_table_exhaustively(engine6):
                 engine6.coefficient(*key), key
 
 
+def test_recursion_returns_fractions(engine6):
+    keys = [(1, 1, (1,)), (1, 1, (1, 1)), (2, 2, (0, 1)), (1, 2, (3,))]
+    keys += [key for d in range(1, 7) for key in physical_keys(d)]
+    for key in keys:
+        assert type(recursion_rhs(engine6, *key)) is F, key
+
+
 def test_recursion_vanishes_off_support(engine6):
     # keys violating the genus parity get zero from both paths
     for key in [(1, 1, (1, 1)), (2, 2, (0, 1)), (1, 2, (3,))]:

@@ -3,12 +3,20 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+import os
 
+import numpy as np
 import pytest
 
 from dessins.evolution import ConnectedSeries
 from dessins.oracle import (
+    CLASSES_LIMIT,
     PairCounts,
+    _auto_threads,
+    _product_rows,
+    _representative,
+    _scan_sigma,
+    _tau_tables,
     compare_with_series,
     cycle_count,
     cycle_type,
@@ -65,6 +73,58 @@ def test_threads_do_not_change_counts():
     a = transitive_pair_counts(5, "full", threads=1)
     b = transitive_pair_counts(5, "full", threads=3)
     assert a.counts == b.counts
+
+
+def test_auto_thread_count_fits_affinity():
+    n = _auto_threads()
+    assert 1 <= n <= 8
+    if hasattr(os, "sched_getaffinity"):
+        assert n <= len(os.sched_getaffinity(0))
+
+
+def test_row_types_match_cycle_type():
+    for d in range(1, 7):
+        tables = _tau_tables(d)
+        for r, row in enumerate(tables.T):
+            assert tables.types[tables.tidx[r]] == cycle_type(row.tolist())
+            assert tables.lcounts[r] == cycle_count(row.tolist())
+
+
+def test_row_codes_increase_and_refuse_overflow():
+    for d in range(1, 7):
+        codes = _tau_tables(d).rowcodes
+        assert codes.dtype == np.int32
+        assert (np.diff(codes) > 0).all() and codes[-1] < d ** d
+    assert CLASSES_LIMIT ** CLASSES_LIMIT < 2 ** 31
+    with pytest.raises(ValueError, match="overflow"):
+        _tau_tables(10)  # refused before the 10! table is built
+
+
+def test_product_rows_compose():
+    tables = _tau_tables(5)
+    perms = [tuple(p) for p in tables.T.tolist()]
+    for sigma in [(0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (4, 2, 0, 1, 3), (2, 4, 1, 0, 3)]:
+        rank = _product_rows(np.array(sigma, dtype=np.int8), tables)
+        for r, tau in enumerate(perms):
+            assert perms[rank[r]] == tuple(sigma[x] for x in tau)
+
+
+def test_scan_is_conjugation_invariant():
+    # a sigma whose cycles are not runs of consecutive points, as the
+    # full scan meets them, bins exactly as its class representative
+    d = 6
+    tables = _tau_tables(d)
+    rep = _representative((1, 1, 1))  # cycles (0)(1 2)(3 4 5)
+    pi = (3, 0, 5, 1, 4, 2)
+    sigma = [0] * d
+    for x in range(d):
+        sigma[pi[x]] = pi[rep[x]]  # sigma = pi rep pi^-1
+    assert sigma == [5, 4, 1, 3, 2, 0]  # cycles (0 5)(1 4 2)(3)
+    assert cycle_type(sigma) == cycle_type(rep)
+    a, b = {}, {}
+    _scan_sigma(tuple(sigma), 1, tables, a)
+    _scan_sigma(rep, 1, tables, b)
+    assert a == b and a
 
 
 def test_convention_independence():
