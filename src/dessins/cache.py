@@ -9,7 +9,8 @@ reloads the pieces instead of recomputing them.  A cache is written to a
 temporary file beside it and renamed into place, so a crash or a second
 writer never leaves half a cache.  Loading checks each degree's marked
 counts against their row sum and requires the lines in strictly
-increasing canonical order, so a cut, reordered or edited file is
+increasing canonical order, and checks its genus-0 and genus-1 column
+sums against the closed forms, so a cut, reordered or edited file is
 rejected.
 """
 
@@ -19,7 +20,7 @@ import os
 from math import gcd
 from pathlib import Path
 
-from .counts import indecomposable_count
+from .counts import indecomposable_count, marked_count_genus0, marked_count_genus1
 from .evolution import SEED_KEY, ConnectedSeries
 from .series import genus_at, parse_lines, render_lines
 
@@ -41,8 +42,9 @@ def parse_cache(text: str) -> ConnectedSeries:
     """The series a cache text holds, read in one pass to marked counts.
 
     A malformed, reordered, repeated or unphysical line, a degree outside
-    the header's range, a wrong seed or a degree whose marked counts do
-    not sum to A003319(d+1) raises ValueError; a coefficient whose marked
+    the header's range, a wrong seed, a degree whose marked counts do not
+    sum to A003319(d+1) or whose genus-0 or genus-1 marked counts do not
+    sum to the closed forms raises ValueError; a coefficient whose marked
     count is not an integer raises ArithmeticError.
     """
     head, _, body = text.partition("\n")
@@ -52,23 +54,31 @@ def parse_cache(text: str) -> ConnectedSeries:
         raise ValueError(f"not a series cache (header {head!r})")
     dmax = int(fields[2][len("dmax="):])
     marked: dict[int, dict] = {}  # by degree; no allocation from the header
+    genus_sums: dict[int, list[int]] = {}  # by degree, with room for g = 0, 1
     for lineno, d, key, num, den in parse_lines(body, start=2):
         if not 1 <= d <= dmax:
             raise ValueError(f"line {lineno}: degree {d} outside 1..{dmax}")
-        genus_at(d, key)  # the key's genus relation
+        g = genus_at(d, key)  # the key's genus relation
         v, r = divmod(num * d, den)
         if r:
             raise ArithmeticError(
                 f"line {lineno}: marked count at {key!r} is not integral")
-        marked.setdefault(d, {})[key] = v
+        if d not in marked:  # canonical order: the lines come by degree
+            piece = marked[d] = {}
+            sums = genus_sums[d] = [0] * ((d + 3) // 2)
+        piece[key] = v
+        sums[g] += v
     if marked.get(1) != {SEED_KEY: 1}:
         raise ValueError("degree-1 piece must be exactly u*v*t1")
     for d in range(2, dmax + 1):
-        if sum(marked.get(d, {}).values()) != indecomposable_count(d + 1):
+        sums = genus_sums.get(d, [0, 0])
+        if sum(sums) != indecomposable_count(d + 1):
             raise ValueError(f"degree-{d} marked counts do not sum to "
                              f"A003319({d + 1})")
-    return ConnectedSeries._from_marked([marked[d] for d in range(1, dmax + 1)],
-                                        validate=False)
+        if sums[:2] != [marked_count_genus0(d), marked_count_genus1(d)]:
+            raise ValueError(f"degree-{d} genus-0/1 marked counts differ "
+                             f"from the closed forms")
+    return ConnectedSeries._from_marked([marked[d] for d in range(1, dmax + 1)])
 
 
 def load_cache(path: str | Path) -> ConnectedSeries:

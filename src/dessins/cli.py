@@ -21,6 +21,7 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 
 from .cache import load_or_compute
 from .counts import GenusTable, genus_table, marked_count_genus0, marked_count_genus1
@@ -190,11 +191,8 @@ def cmd_coeff(args) -> int:
     if args.d < 1 or args.k < 1 or args.l < 1:
         raise UsageError("--d, --k, --l must all be >= 1")
     series = load_or_compute(args.d, args.cache)
-    value = series.coefficient(args.k, args.l, m)
-    marked = args.d * value
-    if marked.denominator != 1:
-        raise ArithmeticError("marked count not integral")
-    sys.stdout.write(f"N={value}, marked={marked.numerator}\n")
+    marked = series.marked_piece(args.d).get((args.k, args.l, m), 0)
+    sys.stdout.write(f"N={Fraction(marked, args.d)}, marked={marked}\n")
     return EXIT_OK
 
 
@@ -295,7 +293,7 @@ def cmd_recursion(args) -> int:
     bad = []
     checked = 0
     for d in range(1, args.dmax + 1):
-        for key in series.piece(d).terms:
+        for key in series.marked_piece(d):
             checked += 1
             got = recursion_rhs(series, *key)
             want = series.coefficient(*key)
@@ -345,8 +343,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ArithmeticError as exc:
-        # the engine's own integrality checks (cache input arrives as
-        # ValueError, see cache.load_cache)
+        # the engine's own invariant checks: integrality and the keys of
+        # each computed degree (cache input arrives as ValueError, see
+        # cache.load_cache)
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -4,7 +4,7 @@ Setting u = v = t1 = t2 = ... = 1 in the degree-d piece of the connected
 series, graded by the genus of each monomial instead, gives the weighted
 count G_{d,g} of maps with d edges and genus g.  The marked count
 d * G_{d,g} (one edge distinguished, which kills all automorphisms) is
-always an integer; integrality is asserted, never assumed.
+always an integer, and the table holds these marked counts as ints.
 """
 
 from __future__ import annotations
@@ -19,23 +19,20 @@ from .series import genus_at
 
 @dataclass(frozen=True)
 class GenusTable:
-    """Exact weighted counts by (degree, genus), with marked-count view."""
+    """Marked counts by (degree, genus), with the exact weighted view."""
 
     dmax: int
-    entries: dict[tuple[int, int], Fraction]
+    entries: dict[tuple[int, int], int]
 
     @staticmethod
     def max_genus(d: int) -> int:
         return (d - 1) // 2
 
     def weighted(self, d: int, g: int) -> Fraction:
-        return self.entries.get((d, g), Fraction(0))
+        return Fraction(self.marked(d, g), d)
 
     def marked(self, d: int, g: int) -> int:
-        value = d * self.weighted(d, g)
-        if value.denominator != 1:
-            raise ArithmeticError(f"marked count at d={d}, g={g} not integral")
-        return value.numerator
+        return self.entries.get((d, g), 0)
 
     def row_marked(self, d: int, gmax: int | None = None) -> list[int]:
         top = self.max_genus(d) if gmax is None else gmax
@@ -46,23 +43,17 @@ def genus_table(series: ConnectedSeries) -> GenusTable:
     """Collapse the series to counts by (degree, genus).
 
     Every monomial of weight d contributes its marked count to the genus
-    read off from 2g - 2 = d - (k + l + parts); each cell is one Fraction
-    of the summed marked counts over d.  Entries exist for all
-    0 <= g <= (d-1)//2 (as exact zeros where nothing contributes), and
-    the marked counts are checked to be integers.
+    read off from 2g - 2 = d - (k + l + parts).  Entries exist for all
+    0 <= g <= (d-1)//2 (as zeros where nothing contributes).
     """
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, int], int] = {}
     for d, marked in enumerate(series._marked, 1):
         sums = [0] * (GenusTable.max_genus(d) + 1)
         for key, v in marked.items():
             sums[genus_at(d, key)] += v
         for g, v in enumerate(sums):
-            entries[(d, g)] = Fraction(v, d)
-    table = GenusTable(series.dmax, entries)
-    for d in range(1, series.dmax + 1):
-        for g in range(GenusTable.max_genus(d) + 1):
-            table.marked(d, g)
-    return table
+            entries[(d, g)] = v
+    return GenusTable(series.dmax, entries)
 
 
 def indecomposable_count(n: int) -> int:

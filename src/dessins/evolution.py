@@ -308,18 +308,20 @@ def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
     return out
 
 
-def next_piece(pieces: Sequence[GradedSeries],
-               truncation: int | None = None) -> GradedSeries:
-    """Piece of weight d = len(pieces) + 1 from the pieces 1 .. d - 1."""
+def _check_piece(d: int, marked: Mapping[RawKey, int]) -> None:
+    """Every key has weight d and satisfies the genus relation."""
+    for key in marked:
+        if partition_weight(key[2]) != d:
+            raise ValueError(f"piece {d} is not homogeneous of weight {d}")
+        genus_at(d, key)
+
+
+def next_piece(pieces: Sequence[GradedSeries]) -> GradedSeries:
+    """Piece of weight d = len(pieces) + 1 from the pieces 1 .. d - 1,
+    which are checked as by the ConnectedSeries constructor."""
     d = len(pieces) + 1
-    # a pair product adds two keys of the pieces plus one part
-    pk = _Packing(2 * max((_entry_bound(p._terms) for p in pieces), default=0) + 1)
-    packed = [pk.encode_terms(_marked_terms(p._terms, n))
-              for n, p in enumerate(pieces, 1)]
-    raw = _next_marked(pk, packed, [], d)
-    trunc = d if truncation is None else truncation
-    return GradedSeries({pk.decode(code): Fraction(v, d) for code, v in raw.items()},
-                        trunc, _raw=True)
+    marked = ConnectedSeries(pieces).extended_to(d).marked_piece(d)
+    return GradedSeries({key: Fraction(v, d) for key, v in marked.items()}, d, _raw=True)
 
 
 class ConnectedSeries:
@@ -328,42 +330,33 @@ class ConnectedSeries:
     Only the marked counts are stored: per degree d, {(k, l, m): d * N}
     with int values.  The Fraction pieces (``pieces``, ``piece``,
     ``combined``) are built from them on first use and kept.
-    Construction checks integrality of the marked counts and, unless
-    ``validate`` is false, the seed, per-piece homogeneity and the genus
-    relation on every key.
+    Construction checks the seed, integrality of the marked counts,
+    per-piece homogeneity and the genus relation on every key.
     """
 
     __slots__ = ("_marked", "_pieces")
 
-    def __init__(self, pieces: Sequence[GradedSeries], *, validate: bool = True):
-        self._init([_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)],
-                   validate)
-
-    @classmethod
-    def _from_marked(cls, marked: Sequence[dict[RawKey, int]],
-                     validate: bool) -> "ConnectedSeries":
-        series = cls.__new__(cls)
-        series._init(marked, validate)
-        return series
-
-    def _init(self, marked: Sequence[dict[RawKey, int]], validate: bool) -> None:
+    def __init__(self, pieces: Sequence[GradedSeries]):
+        marked = [_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)]
         if not marked:
             raise ValueError("need at least the degree-1 piece")
+        if marked[0] != {SEED_KEY: 1}:
+            raise ValueError("degree-1 piece must be exactly u*v*t1")
+        for d, piece in enumerate(marked, 1):
+            if not piece:
+                raise ValueError(f"piece {d} is empty")
+            _check_piece(d, piece)
         self._marked = tuple(marked)
         self._pieces: tuple[GradedSeries, ...] | None = None
-        if validate:
-            self._validate()
 
-    def _validate(self) -> None:
-        if self._marked[0] != {SEED_KEY: 1}:
-            raise ValueError("degree-1 piece must be exactly u*v*t1")
-        for d, marked in enumerate(self._marked, 1):
-            if not marked:
-                raise ValueError(f"piece {d} is empty")
-            for key in marked:
-                if partition_weight(key[2]) != d:
-                    raise ValueError(f"piece {d} is not homogeneous of weight {d}")
-                genus_at(d, key)
+    @classmethod
+    def _from_marked(cls, marked: Sequence[dict[RawKey, int]]) -> "ConnectedSeries":
+        """Trusted entry: marked counts already checked (the engine's own,
+        or a cache that passed every load check)."""
+        series = cls.__new__(cls)
+        series._marked = tuple(marked)
+        series._pieces = None
+        return series
 
     # -- construction ----------------------------------------------------------
 
@@ -372,24 +365,31 @@ class ConnectedSeries:
         """Build the series up to degree dmax from the one-edge seed."""
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
-        return cls._from_marked([{SEED_KEY: 1}], validate=False).extended_to(dmax)
+        return cls._from_marked([{SEED_KEY: 1}]).extended_to(dmax)
 
     def extended_to(self, dmax: int) -> "ConnectedSeries":
-        """Same series computed (or cut back) to another degree bound."""
+        """Same series computed (or cut back) to another degree bound;
+        an added degree that fails the key checks raises ArithmeticError
+        (the engine's own invariant, like integrality in the recursion)."""
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
         if dmax <= self.dmax:
-            return ConnectedSeries._from_marked(self._marked[:dmax], validate=False) \
+            return ConnectedSeries._from_marked(self._marked[:dmax]) \
                 if dmax < self.dmax else self
-        pk = _Packing(dmax)  # validated pieces: k, l, m_i <= degree <= dmax
+        pk = _Packing(dmax)  # checked pieces: k, l, m_i <= degree <= dmax
         packed = [pk.encode_terms(t) for t in self._marked]
         marked = list(self._marked)
         buckets: list = []
         for d in range(self.dmax + 1, dmax + 1):
             raw = _next_marked(pk, packed, buckets, d)
             packed.append(raw)
-            marked.append({pk.decode(code): v for code, v in raw.items()})
-        return ConnectedSeries._from_marked(marked, validate=True)
+            piece = {pk.decode(code): v for code, v in raw.items()}
+            try:
+                _check_piece(d, piece)
+            except ValueError as exc:
+                raise ArithmeticError(f"computed degree {d}: {exc}") from exc
+            marked.append(piece)
+        return ConnectedSeries._from_marked(marked)
 
     # -- access ------------------------------------------------------------------
 

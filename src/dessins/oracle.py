@@ -132,10 +132,11 @@ class _Tables(NamedTuple):
     lcounts: np.ndarray    # cycle count of each row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _tau_tables(d: int) -> _Tables:
     """Shared per-degree tables: all of S_d in lexicographic order, flat
-    gather indices, and each row's base-d code and cycle type."""
+    gather indices, and each row's base-d code and cycle type.  Only the
+    last degree's tables are kept (at d = 9 they take about 60 MB)."""
     if d ** d > 2 ** 31:
         raise ValueError(f"row codes of degree {d} overflow int32")
     T = np.array(list(iter_permutations(range(d))), dtype=np.int8)
@@ -393,12 +394,11 @@ def compare_with_series(series: ConnectedSeries, d: int, method: str = "auto",
     the two agree on every type of degree d).
     """
     table = transitive_pair_counts(d, method, threads)
-    weighted = table.weighted()
-    keys = set(weighted) | set(series.piece(d).terms)
+    marked = series.marked_piece(d)
+    scale = factorial(d - 1)  # c / d! == M / d  iff  c == (d-1)! * M
     diffs = []
-    for key in sorted(keys):
-        got = series.coefficient(*key)
-        want = weighted.get(key, Fraction(0))
-        if got != want:
-            diffs.append(Discrepancy(key, want, got))
+    for key in sorted(set(table.counts) | set(marked)):
+        c, m = table.counts.get(key, 0), marked.get(key, 0)
+        if c != scale * m:
+            diffs.append(Discrepancy(key, Fraction(c, factorial(d)), Fraction(m, d)))
     return table, diffs

@@ -247,9 +247,6 @@ class GradedSeries:
         ws = {partition_weight(key[2]) for key in self._terms}
         return ws.pop() if len(ws) == 1 else None
 
-    def max_weight(self) -> int:
-        return max((partition_weight(key[2]) for key in self._terms), default=0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):
             return NotImplemented

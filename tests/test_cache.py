@@ -148,13 +148,20 @@ def _mutated_cache8(engine10, mutation: str) -> str:
         return "".join(lines)
     if mutation == "duplicated":
         return "".join(lines[:middle + 1] + lines[middle:])
+    if mutation == "genus_moved":  # N +1 at genus 0 and -1 at genus 1 of d = 3
+        text = "".join(lines)
+        for old, new in (("3 2 2 3 1/1", "3 2 2 3 2/1"),
+                         ("3 1 1 3 1/3", "3 1 1 3 -2/3")):
+            assert f"\n{old}\n" in text
+            text = text.replace(f"\n{old}\n", f"\n{new}\n")
+        return text
     d, k, l, profile, coeff = lines[middle].split()
     lines[middle] = f"{d} {k} {l} {profile} -{coeff}\n"
     return "".join(lines)
 
 
 @pytest.mark.parametrize("mutation", ["truncated", "line_deleted", "sign_flipped",
-                                      "reordered", "duplicated"])
+                                      "reordered", "duplicated", "genus_moved"])
 def test_mutated_cache_is_rejected(tmp_path, capsys, engine10, mutation):
     path = tmp_path / "f.cache"
     path.write_text(_mutated_cache8(engine10, mutation))

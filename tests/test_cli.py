@@ -182,10 +182,45 @@ def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
     assert err.startswith("internal check failed: marked count at")
 
 
-def test_verification_failure_exits_1(tmp_path, capsys):
-    # a cache that passes the structural validation (physical key,
-    # integral marked count, degree row sum) but carries wrong values must
-    # be caught by the verification commands with exit code 1
+def test_unphysical_engine_key_exits_1(capsys, monkeypatch):
+    from dessins import evolution
+
+    real_split_join = evolution._split_join
+
+    def stray_split_join(pk, src, out, factor=1):
+        real_split_join(pk, src, out, factor)
+        code = next(iter(out)) + 1  # k + 1: no integer genus
+        out[code] = out.get(code, 0) + 2 * factor  # integral at d = 2 and 3
+
+    monkeypatch.setattr(evolution, "_split_join", stray_split_join)
+    code, out, err = run(capsys, "table", "--dmax", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal check failed: computed degree 2: key")
+
+
+def test_no_command_builds_fraction_pieces(tmp_path, capsys, monkeypatch):
+    from dessins.evolution import ConnectedSeries
+
+    def refuse(self):
+        raise AssertionError("Fraction pieces built")
+
+    monkeypatch.setattr(ConnectedSeries, "pieces", property(refuse))
+    assert run(capsys, "table", "--dmax", "6")[0] == 0  # no cache
+    cache = ["--cache", str(tmp_path / "f.cache")]  # saved once, then loaded
+    for argv in (["table", "--dmax", "6"], ["table", "--dmax", "6", "--marked"],
+                 ["coeff", "--d", "3", "--k", "1", "--l", "1", "--profile", "3^1"],
+                 ["kp", "--dmax", "6"], ["oracle", "--d", "5"],
+                 ["closed", "--dmax", "6"], ["recursion", "--dmax", "6"]):
+        assert run(capsys, *argv, *cache)[0] == 0, argv
+
+
+def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # a cache that passes every load check (physical key, integral marked
+    # count, degree row sum, genus-0 and genus-1 column sums) but carries
+    # wrong values must be caught by the verification commands with exit
+    # code 1
+    from dessins import cli
     from dessins.cache import load_or_compute, save_cache
     from dessins.evolution import ConnectedSeries
     from dessins.series import GradedSeries
@@ -195,7 +230,7 @@ def test_verification_failure_exits_1(tmp_path, capsys):
     pieces = list(good.pieces)
     terms = dict(pieces[2].terms)
     terms[(2, 2, (0, 0, 1))] = terms[(2, 2, (0, 0, 1))] + 1  # genus 0
-    terms[(1, 1, (0, 0, 1))] = terms[(1, 1, (0, 0, 1))] - 1  # genus 1, same row sum
+    terms[(1, 3, (0, 0, 1))] = terms[(1, 3, (0, 0, 1))] - 1  # genus 0 too
     pieces[2] = GradedSeries(terms, 3)
     save_cache(path, ConnectedSeries(pieces))
 
@@ -207,4 +242,9 @@ def test_verification_failure_exits_1(tmp_path, capsys):
     assert code == 1
     assert "MISMATCH" in out
     code, out, _ = run(capsys, "closed", "--dmax", "3", "--cache", str(path))
-    assert code == 1  # the corrupted coefficient sits in the genus-0 column
+    assert code == 0  # the edit keeps both column sums
+    real = cli.marked_count_genus0
+    monkeypatch.setattr(cli, "marked_count_genus0", lambda d: real(d) + (d == 3))
+    code, out, _ = run(capsys, "closed", "--dmax", "3")
+    assert code == 1
+    assert "d=3 g0=12/13" in out and "disagree at d=[3]" in out

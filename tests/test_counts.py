@@ -73,10 +73,11 @@ def test_entries_vanish_beyond_max_genus(engine10):
             assert table.marked(d, g) == 0
 
 
-def test_marked_integrality_guard():
-    bad = GenusTable(2, {(2, 0): Fraction(1, 3)})
-    with pytest.raises(ArithmeticError):
-        bad.marked(2, 0)
+def test_entries_are_marked_ints(engine10):
+    table = genus_table(engine10)
+    for (d, g), marked in table.entries.items():
+        assert type(marked) is int
+        assert table.weighted(d, g) == Fraction(marked, d)
 
 
 def test_row_sums_match_indecomposable_permutations(engine10):

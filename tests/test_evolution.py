@@ -99,6 +99,14 @@ def test_next_piece_degree_2():
     assert dict(next_piece([seed]).terms) == PIECE_2
 
 
+def test_next_piece_checks_its_input():
+    with pytest.raises(ValueError, match="degree-1 piece"):
+        next_piece([mono(1, 1, (2,))])  # wrong seed
+    seed = GradedSeries(PIECE_1, 2)
+    with pytest.raises(ValueError):
+        next_piece([seed, GradedSeries({(1, 1, (0, 1)): F(1, 2)}, 2)])  # unphysical
+
+
 def _assembled_piece(pieces, d):
     """Piece d by the insertion formula, from the public operators and the
     full pair sum n = 1 .. d-2 (no symmetry shortcut)."""

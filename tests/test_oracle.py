@@ -100,6 +100,12 @@ def test_row_codes_increase_and_refuse_overflow():
         _tau_tables(10)  # refused before the 10! table is built
 
 
+def test_tables_cache_keeps_one_degree():
+    _tau_tables(6)
+    _tau_tables(5)
+    assert _tau_tables.cache_info().currsize == 1
+
+
 def test_product_rows_compose():
     tables = _tau_tables(5)
     perms = [tuple(p) for p in tables.T.tolist()]
