@@ -23,6 +23,15 @@ and reads the type stored there.  A row's code reads the row as a
 base-d numeral, so it is < d^d, which is < 2^31 for d <= CLASSES_LIMIT
 = 9; codes and place values are int32, and the table refuses any degree
 where the bound fails rather than alias two rows.
+
+Transitivity is read from a second per-degree table.  The pair is
+transitive iff no proper, nonempty union of sigma-cycles is tau-invariant
+(the orbit of 0 would be one), and such a union may be taken to contain
+0, since its complement is invariant too.  So each row of S_d stores one
+bit per set S containing 0: is tau(S) = S?  Sets and their images are
+uint16 bitmasks, exact for d <= 16; the table holds 2^(d-1) bits per row
+(11.6 MB at d = 9).  Both bounds are implied by the row-code bound: the
+refusal of d^d > 2^31 already covers every d >= 10.
 """
 
 from __future__ import annotations
@@ -123,30 +132,23 @@ def _moebius(n: int) -> int:
 
 class _Tables(NamedTuple):
     T: np.ndarray          # (d!, d) int8, all of S_d in lexicographic order
-    flat_t: np.ndarray     # flat gather indices of T and of its inverses
-    flat_tinv: np.ndarray
     place: np.ndarray      # int32 place values d^(d-1-i) of the row codes
     rowcodes: np.ndarray   # T @ place, strictly increasing
     tidx: np.ndarray       # index into types of each row's cycle type
     types: list            # the partitions of d in code order
     lcounts: np.ndarray    # cycle count of each row
+    closed: np.ndarray     # (d!, words) bits: does T[r] fix {0} | (s << 1)?
 
 
 @lru_cache(maxsize=1)
 def _tau_tables(d: int) -> _Tables:
-    """Shared per-degree tables: all of S_d in lexicographic order, flat
-    gather indices, and each row's base-d code and cycle type.  Only the
-    last degree's tables are kept (at d = 9 they take about 60 MB)."""
-    if d ** d > 2 ** 31:
+    """Shared per-degree tables: all of S_d in lexicographic order, each
+    row's base-d code and cycle type, and the sets containing 0 that each
+    row maps onto themselves.  Only the last degree's tables are kept (at
+    d = 9 they take about 20 MB)."""
+    if d ** d > 2 ** 31:  # also keeps the subset bitmasks within uint16
         raise ValueError(f"row codes of degree {d} overflow int32")
     T = np.array(list(iter_permutations(range(d))), dtype=np.int8)
-    TINV = np.argsort(T, axis=1).astype(np.int8)
-    N = T.shape[0]
-    # flat indices into a raveled (N, d) array: entry (r, x) points at
-    # (r, T[r, x]) resp. (r, TINV[r, x]); reused by every sigma scan
-    rowbase = (np.arange(N, dtype=np.intp) * d)[:, None]
-    flat_t = (rowbase + T).ravel()
-    flat_tinv = (rowbase + TINV).ravel()
     # Moebius inversion matrix: (fix @ W)[:, i-1] = i * m_i, where
     # fix[:, j-1] counts fixed points of the j-th power.
     W = np.zeros((d, d), dtype=np.int16)
@@ -161,19 +163,20 @@ def _tau_tables(d: int) -> _Tables:
         code_to_type[code] = m
     codes_sorted = np.array(sorted(code_to_type), dtype=np.int64)
     types_sorted = [code_to_type[int(c)] for c in codes_sorted]
-    lcounts, codes = _row_cycle_data(T, flat_t, W, base)
+    lcounts, codes = _row_cycle_data(T, W, base)
     tidx = np.searchsorted(codes_sorted, codes)
     # row r read as a base-d numeral; strictly increasing down T
     place = np.array([d ** (d - 1 - i) for i in range(d)], dtype=np.int32)
-    return _Tables(T, flat_t, flat_tinv, place, T @ place, tidx, types_sorted,
-                   lcounts)
+    return _Tables(T, place, T @ place, tidx, types_sorted, lcounts,
+                   _closed_sets(T))
 
 
-def _row_cycle_data(P: np.ndarray, flat_p: np.ndarray, W: np.ndarray,
-                    base) -> tuple:
-    """(cycle counts, partition codes) for every permutation row of P,
-    given P's flat gather indices."""
+def _row_cycle_data(P: np.ndarray, W: np.ndarray, base) -> tuple:
+    """(cycle counts, partition codes) for every permutation row of P."""
     n, d = P.shape
+    # flat indices into a raveled (n, d) array: entry (r, x) points at
+    # (r, P[r, x]), so one gather applies every row to its own table row
+    flat_p = ((np.arange(n, dtype=np.intp) * d)[:, None] + P).ravel()
     idx = np.arange(d, dtype=P.dtype)
     fix = np.empty((n, d), dtype=np.int16)
     Q = P
@@ -191,24 +194,64 @@ def _row_cycle_data(P: np.ndarray, flat_p: np.ndarray, W: np.ndarray,
     return counts, codes
 
 
-def _block_labels(sigma) -> np.ndarray:
-    """Label every element with the least element of its sigma-cycle."""
-    d = len(sigma)
-    labels = [-1] * d
-    for start in range(d):
-        if labels[start] == -1:
-            x = start
-            while labels[x] == -1:
-                labels[x] = start
+def _closed_sets(T: np.ndarray) -> np.ndarray:
+    """One bit per row of T and set S_s = {0} | (s << 1): bit s % 64 of
+    word s // 64 of row r is set iff T[r] maps S_s onto itself.
+
+    Images of all 2^(d-1) sets are built by subset doubling, img(S | x) =
+    img(S) | 1 << T[r, x], on a (set, row) uint16 buffer of a chunk of
+    rows, so the build never holds more than a few MB besides the result.
+    """
+    N, d = T.shape
+    n_sets = 1 << (d - 1)
+    sets = (np.arange(n_sets, dtype=np.uint16) << 1) | 1
+    rows = max(1, (1 << 20) // (2 * n_sets))  # a 1 MB image buffer
+    img = np.empty((n_sets, rows), dtype=np.uint16)
+    closed = np.zeros((N, 8 * -(-n_sets // 64)), dtype=np.uint8)
+    for lo in range(0, N, rows):
+        bit = np.left_shift(np.uint16(1), T[lo:lo + rows].T.astype(np.uint16))
+        n = bit.shape[1]
+        img[0, :n] = bit[0]
+        for x in range(1, d):
+            half = 1 << (x - 1)
+            np.bitwise_or(img[:half, :n], bit[x], out=img[half:2 * half, :n])
+        packed = np.packbits(img[:, :n] == sets[:, None], axis=0,
+                             bitorder="little")
+        closed[lo:lo + n, :len(packed)] = packed.T
+    return closed.view("<u8")
+
+
+def _cycle_masks(sigma) -> list[int]:
+    """Bitmask of every sigma-cycle, by least element (0's cycle first)."""
+    masks = []
+    seen = 0
+    for start in range(len(sigma)):
+        if not seen >> start & 1:
+            mask, x = 0, start
+            while not mask >> x & 1:
+                mask |= 1 << x
                 x = sigma[x]
-    return np.array(labels, dtype=np.int8)
+            masks.append(mask)
+            seen |= mask
+    return masks
 
 
-def _invert(p) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
+def _transitive_rows(sigma, tables) -> np.ndarray:
+    """Is (sigma, tau_r) transitive, for every row r: does tau_r fix no
+    proper union of sigma-cycles that contains 0?"""
+    first, *rest = _cycle_masks(sigma)
+    unions = [first]
+    for cycle in rest:
+        unions += [u | cycle for u in unions]
+    mask = 0  # bit s: S_s is one of those unions (the last one is all)
+    for u in unions[:-1]:
+        mask |= 1 << (u >> 1)
+    hit = np.zeros(len(tables.closed), dtype=bool)
+    for w, column in enumerate(tables.closed.T):
+        word = mask >> (64 * w) & 0xFFFF_FFFF_FFFF_FFFF
+        if word:
+            hit |= (column & word) != 0
+    return ~hit
 
 
 def _product_rows(sig: np.ndarray, tables) -> np.ndarray:
@@ -218,32 +261,10 @@ def _product_rows(sig: np.ndarray, tables) -> np.ndarray:
 
 def _scan_sigma(sigma, weight: int, tables, counts: dict) -> None:
     """Bin the pairs (sigma, tau) over every tau; exact integer counts."""
-    N, d = tables.T.shape
-    flat_t, flat_tinv = tables.flat_t, tables.flat_tinv
+    d = tables.T.shape[1]
     sig = np.asarray(sigma, dtype=np.int8)
     k_sigma = cycle_count(sigma)
-
-    if k_sigma == 1:
-        trans = np.ones(N, dtype=bool)
-    else:
-        # min-label propagation on the union graph: labels start at the
-        # least element of each sigma-cycle and flow along tau edges
-        # (both ways) and within sigma-cycles until stable; the pair is
-        # transitive iff everything reaches label 0.
-        siginv = np.array(_invert(sigma), dtype=np.int8)
-        comp = np.broadcast_to(_block_labels(sigma), (N, d)).copy()
-        while True:
-            flat = comp.ravel()
-            nxt = flat[flat_t]
-            np.minimum(nxt, flat[flat_tinv], out=nxt)
-            nxt = nxt.reshape(N, d)
-            np.minimum(nxt, comp[:, sig], out=nxt)
-            np.minimum(nxt, comp[:, siginv], out=nxt)
-            np.minimum(nxt, comp, out=nxt)
-            if np.array_equal(nxt, comp):
-                break
-            comp = nxt
-        trans = comp.max(axis=1) == 0
+    trans = _transitive_rows(sigma, tables)
 
     # the products sigma*tau_r run over S_d once: type each by its row
     combined = tables.tidx[_product_rows(sig, tables)] * (d + 1) + tables.lcounts

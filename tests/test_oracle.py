@@ -17,6 +17,7 @@ from dessins.oracle import (
     _representative,
     _scan_sigma,
     _tau_tables,
+    _transitive_rows,
     compare_with_series,
     cycle_count,
     cycle_type,
@@ -104,6 +105,49 @@ def test_tables_cache_keeps_one_degree():
     _tau_tables(6)
     _tau_tables(5)
     assert _tau_tables.cache_info().currsize == 1
+
+
+def test_transitive_rows_match_is_transitive():
+    # every pair at d <= 5; below d = 7 a row's set bits fill only part
+    # of its one 64-bit word, the rest is padding
+    for d in range(1, 6):
+        tables = _tau_tables(d)
+        perms = [tuple(p) for p in tables.T.tolist()]
+        for sigma in perms:
+            expected = [is_transitive(sigma, tau) for tau in perms]
+            assert _transitive_rows(sigma, tables).tolist() == expected
+
+
+def test_transitive_rows_non_contiguous_cycles():
+    # the full scan meets sigmas whose cycles are not runs of
+    # consecutive points; 0's cycle is not {0} either
+    tables = _tau_tables(6)
+    perms = [tuple(p) for p in tables.T.tolist()]
+    for sigma in [(5, 4, 1, 3, 2, 0), (3, 5, 4, 0, 2, 1), (2, 3, 0, 1, 5, 4)]:
+        trans = _transitive_rows(sigma, tables)
+        assert trans.tolist() == [is_transitive(sigma, tau) for tau in perms]
+        assert 0 < trans.sum() < len(perms)
+
+
+def test_transitive_rows_second_word():
+    # at d = 8 a row holds 128 sets in two words; unions holding point 7
+    # are read from the second
+    tables = _tau_tables(8)
+    perms = [tuple(p) for p in tables.T.tolist()]
+    sigma = (3, 7, 6, 0, 4, 1, 2, 5)  # cycles (0 3)(1 7 5)(2 6)(4)
+    assert tables.closed.shape[1] == 2
+    trans = _transitive_rows(sigma, tables)
+    assert trans.tolist() == [is_transitive(sigma, tau) for tau in perms]
+
+
+def test_tables_hold_no_gather_indices():
+    for d in range(1, 8):
+        tables = _tau_tables(d)
+        n = factorial(d)
+        for name, value in tables._asdict().items():
+            if isinstance(value, np.ndarray):
+                assert not (value.shape == (n, d) and value.dtype == np.intp), name
+        assert tables.closed.shape == (n, -(-2 ** (d - 1) // 64))
 
 
 def test_product_rows_compose():
