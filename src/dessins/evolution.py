@@ -40,14 +40,43 @@ has k, l, m_i <= n by the genus relation.  The width has 2^bits > W --
 from dmax in ``ConnectedSeries.extended_to``, from the largest k, l or
 weight the call can produce in the public wrappers -- so every field
 holds its entry exactly and distinct keys get distinct codes.
+
+Every piece is symmetric under u <-> v, and the degree recursion computes
+only its keys with k <= l.  A map is a transitive pair (sigma, tau) with
+k = cycles of sigma, l = cycles of tau and m the cycle type of sigma*tau.
+The swap (sigma, tau) -> (tau, sigma) keeps transitivity and exchanges k
+and l, and tau*sigma = sigma^-1 (sigma*tau) sigma has the cycle type of
+sigma*tau, so N(k, l, m) = N(l, k, m).  The k <= l half of a new piece
+then follows from the lower pieces phase by phase:
+
+* grow runs on the k <= l half of the previous piece.  The v shift of a
+  half key stays in the half.  Its u shift lands in the half only when
+  l - k >= 1; when l - k = 1 it lands on the diagonal, which also gets
+  the v shift of the mirror key (l, k), outside the half but with the
+  same coefficient, so that u shift counts twice.
+* split/join keeps k and l, so it maps the half onto the half.
+* a component join adds the (k, l) of its two factors, so its output has
+  k <= l iff delta_a + delta_b <= 0, with delta = k - l.  The derivative
+  buckets of the full lower pieces keep their entries sorted by delta (a
+  derivative keeps k and l), and each delta-group of a is convolved with
+  the prefix of b whose delta <= -delta_a.
+
+Weight, the genus relation and integrality are u <-> v-invariant, so the
+checks of a computed degree run on its half; ``ConnectedSeries.extended_to``
+then mirrors every key with k < l.  A computed key with k > l is an
+invariant failure, never dropped or mirrored over.  The public operators
+and ``partition_function`` take no shortcut: they act on any series,
+symmetric or not, and the tests assemble them as the reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .series import (
@@ -124,10 +153,21 @@ class _Packing:
 
 
 def _grow(pk: _Packing, src: Mapping, out: dict, factor=1, shifts=(0,)) -> None:
-    """Add factor * sum_r r t_{r+1} d/dt_r (src) to out, once per shift."""
-    E = pk.E
+    """Add factor * sum_r r t_{r+1} d/dt_r (src) to out, once per shift.
+
+    shifts=None gives (u+v) times the move for src the k <= l half of a
+    u <-> v-symmetric series, and emits the k <= l half of the result:
+    each key takes the v shift, the u shift when l - k >= 2, the u shift
+    twice when l - k = 1 (its diagonal target also gets the mirror key's v
+    shift) and no u shift when k = l.
+    """
+    E, bits, mask, V = pk.E, pk.bits, pk.mask, pk.V
+    half = shifts is None
     for code, c in src.items():
         fc = factor * c
+        if half:
+            gap = (code >> bits & mask) - (code & mask)  # l - k >= 0
+            shifts = (V,) if gap == 0 else (V, 1, 1) if gap == 1 else (V, 1)
         for r, x in pk.parts(code):
             key = code - E[r] + E[r + 1]
             v = r * x * fc
@@ -165,13 +205,21 @@ def _split_join(pk: _Packing, src: Mapping, out: dict, factor=1) -> None:
 
 
 def _diff_buckets(pk: _Packing, src: Mapping) -> list:
-    """j * d/dt_j (src) for every j, as a sorted [(j, [(key, coeff), ...])]."""
-    E = pk.E
+    """j * d/dt_j (src) for every j, as a sorted [(j, terms, deltas)]:
+    terms is [(key, coeff), ...] sorted by delta = k - l, and deltas lists
+    the delta of each entry (a derivative keeps k and l)."""
+    E, bits, mask = pk.E, pk.bits, pk.mask
     buckets: dict[int, list] = {}
     for code, c in src.items():
+        delta = (code & mask) - (code >> bits & mask)
         for j, x in pk.parts(code):
-            buckets.setdefault(j, []).append((code - E[j], j * x * c))
-    return sorted(buckets.items())
+            buckets.setdefault(j, []).append((delta, code - E[j], j * x * c))
+    out = []
+    for j, entries in sorted(buckets.items()):
+        entries.sort(key=itemgetter(0))
+        out.append((j, [(key, c) for _, key, c in entries],
+                    [delta for delta, _, _ in entries]))
+    return out
 
 
 def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
@@ -187,13 +235,24 @@ def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
             out[key] = get(key, 0) + fv * v2
 
 
-def _join_pair(pk: _Packing, da: list, db: list, out: dict, factor=1) -> None:
+def _join_pair(pk: _Packing, da: list, db: list, out: dict, factor=1,
+               half=False) -> None:
     """Add factor * sum_{j,j2} t_{j+j2+1} (j d/dt_j a)(j2 d/dt_j2 b) to out,
-    from the derivative buckets da, db of a and b."""
+    from the derivative buckets da, db of a and b.  With half, only the
+    keys with k <= l: each delta-group of a meets the prefix of b with
+    delta <= -delta_a."""
     E = pk.E
-    for j, ta in da:
-        for j2, tb in db:
-            _convolve(ta, tb, out, factor, E[j + j2 + 1])
+    for j, ta, deltas in da:
+        for j2, tb, deltas2 in db:
+            inc = E[j + j2 + 1]
+            start = 0
+            while start < len(ta):
+                delta = deltas[start]
+                stop = bisect_right(deltas, delta, start)
+                _convolve(ta[start:stop],
+                          tb[:bisect_right(deltas2, -delta)] if half else tb,
+                          out, factor, inc)
+                start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +333,8 @@ def _marked_terms(terms: Mapping[RawKey, object], d: int) -> dict[RawKey, int]:
 
 def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
                  d: int) -> dict[int, int]:
-    """Packed marked piece of weight d from the packed marked pieces 1 .. d-1.
+    """The k <= l half of the packed marked piece of weight d, from the
+    full packed marked pieces 1 .. d-1.
 
     d*F_d = ((u+v)*grow + split_or_join) F_{d-1}
             + sum_{n=1}^{d-2} join_components(F_n, F_{d-1-n});
@@ -284,19 +344,28 @@ def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
     under n <-> d-1-n, so the pair sum runs over n <= (d-1)/2 and doubles
     each term with n != d-1-n.  ``buckets`` holds the derivative buckets
     of the pieces and grows with them, so each is built once.
+
+    Every phase emits only keys with k <= l (see the module docstring):
+    grow and split/join run on the k <= l half of F_{d-1}, grow with the
+    u shift doubled onto the diagonal, and each component join meets a
+    delta-group of its first factor with the delta <= -delta_a prefix of
+    its second.
     """
     if d < 2:
         raise ValueError("the seed piece is fixed, recursion starts at d = 2")
     while len(buckets) < d - 2:
         buckets.append(_diff_buckets(pk, packed[len(buckets)]))
+    bits, mask = pk.bits, pk.mask
+    src = {code: v for code, v in packed[d - 2].items()
+           if code & mask <= code >> bits & mask}
     C = lcm(d - 1, *(n * (d - 1 - n) for n in range(1, d - 1)))
     acc: dict = {}
-    _grow(pk, packed[d - 2], acc, C // (d - 1), (1, pk.V))
-    _split_join(pk, packed[d - 2], acc, C // (d - 1))
+    _grow(pk, src, acc, C // (d - 1), None)  # None: u+v on the k <= l half
+    _split_join(pk, src, acc, C // (d - 1))
     for n in range(1, (d - 1) // 2 + 1):
         n2 = d - 1 - n
         factor = C // (n * n2) * (1 if n == n2 else 2)
-        _join_pair(pk, buckets[n - 1], buckets[n2 - 1], acc, factor)
+        _join_pair(pk, buckets[n - 1], buckets[n2 - 1], acc, factor, True)
     out: dict[int, int] = {}
     for code, v in acc.items():
         if v:
@@ -381,13 +450,24 @@ class ConnectedSeries:
         marked = list(self._marked)
         buckets: list = []
         for d in range(self.dmax + 1, dmax + 1):
-            raw = _next_marked(pk, packed, buckets, d)
-            packed.append(raw)
-            piece = {pk.decode(code): v for code, v in raw.items()}
+            half = _next_marked(pk, packed, buckets, d)
+            piece = {pk.decode(code): v for code, v in half.items()}
             try:
                 _check_piece(d, piece)
             except ValueError as exc:
                 raise ArithmeticError(f"computed degree {d}: {exc}") from exc
+            for (k, l, m), v in list(piece.items()):
+                if k > l:
+                    raise ArithmeticError(
+                        f"computed degree {d}: key {(k, l, m)!r} has k > l")
+                if k < l:
+                    piece[l, k, m] = v
+            full = dict(half)
+            for code, v in half.items():
+                gap = (code >> pk.bits & pk.mask) - (code & pk.mask)
+                if gap:
+                    full[code + gap - gap * pk.V] = v  # (k, l) -> (l, k)
+            packed.append(full)
             marked.append(piece)
         return ConnectedSeries._from_marked(marked)
 

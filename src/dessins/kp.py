@@ -127,25 +127,25 @@ class KpEvaluator:
                 f"s-degree {nmax} beyond computed degree {series.dmax}")
         self.nmax = nmax
         self._pk = pk = _Packing(max(nmax, 1))
-        # entry d: G_d = d! F_d = (d-1)! times the marked piece d * F_d
-        self._pieces = [None] + [
+        # the empty derivative, entry d: G_d = d! F_d = (d-1)! times the
+        # marked piece d * F_d
+        self._derivs: dict[MultiIndex, list] = {(): [None] + [
             [(code, factorial(d - 1) * c) for code, c in pk.encode_terms(t).items()]
-            for d, t in enumerate(series._marked[:nmax], 1)]
-        self._derivs: dict[MultiIndex, list] = {}
+            for d, t in enumerate(series._marked[:nmax], 1)]}
         self._products: dict[tuple[MultiIndex, ...], list] = {}
 
     def _deriv(self, multi: MultiIndex) -> list:
-        """Entry d: the multi-derivative of G_d."""
-        if multi not in self._derivs:
-            pk, tables = self._pk, self._pieces
-            for i in multi:
-                shift = pk.bits * (i + 1)  # the field of m_i
-                mask, e = pk.mask, 1 << shift
-                tables = [None] + [
-                    [(code - e, x * c) for code, c in terms if (x := code >> shift & mask)]
-                    for terms in tables[1:]]
-            self._derivs[multi] = tables
-        return self._derivs[multi]
+        """Entry d: the multi-derivative of G_d, one t_i-derivative (i the
+        last index) of the memoised multi[:-1]."""
+        tables = self._derivs.get(multi)
+        if tables is None:
+            pk = self._pk
+            shift = pk.bits * (multi[-1] + 1)  # the field of m_i
+            mask, e = pk.mask, 1 << shift
+            tables = self._derivs[multi] = [None] + [
+                [(code - e, x * c) for code, c in terms if (x := code >> shift & mask)]
+                for terms in self._deriv(multi[:-1])[1:]]
+        return tables
 
     def _product(self, factors: tuple[MultiIndex, ...]) -> list:
         """Entry n: P_n, n! times the s^n value of the product of factors."""

@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations as iter_permutations
+from itertools import chain, permutations as iter_permutations
 from math import factorial
 import os
 from typing import NamedTuple
@@ -148,7 +148,9 @@ def _tau_tables(d: int) -> _Tables:
     d = 9 they take about 20 MB)."""
     if d ** d > 2 ** 31:  # also keeps the subset bitmasks within uint16
         raise ValueError(f"row codes of degree {d} overflow int32")
-    T = np.array(list(iter_permutations(range(d))), dtype=np.int8)
+    # filled straight from the generator: no d! tuples held at once
+    T = np.fromiter(chain.from_iterable(iter_permutations(range(d))), np.int8,
+                    count=factorial(d) * d).reshape(-1, d)
     # Moebius inversion matrix: (fix @ W)[:, i-1] = i * m_i, where
     # fix[:, j-1] counts fixed points of the j-th power.
     W = np.zeros((d, d), dtype=np.int16)

@@ -199,6 +199,24 @@ def test_unphysical_engine_key_exits_1(capsys, monkeypatch):
     assert err.startswith("internal check failed: computed degree 2: key")
 
 
+def test_engine_key_past_the_half_exits_1(capsys, monkeypatch):
+    from dessins import evolution
+
+    real_split_join = evolution._split_join
+
+    def mirroring_split_join(pk, src, out, factor=1):
+        real_split_join(pk, src, out, factor)
+        k, l, m = next(key for key in map(pk.decode, out) if key[0] < key[1])
+        code = pk.encode((l, k, m))  # physical, and integral at d = 2
+        out[code] = out.get(code, 0) + 2 * factor
+
+    monkeypatch.setattr(evolution, "_split_join", mirroring_split_join)
+    code, out, err = run(capsys, "table", "--dmax", "3")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal check failed: computed degree 2: key (2, 1, ")
+
+
 def test_no_command_builds_fraction_pieces(tmp_path, capsys, monkeypatch):
     from dessins.evolution import ConnectedSeries
 

@@ -7,6 +7,8 @@ import pytest
 from dessins.cache import load_cache, save_cache
 from dessins.evolution import (
     ConnectedSeries,
+    _next_marked,
+    _Packing,
     grow_cycle,
     join_components,
     next_piece,
@@ -124,6 +126,12 @@ def test_next_piece_matches_public_operator_assembly(engine10, d):
     assembled = _assembled_piece(pieces, d)
     assert next_piece(pieces) == assembled
     assert dict(assembled.terms) == dict(engine10.piece(d).terms)
+    # the engine's own step, before the mirror: the k <= l half
+    pk = _Packing(d)
+    packed = [pk.encode_terms(engine10.marked_piece(n)) for n in range(1, d)]
+    half = _next_marked(pk, packed, [], d)
+    assert {pk.decode(code): v for code, v in half.items()} == {
+        (k, l, m): c * d for (k, l, m), c in assembled.terms.items() if k <= l}
 
 
 @pytest.mark.parametrize("start, stop", [(3, 9), (12, 17)])

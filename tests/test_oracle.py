@@ -101,6 +101,21 @@ def test_row_codes_increase_and_refuse_overflow():
         _tau_tables(10)  # refused before the 10! table is built
 
 
+def test_table_rows_are_lexicographic():
+    for d in range(1, 7):
+        T = _tau_tables(d).T
+        assert T.dtype == np.int8
+        assert T.tolist() == [list(p) for p in permutations(range(d))]
+
+
+def test_pair_counts_are_u_v_symmetric():
+    # swapping sigma and tau exchanges k and l and conjugates sigma*tau;
+    # checked on the scan itself, independently of the engine's mirror
+    for d in range(1, 7):
+        counts = transitive_pair_counts(d, "full").counts
+        assert counts == {(l, k, m): c for (k, l, m), c in counts.items()}
+
+
 def test_tables_cache_keeps_one_degree():
     _tau_tables(6)
     _tau_tables(5)
