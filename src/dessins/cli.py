@@ -44,9 +44,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache", default=os.environ.get("DESSIN_CACHE"),
                      metavar="PATH",
                      help="series cache file (default: $DESSIN_CACHE)")
-    sub.add_argument("--threads", type=int, default=0, metavar="N",
-                     help="worker threads for the brute-force scan, 0 = auto "
-                          "(affects speed only; outputs are identical)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,6 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "full", "classes", "naive"),
                    default="auto")
     p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--threads", type=int, default=0, metavar="N",
+                   help="worker threads for the brute-force scan, 0 = auto "
+                        "(affects speed only; outputs are identical)")
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 
@@ -230,6 +230,8 @@ def cmd_oracle(args) -> int:
         raise UsageError("--d must be >= 1")
     if args.d > CLASSES_LIMIT:
         raise UsageError(f"brute force supports d <= {CLASSES_LIMIT}")
+    if args.threads < 0:
+        raise UsageError("--threads must be >= 0")
     series = load_or_compute(args.d, args.cache)
     table, diffs = compare_with_series(series, args.d, args.method,
                                        args.threads)

@@ -16,22 +16,28 @@ every binned statistic is invariant under simultaneous conjugation.
 A tiny pure-Python scan (method "naive") cross-checks the vectorized
 kernel at small d.
 
-Each permutation's cycle type is computed once per degree (powers and a
-Moebius inversion over the table of S_d).  As tau runs over S_d, so does
-sigma*tau: the scan finds each product's row in that table by its code
-and reads the type stored there.  A row's code reads the row as a
-base-d numeral, so it is < d^d, which is < 2^31 for d <= CLASSES_LIMIT
-= 9; codes and place values are int32, and the table refuses any degree
-where the bound fails rather than alias two rows.
+Everything the scan needs of tau is read from per-degree tables over
+S_d (about 17 MB at d = 9), filled in one pass over chunks of rows that
+holds no temporary larger than one chunk.  A row's cycle type comes
+from first returns: a point's cycle length is the first j with
+tau^j(x) = x, and m_i is the number of points of length i over i.  As
+tau runs over S_d, so does sigma*tau: the scan finds each product's row
+by its code and reads the type stored there.  A row's code reads the
+row as a base-d numeral, so it is < d^d, which is < 2^31 for d <=
+CLASSES_LIMIT = 9; codes and place values are int32, and the table
+refuses any degree where the bound fails rather than alias two rows.
+The type index is int16: it is below p(d), the number of partitions of
+d, and a cycle count is at most d, so the scan's bin index
+tidx * (d + 1) + l stays below p(d) * (d + 1) = 300 at d = 9.
 
-Transitivity is read from a second per-degree table.  The pair is
+Transitivity is read from the invariant-subset table.  The pair is
 transitive iff no proper, nonempty union of sigma-cycles is tau-invariant
 (the orbit of 0 would be one), and such a union may be taken to contain
 0, since its complement is invariant too.  So each row of S_d stores one
 bit per set S containing 0: is tau(S) = S?  Sets and their images are
 uint16 bitmasks, exact for d <= 16; the table holds 2^(d-1) bits per row
-(11.6 MB at d = 9).  Both bounds are implied by the row-code bound: the
-refusal of d^d > 2^31 already covers every d >= 10.
+(11.6 MB at d = 9).  All three bounds are implied by the row-code bound:
+the refusal of d^d > 2^31 already covers every d >= 10.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, permutations as iter_permutations
 from math import factorial
+from operator import mul
 import os
 from typing import NamedTuple
 
@@ -114,29 +121,13 @@ def is_transitive(sigma, tau) -> bool:
 # vectorized scan
 # ---------------------------------------------------------------------------
 
-def _moebius(n: int) -> int:
-    primes = 0
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            primes += 1
-        p += 1
-    if m > 1:
-        primes += 1
-    return -1 if primes % 2 else 1
-
-
 class _Tables(NamedTuple):
     T: np.ndarray          # (d!, d) int8, all of S_d in lexicographic order
     place: np.ndarray      # int32 place values d^(d-1-i) of the row codes
-    rowcodes: np.ndarray   # T @ place, strictly increasing
-    tidx: np.ndarray       # index into types of each row's cycle type
+    rowcodes: np.ndarray   # int32 T @ place, strictly increasing
+    tidx: np.ndarray       # int16 index into types of each row's cycle type
     types: list            # the partitions of d in code order
-    lcounts: np.ndarray    # cycle count of each row
+    lcounts: np.ndarray    # int8 cycle count of each row
     closed: np.ndarray     # (d!, words) bits: does T[r] fix {0} | (s << 1)?
 
 
@@ -144,75 +135,49 @@ class _Tables(NamedTuple):
 def _tau_tables(d: int) -> _Tables:
     """Shared per-degree tables: all of S_d in lexicographic order, each
     row's base-d code and cycle type, and the sets containing 0 that each
-    row maps onto themselves.  Only the last degree's tables are kept (at
-    d = 9 they take about 20 MB)."""
+    row maps onto themselves (bit s % 64 of word s // 64 of row r: does
+    T[r] map {0} | (s << 1) onto itself?).  Only the last degree's tables
+    are kept.  Images of all 2^(d-1) sets are built by subset doubling,
+    img(S | x) = img(S) | 1 << T[r, x], on a (set, row) uint16 buffer of
+    1 MB, which fixes the row chunk of the one pass.
+    """
     if d ** d > 2 ** 31:  # also keeps the subset bitmasks within uint16
         raise ValueError(f"row codes of degree {d} overflow int32")
     # filled straight from the generator: no d! tuples held at once
     T = np.fromiter(chain.from_iterable(iter_permutations(range(d))), np.int8,
                     count=factorial(d) * d).reshape(-1, d)
-    # Moebius inversion matrix: (fix @ W)[:, i-1] = i * m_i, where
-    # fix[:, j-1] counts fixed points of the j-th power.
-    W = np.zeros((d, d), dtype=np.int16)
-    for i in range(1, d + 1):
-        for j in range(1, i + 1):
-            if i % j == 0:
-                W[j - 1, i - 1] = _moebius(i // j)
-    base = [(d + 1) ** i for i in range(d)]
-    code_to_type = {}
-    for m in partitions(d):
-        code = sum(m[i] * base[i] for i in range(len(m)))
-        code_to_type[code] = m
-    codes_sorted = np.array(sorted(code_to_type), dtype=np.int64)
-    types_sorted = [code_to_type[int(c)] for c in codes_sorted]
-    lcounts, codes = _row_cycle_data(T, W, base)
-    tidx = np.searchsorted(codes_sorted, codes)
+    N = len(T)
     # row r read as a base-d numeral; strictly increasing down T
     place = np.array([d ** (d - 1 - i) for i in range(d)], dtype=np.int32)
-    return _Tables(T, place, T @ place, tidx, types_sorted, lcounts,
-                   _closed_sets(T))
-
-
-def _row_cycle_data(P: np.ndarray, W: np.ndarray, base) -> tuple:
-    """(cycle counts, partition codes) for every permutation row of P."""
-    n, d = P.shape
-    # flat indices into a raveled (n, d) array: entry (r, x) points at
-    # (r, P[r, x]), so one gather applies every row to its own table row
-    flat_p = ((np.arange(n, dtype=np.intp) * d)[:, None] + P).ravel()
-    idx = np.arange(d, dtype=P.dtype)
-    fix = np.empty((n, d), dtype=np.int16)
-    Q = P
-    fix[:, 0] = (Q == idx).sum(axis=1, dtype=np.int16)
-    for j in range(2, d + 1):
-        Q = Q.ravel()[flat_p].reshape(n, d)  # next power of each row
-        fix[:, j - 1] = (Q == idx).sum(axis=1, dtype=np.int16)
-    scaled = fix @ W  # column i-1 holds i * m_i
-    counts = np.zeros(n, dtype=np.int16)
-    codes = np.zeros(n, dtype=np.int64)
-    for i in range(1, d + 1):
-        mi = scaled[:, i - 1] // i
-        counts += mi
-        codes += mi.astype(np.int64) * base[i - 1]
-    return counts, codes
-
-
-def _closed_sets(T: np.ndarray) -> np.ndarray:
-    """One bit per row of T and set S_s = {0} | (s << 1): bit s % 64 of
-    word s // 64 of row r is set iff T[r] maps S_s onto itself.
-
-    Images of all 2^(d-1) sets are built by subset doubling, img(S | x) =
-    img(S) | 1 << T[r, x], on a (set, row) uint16 buffer of a chunk of
-    rows, so the build never holds more than a few MB besides the result.
-    """
-    N, d = T.shape
+    # a type's code has digit i * m_i <= d at (d + 1)^(i-1): the number of
+    # points on i-cycles, so each point adds the power of its cycle
+    # length; codes order types as their multiplicities m_i do
+    power = np.array([(d + 1) ** i for i in range(d)], dtype=np.int64)
+    digit = [(i + 1) * p for i, p in enumerate(power.tolist())]
+    types = sorted(partitions(d), key=lambda m: sum(map(mul, m, digit)))
+    type_codes = np.array([sum(map(mul, m, digit)) for m in types])
     n_sets = 1 << (d - 1)
     sets = (np.arange(n_sets, dtype=np.uint16) << 1) | 1
-    rows = max(1, (1 << 20) // (2 * n_sets))  # a 1 MB image buffer
+    rows = max(1, (1 << 20) // (2 * n_sets))
     img = np.empty((n_sets, rows), dtype=np.uint16)
+    rowcodes = np.empty(N, dtype=np.int32)
+    tidx = np.empty(N, dtype=np.int16)
     closed = np.zeros((N, 8 * -(-n_sets // 64)), dtype=np.uint8)
+    points = np.arange(d, dtype=np.int8)
     for lo in range(0, N, rows):
-        bit = np.left_shift(np.uint16(1), T[lo:lo + rows].T.astype(np.uint16))
-        n = bit.shape[1]
+        P = T[lo:lo + rows]
+        n = len(P)
+        rowcodes[lo:lo + n] = P @ place
+        # a point's cycle length is the first j with P^j(x) = x, so one
+        # less is the number of powers j = 1, 2, ... before it returns
+        step = ((np.arange(n, dtype=np.intp) * d)[:, None] + P).ravel()
+        Q, length = P, np.zeros((n, d), dtype=np.int8)  # cycle length - 1
+        for j in range(d - 1):
+            length += (length == j) & (Q != points)
+            Q = Q.ravel()[step].reshape(n, d)  # next power of every row
+        tidx[lo:lo + n] = np.searchsorted(type_codes,
+                                          power[length].sum(axis=1))
+        bit = np.left_shift(np.uint16(1), P.T.astype(np.uint16))
         img[0, :n] = bit[0]
         for x in range(1, d):
             half = 1 << (x - 1)
@@ -220,7 +185,9 @@ def _closed_sets(T: np.ndarray) -> np.ndarray:
         packed = np.packbits(img[:, :n] == sets[:, None], axis=0,
                              bitorder="little")
         closed[lo:lo + n, :len(packed)] = packed.T
-    return closed.view("<u8")
+    lcounts = np.array([sum(m) for m in types], dtype=np.int8)[tidx]
+    return _Tables(T, place, rowcodes, tidx, types, lcounts,
+                   closed.view("<u8"))
 
 
 def _cycle_masks(sigma) -> list[int]:
@@ -257,8 +224,11 @@ def _transitive_rows(sigma, tables) -> np.ndarray:
 
 
 def _product_rows(sig: np.ndarray, tables) -> np.ndarray:
-    """Row index in T of sigma composed after tau_r, for every row r."""
-    return np.searchsorted(tables.rowcodes, sig[tables.T] @ tables.place)
+    """Row index in T of sigma composed after tau_r, for every row r: its
+    code sums place[i] * sig[T[r, i]], one int32 lookup per column."""
+    luts = np.multiply.outer(tables.place, sig)
+    codes = sum(lut[column] for lut, column in zip(luts, tables.T.T))
+    return np.searchsorted(tables.rowcodes, codes)
 
 
 def _scan_sigma(sigma, weight: int, tables, counts: dict) -> None:

@@ -177,13 +177,12 @@ def test_criterion_8_thread_determinism(tmp_path):
         cache = tmp_path / f"cache{threads}"
         out = tmp_path / f"out{threads}.csv"
         proc = _cli("table", "--dmax", "8", "--gmax", "3", "--marked",
-                    "--out", str(out), "--cache", str(cache),
-                    "--threads", threads)
+                    "--out", str(out), "--cache", str(cache))
         assert proc.returncode == 0, proc.stderr
         oracle = _cli("oracle", "--d", "5", "--format", "json",
                       "--threads", threads)
         kp = _cli("kp", "--dmax", "6", "--format", "json",
-                  "--cache", str(cache), "--threads", threads)
+                  "--cache", str(cache))
         assert oracle.returncode == 0 and kp.returncode == 0
         artifacts[threads] = (out.read_bytes(), cache.read_bytes(),
                               oracle.stdout, kp.stdout)

@@ -120,6 +120,12 @@ def test_oracle_command(capsys):
     assert run(capsys, "oracle", "--d", "10")[0] == 2
 
 
+def test_threads_belongs_to_oracle(capsys):
+    assert run(capsys, "table", "--dmax", "2", "--threads", "2")[0] == 2
+    code, _, err = run(capsys, "oracle", "--d", "4", "--threads", "-1")
+    assert code == 2 and "--threads" in err
+
+
 def test_closed_command(capsys):
     code, out, _ = run(capsys, "closed", "--dmax", "6")
     assert code == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,16 @@ def test_row_types_match_cycle_type():
             assert tables.lcounts[r] == cycle_count(row.tolist())
 
 
+def test_row_types_across_chunks():
+    # d = 8 is built in ten row chunks: sample rows of every chunk
+    tables = _tau_tables(8)
+    assert tables.tidx.dtype == np.int16
+    for r in range(0, len(tables.T), 37):
+        row = tables.T[r].tolist()
+        assert tables.types[tables.tidx[r]] == cycle_type(row)
+        assert tables.lcounts[r] == cycle_count(row)
+
+
 def test_row_codes_increase_and_refuse_overflow():
     for d in range(1, 7):
         codes = _tau_tables(d).rowcodes
@@ -114,6 +125,25 @@ def test_pair_counts_are_u_v_symmetric():
     for d in range(1, 7):
         counts = transitive_pair_counts(d, "full").counts
         assert counts == {(l, k, m): c for (k, l, m), c in counts.items()}
+
+
+def test_table_build_and_scan_hold_no_whole_table_temporary():
+    # at d = 9 one (d!, d) int32 temporary is 12.5 MiB: the build holds
+    # at most a few MiB besides the tables it keeps, and a scan of one
+    # sigma only vectors of d! entries
+    _tau_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = _tau_tables(9)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _scan_sigma(_representative((2, 2, 1)), 1, tables, {})
+        scan_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(v.nbytes for v in tables if isinstance(v, np.ndarray))
+    assert build_peak <= kept + 4 * 2 ** 20, (build_peak, kept)
+    assert scan_peak <= kept + 8 * 2 ** 20, (scan_peak, kept)
 
 
 def test_tables_cache_keeps_one_degree():
