@@ -27,7 +27,7 @@ from .cache import load_or_compute
 from .counts import GenusTable, genus_table, marked_count_genus0, marked_count_genus1
 from .evolution import recursion_rhs
 from .kp import KP_EQUATIONS, equation_by_id, kp_report
-from .oracle import CLASSES_LIMIT, compare_with_series
+from .oracle import CLASSES_LIMIT, FULL_LIMIT, NAIVE_LIMIT, compare_with_series
 from .series import partition_weight, profile_text
 
 EXIT_OK = 0
@@ -228,8 +228,10 @@ def cmd_kp(args) -> int:
 def cmd_oracle(args) -> int:
     if args.d < 1:
         raise UsageError("--d must be >= 1")
-    if args.d > CLASSES_LIMIT:
-        raise UsageError(f"brute force supports d <= {CLASSES_LIMIT}")
+    limit = {"full": FULL_LIMIT, "naive": NAIVE_LIMIT}.get(args.method, CLASSES_LIMIT)
+    if args.d > limit:
+        which = "" if limit == CLASSES_LIMIT else f" with --method {args.method}"
+        raise UsageError(f"brute force supports d <= {limit}{which}")
     if args.threads < 0:
         raise UsageError("--threads must be >= 0")
     series = load_or_compute(args.d, args.cache)

@@ -23,12 +23,14 @@ exact throughout; internally each piece is manipulated as its "marked"
 integer form (d times the weighted counts), which keeps the hot
 convolution loops in plain big-integer arithmetic.
 
-All moves run on one kernel over packed keys: k, l, m_1, m_2, ... sit
-in consecutive ``bits``-bit fields of one int, k lowest, so a move adds
-precomputed unit vectors (1: a white vertex, ``V``: a black one,
-``E[i]``: a part of size i) and the pair product of two profiles is one
-integer addition.  The degree recursion, the public operators and
-``partition_function`` all encode, run the same kernel and decode.
+The degree recursion runs the moves on one kernel over packed keys: k,
+l, m_1, m_2, ... sit in consecutive ``bits``-bit fields of one int, k
+lowest, so a move adds precomputed unit vectors (1: a white vertex,
+``V``: a black one, ``E[i]``: a part of size i) and the pair product of
+two profiles is one integer addition.  ``partition_function`` and the KP
+evaluator run the same kernel.  The public operators are sums of
+``GradedSeries`` derivatives, t-multiplications and products instead, so
+a piece assembled from them checks the kernel by other arithmetic.
 
 Packed keys cannot carry or alias.  Packing is linear, so only the
 vector of each emitted key matters, not the order of the additions that
@@ -36,10 +38,9 @@ build it.  E[i] is subtracted only from a key with m_i >= 1, so that
 vector is non-negative, and each of its entries (k, l, every
 multiplicity, every componentwise sum the pair product forms) is at most
 the largest weight W the call can produce: a connected piece of weight n
-has k, l, m_i <= n by the genus relation.  The width has 2^bits > W --
-from dmax in ``ConnectedSeries.extended_to``, from the largest k, l or
-weight the call can produce in the public wrappers -- so every field
-holds its entry exactly and distinct keys get distinct codes.
+has k, l, m_i <= n by the genus relation.  The width has 2^bits > W,
+from the degree bound of the call, so every field holds its entry
+exactly and distinct keys get distinct codes.
 
 Every piece is symmetric under u <-> v, and the degree recursion computes
 only its keys with k <= l.  A map is a transitive pair (sigma, tau) with
@@ -66,7 +67,7 @@ checks of a computed degree run on its half; ``ConnectedSeries.extended_to``
 then mirrors every key with k < l.  A computed key with k > l is an
 invariant failure, never dropped or mirrored over.  The public operators
 and ``partition_function`` take no shortcut: they act on any series,
-symmetric or not, and the tests assemble them as the reference.
+symmetric or not, and the tests assemble the operators as the reference.
 """
 
 from __future__ import annotations
@@ -152,17 +153,17 @@ class _Packing:
         return {self.encode(key): c for key, c in terms.items()}
 
 
-def _grow(pk: _Packing, src: Mapping, out: dict, factor=1, shifts=(0,)) -> None:
-    """Add factor * sum_r r t_{r+1} d/dt_r (src) to out, once per shift.
+def _grow(pk: _Packing, src: Mapping, out: dict, factor=1, half=False) -> None:
+    """Add factor * (u+v) * sum_r r t_{r+1} d/dt_r (src) to out.
 
-    shifts=None gives (u+v) times the move for src the k <= l half of a
-    u <-> v-symmetric series, and emits the k <= l half of the result:
-    each key takes the v shift, the u shift when l - k >= 2, the u shift
-    twice when l - k = 1 (its diagonal target also gets the mirror key's v
-    shift) and no u shift when k = l.
+    With half, src is the k <= l half of a u <-> v-symmetric series and
+    only the k <= l half of the result is emitted: each key takes the v
+    shift, the u shift when l - k >= 2, the u shift twice when l - k = 1
+    (its diagonal target also gets the mirror key's v shift) and no u
+    shift when k = l.
     """
     E, bits, mask, V = pk.E, pk.bits, pk.mask, pk.V
-    half = shifts is None
+    shifts = (1, V)
     for code, c in src.items():
         fc = factor * c
         if half:
@@ -235,12 +236,11 @@ def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
             out[key] = get(key, 0) + fv * v2
 
 
-def _join_pair(pk: _Packing, da: list, db: list, out: dict, factor=1,
-               half=False) -> None:
-    """Add factor * sum_{j,j2} t_{j+j2+1} (j d/dt_j a)(j2 d/dt_j2 b) to out,
-    from the derivative buckets da, db of a and b.  With half, only the
-    keys with k <= l: each delta-group of a meets the prefix of b with
-    delta <= -delta_a."""
+def _join_pair(pk: _Packing, da: list, db: list, out: dict, factor=1) -> None:
+    """Add to out the keys with k <= l of factor * sum_{j,j2} t_{j+j2+1}
+    (j d/dt_j a)(j2 d/dt_j2 b), from the derivative buckets da, db of a
+    and b: each delta-group of a meets the prefix of b with delta <=
+    -delta_a."""
     E = pk.E
     for j, ta, deltas in da:
         for j2, tb, deltas2 in db:
@@ -249,52 +249,46 @@ def _join_pair(pk: _Packing, da: list, db: list, out: dict, factor=1,
             while start < len(ta):
                 delta = deltas[start]
                 stop = bisect_right(deltas, delta, start)
-                _convolve(ta[start:stop],
-                          tb[:bisect_right(deltas2, -delta)] if half else tb,
+                _convolve(ta[start:stop], tb[:bisect_right(deltas2, -delta)],
                           out, factor, inc)
                 start = stop
 
 
 # ---------------------------------------------------------------------------
-# public operator wrappers
+# public operators, in the series algebra
 # ---------------------------------------------------------------------------
 
-def _entry_bound(terms: Mapping[RawKey, object]) -> int:
-    """Largest k, l or weight among the keys."""
-    return max((max(k, l, partition_weight(m)) for k, l, m in terms), default=0)
-
-
-def _decoded(pk: _Packing, raw: dict, truncation: int, win: int | None,
-             op: str) -> GradedSeries:
-    """The kernel's output as a series; weight win in must give win + 1 out."""
-    out = {key: c for key, c in ((pk.decode(code), c) for code, c in raw.items())
-           if c and partition_weight(key[2]) <= truncation}
-    res = GradedSeries(out, truncation, _raw=True)
-    if win is not None and not res.is_zero() and res.homogeneous_weight() != win + 1:
-        raise AssertionError(f"{op} must raise the weight by 1")
-    return res
-
-
-def _linear_op(series: GradedSeries, move, op: str) -> GradedSeries:
-    pk = _Packing(_entry_bound(series._terms) + 1)
-    out: dict = {}
-    move(pk, pk.encode_terms(series._terms), out)
-    return _decoded(pk, out, series.truncation, series.homogeneous_weight(), op)
+def _parts_bound(series: GradedSeries) -> int:
+    """Largest part size that occurs in the series."""
+    return max((len(m) for _, _, m in series._terms), default=0)
 
 
 def grow_cycle(series: GradedSeries) -> GradedSeries:
     """Lengthen one cycle by one: sum_r r * t_{r+1} * d/dt_r."""
-    return _linear_op(series, _grow, "grow_cycle")
+    out = GradedSeries.zero(series.truncation)
+    for r in range(1, _parts_bound(series) + 1):
+        out = out + series.diff_t(r).mul_t(r + 1).scaled(r)
+    return out
 
 
 def split_or_join_cycles(series: GradedSeries) -> GradedSeries:
     """One-component cycle surgery.
 
     Splits one cycle of size r into an ordered pair (j, r + 1 - j), or
-    joins an ordered pair of cycles (j, j2) into one of size j + j2 + 1;
-    the combined move raises the weight by exactly one.
+    joins an ordered pair of cycles (j, j2) into one of size j + j2 + 1:
+    sum_r r * sum_j t_j t_{r+1-j} d/dt_r
+    + sum_{j,j2} j * j2 * t_{j+j2+1} d^2/dt_j dt_j2.
+    The combined move raises the weight by exactly one.
     """
-    return _linear_op(series, _split_join, "split_or_join_cycles")
+    out = GradedSeries.zero(series.truncation)
+    top = _parts_bound(series)
+    for r in range(1, top + 1):
+        cut = series.diff_t(r).scaled(r)
+        for j in range(1, r + 1):
+            out = out + cut.mul_t(j).mul_t(r + 1 - j)
+        for j2 in range(1, top + 1):
+            out = out + cut.diff_t(j2).mul_t(r + j2 + 1).scaled(j2)
+    return out
 
 
 def join_components(a: GradedSeries, b: GradedSeries) -> GradedSeries:
@@ -304,13 +298,13 @@ def join_components(a: GradedSeries, b: GradedSeries) -> GradedSeries:
     two partial derivatives.  The result weight is weight(a) + weight(b)
     + 1 on homogeneous inputs.
     """
-    pk = _Packing(_entry_bound(a._terms) + _entry_bound(b._terms) + 1)
-    out: dict = {}
-    _join_pair(pk, _diff_buckets(pk, pk.encode_terms(a._terms)),
-               _diff_buckets(pk, pk.encode_terms(b._terms)), out)
-    wa, wb = a.homogeneous_weight(), b.homogeneous_weight()
-    return _decoded(pk, out, min(a.truncation, b.truncation),
-                    None if wa is None or wb is None else wa + wb, "join_components")
+    out = GradedSeries.zero(min(a.truncation, b.truncation))
+    db = [b.diff_t(j2).scaled(j2) for j2 in range(1, _parts_bound(b) + 1)]
+    for j in range(1, _parts_bound(a) + 1):
+        da = a.diff_t(j).scaled(j)
+        for j2, dbj in enumerate(db, 1):
+            out = out + (da * dbj).mul_t(j + j2 + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +354,12 @@ def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
            if code & mask <= code >> bits & mask}
     C = lcm(d - 1, *(n * (d - 1 - n) for n in range(1, d - 1)))
     acc: dict = {}
-    _grow(pk, src, acc, C // (d - 1), None)  # None: u+v on the k <= l half
+    _grow(pk, src, acc, C // (d - 1), True)
     _split_join(pk, src, acc, C // (d - 1))
     for n in range(1, (d - 1) // 2 + 1):
         n2 = d - 1 - n
         factor = C // (n * n2) * (1 if n == n2 else 2)
-        _join_pair(pk, buckets[n - 1], buckets[n2 - 1], acc, factor, True)
+        _join_pair(pk, buckets[n - 1], buckets[n2 - 1], acc, factor)
     out: dict[int, int] = {}
     for code, v in acc.items():
         if v:
@@ -538,7 +532,7 @@ def partition_function(dmax: int) -> GradedSeries:
     fact = 1
     for n in range(1, dmax + 1):
         nxt: dict = {}
-        _grow(pk, x, nxt, 1, (1, pk.V))
+        _grow(pk, x, nxt)
         _split_join(pk, x, nxt)
         for code, c in x.items():
             nxt[code + seed] = nxt.get(code + seed, 0) + c

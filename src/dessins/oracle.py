@@ -247,11 +247,6 @@ def _scan_sigma(sigma, weight: int, tables, counts: dict) -> None:
         counts[key] = counts.get(key, 0) + int(binned[flat]) * weight
 
 
-def _scan_sigmas(sigmas, tables, counts: dict) -> None:
-    for sigma, weight in sigmas:
-        _scan_sigma(sigma, weight, tables, counts)
-
-
 # ---------------------------------------------------------------------------
 # public enumeration
 # ---------------------------------------------------------------------------
@@ -326,12 +321,14 @@ def transitive_pair_counts(d: int, method: str = "auto",
     sigma per cycle type with conjugacy-class weights (d <= 9), "naive"
     is the no-numpy reference scan (d <= 5), and "auto" picks full or
     classes by degree.  Refuses degrees beyond the supported bound.
-    threads > 1 (or 0 for auto) splits the sigma list across worker
-    threads; counts merge by exact integer addition, so the result never
+    The sigma list is split across ``threads`` worker threads (0 for
+    auto); counts merge by exact integer addition, so the result never
     depends on the schedule.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if threads < 0:
+        raise ValueError("threads must be >= 0")
     if method == "auto":
         method = "full" if d <= FULL_LIMIT else "classes"
     if method == "naive":
@@ -352,23 +349,19 @@ def transitive_pair_counts(d: int, method: str = "auto",
         raise ValueError(f"unknown method {method!r}")
 
     tables = _tau_tables(d)
-    if threads == 0:
-        threads = _auto_threads()
+
+    def scan_chunk(chunk):
+        part: dict[RawKey, int] = {}
+        for sigma, weight in chunk:
+            _scan_sigma(sigma, weight, tables, part)
+        return part
+
+    n = min(threads or _auto_threads(), len(sigmas))
     counts: dict[RawKey, int] = {}
-    if threads > 1 and len(sigmas) > threads:
-        chunks = [sigmas[i::threads] for i in range(threads)]
-
-        def scan_chunk(chunk):
-            part: dict[RawKey, int] = {}
-            _scan_sigmas(chunk, tables, part)
-            return part
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(scan_chunk, chunks):
-                for key, c in part.items():
-                    counts[key] = counts.get(key, 0) + c
-    else:
-        _scan_sigmas(sigmas, tables, counts)
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        for part in pool.map(scan_chunk, [sigmas[i::n] for i in range(n)]):
+            for key, c in part.items():
+                counts[key] = counts.get(key, 0) + c
     return PairCounts(d, counts, method)
 
 

@@ -120,6 +120,15 @@ def test_oracle_command(capsys):
     assert run(capsys, "oracle", "--d", "10")[0] == 2
 
 
+def test_oracle_method_limits_are_usage_errors(capsys):
+    for method, d in (("full", 8), ("naive", 6)):
+        code, out, err = run(capsys, "oracle", "--d", str(d), "--method", method)
+        assert (code, out) == (2, "")
+        assert err == (f"error: brute force supports d <= {d - 1} "
+                       f"with --method {method}\n")
+    assert run(capsys, "oracle", "--d", "5", "--method", "naive")[0] == 0
+
+
 def test_threads_belongs_to_oracle(capsys):
     assert run(capsys, "table", "--dmax", "2", "--threads", "2")[0] == 2
     code, _, err = run(capsys, "oracle", "--d", "4", "--threads", "-1")

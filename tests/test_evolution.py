@@ -7,8 +7,12 @@ import pytest
 from dessins.cache import load_cache, save_cache
 from dessins.evolution import (
     ConnectedSeries,
+    _diff_buckets,
+    _grow,
+    _join_pair,
     _next_marked,
     _Packing,
+    _split_join,
     grow_cycle,
     join_components,
     next_piece,
@@ -84,6 +88,58 @@ def test_operators_raise_weight_by_one():
         out = op(s)
         assert out.homogeneous_weight() == 6
     assert join_components(s, s).homogeneous_weight() == 11
+
+
+# ---------------------------------------------------------------------------
+# the packed kernel against the operators
+# ---------------------------------------------------------------------------
+
+KERNEL = _Packing(16)  # every k, l and weight below is < 16
+
+
+def _decoded(out):
+    return {KERNEL.decode(code): c for code, c in out.items()}
+
+
+def _moved(move, terms, *args):
+    out = {}
+    move(KERNEL, KERNEL.encode_terms(terms), out, *args)
+    return _decoded(out)
+
+
+def _half(terms):
+    return {(k, l, m): c for (k, l, m), c in terms.items() if k <= l}
+
+
+def _u_plus_v(trunc):
+    return GradedSeries({(1, 0, ()): 1, (0, 1, ()): 1}, trunc)
+
+
+@pytest.mark.parametrize("series", [
+    mono(1, 1, (1,)), GradedSeries.one(4),
+    GradedSeries.monomial(0, 0, (0, 1), 1, 4),
+    GradedSeries.monomial(0, 0, (1, 1), 1, 8)])
+def test_kernel_full_modes_match_operators(series):
+    u_plus_v = _u_plus_v(series.truncation)
+    assert _moved(_grow, series.terms) == \
+        dict((u_plus_v * grow_cycle(series)).terms)
+    assert _moved(_split_join, series.terms) == \
+        dict(split_or_join_cycles(series).terms)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_kernel_half_modes_match_operators(engine6, n):
+    # u <-> v-symmetric engine pieces, re-truncated so no output is cut
+    a = GradedSeries(dict(engine6.piece(n).terms), 16)
+    assert _moved(_grow, _half(a.terms), 1, True) == \
+        _half((_u_plus_v(16) * grow_cycle(a)).terms)
+    da = _diff_buckets(KERNEL, KERNEL.encode_terms(a.terms))
+    for n2 in range(3, 7):
+        b = GradedSeries(dict(engine6.piece(n2).terms), 16)
+        db = _diff_buckets(KERNEL, KERNEL.encode_terms(b.terms))
+        out = {}
+        _join_pair(KERNEL, da, db, out)
+        assert _decoded(out) == _half(join_components(a, b).terms)
 
 
 # ---------------------------------------------------------------------------

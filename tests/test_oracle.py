@@ -77,6 +77,13 @@ def test_threads_do_not_change_counts():
     assert a.counts == b.counts
 
 
+def test_negative_threads_are_refused(engine6):
+    with pytest.raises(ValueError, match="threads"):
+        transitive_pair_counts(4, threads=-3)
+    with pytest.raises(ValueError, match="threads"):
+        compare_with_series(engine6, 4, threads=-1)
+
+
 def test_auto_thread_count_fits_affinity():
     n = _auto_threads()
     assert 1 <= n <= 8
