@@ -395,9 +395,11 @@ class ConnectedSeries:
     ``combined``) are built from them on first use and kept.
     Construction checks the seed, integrality of the marked counts,
     per-piece homogeneity and the genus relation on every key.
+    ``_profile_index`` regroups the marked counts of each degree by
+    profile on first use; each instance builds its own.
     """
 
-    __slots__ = ("_marked", "_pieces")
+    __slots__ = ("_marked", "_pieces", "_index")
 
     def __init__(self, pieces: Sequence[GradedSeries]):
         marked = [_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)]
@@ -411,6 +413,7 @@ class ConnectedSeries:
             _check_piece(d, piece)
         self._marked = tuple(marked)
         self._pieces: tuple[GradedSeries, ...] | None = None
+        self._index: list[dict[Multiplicities, list]] = []
 
     @classmethod
     def _from_marked(cls, marked: Sequence[dict[RawKey, int]]) -> "ConnectedSeries":
@@ -419,6 +422,7 @@ class ConnectedSeries:
         series = cls.__new__(cls)
         series._marked = tuple(marked)
         series._pieces = None
+        series._index = []
         return series
 
     # -- construction ----------------------------------------------------------
@@ -479,6 +483,17 @@ class ConnectedSeries:
                              self.dmax, _raw=True)
                 for d, marked in enumerate(self._marked, 1))
         return self._pieces
+
+    def _profile_index(self, top: int) -> list[dict[Multiplicities, list]]:
+        """Per degree d, at least up to top: {profile: [(k, l, d * N), ...]}
+        at index d - 1.  Degrees are added as a caller first needs them."""
+        index = self._index
+        for marked in self._marked[len(index):top]:
+            by_profile: dict[Multiplicities, list] = {}
+            for (k, l, m), v in marked.items():
+                by_profile.setdefault(m, []).append((k, l, v))
+            index.append(by_profile)
+        return index
 
     def piece(self, d: int) -> GradedSeries:
         if not 1 <= d <= self.dmax:
@@ -550,12 +565,72 @@ def partition_function(dmax: int) -> GradedSeries:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _splits(m: Multiplicities) -> tuple[tuple[Multiplicities, Multiplicities], ...]:
-    """Every way to share the parts of m between two components; memoised
-    per profile (at most the partitions of weight <= dmax)."""
-    return tuple((canonical_multiplicities(choice),
-                  canonical_multiplicities(tuple(t - c for t, c in zip(m, choice))))
-                 for choice in product(*(range(x + 1) for x in m)))
+def _move_plan(m: Multiplicities) -> tuple[tuple, tuple]:
+    """The reference keys of every move that ends at profile m, with their
+    insertion multiplicities; memoised per canonical profile (at most the
+    partitions of weight <= dmax).
+
+    Returns (inpiece, pairs).  inpiece lists (dk, dl, ref, factor): the
+    move reads the marked count of (k - dk, l - dl, ref) one weight below.
+    pairs lists (w1, factor, r1, r2): the move reads the marked counts of
+    (k1, l1, r1) at weight w1 and of (k - k1, l - l1, r2) at the
+    complementary weight, over all k1 < k, l1 < l.  Entries that name the
+    same reference keys are merged by adding their factors.
+    """
+    sizes = [i + 1 for i, x in enumerate(m) if x]
+    inpiece: dict[tuple, int] = {}
+
+    def add(dk: int, dl: int, ref: Multiplicities, f: int) -> None:
+        inpiece[dk, dl, ref] = inpiece.get((dk, dl, ref), 0) + f
+
+    # double-edge insertion: a cycle i-1 grew to i, a vertex was added
+    for i in sizes:
+        if i >= 2:
+            ref = multiplicities_incr(multiplicities_decr(m, i), i - 1)
+            f = (i - 1) * (m[i - 2] + 1)
+            add(1, 0, ref, f)
+            add(0, 1, ref, f)
+
+    # one cycle i-1 was split into j + j2 (ordered pairs)
+    for j in sizes:
+        for j2 in sizes:
+            if j == j2 and m[j - 1] < 2:
+                continue
+            i = j + j2
+            prev = m[i - 2] if i - 1 <= len(m) else 0
+            f = (i - 1) * (prev + 1 - (j == 1) - (j2 == 1))
+            if f:
+                base = multiplicities_decr(multiplicities_decr(m, j), j2)
+                add(0, 0, multiplicities_incr(base, i - 1), f)
+
+    # two cycles j, j2 were joined into c = j + j2 + 1, either of one
+    # component or of two separate components; in the latter the other
+    # parts are shared between the components in every way
+    pairs: dict[tuple, int] = {}
+    for c in sizes:
+        if c < 3:
+            continue
+        i = c - 1
+        base = multiplicities_decr(m, c)
+        for j in range(1, i):
+            j2 = i - j
+            mj = m[j - 1] if j <= len(m) else 0
+            mj2 = m[j2 - 1] if j2 <= len(m) else 0
+            f = j * j2 * (mj + 1) * (mj2 + 1 + (j == j2))
+            add(0, 0, multiplicities_incr(multiplicities_incr(base, j), j2), f)
+        for choice in product(*(range(x + 1) for x in base)):
+            m1 = canonical_multiplicities(choice)
+            m2 = canonical_multiplicities(tuple(t - x for t, x in zip(base, choice)))
+            w = partition_weight(m1)
+            for j in range(1, i):
+                j2 = i - j
+                f1 = m1[j - 1] + 1 if j <= len(m1) else 1
+                f2 = m2[j2 - 1] + 1 if j2 <= len(m2) else 1
+                move = (w + j, multiplicities_incr(m1, j), multiplicities_incr(m2, j2))
+                pairs[move] = pairs.get(move, 0) + j * j2 * f1 * f2
+
+    return (tuple((dk, dl, ref, f) for (dk, dl, ref), f in inpiece.items()),
+            tuple((w1, f, r1, r2) for (w1, r1, r2), f in pairs.items()))
 
 
 def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
@@ -567,11 +642,20 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     degree d; the one-edge seed enters as a Kronecker term at d = 1.
     Evaluated purely from the already computed table, this must agree
     with coefficient() on every key (exercised by the test suite); it is
-    never used to build the table.  The moves build canonical keys of known
-    weight, read straight from that piece's marked counts M_w = w * N_w:
-    the three in-piece moves sum to S / (d - 1), the two-component move to
+    never used to build the table.  The moves read canonical keys of known
+    weight straight from that piece's marked counts M_w = w * N_w: the
+    three in-piece moves sum to S / (d - 1), the two-component move to
     sum over w1 of P[w1] / (w1 * (d - 1 - w1)), with S and P[w1] integers,
     and the whole is one Fraction over a common denominator.
+
+    Which profiles a move reads, and with what multiplicity, depends only
+    on m: a move changes k and l by a fixed shift (in-piece) or shares
+    them between two components (pair), but its profiles and factors never
+    involve k or l.  So the moves come from ``_move_plan(m)``, built once
+    per profile, and a pair move walks the keys of profile r1 from the
+    series' profile index (``ConnectedSeries._profile_index``, built for
+    the weights below d - 1 on first use) with k1 < k, l1 < l, probing only
+    the complement (k - k1, l - l1, r2).
     """
     mm = canonical_multiplicities(m)
     d = partition_weight(mm)
@@ -579,72 +663,26 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
         raise TruncationError(f"weight {d} beyond computed degree {cs.dmax}")
     if d <= 1:  # no lower piece to insert an edge into
         return Fraction(int((k, l, mm) == SEED_KEY))
-    sizes = [i + 1 for i, x in enumerate(mm) if x]
+    inpiece_moves, pair_moves = _move_plan(mm)
     marked = ({},) + cs._marked  # marked[w]: the weight-w marked counts
-    get = marked[d - 1].get  # the first three moves remove one edge in place
+    get = marked[d - 1].get  # the in-piece moves remove one edge in place
     inpiece = 0
+    for dk, dl, ref, f in inpiece_moves:
+        inpiece += f * get((k - dk, l - dl, ref), 0)
 
-    # double-edge insertion: a cycle i-1 grew to i, a vertex was added
-    for i in sizes:
-        if i >= 2:
-            ref = multiplicities_incr(multiplicities_decr(mm, i), i - 1)
-            f = (i - 1) * (mm[i - 2] + 1)
-            inpiece += f * (get((k - 1, l, ref), 0) + get((k, l - 1, ref), 0))
-
-    # one cycle i-1 was split into j + j2 (ordered pairs)
-    for j in sizes:
-        for j2 in sizes:
-            if j == j2 and mm[j - 1] < 2:
-                continue
-            i = j + j2
-            prev = mm[i - 2] if i - 1 <= len(mm) else 0
-            f = (i - 1) * (prev + 1 - (j == 1) - (j2 == 1))
-            if f:
-                base = multiplicities_decr(multiplicities_decr(mm, j), j2)
-                ref = multiplicities_incr(base, i - 1)
-                inpiece += f * get((k, l, ref), 0)
-
-    # two cycles j, j2 of one component were joined into j + j2 + 1
-    for c in sizes:
-        if c < 3:
-            continue
-        i = c - 1
-        base = multiplicities_decr(mm, c)
-        for j in range(1, i):
-            j2 = i - j
-            mj = mm[j - 1] if j <= len(mm) else 0
-            mj2 = mm[j2 - 1] if j2 <= len(mm) else 0
-            f = j * j2 * (mj + 1) * (mj2 + 1 + (j == j2))
-            ref = multiplicities_incr(multiplicities_incr(base, j), j2)
-            inpiece += f * get((k, l, ref), 0)
-
-    # cycles of two separate components were joined into j + j2 + 1;
     # pairs[w1] collects the products of marked counts of weights w1, d-1-w1
     pairs: dict[int, int] = {}
-    for c in sizes:
-        if c < 3:
-            continue
-        i = c - 1
-        for m1, m2 in _splits(multiplicities_decr(mm, c)):
-            w = partition_weight(m1)
-            for j in range(1, i):
-                j2 = i - j
-                r1 = multiplicities_incr(m1, j)
-                r2 = multiplicities_incr(m2, j2)
-                w1 = w + j
-                get1, get2 = marked[w1].get, marked[d - 1 - w1].get
-                ab = 0
-                for k1 in range(1, k):
-                    for l1 in range(1, l):
-                        a = get1((k1, l1, r1), 0)
-                        if a:
-                            b = get2((k - k1, l - l1, r2), 0)
-                            if b:
-                                ab += a * b
-                if ab:
-                    f1 = m1[j - 1] + 1 if j <= len(m1) else 1
-                    f2 = m2[j2 - 1] + 1 if j2 <= len(m2) else 1
-                    pairs[w1] = pairs.get(w1, 0) + j * j2 * f1 * f2 * ab
+    index = cs._profile_index(d - 2)
+    for w1, f, r1, r2 in pair_moves:
+        ab = 0
+        get2 = marked[d - 1 - w1].get
+        for k1, l1, a in index[w1 - 1].get(r1, ()):
+            if k1 < k and l1 < l:
+                b = get2((k - k1, l - l1, r2))
+                if b:
+                    ab += a * b
+        if ab:
+            pairs[w1] = pairs.get(w1, 0) + f * ab
 
     dens = {w1: w1 * (d - 1 - w1) for w1 in pairs}
     C = lcm(d - 1, *dens.values())

@@ -322,8 +322,9 @@ def transitive_pair_counts(d: int, method: str = "auto",
     is the no-numpy reference scan (d <= 5), and "auto" picks full or
     classes by degree.  Refuses degrees beyond the supported bound.
     The sigma list is split across ``threads`` worker threads (0 for
-    auto); counts merge by exact integer addition, so the result never
-    depends on the schedule.
+    auto), at most one per sigma and never more than the auto count;
+    counts merge by exact integer addition, so the result never depends
+    on the schedule.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -356,7 +357,8 @@ def transitive_pair_counts(d: int, method: str = "auto",
             _scan_sigma(sigma, weight, tables, part)
         return part
 
-    n = min(threads or _auto_threads(), len(sigmas))
+    auto = _auto_threads()
+    n = min(threads or auto, auto, len(sigmas))
     counts: dict[RawKey, int] = {}
     with ThreadPoolExecutor(max_workers=n) as pool:
         for part in pool.map(scan_chunk, [sigmas[i::n] for i in range(n)]):

@@ -303,11 +303,16 @@ def test_recursion_seed_and_example(engine6):
         recursion_rhs(engine6, 1, 1, (7,))
 
 
-def test_recursion_matches_table_exhaustively(engine6):
-    for d in range(1, engine6.dmax + 1):
-        for key in physical_keys(d):
-            assert recursion_rhs(engine6, *key) == \
-                engine6.coefficient(*key), key
+def test_recursion_matches_table_exhaustively(engine6, engine14):
+    # up to the top degree of a series, and every key with d <= 12
+    for series, top, keys in ((engine6, 6, 128), (engine14, 12, 4004)):
+        checked = 0
+        for d in range(1, top + 1):
+            for key in physical_keys(d):
+                checked += 1
+                assert recursion_rhs(series, *key) == \
+                    series.coefficient(*key), key
+        assert checked == keys
 
 
 def test_recursion_returns_fractions(engine6):

@@ -74,6 +74,19 @@ def test_recursion_catches_what_kp_misses(engine10):
     assert mutated.coefficient(*key) == engine10.coefficient(*key) + 1
 
 
+def test_recursion_reads_each_series_own_index(engine10):
+    # K = (1, 8, 8^1) is read at the degree-10 key (2, 9, 10^1) only by the
+    # two-component move joining K's 8-cycle with the seed's 1-cycle, once
+    # in each order: factor 8 * 1 over the denominator 8 * 1, times the
+    # marked count 8 * N_K, over d = 10.  So N_K + 1 moves the value by
+    # 2 * 8 / 10 = 8/5.
+    target = (2, 9, (0,) * 9 + (1,))
+    before = recursion_rhs(engine10, *target)  # builds engine10's index
+    mutated = _corrupt(engine10, 8, (1, 8, (0,) * 7 + (1,)))
+    assert recursion_rhs(mutated, *target) == before + Fraction(8, 5)
+    assert recursion_rhs(engine10, *target) == before == engine10.coefficient(*target)
+
+
 def test_mutation_sensitivity(engine10):
     # corrupt coefficients whose profile has at least two size-1 parts:
     # such a change must show up in some residual at s-degree <= d + 2

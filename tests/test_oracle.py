@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dessins import oracle
 from dessins.evolution import ConnectedSeries
 from dessins.oracle import (
     CLASSES_LIMIT,
@@ -75,6 +76,38 @@ def test_threads_do_not_change_counts():
     a = transitive_pair_counts(5, "full", threads=1)
     b = transitive_pair_counts(5, "full", threads=3)
     assert a.counts == b.counts
+
+
+@pytest.mark.parametrize("auto", [None, 3])
+def test_worker_count_is_capped_at_auto(monkeypatch, auto):
+    # a stub executor records max_workers and maps in the calling thread,
+    # so no thread is started; auto=3 puts the cap below the 24 sigmas of
+    # d=4 on any machine
+    requested = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return list(map(fn, iterable))
+
+    if auto is not None:
+        monkeypatch.setattr(oracle, "_auto_threads", lambda: auto)
+    monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialExecutor)
+    cap = oracle._auto_threads()
+    want = transitive_pair_counts(4, "naive").counts
+    asked = (0, 1, 2, 4, 24, 5040, 100000)
+    for threads in asked:
+        assert transitive_pair_counts(4, "full", threads=threads).counts == want
+    assert requested == [min(t or cap, cap, 24) for t in asked]
+    assert max(requested) <= cap
 
 
 def test_negative_threads_are_refused(engine6):
