@@ -27,7 +27,8 @@ print(combo.render())
 # formal derivative in t1 and multiplication back by t1
 print("\nd/dt1 of the square:", square.diff_t(1).render())
 print("t2 * seed:          ", seed.mul_t(2).render())
-print("u * seed:           ", seed.shift_uv(1, 0).render())
+u = GradedSeries.monomial(1, 0, (), Fraction(1), truncation=6)
+print("u * seed:           ", (u * seed).render())
 
 # the genus of a type is fixed by 2g - 2 = d - (k + l + parts)
 for key in [(1, 1, (1,)), (1, 1, (0, 0, 1)), (2, 2, (0, 0, 1))]:

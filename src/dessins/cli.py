@@ -5,7 +5,8 @@ Subcommands:
 * table  - genus-by-degree table as CSV or JSON
 * coeff  - one weighted count by type (k, l, profile)
 * kp     - hierarchy residual report
-* oracle - brute-force comparison for one degree
+* oracle - brute-force comparison for one degree (class-reduced scan to
+           d = 9; ``--method naive`` scans all pairs to d = 5)
 * closed - closed-formula comparison for genus 0 and 1
 
 All outputs are exact (rationals as num/den, big integers as decimal
@@ -27,7 +28,7 @@ from .cache import load_or_compute
 from .counts import GenusTable, genus_table, marked_count_genus0, marked_count_genus1
 from .evolution import recursion_rhs
 from .kp import KP_EQUATIONS, equation_by_id, kp_report
-from .oracle import CLASSES_LIMIT, FULL_LIMIT, NAIVE_LIMIT, compare_with_series
+from .oracle import CLASSES_LIMIT, NAIVE_LIMIT, compare_with_series
 from .series import partition_weight, profile_text
 
 EXIT_OK = 0
@@ -83,8 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("oracle", help="brute-force comparison for one degree")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--method", choices=("auto", "full", "classes", "naive"),
-                   default="auto")
+    p.add_argument("--method", choices=("classes", "naive"), default="classes")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--threads", type=int, default=0, metavar="N",
                    help="worker threads for the brute-force scan, 0 = auto "
@@ -228,7 +228,7 @@ def cmd_kp(args) -> int:
 def cmd_oracle(args) -> int:
     if args.d < 1:
         raise UsageError("--d must be >= 1")
-    limit = {"full": FULL_LIMIT, "naive": NAIVE_LIMIT}.get(args.method, CLASSES_LIMIT)
+    limit = NAIVE_LIMIT if args.method == "naive" else CLASSES_LIMIT
     if args.d > limit:
         which = "" if limit == CLASSES_LIMIT else f" with --method {args.method}"
         raise UsageError(f"brute force supports d <= {limit}{which}")

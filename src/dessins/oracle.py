@@ -9,12 +9,11 @@ the automorphism-weighted counts directly, with no generating-function
 machinery involved - which is exactly what makes this an independent
 check of the evolution engine.
 
-Full enumeration scans all d!^2 pairs, vectorized over tau for batches
-of sigma; the class-reduced scan runs sigma over one representative per
-cycle type, weighted by the conjugacy class size, which is exact because
-every binned statistic is invariant under simultaneous conjugation.
-A tiny pure-Python scan (method "naive") cross-checks the vectorized
-kernel at small d.
+The scan runs sigma over one representative per cycle type, weighted
+by the conjugacy class size, and is vectorized over all tau in S_d; the
+reduction is exact because every binned statistic is invariant under
+simultaneous conjugation.  A tiny pure-Python scan over all d!^2 pairs
+(method "naive") cross-checks the vectorized kernel at small d.
 
 Everything the scan needs of tau is read from per-degree tables over
 S_d (about 17 MB at d = 9), filled in one pass over chunks of rows that
@@ -63,9 +62,8 @@ from .series import (
     partitions,
 )
 
-FULL_LIMIT = 7      # d!^2 pairs; 7 keeps the scan around 2.5e7 pairs
 CLASSES_LIMIT = 9   # p(d) * d! pairs
-NAIVE_LIMIT = 5
+NAIVE_LIMIT = 5     # d!^2 pairs in pure Python
 
 
 def cycle_type(p) -> Multiplicities:
@@ -257,7 +255,7 @@ class PairCounts:
 
     d: int
     counts: dict[RawKey, int]
-    method: str = "full"
+    method: str = "classes"
 
     def __post_init__(self):
         for key in self.counts:
@@ -312,15 +310,14 @@ def _auto_threads() -> int:
     return min(8, os.cpu_count() or 1)
 
 
-def transitive_pair_counts(d: int, method: str = "auto",
+def transitive_pair_counts(d: int, method: str = "classes",
                            threads: int = 1) -> PairCounts:
     """Count transitive pairs binned by (cycles of sigma, cycles of tau,
     cycle type of sigma*tau).
 
-    method "full" scans all d!^2 pairs (d <= 7), "classes" scans one
-    sigma per cycle type with conjugacy-class weights (d <= 9), "naive"
-    is the no-numpy reference scan (d <= 5), and "auto" picks full or
-    classes by degree.  Refuses degrees beyond the supported bound.
+    method "classes" scans one sigma per cycle type with conjugacy-class
+    weights (d <= 9), "naive" is the no-numpy reference scan over all
+    d!^2 pairs (d <= 5).  Refuses degrees beyond the supported bound.
     The sigma list is split across ``threads`` worker threads (0 for
     auto), at most one per sigma and never more than the auto count;
     counts merge by exact integer addition, so the result never depends
@@ -330,24 +327,16 @@ def transitive_pair_counts(d: int, method: str = "auto",
         raise ValueError("d must be >= 1")
     if threads < 0:
         raise ValueError("threads must be >= 0")
-    if method == "auto":
-        method = "full" if d <= FULL_LIMIT else "classes"
     if method == "naive":
         if d > NAIVE_LIMIT:
             raise ValueError(f"naive enumeration supports d <= {NAIVE_LIMIT}")
         return PairCounts(d, _naive_counts(d), "naive")
-    if method == "full":
-        if d > FULL_LIMIT:
-            raise ValueError(f"full enumeration supports d <= {FULL_LIMIT}, "
-                             f"use method='classes' up to {CLASSES_LIMIT}")
-        sigmas = [(s, 1) for s in iter_permutations(range(d))]
-    elif method == "classes":
-        if d > CLASSES_LIMIT:
-            raise ValueError(f"class-reduced enumeration supports "
-                             f"d <= {CLASSES_LIMIT}")
-        sigmas = [(_representative(m), _class_size(m, d)) for m in partitions(d)]
-    else:
+    if method != "classes":
         raise ValueError(f"unknown method {method!r}")
+    if d > CLASSES_LIMIT:
+        raise ValueError(f"class-reduced enumeration supports "
+                         f"d <= {CLASSES_LIMIT}")
+    sigmas = [(_representative(m), _class_size(m, d)) for m in partitions(d)]
 
     tables = _tau_tables(d)
 
@@ -374,7 +363,7 @@ class Discrepancy:
     engine: Fraction
 
 
-def compare_with_series(series: ConnectedSeries, d: int, method: str = "auto",
+def compare_with_series(series: ConnectedSeries, d: int, method: str = "classes",
                         threads: int = 1) -> tuple[PairCounts, list[Discrepancy]]:
     """Exact per-type comparison of the engine against the brute force.
 

@@ -242,11 +242,6 @@ class GradedSeries:
         return [(MonomialKey(*key), Fraction(self._terms[key]))
                 for key in sorted(self._terms, key=sort_key)]
 
-    def homogeneous_weight(self) -> int | None:
-        """The common t-weight of all terms, or None if mixed or zero."""
-        ws = {partition_weight(key[2]) for key in self._terms}
-        return ws.pop() if len(ws) == 1 else None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedSeries):
             return NotImplemented
@@ -339,19 +334,7 @@ class GradedSeries:
                 out[(k, l, multiplicities_incr(m, i))] = c
         return GradedSeries(out, self.truncation, _raw=True)
 
-    def shift_uv(self, du: int, dv: int) -> "GradedSeries":
-        """Multiply by u^du v^dv (does not change the grading)."""
-        if du < 0 or dv < 0:
-            raise ValueError("shifts must be non-negative")
-        out = {(k + du, l + dv, m): c for (k, l, m), c in self._terms.items()}
-        return GradedSeries(out, self.truncation, _raw=True)
-
     # -- invariants ---------------------------------------------------------------
-
-    def validate_connected(self) -> None:
-        """Check every key against the genus relation (k, l >= 1 etc.)."""
-        for key in self._terms:
-            genus_of(key)
 
     def validate_disconnected(self) -> None:
         """Parity of k + l + parts must match the weight; constant term 1."""

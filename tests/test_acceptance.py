@@ -5,8 +5,8 @@ Criteria:
  1. the reference table (d <= 14, g <= 4) is reproduced byte-exactly by
     the CLI within the time budget;
  2. closed genus-0/1 formulas match the engine for all d <= 20;
- 3. brute-force agreement for every coefficient, d <= 7 fully
-    enumerated, d = 8, 9 class-reduced, plus the total-pair identity;
+ 3. brute-force agreement for every coefficient, d <= 9, by the
+    class-reduced permutation-pair scan, plus the total-pair identity;
  4. the four hierarchy residuals vanish identically up to s-degree 12,
     and random single-coefficient corruptions are detected;
  5. the operator-exponential partition function equals exp of the
@@ -104,11 +104,8 @@ def test_criterion_2_closed_formulas(engine20):
     _report(2, "closed formulas d<=20", not bad, f"failing degrees: {bad}")
 
 
-@pytest.mark.parametrize("d,method", [(1, "full"), (2, "full"), (3, "full"),
-                                      (4, "full"), (5, "full"), (6, "full"),
-                                      pytest.param(7, "full", marks=pytest.mark.slow),
-                                      (8, "classes"),
-                                      pytest.param(9, "classes", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("d,method", [(d, "classes") for d in range(1, 9)] + [
+    pytest.param(9, "classes", marks=pytest.mark.slow)])
 def test_criterion_3_oracle_equivalence(engine14, d, method):
     table, diffs = compare_with_series(engine14, d, method)
     marked_total = sum(engine14.marked_piece(d).values())

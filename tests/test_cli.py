@@ -121,12 +121,23 @@ def test_oracle_command(capsys):
 
 
 def test_oracle_method_limits_are_usage_errors(capsys):
-    for method, d in (("full", 8), ("naive", 6)):
-        code, out, err = run(capsys, "oracle", "--d", str(d), "--method", method)
-        assert (code, out) == (2, "")
-        assert err == (f"error: brute force supports d <= {d - 1} "
-                       f"with --method {method}\n")
+    code, out, err = run(capsys, "oracle", "--d", "6", "--method", "naive")
+    assert (code, out) == (2, "")
+    assert err == "error: brute force supports d <= 5 with --method naive\n"
     assert run(capsys, "oracle", "--d", "5", "--method", "naive")[0] == 0
+    for retired in ("full", "auto"):
+        code, out, err = run(capsys, "oracle", "--d", "4", "--method", retired)
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
+
+
+def test_oracle_default_is_class_scan(capsys):
+    code, out, _ = run(capsys, "oracle", "--d", "7", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["method"], payload["types"], payload["total_pairs"]) == \
+        ("classes", 117, "20946960")
+    assert payload["pass"] is True
 
 
 def test_threads_belongs_to_oracle(capsys):

@@ -66,23 +66,20 @@ def test_degree_3_reproduces_reference_row():
 def test_methods_agree():
     for d in range(1, 6):
         naive = transitive_pair_counts(d, "naive").counts
-        assert naive == transitive_pair_counts(d, "full").counts
         assert naive == transitive_pair_counts(d, "classes").counts
-    assert transitive_pair_counts(6, "full").counts == \
-        transitive_pair_counts(6, "classes").counts
 
 
 def test_threads_do_not_change_counts():
-    a = transitive_pair_counts(5, "full", threads=1)
-    b = transitive_pair_counts(5, "full", threads=3)
+    a = transitive_pair_counts(6, "classes", threads=1)
+    b = transitive_pair_counts(6, "classes", threads=3)
     assert a.counts == b.counts
 
 
 @pytest.mark.parametrize("auto", [None, 3])
 def test_worker_count_is_capped_at_auto(monkeypatch, auto):
     # a stub executor records max_workers and maps in the calling thread,
-    # so no thread is started; auto=3 puts the cap below the 24 sigmas of
-    # d=4 on any machine
+    # so no thread is started; auto=3 puts the cap below the p(5) = 7
+    # sigmas of d=5 on any machine
     requested = []
 
     class SerialExecutor:
@@ -102,11 +99,11 @@ def test_worker_count_is_capped_at_auto(monkeypatch, auto):
         monkeypatch.setattr(oracle, "_auto_threads", lambda: auto)
     monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialExecutor)
     cap = oracle._auto_threads()
-    want = transitive_pair_counts(4, "naive").counts
-    asked = (0, 1, 2, 4, 24, 5040, 100000)
+    want = transitive_pair_counts(5, "naive").counts
+    asked = (0, 1, 2, 4, 7, 120, 100000)
     for threads in asked:
-        assert transitive_pair_counts(4, "full", threads=threads).counts == want
-    assert requested == [min(t or cap, cap, 24) for t in asked]
+        assert transitive_pair_counts(5, "classes", threads=threads).counts == want
+    assert requested == [min(t or cap, cap, 7) for t in asked]
     assert max(requested) <= cap
 
 
@@ -163,7 +160,7 @@ def test_pair_counts_are_u_v_symmetric():
     # swapping sigma and tau exchanges k and l and conjugates sigma*tau;
     # checked on the scan itself, independently of the engine's mirror
     for d in range(1, 7):
-        counts = transitive_pair_counts(d, "full").counts
+        counts = transitive_pair_counts(d).counts
         assert counts == {(l, k, m): c for (k, l, m), c in counts.items()}
 
 
@@ -204,8 +201,8 @@ def test_transitive_rows_match_is_transitive():
 
 
 def test_transitive_rows_non_contiguous_cycles():
-    # the full scan meets sigmas whose cycles are not runs of
-    # consecutive points; 0's cycle is not {0} either
+    # sigmas whose cycles are not runs of consecutive points, unlike
+    # the class representatives; 0's cycle is not {0} either
     tables = _tau_tables(6)
     perms = [tuple(p) for p in tables.T.tolist()]
     for sigma in [(5, 4, 1, 3, 2, 0), (3, 5, 4, 0, 2, 1), (2, 3, 0, 1, 5, 4)]:
@@ -245,8 +242,8 @@ def test_product_rows_compose():
 
 
 def test_scan_is_conjugation_invariant():
-    # a sigma whose cycles are not runs of consecutive points, as the
-    # full scan meets them, bins exactly as its class representative
+    # a sigma whose cycles are not runs of consecutive points bins
+    # exactly as its class representative: the class reduction is exact
     d = 6
     tables = _tau_tables(d)
     rep = _representative((1, 1, 1))  # cycles (0)(1 2)(3 4 5)
@@ -282,8 +279,9 @@ def test_convention_independence():
 
 
 def test_budget_refusal():
-    with pytest.raises(ValueError, match="full enumeration supports"):
-        transitive_pair_counts(8, "full")
+    for retired in ("full", "auto"):
+        with pytest.raises(ValueError, match="unknown method"):
+            transitive_pair_counts(4, retired)
     with pytest.raises(ValueError, match="class-reduced"):
         transitive_pair_counts(10, "classes")
     with pytest.raises(ValueError, match="naive"):

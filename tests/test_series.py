@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dessins.evolution import ConnectedSeries
 from dessins.series import (
     GradedSeries,
     MonomialKey,
@@ -149,7 +150,8 @@ def test_mul_t_and_shift_uv():
     uv = mono(1, 1, ())
     assert dict(uv.mul_t(1).terms) == {(1, 1, (1,)): Fraction(1)}
     uvt2 = mono(1, 1, (0, 1))
-    assert dict(uvt2.shift_uv(1, 0).terms) == {(2, 1, (0, 1)): Fraction(1)}
+    # multiplying by u is a product with a weight-0 monomial
+    assert dict((uvt2 * mono(1, 0, ())).terms) == {(2, 1, (0, 1)): Fraction(1)}
     t1 = GradedSeries.monomial(0, 0, (1,), 1, 2)
     assert t1.mul_t(2).is_zero()  # weight 3 truncated at 2
 
@@ -175,11 +177,12 @@ def test_constructor_rejects_bad_terms():
 
 
 def test_validate_connected_and_disconnected():
-    good = GradedSeries({(1, 1, (1,)): 1}, 3)
-    good.validate_connected()
-    bad = GradedSeries({(1, 1, (1, 1)): 1}, 3)
+    # connected pieces are checked by the ConnectedSeries constructor
+    seed = GradedSeries({(1, 1, (1,)): 1}, 1)
+    assert ConnectedSeries([seed]).piece(1) == seed
+    bad = GradedSeries({(1, 1, (0, 1)): 1}, 2)  # 2g - 2 = -1
     with pytest.raises(NonPhysicalKeyError):
-        bad.validate_connected()
+        ConnectedSeries([seed, bad])
     z = GradedSeries({(0, 0, ()): 1, (1, 1, (1,)): 1}, 3)
     z.validate_disconnected()
     with pytest.raises(ValueError):
