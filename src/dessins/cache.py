@@ -10,8 +10,10 @@ temporary file beside it and renamed into place, so a crash or a second
 writer never leaves half a cache.  Loading checks each degree's marked
 counts against their row sum and requires the lines in strictly
 increasing canonical order, and checks its genus-0 and genus-1 column
-sums against the closed forms, so a cut, reordered or edited file is
-rejected.
+sums against the closed forms, so a cut or reordered file is rejected,
+and so is an edit that changes a row sum or a genus-0/1 column sum.  An
+edit that moves counts between two keys of the same degree and genus
+still loads; ``oracle`` and ``recursion`` catch it.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ Subcommands:
 * oracle - brute-force comparison for one degree (class-reduced scan to
            d = 9; ``--method naive`` scans all pairs to d = 5)
 * closed - closed-formula comparison for genus 0 and 1
+* recursion - coefficient-recursion cross-check of every key
 
+The four verification commands (kp, oracle, closed, recursion) share one
+report path: JSON records or text lines plus a summary line, exit 0 or 1.
 All outputs are exact (rationals as num/den, big integers as decimal
 strings) and byte-deterministic for fixed flags.  Exit codes: 0 pass,
 1 check failure (a verification mismatch or an engine invariant), 2
@@ -25,11 +28,11 @@ import sys
 from fractions import Fraction
 
 from .cache import load_or_compute
-from .counts import GenusTable, genus_table, marked_count_genus0, marked_count_genus1
+from .counts import genus_table, marked_count_genus0, marked_count_genus1
 from .evolution import recursion_rhs
 from .kp import KP_EQUATIONS, equation_by_id, kp_report
 from .oracle import CLASSES_LIMIT, NAIVE_LIMIT, compare_with_series
-from .series import partition_weight, profile_text
+from .series import canonical_multiplicities, partition_weight, profile_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -119,16 +122,6 @@ def _emit(text: str, out_path: str | None) -> None:
 # table
 # ---------------------------------------------------------------------------
 
-def _table_rows(table: GenusTable, dmax: int, gmax: int, marked: bool):
-    for d in range(1, dmax + 1):
-        for g in range(gmax + 1):
-            if marked:
-                yield d, g, str(table.marked(d, g))
-            else:
-                value = table.weighted(d, g)
-                yield d, g, f"{value.numerator}/{value.denominator}"
-
-
 def cmd_table(args) -> int:
     if args.dmax < 1:
         raise UsageError("--dmax must be >= 1")
@@ -137,20 +130,23 @@ def cmd_table(args) -> int:
         raise UsageError("--gmax must be >= 0")
     series = load_or_compute(args.dmax, args.cache)
     table = genus_table(series)
-    rows = list(_table_rows(table, args.dmax, gmax, args.marked))
+    value = table.marked if args.marked else table.weighted
+    cells = [(d, g, value(d, g))
+             for d in range(1, args.dmax + 1) for g in range(gmax + 1)]
+
+    def text(v, sep: str) -> str:  # a marked int, or a Fraction as num<sep>den
+        return str(v) if args.marked else f"{v.numerator}{sep}{v.denominator}"
+
     if args.format == "csv":
-        if args.marked:
-            lines = ["d,g,G_marked"] + [f"{d},{g},{v}" for d, g, v in rows]
-        else:
-            lines = ["d,g,G_num,G_den"] + [
-                f"{d},{g},{v.replace('/', ',')}" for d, g, v in rows]
-        text = "\n".join(lines) + "\n"
+        header = "d,g,G_marked" if args.marked else "d,g,G_num,G_den"
+        out = "".join([f"{header}\n"] + [f"{d},{g},{text(v, ',')}\n"
+                                          for d, g, v in cells])
     else:
         payload = {"dmax": args.dmax, "marked": bool(args.marked),
-                   "entries": [{"d": d, "g": g, "value": v}
-                               for d, g, v in rows]}
-        text = json.dumps(payload, separators=(",", ":")) + "\n"
-    _emit(text, args.out)
+                   "entries": [{"d": d, "g": g, "value": text(v, "/")}
+                               for d, g, v in cells]}
+        out = json.dumps(payload, separators=(",", ":")) + "\n"
+    _emit(out, args.out)
     return EXIT_OK
 
 
@@ -174,14 +170,10 @@ def parse_profile(text: str) -> tuple[int, ...]:
         if part in mults:
             raise UsageError(f"profile lists part {part} twice")
         mults[part] = mult
-    if not mults:
-        raise UsageError("empty profile")
     m = [0] * max(mults)
     for part, mult in mults.items():
         m[part - 1] = mult
-    while m and m[-1] == 0:
-        m.pop()
-    return tuple(m)
+    return canonical_multiplicities(m)
 
 
 def cmd_coeff(args) -> int:
@@ -200,29 +192,46 @@ def cmd_coeff(args) -> int:
 # verification commands
 # ---------------------------------------------------------------------------
 
+def _report(args, records: list[dict], lines: list[str], summary: str,
+            passed: bool) -> int:
+    """The one output path of the verification commands: the records as
+    JSON lines, or the text lines and the summary; exit 0 iff passed."""
+    if args.format == "json":
+        lines = [json.dumps(record, separators=(",", ":")) for record in records]
+    else:
+        lines = [*lines, summary]
+    sys.stdout.write("\n".join(lines) + "\n")
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
+
+
+def _key_report(args, head: dict, title: str, diffs, labels: tuple[str, str],
+                noun: str, agree: str) -> int:
+    """Report per-key mismatches ``(key, a, b)`` as one JSON object (head,
+    mismatches, pass) or as title, MISMATCH lines and a verdict."""
+    a, b = labels
+    mismatches = [{"k": k, "l": l, "profile": profile_text(m),
+                   a: str(x), b: str(y)} for (k, l, m), x, y in diffs]
+    lines = [title] + [f"MISMATCH k={r['k']} l={r['l']} profile={r['profile']}: "
+                       f"{a}={r[a]} {b}={r[b]}" for r in mismatches]
+    summary = f"{len(diffs)} {noun} disagree" if diffs else agree
+    return _report(args, [{**head, "mismatches": mismatches, "pass": not diffs}],
+                   lines, summary, not diffs)
+
+
 def cmd_kp(args) -> int:
     if args.dmax < 0:
         raise UsageError("--dmax must be >= 0")
     equations = KP_EQUATIONS if args.eq is None else (equation_by_id(args.eq),)
     series = load_or_compute(max(args.dmax, 1), args.cache)
     report = kp_report(series, args.dmax, equations)
-    lines = []
-    for row in report.rows:
-        if args.format == "json":
-            lines.append(json.dumps(
-                {"eq": row.eq, "n": row.n,
-                 "residual_terms": row.residual_terms, "pass": row.passed},
-                separators=(",", ":")))
-        else:
-            verdict = "pass" if row.passed else "FAIL"
-            lines.append(f"eq={row.eq} n={row.n} "
-                         f"residual_terms={row.residual_terms} {verdict}")
-    if args.format == "text":
-        verdict = "all residuals vanish" if report.passed else "RESIDUALS REMAIN"
-        lines.append(f"{verdict} (equations {'all' if args.eq is None else args.eq}, "
-                     f"s-degrees 1..{args.dmax})")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    records = [{"eq": row.eq, "n": row.n, "residual_terms": row.residual_terms,
+                "pass": row.passed} for row in report.rows]
+    lines = [f"eq={row.eq} n={row.n} residual_terms={row.residual_terms} "
+             f"{'pass' if row.passed else 'FAIL'}" for row in report.rows]
+    verdict = "all residuals vanish" if report.passed else "RESIDUALS REMAIN"
+    summary = (f"{verdict} (equations {'all' if args.eq is None else args.eq}, "
+               f"s-degrees 1..{args.dmax})")
+    return _report(args, records, lines, summary, report.passed)
 
 
 def cmd_oracle(args) -> int:
@@ -237,29 +246,13 @@ def cmd_oracle(args) -> int:
     series = load_or_compute(args.d, args.cache)
     table, diffs = compare_with_series(series, args.d, args.method,
                                        args.threads)
-    if args.format == "json":
-        payload = {
-            "d": args.d, "method": table.method,
-            "types": len(table.counts), "total_pairs": str(table.total),
-            "mismatches": [
-                {"k": diff.key[0], "l": diff.key[1],
-                 "profile": profile_text(diff.key[2]),
-                 "oracle": str(diff.oracle), "engine": str(diff.engine)}
-                for diff in diffs],
-            "pass": not diffs,
-        }
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    else:
-        lines = [f"oracle d={args.d} method={table.method}: "
-                 f"{len(table.counts)} types, {table.total} transitive pairs"]
-        for diff in diffs:
-            lines.append(f"MISMATCH k={diff.key[0]} l={diff.key[1]} "
-                         f"profile={profile_text(diff.key[2])}: "
-                         f"oracle={diff.oracle} engine={diff.engine}")
-        lines.append("all types agree" if not diffs
-                     else f"{len(diffs)} types disagree")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if not diffs else EXIT_CHECK_FAILED
+    head = {"d": args.d, "method": table.method, "types": len(table.counts),
+            "total_pairs": str(table.total)}
+    title = (f"oracle d={args.d} method={table.method}: "
+             f"{len(table.counts)} types, {table.total} transitive pairs")
+    return _key_report(args, head, title,
+                       [(diff.key, diff.oracle, diff.engine) for diff in diffs],
+                       ("oracle", "engine"), "types", "all types agree")
 
 
 def cmd_closed(args) -> int:
@@ -267,61 +260,37 @@ def cmd_closed(args) -> int:
         raise UsageError("--dmax must be >= 1")
     series = load_or_compute(args.dmax, args.cache)
     table = genus_table(series)
-    failures = []
+    records = []
     lines = []
     for d in range(1, args.dmax + 1):
         got0, want0 = table.marked(d, 0), marked_count_genus0(d)
         got1, want1 = table.marked(d, 1), marked_count_genus1(d)
         ok = got0 == want0 and got1 == want1
-        if not ok:
-            failures.append(d)
-        if args.format == "json":
-            lines.append(json.dumps(
-                {"d": d, "g0_engine": str(got0), "g0_closed": str(want0),
-                 "g1_engine": str(got1), "g1_closed": str(want1),
-                 "pass": ok}, separators=(",", ":")))
-        else:
-            lines.append(f"d={d} g0={got0}/{want0} g1={got1}/{want1} "
-                         f"{'pass' if ok else 'FAIL'}")
-    if args.format == "text":
-        lines.append("closed formulas agree" if not failures
-                     else f"closed formulas disagree at d={failures}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if not failures else EXIT_CHECK_FAILED
+        records.append({"d": d, "g0_engine": str(got0), "g0_closed": str(want0),
+                        "g1_engine": str(got1), "g1_closed": str(want1),
+                        "pass": ok})
+        lines.append(f"d={d} g0={got0}/{want0} g1={got1}/{want1} "
+                     f"{'pass' if ok else 'FAIL'}")
+    failures = [record["d"] for record in records if not record["pass"]]
+    summary = ("closed formulas agree" if not failures
+               else f"closed formulas disagree at d={failures}")
+    return _report(args, records, lines, summary, not failures)
 
 
 def cmd_recursion(args) -> int:
     if args.dmax < 1:
         raise UsageError("--dmax must be >= 1")
     series = load_or_compute(args.dmax, args.cache)
+    keys = [key for d in range(1, args.dmax + 1) for key in series.marked_piece(d)]
     bad = []
-    checked = 0
-    for d in range(1, args.dmax + 1):
-        for key in series.marked_piece(d):
-            checked += 1
-            got = recursion_rhs(series, *key)
-            want = series.coefficient(*key)
-            if got != want:
-                bad.append((key, want, got))
-    if args.format == "json":
-        payload = {"dmax": args.dmax, "keys_checked": checked,
-                   "mismatches": [
-                       {"k": key[0], "l": key[1],
-                        "profile": profile_text(key[2]),
-                        "table": str(want), "recursion": str(got)}
-                       for key, want, got in bad],
-                   "pass": not bad}
-        sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
-    else:
-        lines = [f"recursion cross-check dmax={args.dmax}: {checked} keys"]
-        for key, want, got in bad:
-            lines.append(f"MISMATCH k={key[0]} l={key[1]} "
-                         f"profile={profile_text(key[2])}: "
-                         f"table={want} recursion={got}")
-        lines.append("both paths agree" if not bad
-                     else f"{len(bad)} keys disagree")
-        sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_OK if not bad else EXIT_CHECK_FAILED
+    for key in keys:
+        got = recursion_rhs(series, *key)
+        want = series.coefficient(*key)
+        if got != want:
+            bad.append((key, want, got))
+    return _key_report(args, {"dmax": args.dmax, "keys_checked": len(keys)},
+                       f"recursion cross-check dmax={args.dmax}: {len(keys)} keys",
+                       bad, ("table", "recursion"), "keys", "both paths agree")
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,8 @@ class KpEvaluator:
     entry n of a table is a packed [(key, int), ...] list."""
 
     def __init__(self, series: ConnectedSeries, nmax: int):
+        if nmax < 0:
+            raise ValueError(f"s-degree bound {nmax} is negative")
         if nmax > series.dmax:
             raise TruncationError(
                 f"s-degree {nmax} beyond computed degree {series.dmax}")
@@ -211,7 +213,7 @@ def kp_report(series: ConnectedSeries, nmax: int,
     """Evaluate all residuals for every s-degree up to nmax.
 
     Passes overall iff every residual is the identically zero polynomial;
-    nmax = 0 is a vacuous pass.
+    nmax = 0 is a vacuous pass; a negative nmax raises ValueError.
     """
     evaluator = KpEvaluator(series, nmax)
     rows = []

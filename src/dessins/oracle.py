@@ -368,10 +368,11 @@ def compare_with_series(series: ConnectedSeries, d: int, method: str = "classes"
     """Exact per-type comparison of the engine against the brute force.
 
     Returns the oracle table and the list of disagreeing keys (empty iff
-    the two agree on every type of degree d).
+    the two agree on every type of degree d).  A degree the series does
+    not hold raises TruncationError before any scan.
     """
-    table = transitive_pair_counts(d, method, threads)
     marked = series.marked_piece(d)
+    table = transitive_pair_counts(d, method, threads)
     scale = factorial(d - 1)  # c / d! == M / d  iff  c == (d-1)! * M
     diffs = []
     for key in sorted(set(table.counts) | set(marked)):

@@ -1,16 +1,73 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from dessins.cli import main, parse_profile, UsageError
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "cli_verify_golden.json"
+
+#: Verification command lines whose stdout and exit code are pinned byte
+#: for byte in GOLDEN_PATH; a case marked ``lying`` runs on the cache of
+#: ``write_lying_cache``.
+GOLDEN_CASES = {
+    "kp-text": (["kp", "--dmax", "5"], False),
+    "kp-json": (["kp", "--dmax", "5", "--format", "json"], False),
+    "kp-eq3": (["kp", "--dmax", "5", "--eq", "3"], False),
+    "kp-dmax0": (["kp", "--dmax", "0"], False),
+    "oracle-text": (["oracle", "--d", "5"], False),
+    "oracle-json": (["oracle", "--d", "5", "--format", "json"], False),
+    "oracle-naive": (["oracle", "--method", "naive", "--d", "4"], False),
+    "closed-text": (["closed", "--dmax", "6"], False),
+    "closed-json": (["closed", "--dmax", "6", "--format", "json"], False),
+    "recursion-text": (["recursion", "--dmax", "6"], False),
+    "recursion-json": (["recursion", "--dmax", "6", "--format", "json"], False),
+    "lying-oracle-text": (["oracle", "--d", "3"], True),
+    "lying-oracle-json": (["oracle", "--d", "3", "--format", "json"], True),
+    "lying-recursion-text": (["recursion", "--dmax", "4"], True),
+    "lying-recursion-json": (["recursion", "--dmax", "4", "--format", "json"], True),
+}
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def write_lying_cache(path: Path) -> None:
+    """A d = 3 cache that passes every load check (physical key, integral
+    marked count, degree row sum, genus-0 and genus-1 column sums) but
+    moves one marked count between two genus-0 keys of degree 3."""
+    from dessins.cache import load_or_compute, save_cache
+    from dessins.evolution import ConnectedSeries
+    from dessins.series import GradedSeries
+
+    pieces = list(load_or_compute(3).pieces)
+    terms = dict(pieces[2].terms)
+    terms[(2, 2, (0, 0, 1))] = terms[(2, 2, (0, 0, 1))] + 1  # genus 0
+    terms[(1, 3, (0, 0, 1))] = terms[(1, 3, (0, 0, 1))] - 1  # genus 0 too
+    pieces[2] = GradedSeries(terms, 3)
+    save_cache(path, ConnectedSeries(pieces))
+
+
+def run_golden_case(case: str, tmp_path: Path, capsys) -> dict:
+    argv, lying = GOLDEN_CASES[case]
+    if lying:
+        path = tmp_path / "lying.cache"
+        write_lying_cache(path)
+        argv = [*argv, "--cache", str(path)]
+    code, out, err = run(capsys, *argv)
+    return {"exit": code, "stdout": out, "stderr": err}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_verification_output_is_golden(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("DESSIN_CACHE", raising=False)
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="ascii"))
+    assert run_golden_case(case, tmp_path, capsys) == golden[case]
 
 
 def test_profile_parsing():
@@ -46,6 +103,23 @@ def test_table_json(capsys):
                                    {"d": 2, "g": 0, "value": "3"}]}
     # big integers must travel as strings
     assert isinstance(payload["entries"][0]["value"], str)
+
+
+def test_table_collapses_through_cli_genus_table(capsys, monkeypatch):
+    # the bench traces counts.genus_table by rebinding cli.genus_table, so
+    # table must look it up at call time
+    from dessins import cli
+
+    calls = []
+
+    def recording(series):
+        calls.append(series.dmax)
+        return real(series)
+
+    real = cli.genus_table
+    monkeypatch.setattr(cli, "genus_table", recording)
+    assert run(capsys, "table", "--dmax", "3", "--marked")[0] == 0
+    assert calls == [3]
 
 
 def test_table_usage_errors(capsys):
@@ -260,23 +334,12 @@ def test_no_command_builds_fraction_pieces(tmp_path, capsys, monkeypatch):
 
 
 def test_verification_failure_exits_1(tmp_path, capsys, monkeypatch):
-    # a cache that passes every load check (physical key, integral marked
-    # count, degree row sum, genus-0 and genus-1 column sums) but carries
-    # wrong values must be caught by the verification commands with exit
-    # code 1
+    # a cache that passes every load check but carries wrong values must
+    # be caught by the verification commands with exit code 1
     from dessins import cli
-    from dessins.cache import load_or_compute, save_cache
-    from dessins.evolution import ConnectedSeries
-    from dessins.series import GradedSeries
 
     path = tmp_path / "lying.cache"
-    good = load_or_compute(3, path)
-    pieces = list(good.pieces)
-    terms = dict(pieces[2].terms)
-    terms[(2, 2, (0, 0, 1))] = terms[(2, 2, (0, 0, 1))] + 1  # genus 0
-    terms[(1, 3, (0, 0, 1))] = terms[(1, 3, (0, 0, 1))] - 1  # genus 0 too
-    pieces[2] = GradedSeries(terms, 3)
-    save_cache(path, ConnectedSeries(pieces))
+    write_lying_cache(path)
 
     code, out, _ = run(capsys, "oracle", "--d", "3", "--cache", str(path))
     assert code == 1

@@ -56,6 +56,12 @@ def test_vacuous_report(engine6):
     assert report.rows == ()
 
 
+def test_negative_bound_is_refused(engine6):
+    for nmax in (-1, -2):
+        with pytest.raises(ValueError, match="s-degree bound"):
+            kp_report(engine6, nmax)
+
+
 def _corrupt(series: ConnectedSeries, d: int, key, delta=1) -> ConnectedSeries:
     pieces = list(series.pieces)
     terms = dict(pieces[d - 1].terms)

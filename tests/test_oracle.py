@@ -26,7 +26,7 @@ from dessins.oracle import (
     is_transitive,
     transitive_pair_counts,
 )
-from dessins.series import GradedSeries, NonPhysicalKeyError
+from dessins.series import GradedSeries, NonPhysicalKeyError, TruncationError
 
 
 def test_cycle_type_examples():
@@ -112,6 +112,15 @@ def test_negative_threads_are_refused(engine6):
         transitive_pair_counts(4, threads=-3)
     with pytest.raises(ValueError, match="threads"):
         compare_with_series(engine6, 4, threads=-1)
+
+
+def test_degree_past_the_series_fails_before_the_scan(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute-force scan ran")
+
+    monkeypatch.setattr(oracle, "transitive_pair_counts", refuse)
+    with pytest.raises(TruncationError):
+        compare_with_series(ConnectedSeries.compute(3), 8)
 
 
 def test_auto_thread_count_fits_affinity():
