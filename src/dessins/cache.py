@@ -7,13 +7,14 @@ append-only by degree: the body of a deeper cache is a byte-prefix
 extension of any shallower one, and re-running with a covering cache
 reloads the pieces instead of recomputing them.  A cache is written to a
 temporary file beside it and renamed into place, so a crash or a second
-writer never leaves half a cache.  Loading checks each degree's marked
-counts against their row sum and requires the lines in strictly
-increasing canonical order, and checks its genus-0 and genus-1 column
-sums against the closed forms, so a cut or reordered file is rejected,
-and so is an edit that changes a row sum or a genus-0/1 column sum.  An
-edit that moves counts between two keys of the same degree and genus
-still loads; ``oracle`` and ``recursion`` catch it.
+writer never leaves half a cache.  Loading requires positive counts in
+strictly increasing canonical order; the genus collapse then checks the
+genus relation of every key and gives the row sum and the genus-0 and
+genus-1 column sums of each degree, checked against the closed forms.
+So a cut or reordered file is rejected, and so is an edit that leaves a
+negative count or changes a row or genus-0/1 column sum.  Only a
+positive move between two keys of the same degree and genus still
+loads; ``oracle`` and ``recursion`` catch it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import os
 from math import gcd
 from pathlib import Path
 
-from .counts import indecomposable_count, marked_count_genus0, marked_count_genus1
+from .counts import genus_table, indecomposable_count, marked_count_genus0, marked_count_genus1
 from .evolution import SEED_KEY, ConnectedSeries
-from .series import genus_at, parse_lines, render_lines
+from .series import parse_lines, render_lines
 
 HEADER_TAG = "DESSIN-F v1"
 
@@ -43,11 +44,11 @@ def render_cache(series: ConnectedSeries) -> str:
 def parse_cache(text: str) -> ConnectedSeries:
     """The series a cache text holds, read in one pass to marked counts.
 
-    A malformed, reordered, repeated or unphysical line, a degree outside
-    the header's range, a wrong seed, a degree whose marked counts do not
-    sum to A003319(d+1) or whose genus-0 or genus-1 marked counts do not
-    sum to the closed forms raises ValueError; a coefficient whose marked
-    count is not an integer raises ArithmeticError.
+    A malformed, reordered, repeated, negative or unphysical line, a degree
+    outside the header's range, a wrong seed, a degree whose marked counts
+    do not sum to A003319(d+1) or whose genus-0 or genus-1 marked counts
+    do not sum to the closed forms raises ValueError; a coefficient whose
+    marked count is not an integer raises ArithmeticError.
     """
     head, _, body = text.partition("\n")
     fields = head.split()
@@ -56,31 +57,31 @@ def parse_cache(text: str) -> ConnectedSeries:
         raise ValueError(f"not a series cache (header {head!r})")
     dmax = int(fields[2][len("dmax="):])
     marked: dict[int, dict] = {}  # by degree; no allocation from the header
-    genus_sums: dict[int, list[int]] = {}  # by degree, with room for g = 0, 1
     for lineno, d, key, num, den in parse_lines(body, start=2):
         if not 1 <= d <= dmax:
             raise ValueError(f"line {lineno}: degree {d} outside 1..{dmax}")
-        g = genus_at(d, key)  # the key's genus relation
+        if num < 0:  # every coefficient counts maps
+            raise ValueError(f"line {lineno}: count at {key!r} is negative")
         v, r = divmod(num * d, den)
         if r:
             raise ArithmeticError(
                 f"line {lineno}: marked count at {key!r} is not integral")
         if d not in marked:  # canonical order: the lines come by degree
             piece = marked[d] = {}
-            sums = genus_sums[d] = [0] * ((d + 3) // 2)
         piece[key] = v
-        sums[g] += v
     if marked.get(1) != {SEED_KEY: 1}:
         raise ValueError("degree-1 piece must be exactly u*v*t1")
+    series = ConnectedSeries._from_marked(  # a missing degree fails its row sum
+        [marked.get(d, {}) for d in range(1, len(marked) + 1)])
+    table = genus_table(series)  # checks every key's genus relation
     for d in range(2, dmax + 1):
-        sums = genus_sums.get(d, [0, 0])
-        if sum(sums) != indecomposable_count(d + 1):
+        if sum(table.row_marked(d)) != indecomposable_count(d + 1):
             raise ValueError(f"degree-{d} marked counts do not sum to "
                              f"A003319({d + 1})")
-        if sums[:2] != [marked_count_genus0(d), marked_count_genus1(d)]:
+        if table.row_marked(d, 1) != [marked_count_genus0(d), marked_count_genus1(d)]:
             raise ValueError(f"degree-{d} genus-0/1 marked counts differ "
                              f"from the closed forms")
-    return ConnectedSeries._from_marked([marked[d] for d in range(1, dmax + 1)])
+    return series
 
 
 def load_cache(path: str | Path) -> ConnectedSeries:

@@ -32,7 +32,7 @@ from .counts import genus_table, marked_count_genus0, marked_count_genus1
 from .evolution import recursion_rhs
 from .kp import KP_EQUATIONS, equation_by_id, kp_report
 from .oracle import CLASSES_LIMIT, NAIVE_LIMIT, compare_with_series
-from .series import canonical_multiplicities, partition_weight, profile_text
+from .series import profile_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -157,8 +157,9 @@ def cmd_table(args) -> int:
 _PROFILE_ITEM = re.compile(r"^(\d+)\^(\d+)$")
 
 
-def parse_profile(text: str) -> tuple[int, ...]:
-    """Multiplicity vector from an ``i^m`` comma list, e.g. ``1^2,3^1``."""
+def parse_profile(text: str, weight: int) -> tuple[int, ...]:
+    """Multiplicity vector from an ``i^m`` comma list, e.g. ``1^2,3^1``, of
+    the given weight; another weight is refused before the vector is built."""
     mults: dict[int, int] = {}
     for item in text.split(","):
         match = _PROFILE_ITEM.match(item.strip())
@@ -170,16 +171,15 @@ def parse_profile(text: str) -> tuple[int, ...]:
         if part in mults:
             raise UsageError(f"profile lists part {part} twice")
         mults[part] = mult
-    m = [0] * max(mults)
-    for part, mult in mults.items():
-        m[part - 1] = mult
-    return canonical_multiplicities(m)
+    total = sum(part * mult for part, mult in mults.items())
+    if total != weight:
+        raise UsageError(f"profile weight {total} != --d {weight}")
+    top = max((part for part, mult in mults.items() if mult), default=0)
+    return tuple(mults.get(i, 0) for i in range(1, top + 1))
 
 
 def cmd_coeff(args) -> int:
-    m = parse_profile(args.profile)
-    if partition_weight(m) != args.d:
-        raise UsageError(f"profile weight {partition_weight(m)} != --d {args.d}")
+    m = parse_profile(args.profile, args.d)
     if args.d < 1 or args.k < 1 or args.l < 1:
         raise UsageError("--d, --k, --l must all be >= 1")
     series = load_or_compute(args.d, args.cache)

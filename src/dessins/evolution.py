@@ -63,8 +63,8 @@ then follows from the lower pieces phase by phase:
   the prefix of b whose delta <= -delta_a.
 
 Weight, the genus relation and integrality are u <-> v-invariant, so the
-checks of a computed degree run on its half; ``ConnectedSeries.extended_to``
-then mirrors every key with k < l.  A computed key with k > l is an
+checks of a computed degree run on its half; the degree step mirrors every
+key with k < l and returns whole degrees.  A computed key with k > l is an
 invariant failure, never dropped or mirrored over.  The public operators
 and ``partition_function`` take no shortcut: they act on any series,
 symmetric or not, and the tests assemble the operators as the reference.
@@ -78,7 +78,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .series import (
     GradedSeries,
@@ -104,19 +104,18 @@ class _Packing:
     """Bit-field layout for keys whose entries are all at most ``bound``.
 
     The decoded profile and part list of each packed profile (a key's
-    fields above k and l) are memoised: keys of one computation share
-    few profiles.
+    fields above k and l) are memoised together: keys of one computation
+    share few profiles.
     """
 
-    __slots__ = ("bits", "mask", "V", "E", "_profiles", "_parts")
+    __slots__ = ("bits", "mask", "V", "E", "_memo")
 
     def __init__(self, bound: int):
         self.bits = bits = bound.bit_length()  # 2^bits > bound
         self.mask = (1 << bits) - 1
         self.V = 1 << bits
         self.E = [0] + [1 << bits * (i + 1) for i in range(1, bound + 1)]
-        self._profiles: dict[int, Multiplicities] = {}
-        self._parts: dict[int, tuple[tuple[int, int], ...]] = {}
+        self._memo: dict[int, tuple[Multiplicities, tuple[tuple[int, int], ...]]] = {}
 
     def encode(self, key: RawKey) -> int:
         k, l, m = key
@@ -126,28 +125,25 @@ class _Packing:
             code |= x << bits * i
         return code
 
-    def _profile(self, prof: int) -> Multiplicities:
-        m = self._profiles.get(prof)
-        if m is None:
-            bits, mask, code, out = self.bits, self.mask, prof, []
-            while code:
-                out.append(code & mask)
-                code >>= bits
-            m = self._profiles[prof] = tuple(out)
-        return m
+    def _decoded(self, prof: int) -> tuple[Multiplicities, tuple[tuple[int, int], ...]]:
+        bits, mask, code, out = self.bits, self.mask, prof, []
+        while code:
+            out.append(code & mask)
+            code >>= bits
+        entry = self._memo[prof] = (
+            tuple(out), tuple((i, x) for i, x in enumerate(out, 1) if x))
+        return entry
 
     def decode(self, code: int) -> RawKey:
         bits, mask = self.bits, self.mask
-        return (code & mask, code >> bits & mask, self._profile(code >> 2 * bits))
+        prof = code >> 2 * bits
+        entry = self._memo.get(prof) or self._decoded(prof)
+        return (code & mask, code >> bits & mask, entry[0])
 
     def parts(self, code: int) -> tuple[tuple[int, int], ...]:
         """(i, m_i) for every part size i present in the key."""
         prof = code >> 2 * self.bits
-        p = self._parts.get(prof)
-        if p is None:
-            p = self._parts[prof] = tuple(
-                (i, x) for i, x in enumerate(self._profile(prof), 1) if x)
-        return p
+        return (self._memo.get(prof) or self._decoded(prof))[1]
 
     def encode_terms(self, terms: Mapping[RawKey, object]) -> dict:
         return {self.encode(key): c for key, c in terms.items()}
@@ -327,8 +323,8 @@ def _marked_terms(terms: Mapping[RawKey, object], d: int) -> dict[RawKey, int]:
 
 def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
                  d: int) -> dict[int, int]:
-    """The k <= l half of the packed marked piece of weight d, from the
-    full packed marked pieces 1 .. d-1.
+    """The whole packed marked piece of weight d, from the full packed
+    marked pieces 1 .. d-1: the last pass mirrors each key with k < l.
 
     d*F_d = ((u+v)*grow + split_or_join) F_{d-1}
             + sum_{n=1}^{d-2} join_components(F_n, F_{d-1-n});
@@ -349,7 +345,7 @@ def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
         raise ValueError("the seed piece is fixed, recursion starts at d = 2")
     while len(buckets) < d - 2:
         buckets.append(_diff_buckets(pk, packed[len(buckets)]))
-    bits, mask = pk.bits, pk.mask
+    bits, mask, V = pk.bits, pk.mask, pk.V
     src = {code: v for code, v in packed[d - 2].items()
            if code & mask <= code >> bits & mask}
     C = lcm(d - 1, *(n * (d - 1 - n) for n in range(1, d - 1)))
@@ -361,19 +357,27 @@ def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
         factor = C // (n * n2) * (1 if n == n2 else 2)
         _join_pair(pk, buckets[n - 1], buckets[n2 - 1], acc, factor)
     out: dict[int, int] = {}
+    mirror: dict[int, int] = {}  # after the half: callers list keys in this order
     for code, v in acc.items():
         if v:
             q, r = divmod(v, C)
             if r:
                 raise ArithmeticError(
                     f"marked count at {pk.decode(code)!r} is not integral")
+            gap = (code >> bits & mask) - (code & mask)  # l - k
+            if gap < 0:
+                raise ArithmeticError(
+                    f"computed degree {d}: key {pk.decode(code)!r} has k > l")
             out[code] = q
+            if gap:
+                mirror[code + gap - gap * V] = q  # (k, l) -> (l, k)
+    out.update(mirror)
     return out
 
 
-def _check_piece(d: int, marked: Mapping[RawKey, int]) -> None:
+def _check_piece(d: int, keys: Iterable[RawKey]) -> None:
     """Every key has weight d and satisfies the genus relation."""
-    for key in marked:
+    for key in keys:
         if partition_weight(key[2]) != d:
             raise ValueError(f"piece {d} is not homogeneous of weight {d}")
         genus_at(d, key)
@@ -430,14 +434,12 @@ class ConnectedSeries:
     @classmethod
     def compute(cls, dmax: int) -> "ConnectedSeries":
         """Build the series up to degree dmax from the one-edge seed."""
-        if dmax < 1:
-            raise ValueError("dmax must be >= 1")
         return cls._from_marked([{SEED_KEY: 1}]).extended_to(dmax)
 
     def extended_to(self, dmax: int) -> "ConnectedSeries":
-        """Same series computed (or cut back) to another degree bound;
-        an added degree that fails the key checks raises ArithmeticError
-        (the engine's own invariant, like integrality in the recursion)."""
+        """Same series computed (or cut back) to another degree bound; each
+        added degree comes whole from the degree step, and one whose k <= l
+        keys fail the key checks raises ArithmeticError (an engine invariant)."""
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
         if dmax <= self.dmax:
@@ -448,23 +450,12 @@ class ConnectedSeries:
         marked = list(self._marked)
         buckets: list = []
         for d in range(self.dmax + 1, dmax + 1):
-            half = _next_marked(pk, packed, buckets, d)
-            piece = {pk.decode(code): v for code, v in half.items()}
-            try:
-                _check_piece(d, piece)
+            full = _next_marked(pk, packed, buckets, d)
+            piece = {pk.decode(code): v for code, v in full.items()}
+            try:  # the checks are u <-> v-invariant: the k <= l half suffices
+                _check_piece(d, (key for key in piece if key[0] <= key[1]))
             except ValueError as exc:
                 raise ArithmeticError(f"computed degree {d}: {exc}") from exc
-            for (k, l, m), v in list(piece.items()):
-                if k > l:
-                    raise ArithmeticError(
-                        f"computed degree {d}: key {(k, l, m)!r} has k > l")
-                if k < l:
-                    piece[l, k, m] = v
-            full = dict(half)
-            for code, v in half.items():
-                gap = (code >> pk.bits & pk.mask) - (code & pk.mask)
-                if gap:
-                    full[code + gap - gap * pk.V] = v  # (k, l) -> (l, k)
             packed.append(full)
             marked.append(piece)
         return ConnectedSeries._from_marked(marked)
@@ -664,8 +655,7 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     if d <= 1:  # no lower piece to insert an edge into
         return Fraction(int((k, l, mm) == SEED_KEY))
     inpiece_moves, pair_moves = _move_plan(mm)
-    marked = ({},) + cs._marked  # marked[w]: the weight-w marked counts
-    get = marked[d - 1].get  # the in-piece moves remove one edge in place
+    get = cs._marked[d - 2].get  # the in-piece moves remove one edge in place
     inpiece = 0
     for dk, dl, ref, f in inpiece_moves:
         inpiece += f * get((k - dk, l - dl, ref), 0)
@@ -675,7 +665,7 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     index = cs._profile_index(d - 2)
     for w1, f, r1, r2 in pair_moves:
         ab = 0
-        get2 = marked[d - 1 - w1].get
+        get2 = cs._marked[d - 2 - w1].get  # weight d - 1 - w1
         for k1, l1, a in index[w1 - 1].get(r1, ()):
             if k1 < k and l1 < l:
                 b = get2((k - k1, l - l1, r2))

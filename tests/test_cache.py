@@ -136,9 +136,20 @@ def test_failed_write_leaves_previous_cache(tmp_path, engine6, monkeypatch):
     assert os.listdir(tmp_path) == ["f.cache"]
 
 
+#: Two-line edits of degree 3 that keep its row sum: one marked count moved
+#: from genus 0 to genus 1 (every count stays positive), and N moved
+#: between two genus-0 keys through a negative count.
+LINE_EDITS = {
+    "genus_moved": (("3 1 1 3 1/3", "3 1 1 3 2/3"), ("3 2 2 3 1/1", "3 2 2 3 2/3")),
+    "negative_count": (("3 1 3 3 1/3", "3 1 3 3 -2/3"), ("3 2 2 3 1/1", "3 2 2 3 2/1")),
+}
+
+
 def _mutated_cache8(engine10, mutation: str) -> str:
     lines = render_cache(engine10.extended_to(8)).splitlines(keepends=True)
     middle = len(lines) // 2  # an interior line of degree 7
+    if mutation == "header_below_body":  # the body's degree 8 is past dmax
+        return "".join(["DESSIN-F v1 dmax=7\n"] + lines[1:])
     if mutation == "truncated":
         return "".join(lines[:-3])
     if mutation == "line_deleted":
@@ -148,10 +159,9 @@ def _mutated_cache8(engine10, mutation: str) -> str:
         return "".join(lines)
     if mutation == "duplicated":
         return "".join(lines[:middle + 1] + lines[middle:])
-    if mutation == "genus_moved":  # N +1 at genus 0 and -1 at genus 1 of d = 3
+    if mutation in LINE_EDITS:
         text = "".join(lines)
-        for old, new in (("3 2 2 3 1/1", "3 2 2 3 2/1"),
-                         ("3 1 1 3 1/3", "3 1 1 3 -2/3")):
+        for old, new in LINE_EDITS[mutation]:
             assert f"\n{old}\n" in text
             text = text.replace(f"\n{old}\n", f"\n{new}\n")
         return text
@@ -161,7 +171,8 @@ def _mutated_cache8(engine10, mutation: str) -> str:
 
 
 @pytest.mark.parametrize("mutation", ["truncated", "line_deleted", "sign_flipped",
-                                      "reordered", "duplicated", "genus_moved"])
+                                      "reordered", "duplicated", "genus_moved",
+                                      "negative_count", "header_below_body"])
 def test_mutated_cache_is_rejected(tmp_path, capsys, engine10, mutation):
     path = tmp_path / "f.cache"
     path.write_text(_mutated_cache8(engine10, mutation))

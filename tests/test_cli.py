@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -39,16 +40,17 @@ def run(capsys, *argv):
 
 def write_lying_cache(path: Path) -> None:
     """A d = 3 cache that passes every load check (physical key, integral
-    marked count, degree row sum, genus-0 and genus-1 column sums) but
-    moves one marked count between two genus-0 keys of degree 3."""
+    positive marked count, degree row sum, genus-0 and genus-1 column
+    sums) but moves one marked count between two genus-0 keys of degree
+    3, keeping every count positive."""
     from dessins.cache import load_or_compute, save_cache
     from dessins.evolution import ConnectedSeries
     from dessins.series import GradedSeries
 
     pieces = list(load_or_compute(3).pieces)
     terms = dict(pieces[2].terms)
-    terms[(2, 2, (0, 0, 1))] = terms[(2, 2, (0, 0, 1))] + 1  # genus 0
-    terms[(1, 3, (0, 0, 1))] = terms[(1, 3, (0, 0, 1))] - 1  # genus 0 too
+    terms[(1, 2, (1, 1))] = terms[(1, 2, (1, 1))] - 1  # genus 0: 1 -> 0
+    terms[(2, 2, (0, 0, 1))] = terms[(2, 2, (0, 0, 1))] + 1  # genus 0 too
     pieces[2] = GradedSeries(terms, 3)
     save_cache(path, ConnectedSeries(pieces))
 
@@ -71,11 +73,12 @@ def test_verification_output_is_golden(case, tmp_path, capsys, monkeypatch):
 
 
 def test_profile_parsing():
-    assert parse_profile("1^2,3^1") == (2, 0, 1)
-    assert parse_profile("2^1") == (0, 1)
-    for bad in ("2^", "^1", "", "1^1,1^2", "0^1", "x"):
+    assert parse_profile("1^2,3^1", 5) == (2, 0, 1)
+    assert parse_profile("2^1", 2) == (0, 1)
+    assert parse_profile("1^1,2^0,4^1", 5) == (1, 0, 0, 1)
+    for bad in ("2^", "^1", "", "1^1,1^2", "0^1", "x", "2^1"):
         with pytest.raises(UsageError):
-            parse_profile(bad)
+            parse_profile(bad, 1)
 
 
 def test_table_minimal(capsys):
@@ -127,6 +130,11 @@ def test_table_usage_errors(capsys):
     assert run(capsys, "table")[0] == 2
     assert run(capsys, "table", "--dmax", "2", "--gmax", "-1")[0] == 2
     assert run(capsys, "nosuchcommand")[0] == 2
+    # the degree bounds of the verification commands
+    assert run(capsys, "kp", "--dmax", "-1")[0] == 2
+    assert run(capsys, "oracle", "--d", "0")[0] == 2
+    assert run(capsys, "closed", "--dmax", "0")[0] == 2
+    assert run(capsys, "recursion", "--dmax", "0")[0] == 2
 
 
 def test_table_out_file(tmp_path, capsys):
@@ -160,6 +168,28 @@ def test_coeff_usage_errors(capsys):
     # weight mismatch
     assert run(capsys, "coeff", "--d", "3", "--k", "1", "--l", "1",
                "--profile", "2^1")[0] == 2
+    # no white vertex
+    assert run(capsys, "coeff", "--d", "1", "--k", "0", "--l", "1",
+               "--profile", "1^1")[0] == 2
+
+
+@pytest.mark.parametrize("profile, code, out", [
+    ("1000000^1", 2, ""),  # weight 10^6 against --d 3
+    ("1000000^0,3^1", 0, "N=1/3, marked=1\n"),  # a zero multiplicity
+], ids=["weight_mismatch", "zero_multiplicity"])
+def test_coeff_profile_allocates_by_weight(capsys, monkeypatch, profile, code, out):
+    # the profile vector is sized by the parts that occur, after the
+    # weight check, not by the largest part written
+    monkeypatch.delenv("DESSIN_CACHE", raising=False)
+    tracemalloc.start()
+    try:
+        got = run(capsys, "coeff", "--d", "3", "--k", "1", "--l", "1",
+                  "--profile", profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[:2] == (code, out)
+    assert peak < 2 ** 20, peak
 
 
 def test_kp_json_lines(capsys):

@@ -183,12 +183,12 @@ def test_next_piece_matches_public_operator_assembly(engine10, d):
     assembled = _assembled_piece(pieces, d)
     assert next_piece(pieces) == assembled
     assert dict(assembled.terms) == dict(engine10.piece(d).terms)
-    # the engine's own step, before the mirror: the k <= l half
+    # the engine's own step: the k <= l half computed, the rest mirrored
     pk = _Packing(d)
     packed = [pk.encode_terms(engine10.marked_piece(n)) for n in range(1, d)]
-    half = _next_marked(pk, packed, [], d)
-    assert {pk.decode(code): v for code, v in half.items()} == {
-        (k, l, m): c * d for (k, l, m), c in assembled.terms.items() if k <= l}
+    full = _next_marked(pk, packed, [], d)
+    assert {pk.decode(code): v for code, v in full.items()} == {
+        key: c * d for key, c in assembled.terms.items()}
 
 
 @pytest.mark.parametrize("start, stop", [(3, 9), (12, 17)])
@@ -231,9 +231,13 @@ def test_fraction_pieces_are_built_once(engine6):
 
 
 def test_constructor_rejects_bad_pieces():
+    with pytest.raises(ValueError, match="need at least the degree-1 piece"):
+        ConnectedSeries([])
     with pytest.raises(ValueError):
         ConnectedSeries([mono(1, 1, (2,))])  # wrong seed
     seed = GradedSeries(PIECE_1, 2)
+    with pytest.raises(ValueError, match="piece 2 is empty"):
+        ConnectedSeries([seed, GradedSeries({}, 2)])
     inhomogeneous = GradedSeries({(1, 1, (2,)): F(1, 2), (1, 1, (1,)): 1}, 2)
     with pytest.raises(ValueError):
         ConnectedSeries([seed, inhomogeneous])

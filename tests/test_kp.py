@@ -60,6 +60,8 @@ def test_negative_bound_is_refused(engine6):
     for nmax in (-1, -2):
         with pytest.raises(ValueError, match="s-degree bound"):
             kp_report(engine6, nmax)
+    with pytest.raises(TruncationError, match="outside 1..0"):
+        kp_residual(engine6, KP_EQUATIONS[0], 0)
 
 
 def _corrupt(series: ConnectedSeries, d: int, key, delta=1) -> ConnectedSeries:

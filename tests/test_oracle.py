@@ -297,6 +297,10 @@ def test_budget_refusal():
         transitive_pair_counts(6, "naive")
     with pytest.raises(ValueError):
         transitive_pair_counts(4, "fancy")
+    with pytest.raises(ValueError, match="d must be >= 1"):
+        transitive_pair_counts(0)
+    with pytest.raises(ValueError, match="empty permutation"):
+        is_transitive((), ())
 
 
 def test_occurring_types_have_integer_genus():
