@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .evolution import ConnectedSeries
-from .series import genus_at
+from .series import piece_genera
 
 
 @dataclass(frozen=True)
@@ -44,16 +44,21 @@ def genus_table(series: ConnectedSeries) -> GenusTable:
 
     Every monomial of weight d contributes its marked count to the genus
     read off from 2g - 2 = d - (k + l + parts).  Entries exist for all
-    0 <= g <= (d-1)//2 (as zeros where nothing contributes).
+    0 <= g <= (d-1)//2 (as zeros where nothing contributes).  A key of the
+    wrong weight or with no genus raises ValueError.  The table is kept
+    on the series, so each series is collapsed once.
     """
+    if series._genus is not None:
+        return series._genus
     entries: dict[tuple[int, int], int] = {}
     for d, marked in enumerate(series._marked, 1):
         sums = [0] * (GenusTable.max_genus(d) + 1)
-        for key, v in marked.items():
-            sums[genus_at(d, key)] += v
+        for g, v in zip(piece_genera(d, marked), marked.values()):
+            sums[g] += v
         for g, v in enumerate(sums):
             entries[(d, g)] = v
-    return GenusTable(series.dmax, entries)
+    series._genus = table = GenusTable(series.dmax, entries)
+    return table
 
 
 def indecomposable_count(n: int) -> int:

@@ -27,8 +27,12 @@ The degree recursion runs the moves on one kernel over packed keys: k,
 l, m_1, m_2, ... sit in consecutive ``bits``-bit fields of one int, k
 lowest, so a move adds precomputed unit vectors (1: a white vertex,
 ``V``: a black one, ``E[i]``: a part of size i) and the pair product of
-two profiles is one integer addition.  ``partition_function`` and the KP
-evaluator run the same kernel.  The public operators are sums of
+two profiles is one integer addition.  Grow and split/join depend only
+on a key's profile, so each packed profile gets one plan, built on first
+use: the merged (increment, weight) pairs of (u+v)*grow + split_or_join,
+and one loop adds each increment to the code of every key of that
+profile.  ``partition_function`` and the KP evaluator run the same
+kernel.  The public operators are sums of
 ``GradedSeries`` derivatives, t-multiplications and products instead, so
 a piece assembled from them checks the kernel by other arithmetic.
 
@@ -40,7 +44,11 @@ multiplicity, every componentwise sum the pair product forms) is at most
 the largest weight W the call can produce: a connected piece of weight n
 has k, l, m_i <= n by the genus relation.  The width has 2^bits > W,
 from the degree bound of the call, so every field holds its entry
-exactly and distinct keys get distinct codes.
+exactly and distinct keys get distinct codes.  A planned increment is a
+difference of unit vectors: it removes E[r] only for a part r of its own
+profile (2 E[r] only when m_r >= 2) and is applied only to keys of that
+profile, so code + inc is the packed form of the same target vector the
+moves built unit by unit.
 
 Every piece is symmetric under u <-> v, and the degree recursion computes
 only its keys with k <= l.  A map is a transitive pair (sigma, tau) with
@@ -54,7 +62,9 @@ then follows from the lower pieces phase by phase:
   half key stays in the half.  Its u shift lands in the half only when
   l - k >= 1; when l - k = 1 it lands on the diagonal, which also gets
   the v shift of the mirror key (l, k), outside the half but with the
-  same coefficient, so that u shift counts twice.
+  same coefficient, so that u shift counts twice.  So each profile plan
+  keeps three lists, with the u-shift grow moves 0, 2 and 1 times, for
+  l - k = 0, 1 and >= 2; the last is the full move.
 * split/join keeps k and l, so it maps the half onto the half.
 * a component join adds the (k, l) of its two factors, so its output has
   k <= l iff delta_a + delta_b <= 0, with delta = k - l.  The derivative
@@ -86,10 +96,10 @@ from .series import (
     RawKey,
     TruncationError,
     canonical_multiplicities,
-    genus_at,
     multiplicities_decr,
     multiplicities_incr,
     partition_weight,
+    piece_genera,
 )
 
 SEED_KEY: RawKey = (1, 1, (1,))
@@ -103,19 +113,30 @@ SEED_KEY: RawKey = (1, 1, (1,))
 class _Packing:
     """Bit-field layout for keys whose entries are all at most ``bound``.
 
-    The decoded profile and part list of each packed profile (a key's
-    fields above k and l) are memoised together: keys of one computation
-    share few profiles.
+    Two memos are kept per packed profile (a key's fields above k and l),
+    since keys of one computation share few profiles: the decoded profile
+    with its part list, and the profile's one-edge move plans.  The unit
+    vectors ``E[i]`` of the part sizes are built as callers first need
+    them (``units``), so a large bound costs nothing up front.
     """
 
-    __slots__ = ("bits", "mask", "V", "E", "_memo")
+    __slots__ = ("bits", "mask", "V", "E", "_memo", "_plans")
 
     def __init__(self, bound: int):
         self.bits = bits = bound.bit_length()  # 2^bits > bound
         self.mask = (1 << bits) - 1
         self.V = 1 << bits
-        self.E = [0] + [1 << bits * (i + 1) for i in range(1, bound + 1)]
+        self.E = [0]
         self._memo: dict[int, tuple[Multiplicities, tuple[tuple[int, int], ...]]] = {}
+        self._plans: dict[int, tuple[list, list, list]] = {}
+
+    def units(self, n: int) -> list[int]:
+        """E with E[i] = 1 << bits*(i+1), the vector of a part of size i,
+        built for every i <= n."""
+        E, bits = self.E, self.bits
+        for i in range(len(E), n + 1):
+            E.append(1 << bits * (i + 1))
+        return E
 
     def encode(self, key: RawKey) -> int:
         k, l, m = key
@@ -148,57 +169,71 @@ class _Packing:
     def encode_terms(self, terms: Mapping[RawKey, object]) -> dict:
         return {self.encode(key): c for key, c in terms.items()}
 
+    def _planned(self, prof: int) -> tuple[list, list, list]:
+        """The [(increment, weight), ...] moves of (u+v)*grow +
+        split_or_join on a key of packed profile prof, one list per
+        min(l - k, 2): the grow move with the u shift has weight 0, 2 and 1
+        times its v-shift twin (see ``_edge_moves``).  Entries with the
+        same increment are merged."""
+        parts = (self._memo.get(prof) or self._decoded(prof))[1]
+        E = self.units(sum(i * x for i, x in parts) + 1)
+        V = self.V
+        moves: dict[int, int] = {}
+        grows = []  # the u-shift grow moves: the only moves that change k
 
-def _grow(pk: _Packing, src: Mapping, out: dict, factor=1, half=False) -> None:
-    """Add factor * (u+v) * sum_r r t_{r+1} d/dt_r (src) to out.
+        def add(inc: int, w: int) -> None:
+            moves[inc] = moves.get(inc, 0) + w
 
-    With half, src is the k <= l half of a u <-> v-symmetric series and
-    only the k <= l half of the result is emitted: each key takes the v
-    shift, the u shift when l - k >= 2, the u shift twice when l - k = 1
-    (its diagonal target also gets the mirror key's v shift) and no u
-    shift when k = l.
-    """
-    E, bits, mask, V = pk.E, pk.bits, pk.mask, pk.V
-    shifts = (1, V)
-    for code, c in src.items():
-        fc = factor * c
-        if half:
-            gap = (code >> bits & mask) - (code & mask)  # l - k >= 0
-            shifts = (V,) if gap == 0 else (V, 1, 1) if gap == 1 else (V, 1)
-        for r, x in pk.parts(code):
-            key = code - E[r] + E[r + 1]
-            v = r * x * fc
-            for s in shifts:
-                out[key + s] = out.get(key + s, 0) + v
-
-
-def _split_join(pk: _Packing, src: Mapping, out: dict, factor=1) -> None:
-    """Add factor * (one-component cycle surgery)(src) to out.
-
-    A cycle of size r splits into the ordered pairs (j, r + 1 - j); the
-    two orders of a pair give one key, so each pair is emitted once with
-    weight 2, plus the middle term for odd r.  Two cycles j != j2 join
-    into j + j2 + 1 from both orders, again emitted once with weight 2.
-    """
-    E = pk.E
-    for code, c in src.items():
-        fc = factor * c
-        parts = pk.parts(code)
         for a, (r, x) in enumerate(parts):
-            f = r * x * fc
-            base = code - E[r]
+            f = r * x
+            cut = -E[r]
+            grows.append((cut + E[r + 1] + 1, f))
+            add(cut + E[r + 1] + V, f)
+            # a split into (j, r + 1 - j) and its reverse give one key;
+            # the middle term of an odd r has one order only
             for j in range(1, r // 2 + 1):
-                key = base + E[j] + E[r + 1 - j]
-                out[key] = out.get(key, 0) + 2 * f
+                add(cut + E[j] + E[r + 1 - j], 2 * f)
             if r % 2:
-                key = base + 2 * E[(r + 1) // 2]
-                out[key] = out.get(key, 0) + f
+                add(cut + 2 * E[(r + 1) // 2], f)
+            # joins of two cycles, from both orders
             if x > 1:
-                key = base - E[r] + E[2 * r + 1]
-                out[key] = out.get(key, 0) + r * (x - 1) * f
+                add(cut - E[r] + E[2 * r + 1], r * (x - 1) * f)
             for j2, x2 in parts[a + 1:]:
-                key = base - E[j2] + E[r + j2 + 1]
-                out[key] = out.get(key, 0) + 2 * j2 * x2 * f
+                add(cut - E[j2] + E[r + j2 + 1], 2 * j2 * x2 * f)
+        same = list(moves.items())
+        plans = self._plans[prof] = (
+            same, same + [(inc, 2 * f) for inc, f in grows], same + grows)
+        return plans
+
+
+def _edge_moves(pk: _Packing, src: Mapping, out: dict, factor=1,
+                half=False) -> None:
+    """Add factor * ((u+v) * grow + split_or_join)(src) to out, where grow
+    is sum_r r t_{r+1} d/dt_r: one pass over src, adding each planned
+    increment of a key's profile to its code.
+
+    With half, src is a u <-> v-symmetric series and only the k <= l half
+    of the result is emitted: keys with k > l are skipped, and each other
+    key takes the grow move with the v shift, with the u shift when
+    l - k >= 2, twice when l - k = 1 (its diagonal target also gets the
+    mirror key's v shift) and not when k = l.
+    """
+    bits, mask, shift = pk.bits, pk.mask, 2 * pk.bits
+    plans, planned, get = pk._plans, pk._planned, out.get
+    for code, c in src.items():
+        prof = code >> shift
+        plan = plans.get(prof) or planned(prof)
+        if half:
+            gap = (code >> bits & mask) - (code & mask)  # l - k
+            if gap < 0:
+                continue
+            moves = plan[gap] if gap < 2 else plan[2]
+        else:
+            moves = plan[2]
+        fc = factor * c
+        for inc, w in moves:
+            key = code + inc
+            out[key] = get(key, 0) + w * fc
 
 
 def _diff_buckets(pk: _Packing, src: Mapping) -> list:
@@ -336,22 +371,20 @@ def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
     of the pieces and grows with them, so each is built once.
 
     Every phase emits only keys with k <= l (see the module docstring):
-    grow and split/join run on the k <= l half of F_{d-1}, grow with the
-    u shift doubled onto the diagonal, and each component join meets a
-    delta-group of its first factor with the delta <= -delta_a prefix of
-    its second.
+    grow and split/join run as one planned move on the k <= l half of
+    F_{d-1}, grow with the u shift doubled onto the diagonal, and each
+    component join meets a delta-group of its first factor with the
+    delta <= -delta_a prefix of its second.
     """
     if d < 2:
         raise ValueError("the seed piece is fixed, recursion starts at d = 2")
+    pk.units(d)  # every part size of this step is at most d
     while len(buckets) < d - 2:
         buckets.append(_diff_buckets(pk, packed[len(buckets)]))
     bits, mask, V = pk.bits, pk.mask, pk.V
-    src = {code: v for code, v in packed[d - 2].items()
-           if code & mask <= code >> bits & mask}
     C = lcm(d - 1, *(n * (d - 1 - n) for n in range(1, d - 1)))
     acc: dict = {}
-    _grow(pk, src, acc, C // (d - 1), True)
-    _split_join(pk, src, acc, C // (d - 1))
+    _edge_moves(pk, packed[d - 2], acc, C // (d - 1), True)
     for n in range(1, (d - 1) // 2 + 1):
         n2 = d - 1 - n
         factor = C // (n * n2) * (1 if n == n2 else 2)
@@ -377,10 +410,8 @@ def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
 
 def _check_piece(d: int, keys: Iterable[RawKey]) -> None:
     """Every key has weight d and satisfies the genus relation."""
-    for key in keys:
-        if partition_weight(key[2]) != d:
-            raise ValueError(f"piece {d} is not homogeneous of weight {d}")
-        genus_at(d, key)
+    for _ in piece_genera(d, keys):
+        pass
 
 
 def next_piece(pieces: Sequence[GradedSeries]) -> GradedSeries:
@@ -400,10 +431,11 @@ class ConnectedSeries:
     Construction checks the seed, integrality of the marked counts,
     per-piece homogeneity and the genus relation on every key.
     ``_profile_index`` regroups the marked counts of each degree by
-    profile on first use; each instance builds its own.
+    profile on first use, and ``counts.genus_table`` keeps its collapse in
+    ``_genus``; each instance builds its own.
     """
 
-    __slots__ = ("_marked", "_pieces", "_index")
+    __slots__ = ("_marked", "_pieces", "_index", "_genus")
 
     def __init__(self, pieces: Sequence[GradedSeries]):
         marked = [_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)]
@@ -418,6 +450,7 @@ class ConnectedSeries:
         self._marked = tuple(marked)
         self._pieces: tuple[GradedSeries, ...] | None = None
         self._index: list[dict[Multiplicities, list]] = []
+        self._genus = None
 
     @classmethod
     def _from_marked(cls, marked: Sequence[dict[RawKey, int]]) -> "ConnectedSeries":
@@ -427,6 +460,7 @@ class ConnectedSeries:
         series._marked = tuple(marked)
         series._pieces = None
         series._index = []
+        series._genus = None
         return series
 
     # -- construction ----------------------------------------------------------
@@ -438,8 +472,8 @@ class ConnectedSeries:
 
     def extended_to(self, dmax: int) -> "ConnectedSeries":
         """Same series computed (or cut back) to another degree bound; each
-        added degree comes whole from the degree step, and one whose k <= l
-        keys fail the key checks raises ArithmeticError (an engine invariant)."""
+        added degree comes whole from the degree step, and one whose keys
+        fail the key checks raises ArithmeticError (an engine invariant)."""
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
         if dmax <= self.dmax:
@@ -452,8 +486,8 @@ class ConnectedSeries:
         for d in range(self.dmax + 1, dmax + 1):
             full = _next_marked(pk, packed, buckets, d)
             piece = {pk.decode(code): v for code, v in full.items()}
-            try:  # the checks are u <-> v-invariant: the k <= l half suffices
-                _check_piece(d, (key for key in piece if key[0] <= key[1]))
+            try:
+                _check_piece(d, piece)
             except ValueError as exc:
                 raise ArithmeticError(f"computed degree {d}: {exc}") from exc
             packed.append(full)
@@ -538,8 +572,7 @@ def partition_function(dmax: int) -> GradedSeries:
     fact = 1
     for n in range(1, dmax + 1):
         nxt: dict = {}
-        _grow(pk, x, nxt)
-        _split_join(pk, x, nxt)
+        _edge_moves(pk, x, nxt)
         for code, c in x.items():
             nxt[code + seed] = nxt.get(code + seed, 0) + c
         x = {code: c for code, c in nxt.items() if c}

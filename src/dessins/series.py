@@ -143,6 +143,27 @@ def genus_at(d: int, key: RawKey) -> int:
     return twice // 2
 
 
+def piece_genera(d: int, keys: Iterable[RawKey]) -> Iterator[int]:
+    """``genus_at(d, key)`` for every key of a degree-d piece (d >= 1), in
+    order; the weight and d + 2 - parts are read once per distinct profile.
+
+    A key whose profile has another weight raises ValueError ("piece d is
+    not homogeneous of weight d"), an unphysical one the error of
+    ``genus_at``.
+    """
+    offsets: dict[Multiplicities, int] = {}
+    for key in keys:
+        k, l, m = key
+        offset = offsets.get(m)
+        if offset is None:
+            if partition_weight(m) != d:
+                raise ValueError(f"piece {d} is not homogeneous of weight {d}")
+            offset = offsets[m] = d + 2 - sum(m)
+        twice = offset - k - l
+        yield (twice >> 1 if twice >= 0 and not twice & 1 and k > 0 and l > 0
+               else genus_at(d, key))  # genus_at raises the key's error
+
+
 def physical_keys(d: int) -> Iterator[MonomialKey]:
     """All keys of weight d that satisfy the genus relation.
 

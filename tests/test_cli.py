@@ -125,6 +125,25 @@ def test_table_collapses_through_cli_genus_table(capsys, monkeypatch):
     assert calls == [3]
 
 
+def test_cached_table_collapses_once(tmp_path, capsys, monkeypatch):
+    # cache load collapses the series for its checks; table reuses that
+    from dessins import counts
+
+    cache = ["--cache", str(tmp_path / "f.cache")]
+    assert run(capsys, "table", "--dmax", "5", *cache)[0] == 0  # writes it
+    degrees = []
+
+    def recording(d, keys):
+        degrees.append(d)
+        return real(d, keys)
+
+    real = counts.piece_genera
+    monkeypatch.setattr(counts, "piece_genera", recording)
+    code, out, _ = run(capsys, "table", "--dmax", "5", "--marked", *cache)
+    assert code == 0 and out.startswith("d,g,G_marked\n1,0,1\n")
+    assert degrees == [1, 2, 3, 4, 5]
+
+
 def test_table_usage_errors(capsys):
     assert run(capsys, "table", "--dmax", "0")[0] == 2
     assert run(capsys, "table")[0] == 2
@@ -299,13 +318,13 @@ def test_non_integral_cache_is_input_error(tmp_path, capsys):
 def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
     from dessins import evolution
 
-    real_grow = evolution._grow
+    real_moves = evolution._edge_moves
 
-    def leaky_grow(pk, src, out, *args):
-        real_grow(pk, src, out, *args)
+    def leaky_moves(pk, src, out, *args):
+        real_moves(pk, src, out, *args)
         out[next(iter(out))] += 1  # one stray unit breaks integrality at d = 3
 
-    monkeypatch.setattr(evolution, "_grow", leaky_grow)
+    monkeypatch.setattr(evolution, "_edge_moves", leaky_moves)
     code, out, err = run(capsys, "table", "--dmax", "3", "--marked")
     assert code == 1
     assert out == ""
@@ -315,14 +334,14 @@ def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
 def test_unphysical_engine_key_exits_1(capsys, monkeypatch):
     from dessins import evolution
 
-    real_split_join = evolution._split_join
+    real_moves = evolution._edge_moves
 
-    def stray_split_join(pk, src, out, factor=1):
-        real_split_join(pk, src, out, factor)
+    def stray_moves(pk, src, out, factor=1, half=False):
+        real_moves(pk, src, out, factor, half)
         code = next(iter(out)) + 1  # k + 1: no integer genus
         out[code] = out.get(code, 0) + 2 * factor  # integral at d = 2 and 3
 
-    monkeypatch.setattr(evolution, "_split_join", stray_split_join)
+    monkeypatch.setattr(evolution, "_edge_moves", stray_moves)
     code, out, err = run(capsys, "table", "--dmax", "3")
     assert code == 1
     assert out == ""
@@ -332,15 +351,15 @@ def test_unphysical_engine_key_exits_1(capsys, monkeypatch):
 def test_engine_key_past_the_half_exits_1(capsys, monkeypatch):
     from dessins import evolution
 
-    real_split_join = evolution._split_join
+    real_moves = evolution._edge_moves
 
-    def mirroring_split_join(pk, src, out, factor=1):
-        real_split_join(pk, src, out, factor)
+    def mirroring_moves(pk, src, out, factor=1, half=False):
+        real_moves(pk, src, out, factor, half)
         k, l, m = next(key for key in map(pk.decode, out) if key[0] < key[1])
         code = pk.encode((l, k, m))  # physical, and integral at d = 2
         out[code] = out.get(code, 0) + 2 * factor
 
-    monkeypatch.setattr(evolution, "_split_join", mirroring_split_join)
+    monkeypatch.setattr(evolution, "_edge_moves", mirroring_moves)
     code, out, err = run(capsys, "table", "--dmax", "3")
     assert code == 1
     assert out == ""

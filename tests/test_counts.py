@@ -58,6 +58,15 @@ def test_rows_match_reference(engine10):
     table = genus_table(engine10)
     for d, row in SMALL_ROWS.items():
         assert table.row_marked(d) == row
+
+
+def test_table_is_kept_per_series(engine10):
+    table = genus_table(engine10)
+    assert genus_table(engine10) is table
+    cut = engine10.extended_to(6)  # a cut-back series collapses its own degrees
+    assert genus_table(cut).dmax == 6
+    assert genus_table(cut).entries == {
+        (d, g): v for (d, g), v in table.entries.items() if d <= 6}
     assert table.marked(9, 4) == 8064
     assert table.weighted(5, 2) == Fraction(8, 5)
 

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dessins.cache import load_cache, save_cache
 from dessins.evolution import (
     ConnectedSeries,
     _diff_buckets,
-    _grow,
+    _edge_moves,
     _join_pair,
     _next_marked,
     _Packing,
-    _split_join,
     grow_cycle,
     join_components,
     next_piece,
@@ -22,7 +24,9 @@ from dessins.evolution import (
 )
 from dessins.series import (
     GradedSeries,
+    NonPhysicalKeyError,
     TruncationError,
+    canonical_multiplicities,
     exp_series,
     genus_of,
     partition_weight,
@@ -96,6 +100,7 @@ def test_operators_raise_weight_by_one():
 # ---------------------------------------------------------------------------
 
 KERNEL = _Packing(16)  # every k, l and weight below is < 16
+KERNEL.units(16)  # the unit vectors _diff_buckets and _join_pair read
 
 
 def _decoded(out):
@@ -112,8 +117,10 @@ def _half(terms):
     return {(k, l, m): c for (k, l, m), c in terms.items() if k <= l}
 
 
-def _u_plus_v(trunc):
-    return GradedSeries({(1, 0, ()): 1, (0, 1, ()): 1}, trunc)
+def _one_edge(series):
+    """(u+v) * grow_cycle + split_or_join_cycles, from the public operators."""
+    u_plus_v = GradedSeries({(1, 0, ()): 1, (0, 1, ()): 1}, series.truncation)
+    return u_plus_v * grow_cycle(series) + split_or_join_cycles(series)
 
 
 @pytest.mark.parametrize("series", [
@@ -121,19 +128,28 @@ def _u_plus_v(trunc):
     GradedSeries.monomial(0, 0, (0, 1), 1, 4),
     GradedSeries.monomial(0, 0, (1, 1), 1, 8)])
 def test_kernel_full_modes_match_operators(series):
-    u_plus_v = _u_plus_v(series.truncation)
-    assert _moved(_grow, series.terms) == \
-        dict((u_plus_v * grow_cycle(series)).terms)
-    assert _moved(_split_join, series.terms) == \
-        dict(split_or_join_cycles(series).terms)
+    assert _moved(_edge_moves, series.terms) == dict(_one_edge(series).terms)
+
+
+_PROFILES = st.lists(st.integers(0, 3), max_size=4).map(canonical_multiplicities) \
+    .filter(lambda m: partition_weight(m) <= 8)  # every output entry stays < 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 6), _PROFILES),
+                       st.integers(-5, 5), max_size=6))
+def test_kernel_full_mode_matches_operators_on_random_series(terms):
+    series = GradedSeries(terms, 16)
+    moved = {key: c for key, c in _moved(_edge_moves, series.terms).items() if c}
+    assert moved == dict(_one_edge(series).terms)
 
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_kernel_half_modes_match_operators(engine6, n):
-    # u <-> v-symmetric engine pieces, re-truncated so no output is cut
+    # u <-> v-symmetric engine pieces, re-truncated so no output is cut;
+    # the half mode reads the whole piece and skips its keys with k > l
     a = GradedSeries(dict(engine6.piece(n).terms), 16)
-    assert _moved(_grow, _half(a.terms), 1, True) == \
-        _half((_u_plus_v(16) * grow_cycle(a)).terms)
+    assert _moved(_edge_moves, a.terms, 1, True) == _half(_one_edge(a).terms)
     da = _diff_buckets(KERNEL, KERNEL.encode_terms(a.terms))
     for n2 in range(3, 7):
         b = GradedSeries(dict(engine6.piece(n2).terms), 16)
@@ -189,6 +205,17 @@ def test_next_piece_matches_public_operator_assembly(engine10, d):
     full = _next_marked(pk, packed, [], d)
     assert {pk.decode(code): v for code, v in full.items()} == {
         key: c * d for key, c in assembled.terms.items()}
+
+
+def test_packing_memory_is_linear_in_the_bound():
+    tracemalloc.start()
+    try:
+        pk = _Packing(6000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert pk.units(3) == [0, 1 << 26, 1 << 39, 1 << 52]  # 13-bit fields
 
 
 @pytest.mark.parametrize("start, stop", [(3, 9), (12, 17)])
@@ -247,6 +274,57 @@ def test_constructor_rejects_bad_pieces():
     non_integral = GradedSeries({(1, 1, (2,)): F(1, 3)}, 2)  # 2/3 not integer
     with pytest.raises(ArithmeticError):
         ConnectedSeries([seed, non_integral])
+
+
+BAD_KEYS = [  # (piece 2 plus this key, exception type, message)
+    ((1, 1, (1,)), ValueError, "piece 2 is not homogeneous of weight 2"),
+    ((2, 2, (0, 1)), NonPhysicalKeyError, "key (2, 2, (0, 1)) has no integer genus >= 0"),
+    ((0, 3, (0, 1)), NonPhysicalKeyError,
+     "key (0, 3, (0, 1)) needs k, l >= 1 and weight >= 1"),
+]
+
+
+@pytest.mark.parametrize("key, exc_type, message", BAD_KEYS)
+def test_constructor_check_messages(key, exc_type, message):
+    pieces = [GradedSeries(PIECE_1, 2), GradedSeries({**PIECE_2, key: F(1, 2)}, 2)]
+    with pytest.raises(exc_type) as info:
+        ConnectedSeries(pieces)
+    assert type(info.value) is exc_type and str(info.value) == message
+
+
+def _stray_moves(monkeypatch, d, key):
+    """Make the degree-d step emit key (marked count 1) on top of its moves."""
+    real = _edge_moves
+
+    def stray(pk, src, out, factor=1, half=False):
+        real(pk, src, out, factor, half)
+        if partition_weight(pk.decode(next(iter(src)))[2]) == d - 1:
+            code = pk.encode(key)
+            out[code] = out.get(code, 0) + factor * (d - 1)
+
+    monkeypatch.setattr("dessins.evolution._edge_moves", stray)
+
+
+@pytest.mark.parametrize("key, exc_type, message", BAD_KEYS)
+def test_computed_degree_check_messages(monkeypatch, key, exc_type, message):
+    _stray_moves(monkeypatch, 2, key)
+    with pytest.raises(ArithmeticError) as info:
+        ConnectedSeries.compute(3)
+    assert str(info.value) == f"computed degree 2: {message}"
+    assert type(info.value.__cause__) is exc_type
+
+
+def test_profile_checked_at_each_degree(monkeypatch):
+    # profile (0, 1) is planned in the step of degree 3 (its keys are the
+    # source); as a key of degree 3 it has the wrong weight
+    pieces = [GradedSeries(PIECE_1, 3), GradedSeries(PIECE_2, 3),
+              GradedSeries({**PIECE_3, (1, 2, (0, 1)): F(1, 3)}, 3)]
+    with pytest.raises(ValueError, match="^piece 3 is not homogeneous of weight 3$"):
+        ConnectedSeries(pieces)
+    _stray_moves(monkeypatch, 3, (1, 2, (0, 1)))
+    with pytest.raises(ArithmeticError,
+                       match="^computed degree 3: piece 3 is not homogeneous of weight 3$"):
+        ConnectedSeries.compute(4)
 
 
 def test_coefficient_lookup(engine6):
