@@ -14,8 +14,9 @@ The four verification commands (kp, oracle, closed, recursion) share one
 report path: JSON records or text lines plus a summary line, exit 0 or 1.
 All outputs are exact (rationals as num/den, big integers as decimal
 strings) and byte-deterministic for fixed flags.  Exit codes: 0 pass,
-1 check failure (a verification mismatch or an engine invariant), 2
-usage error, 3 I/O error or unreadable input.
+1 check failure (a verification mismatch, or an invariant of the engine
+or of the oracle's scan), 2 usage error, 3 I/O error or unreadable
+input.
 """
 
 from __future__ import annotations
@@ -316,9 +317,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ArithmeticError as exc:
-        # the engine's own invariant checks: integrality and the keys of
-        # each computed degree (cache input arrives as ValueError, see
-        # cache.load_cache)
+        # the engine's own invariant checks (integrality and the keys of
+        # each computed degree) and the oracle scan's (its keys and its
+        # pair total); cache input arrives as ValueError, see
+        # cache.load_cache
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

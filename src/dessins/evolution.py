@@ -169,6 +169,17 @@ class _Packing:
     def encode_terms(self, terms: Mapping[RawKey, object]) -> dict:
         return {self.encode(key): c for key, c in terms.items()}
 
+    def decode_terms(self, terms: Mapping[int, object]) -> dict:
+        """The {key: c} of a packed dict: decode with the memo read inline."""
+        bits, mask, memo = self.bits, self.mask, self._memo
+        shift = 2 * bits
+        out = {}
+        for code, c in terms.items():
+            prof = code >> shift
+            entry = memo.get(prof) or self._decoded(prof)
+            out[code & mask, code >> bits & mask, entry[0]] = c
+        return out
+
     def _planned(self, prof: int) -> tuple[list, list, list]:
         """The [(increment, weight), ...] moves of (u+v)*grow +
         split_or_join on a key of packed profile prof, one list per
@@ -485,7 +496,7 @@ class ConnectedSeries:
         buckets: list = []
         for d in range(self.dmax + 1, dmax + 1):
             full = _next_marked(pk, packed, buckets, d)
-            piece = {pk.decode(code): v for code, v in full.items()}
+            piece = pk.decode_terms(full)
             try:
                 _check_piece(d, piece)
             except ValueError as exc:

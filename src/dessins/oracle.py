@@ -16,15 +16,23 @@ simultaneous conjugation.  A tiny pure-Python scan over all d!^2 pairs
 (method "naive") cross-checks the vectorized kernel at small d.
 
 Everything the scan needs of tau is read from per-degree tables over
-S_d (about 17 MB at d = 9), filled in one pass over chunks of rows that
+S_d (about 28 MB at d = 9), filled in one pass over chunks of rows that
 holds no temporary larger than one chunk.  A row's cycle type comes
 from first returns: a point's cycle length is the first j with
 tau^j(x) = x, and m_i is the number of points of length i over i.  As
-tau runs over S_d, so does sigma*tau: the scan finds each product's row
-by its code and reads the type stored there.  A row's code reads the
-row as a base-d numeral, so it is < d^d, which is < 2^31 for d <=
-CLASSES_LIMIT = 9; codes and place values are int32, and the table
-refuses any degree where the bound fails rather than alias two rows.
+tau runs over S_d, so does sigma*tau, and the scan reads each product's
+type at its row.  It finds that row by relabelling, not by search.
+Left multiplication by the adjacent transposition s_i swaps the values
+i and i + 1 of a row; if they sit at positions a and b, the row's
+lexicographic (Lehmer) rank moves by +(d-1-a)! when a < b and by
+-(d-1-b)! otherwise.  The tables keep that move, swap[i][r], for each of
+the d - 1 transpositions, and check at build time that each is a
+fixed-point-free involution of the rows.  The scan writes sigma as a
+word in the s_i (a bubble sort of its images; d - parts letters for a
+class representative) and pushes the row types through one gather per
+letter.  A relabelled row index is uint16 while d! <= 2^16 (d <= 8) and
+int32 at d = 9; the tables take (d-1) * d! of them, 0.56 MB at d = 8
+and 11.6 MB at d = 9.
 The type index is int16: it is below p(d), the number of partitions of
 d, and a cycle count is at most d, so the scan's bin index
 tidx * (d + 1) + l stays below p(d) * (d + 1) = 300 at d = 9.
@@ -35,8 +43,10 @@ transitive iff no proper, nonempty union of sigma-cycles is tau-invariant
 0, since its complement is invariant too.  So each row of S_d stores one
 bit per set S containing 0: is tau(S) = S?  Sets and their images are
 uint16 bitmasks, exact for d <= 16; the table holds 2^(d-1) bits per row
-(11.6 MB at d = 9).  All three bounds are implied by the row-code bound:
-the refusal of d^d > 2^31 already covers every d >= 10.
+(11.6 MB at d = 9).  None of these bounds fails at d = 10 (the index
+would be int32, the bins 462, the masks 10 bits), but the tables would
+take about 410 MB, 232 MB of it subset bits; so the tables refuse every
+degree past CLASSES_LIMIT = 9 by size, not by overflow.
 """
 
 from __future__ import annotations
@@ -53,9 +63,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .counts import indecomposable_count
 from .evolution import ConnectedSeries
 from .series import (
     Multiplicities,
+    NonPhysicalKeyError,
     RawKey,
     from_parts,
     genus_of,
@@ -121,8 +133,7 @@ def is_transitive(sigma, tau) -> bool:
 
 class _Tables(NamedTuple):
     T: np.ndarray          # (d!, d) int8, all of S_d in lexicographic order
-    place: np.ndarray      # int32 place values d^(d-1-i) of the row codes
-    rowcodes: np.ndarray   # int32 T @ place, strictly increasing
+    swap: np.ndarray       # (d-1, d!) row of s_i * T[r]: uint16, or int32 at d = 9
     tidx: np.ndarray       # int16 index into types of each row's cycle type
     types: list            # the partitions of d in code order
     lcounts: np.ndarray    # int8 cycle count of each row
@@ -132,21 +143,21 @@ class _Tables(NamedTuple):
 @lru_cache(maxsize=1)
 def _tau_tables(d: int) -> _Tables:
     """Shared per-degree tables: all of S_d in lexicographic order, each
-    row's base-d code and cycle type, and the sets containing 0 that each
-    row maps onto themselves (bit s % 64 of word s // 64 of row r: does
-    T[r] map {0} | (s << 1) onto itself?).  Only the last degree's tables
-    are kept.  Images of all 2^(d-1) sets are built by subset doubling,
+    row's relabellings by the adjacent transpositions and its cycle type,
+    and the sets containing 0 that each row maps onto themselves (bit
+    s % 64 of word s // 64 of row r: does T[r] map {0} | (s << 1) onto
+    itself?).  Only the last degree's tables are kept.  Images of all
+    2^(d-1) sets are built by subset doubling,
     img(S | x) = img(S) | 1 << T[r, x], on a (set, row) uint16 buffer of
     1 MB, which fixes the row chunk of the one pass.
     """
-    if d ** d > 2 ** 31:  # also keeps the subset bitmasks within uint16
-        raise ValueError(f"row codes of degree {d} overflow int32")
+    if d > CLASSES_LIMIT:
+        raise ValueError(f"tables of degree {d} exceed the class-reduced "
+                         f"scan's d <= {CLASSES_LIMIT}")
     # filled straight from the generator: no d! tuples held at once
     T = np.fromiter(chain.from_iterable(iter_permutations(range(d))), np.int8,
                     count=factorial(d) * d).reshape(-1, d)
     N = len(T)
-    # row r read as a base-d numeral; strictly increasing down T
-    place = np.array([d ** (d - 1 - i) for i in range(d)], dtype=np.int32)
     # a type's code has digit i * m_i <= d at (d + 1)^(i-1): the number of
     # points on i-cycles, so each point adds the power of its cycle
     # length; codes order types as their multiplicities m_i do
@@ -154,18 +165,29 @@ def _tau_tables(d: int) -> _Tables:
     digit = [(i + 1) * p for i, p in enumerate(power.tolist())]
     types = sorted(partitions(d), key=lambda m: sum(map(mul, m, digit)))
     type_codes = np.array([sum(map(mul, m, digit)) for m in types])
+    # swapping the values i and i + 1 at positions a < b raises the Lehmer
+    # digit at a by one, so the rank by (d-1-a)!; at a > b it lowers the
+    # digit at b, and the rank by (d-1-b)!: the step at a * d + b
+    weight = [factorial(d - 1 - j) for j in range(d)]
+    rank_step = np.array([weight[a] if a < b else -weight[b]
+                          for a in range(d) for b in range(d)], dtype=np.int32)
+    swap = np.empty((d - 1, N),
+                    dtype=np.uint16 if N <= 1 << 16 else np.int32)
     n_sets = 1 << (d - 1)
     sets = (np.arange(n_sets, dtype=np.uint16) << 1) | 1
     rows = max(1, (1 << 20) // (2 * n_sets))
     img = np.empty((n_sets, rows), dtype=np.uint16)
-    rowcodes = np.empty(N, dtype=np.int32)
     tidx = np.empty(N, dtype=np.int16)
     closed = np.zeros((N, 8 * -(-n_sets // 64)), dtype=np.uint8)
     points = np.arange(d, dtype=np.int8)
     for lo in range(0, N, rows):
         P = T[lo:lo + rows]
         n = len(P)
-        rowcodes[lo:lo + n] = P @ place
+        where = np.empty((n, d), dtype=np.int8)  # where[r, v]: v's position
+        where[np.arange(n)[:, None], P] = points
+        pair = (where[:, :-1] * d + where[:, 1:]).T  # < d * d <= 81
+        swap[:, lo:lo + n] = rank_step[pair] + np.arange(lo, lo + n,
+                                                         dtype=np.int32)
         # a point's cycle length is the first j with P^j(x) = x, so one
         # less is the number of powers j = 1, 2, ... before it returns
         step = ((np.arange(n, dtype=np.intp) * d)[:, None] + P).ravel()
@@ -183,9 +205,15 @@ def _tau_tables(d: int) -> _Tables:
         packed = np.packbits(img[:, :n] == sets[:, None], axis=0,
                              bitorder="little")
         closed[lo:lo + n, :len(packed)] = packed.T
+    del img  # the check's temporaries take the chunk buffer's place
+    identity = np.arange(N, dtype=swap.dtype)
+    for i, s in enumerate(swap):
+        # s_i is a fixed-point-free involution, and so is its relabelling
+        if not (np.array_equal(s[s], identity) and (s != identity).all()):
+            raise ArithmeticError(f"degree {d}: relabelling by s_{i} is not "
+                                  f"a fixed-point-free involution")
     lcounts = np.array([sum(m) for m in types], dtype=np.int8)[tidx]
-    return _Tables(T, place, rowcodes, tidx, types, lcounts,
-                   closed.view("<u8"))
+    return _Tables(T, swap, tidx, types, lcounts, closed.view("<u8"))
 
 
 def _cycle_masks(sigma) -> list[int]:
@@ -221,23 +249,35 @@ def _transitive_rows(sigma, tables) -> np.ndarray:
     return ~hit
 
 
-def _product_rows(sig: np.ndarray, tables) -> np.ndarray:
-    """Row index in T of sigma composed after tau_r, for every row r: its
-    code sums place[i] * sig[T[r, i]], one int32 lookup per column."""
-    luts = np.multiply.outer(tables.place, sig)
-    codes = sum(lut[column] for lut, column in zip(luts, tables.T.T))
-    return np.searchsorted(tables.rowcodes, codes)
+def _word(sigma) -> list[int]:
+    """Letters i of sigma as a word in the adjacent transpositions s_i,
+    sigma = s_i1 * s_i2 * ... * s_ik: a bubble sort of its images, one
+    letter per inversion (d - parts of them for a class representative)."""
+    images, swaps = list(sigma), []
+    for top in range(len(images) - 1, 0, -1):
+        for j in range(top):
+            if images[j] > images[j + 1]:
+                images[j], images[j + 1] = images[j + 1], images[j]
+                swaps.append(j)
+    return swaps[::-1]  # sigma * s_j1 * ... * s_jk = 1
+
+
+def _compose(values: np.ndarray, sigma, tables) -> np.ndarray:
+    """values at the row of sigma * tau_r, for every row r: one gather
+    per letter of sigma's word, as s_i * tau_r is row swap[i][r]."""
+    for i in _word(sigma):  # np.take: no intp copy of a narrow index
+        values = np.take(values, tables.swap[i])
+    return values
 
 
 def _scan_sigma(sigma, weight: int, tables, counts: dict) -> None:
     """Bin the pairs (sigma, tau) over every tau; exact integer counts."""
     d = tables.T.shape[1]
-    sig = np.asarray(sigma, dtype=np.int8)
     k_sigma = cycle_count(sigma)
     trans = _transitive_rows(sigma, tables)
 
     # the products sigma*tau_r run over S_d once: type each by its row
-    combined = tables.tidx[_product_rows(sig, tables)] * (d + 1) + tables.lcounts
+    combined = _compose(tables.tidx, sigma, tables) * (d + 1) + tables.lcounts
     binned = np.bincount(combined[trans], minlength=len(tables.types) * (d + 1))
     for flat in np.flatnonzero(binned):
         t_idx, l = divmod(int(flat), d + 1)
@@ -330,7 +370,7 @@ def transitive_pair_counts(d: int, method: str = "classes",
     if method == "naive":
         if d > NAIVE_LIMIT:
             raise ValueError(f"naive enumeration supports d <= {NAIVE_LIMIT}")
-        return PairCounts(d, _naive_counts(d), "naive")
+        return _checked(d, _naive_counts(d), "naive")
     if method != "classes":
         raise ValueError(f"unknown method {method!r}")
     if d > CLASSES_LIMIT:
@@ -353,7 +393,22 @@ def transitive_pair_counts(d: int, method: str = "classes",
         for part in pool.map(scan_chunk, [sigmas[i::n] for i in range(n)]):
             for key, c in part.items():
                 counts[key] = counts.get(key, 0) + c
-    return PairCounts(d, counts, method)
+    return _checked(d, counts, method)
+
+
+def _checked(d: int, counts: dict[RawKey, int], method: str) -> PairCounts:
+    """The scan's table, after its invariants: every key has a genus, and
+    the d! * (indecomposable permutations of d + 1) / d transitive pairs
+    are all binned.  A failure is the scan's own fault: ArithmeticError."""
+    try:
+        table = PairCounts(d, counts, method)
+    except NonPhysicalKeyError as exc:
+        raise ArithmeticError(f"oracle scan of degree {d}: {exc}") from exc
+    want = factorial(d - 1) * indecomposable_count(d + 1)
+    if table.total != want:
+        raise ArithmeticError(f"oracle scan of degree {d}: {table.total} "
+                              f"transitive pairs, expected {want}")
+    return table
 
 
 @dataclass(frozen=True)

@@ -366,6 +366,42 @@ def test_engine_key_past_the_half_exits_1(capsys, monkeypatch):
     assert err.startswith("internal check failed: computed degree 2: key (2, 1, ")
 
 
+def test_unphysical_oracle_key_exits_1(capsys, monkeypatch):
+    from dessins import oracle
+
+    real_scan = oracle._scan_sigma
+
+    def stray_scan(sigma, weight, tables, counts):
+        real_scan(sigma, weight, tables, counts)
+        counts[(1, 1, (0, 0, 0, 1))] = 1  # d - k - l - parts + 2 = 3: odd
+
+    monkeypatch.setattr(oracle, "_scan_sigma", stray_scan)
+    code, out, err = run(capsys, "oracle", "--d", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal check failed: oracle scan of degree 4: "
+                          "key (1, 1, (0, 0, 0, 1))")
+
+
+def test_oracle_pair_total_exits_1(capsys, monkeypatch):
+    from dessins import oracle
+
+    real_scan = oracle._scan_sigma
+
+    def extra_scan(sigma, weight, tables, counts):
+        real_scan(sigma, weight, tables, counts)
+        key = (1, 1, (4,))  # physical: only the total can tell
+        counts[key] = counts.get(key, 0) + 1
+
+    monkeypatch.setattr(oracle, "_scan_sigma", extra_scan)
+    code, out, err = run(capsys, "oracle", "--d", "4", "--threads", "1")
+    assert code == 1
+    assert out == ""
+    # one stray pair per class representative: p(4) = 5 over 3! * 71
+    assert err == ("internal check failed: oracle scan of degree 4: "
+                   "431 transitive pairs, expected 426\n")
+
+
 def test_no_command_builds_fraction_pieces(tmp_path, capsys, monkeypatch):
     from dessins.evolution import ConnectedSeries
 

@@ -15,18 +15,24 @@ from dessins.oracle import (
     CLASSES_LIMIT,
     PairCounts,
     _auto_threads,
-    _product_rows,
+    _compose,
     _representative,
     _scan_sigma,
     _tau_tables,
     _transitive_rows,
+    _word,
     compare_with_series,
     cycle_count,
     cycle_type,
     is_transitive,
     transitive_pair_counts,
 )
-from dessins.series import GradedSeries, NonPhysicalKeyError, TruncationError
+from dessins.series import (
+    GradedSeries,
+    NonPhysicalKeyError,
+    TruncationError,
+    partitions,
+)
 
 
 def test_cycle_type_examples():
@@ -148,13 +154,18 @@ def test_row_types_across_chunks():
         assert tables.lcounts[r] == cycle_count(row)
 
 
-def test_row_codes_increase_and_refuse_overflow():
-    for d in range(1, 7):
-        codes = _tau_tables(d).rowcodes
-        assert codes.dtype == np.int32
-        assert (np.diff(codes) > 0).all() and codes[-1] < d ** d
-    assert CLASSES_LIMIT ** CLASSES_LIMIT < 2 ** 31
-    with pytest.raises(ValueError, match="overflow"):
+def test_relabel_bounds_and_refuse_degree_10():
+    # the bounds that carry the scan to d = 9: a relabelled row index holds
+    # d! - 1, the int16 bin index holds p(d) * (d + 1), and the subset
+    # masks are uint16; d = 10 is refused by the tables' size instead
+    for d in range(1, 9):
+        swap = _tau_tables(d).swap
+        assert swap.dtype == np.uint16 and swap.shape == (d - 1, factorial(d))
+    assert factorial(CLASSES_LIMIT) - 1 <= np.iinfo(np.int32).max
+    n_types = sum(1 for _ in partitions(CLASSES_LIMIT))
+    assert n_types * (CLASSES_LIMIT + 1) <= np.iinfo(np.int16).max
+    assert CLASSES_LIMIT <= 16
+    with pytest.raises(ValueError, match="exceed"):
         _tau_tables(10)  # refused before the 10! table is built
 
 
@@ -241,13 +252,30 @@ def test_tables_hold_no_gather_indices():
         assert tables.closed.shape == (n, -(-2 ** (d - 1) // 64))
 
 
+def _check_composition(d, sigmas, every=1):
+    tables = _tau_tables(d)
+    T = tables.T
+    rows = np.arange(len(T))
+    for sigma in sigmas:
+        composed = _compose(rows, sigma, tables)[::every]
+        sig = np.array(sigma, dtype=np.int8)
+        assert (T[composed] == sig[T[::every]]).all(), sigma
+
+
 def test_product_rows_compose():
-    tables = _tau_tables(5)
-    perms = [tuple(p) for p in tables.T.tolist()]
-    for sigma in [(0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (4, 2, 0, 1, 3), (2, 4, 1, 0, 3)]:
-        rank = _product_rows(np.array(sigma, dtype=np.int8), tables)
-        for r, tau in enumerate(perms):
-            assert perms[rank[r]] == tuple(sigma[x] for x in tau)
+    # T[rows[r]] is sigma * T[r]: every row for every sigma at d <= 6, and
+    # every 37th row at d = 8 and 9, for the class representatives and
+    # sigmas whose cycles are not runs of consecutive points
+    for d in range(1, 7):
+        _check_composition(d, permutations(range(d)))
+    odd = {8: [(3, 7, 6, 0, 4, 1, 2, 5), (7, 6, 5, 4, 3, 2, 1, 0)],
+           9: [(8, 0, 7, 1, 6, 2, 5, 3, 4), (2, 5, 8, 1, 4, 7, 0, 3, 6)]}
+    for d in (8, 9):
+        reps = {_representative(m): m for m in partitions(d)}
+        _check_composition(d, [*reps, *odd[d]], every=37)
+        # one gather per letter: d - parts for a class representative
+        assert all(len(_word(rep)) == d - sum(m) for rep, m in reps.items())
+    assert _tau_tables(9).swap.dtype == np.int32
 
 
 def test_scan_is_conjugation_invariant():
@@ -308,13 +336,13 @@ def test_occurring_types_have_integer_genus():
         PairCounts(2, {(1, 1, (0, 1)): 1})  # parity-violating type
 
 
-def test_engine_agreement(engine6):
-    for d in range(1, 7):
-        table, diffs = compare_with_series(engine6, d)
+def test_engine_agreement(engine10):
+    for d in range(1, 9):
+        table, diffs = compare_with_series(engine10, d)
         assert diffs == []
         # total transitive pairs = (d-1)! * sum of marked counts
         marked_total = sum(
-            d * c for c in engine6.piece(d).terms.values())
+            d * c for c in engine10.piece(d).terms.values())
         assert table.total == factorial(d - 1) * marked_total
 
 
