@@ -8,13 +8,14 @@ extension of any shallower one, and re-running with a covering cache
 reloads the pieces instead of recomputing them.  A cache is written to a
 temporary file beside it and renamed into place, so a crash or a second
 writer never leaves half a cache.  Loading requires positive counts in
-strictly increasing canonical order; the genus collapse then checks the
-genus relation of every key and gives the row sum and the genus-0 and
-genus-1 column sums of each degree, checked against the closed forms.
-So a cut or reordered file is rejected, and so is an edit that leaves a
-negative count or changes a row or genus-0/1 column sum.  Only a
-positive move between two keys of the same degree and genus still
-loads; ``oracle`` and ``recursion`` catch it.
+strictly increasing canonical order and admits them as ``ConnectedSeries``
+input, whose one genus pass per degree checks the seed, that no degree is
+empty, and every key's weight and genus relation; each degree's row sum
+and genus-0 and genus-1 column sums are then checked against A003319 and
+the closed forms.  So a cut or reordered file is rejected, and so is an
+edit that leaves a negative count or changes a row or genus-0/1 column
+sum.  Only a positive move between two keys of the same degree and genus
+still loads; ``oracle`` and ``recursion`` catch it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import gcd
 from pathlib import Path
 
 from .counts import genus_table, indecomposable_count, marked_count_genus0, marked_count_genus1
-from .evolution import SEED_KEY, ConnectedSeries
+from .evolution import ConnectedSeries
 from .series import parse_lines, render_lines
 
 HEADER_TAG = "DESSIN-F v1"
@@ -69,11 +70,9 @@ def parse_cache(text: str) -> ConnectedSeries:
         if d not in marked:  # canonical order: the lines come by degree
             piece = marked[d] = {}
         piece[key] = v
-    if marked.get(1) != {SEED_KEY: 1}:
-        raise ValueError("degree-1 piece must be exactly u*v*t1")
-    series = ConnectedSeries._from_marked(  # a missing degree fails its row sum
+    series = ConnectedSeries._from_marked(  # checked: seed, gaps, every key
         [marked.get(d, {}) for d in range(1, len(marked) + 1)])
-    table = genus_table(series)  # checks every key's genus relation
+    table = genus_table(series)  # a degree past the body fails its row sum
     for d in range(2, dmax + 1):
         if sum(table.row_marked(d)) != indecomposable_count(d + 1):
             raise ValueError(f"degree-{d} marked counts do not sum to "

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("kp", help="hierarchy residual report")
     p.add_argument("--dmax", type=int, required=True)
-    p.add_argument("--eq", type=int, choices=(1, 2, 3, 4), default=None,
+    p.add_argument("--eq", type=int, choices=[eq.id for eq in KP_EQUATIONS],
                    help="check a single equation (default: all four)")
     p.add_argument("--format", choices=("text", "json"), default="text")
     _add_common(p)

@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .evolution import ConnectedSeries
-from .series import piece_genera
 
 
 @dataclass(frozen=True)
@@ -40,25 +39,16 @@ class GenusTable:
 
 
 def genus_table(series: ConnectedSeries) -> GenusTable:
-    """Collapse the series to counts by (degree, genus).
+    """Counts by (degree, genus) of the series.
 
     Every monomial of weight d contributes its marked count to the genus
     read off from 2g - 2 = d - (k + l + parts).  Entries exist for all
-    0 <= g <= (d-1)//2 (as zeros where nothing contributes).  A key of the
-    wrong weight or with no genus raises ValueError.  The table is kept
-    on the series, so each series is collapsed once.
+    0 <= g <= (d-1)//2 (as zeros where nothing contributes).  A view of
+    the genus rows the series collapsed, with its key checks, as each
+    degree entered it (see ``series.genus_row``).
     """
-    if series._genus is not None:
-        return series._genus
-    entries: dict[tuple[int, int], int] = {}
-    for d, marked in enumerate(series._marked, 1):
-        sums = [0] * (GenusTable.max_genus(d) + 1)
-        for g, v in zip(piece_genera(d, marked), marked.values()):
-            sums[g] += v
-        for g, v in enumerate(sums):
-            entries[(d, g)] = v
-    series._genus = table = GenusTable(series.dmax, entries)
-    return table
+    return GenusTable(series.dmax, {(d, g): v for d, row in enumerate(series._rows, 1)
+                                    for g, v in enumerate(row)})
 
 
 def indecomposable_count(n: int) -> int:

@@ -72,10 +72,10 @@ then follows from the lower pieces phase by phase:
   derivative keeps k and l), and each delta-group of a is convolved with
   the prefix of b whose delta <= -delta_a.
 
-Weight, the genus relation and integrality are u <-> v-invariant, so the
-checks of a computed degree run on its half; the degree step mirrors every
-key with k < l and returns whole degrees.  A computed key with k > l is an
-invariant failure, never dropped or mirrored over.  The public operators
+Integrality is u <-> v-invariant, so it is checked on the half; the
+degree step mirrors every key with k < l and returns whole degrees, whose
+keys ``genus_row`` checks as it collapses them.  A computed key with
+k > l is an invariant failure, never dropped or mirrored over.  The public operators
 and ``partition_function`` take no shortcut: they act on any series,
 symmetric or not, and the tests assemble the operators as the reference.
 """
@@ -88,7 +88,7 @@ from functools import lru_cache
 from itertools import product
 from math import lcm
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .series import (
     GradedSeries,
@@ -96,10 +96,10 @@ from .series import (
     RawKey,
     TruncationError,
     canonical_multiplicities,
+    genus_row,
     multiplicities_decr,
     multiplicities_incr,
     partition_weight,
-    piece_genera,
 )
 
 SEED_KEY: RawKey = (1, 1, (1,))
@@ -419,12 +419,6 @@ def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
     return out
 
 
-def _check_piece(d: int, keys: Iterable[RawKey]) -> None:
-    """Every key has weight d and satisfies the genus relation."""
-    for _ in piece_genera(d, keys):
-        pass
-
-
 def next_piece(pieces: Sequence[GradedSeries]) -> GradedSeries:
     """Piece of weight d = len(pieces) + 1 from the pieces 1 .. d - 1,
     which are checked as by the ConnectedSeries constructor."""
@@ -437,41 +431,47 @@ class ConnectedSeries:
     """Homogeneous pieces of the connected series for degrees 1 .. dmax.
 
     Only the marked counts are stored: per degree d, {(k, l, m): d * N}
-    with int values.  The Fraction pieces (``pieces``, ``piece``,
-    ``combined``) are built from them on first use and kept.
-    Construction checks the seed, integrality of the marked counts,
-    per-piece homogeneity and the genus relation on every key.
-    ``_profile_index`` regroups the marked counts of each degree by
-    profile on first use, and ``counts.genus_table`` keeps its collapse in
-    ``_genus``; each instance builds its own.
+    with int values, beside the degree's genus row.  ``series.genus_row``
+    checks a degree's keys as it collapses them, once, where the degree
+    enters; outside input (the constructor's pieces, a cache) also has
+    its seed, integrality and nonempty pieces checked.  The Fraction
+    pieces (``pieces``, ``piece``, ``combined``) are built on first use
+    and kept, and ``_profile_index`` regroups each degree by profile.
     """
 
-    __slots__ = ("_marked", "_pieces", "_index", "_genus")
+    __slots__ = ("_marked", "_rows", "_pieces", "_index")
 
     def __init__(self, pieces: Sequence[GradedSeries]):
-        marked = [_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)]
-        if not marked:
-            raise ValueError("need at least the degree-1 piece")
-        if marked[0] != {SEED_KEY: 1}:
-            raise ValueError("degree-1 piece must be exactly u*v*t1")
-        for d, piece in enumerate(marked, 1):
-            if not piece:
-                raise ValueError(f"piece {d} is empty")
-            _check_piece(d, piece)
+        self._set([_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)])
+
+    def _set(self, marked: Sequence[dict[RawKey, int]],
+             rows: Sequence[list[int]] | None = None) -> None:
+        """Store marked counts with their genus rows.  Without ``rows``
+        the counts are outside input, and the seed, each degree and every
+        key are checked while the rows are collapsed."""
+        if rows is None:
+            if not marked:
+                raise ValueError("need at least the degree-1 piece")
+            if marked[0] != {SEED_KEY: 1}:
+                raise ValueError("degree-1 piece must be exactly u*v*t1")
+            rows = []
+            for d, piece in enumerate(marked, 1):
+                if not piece:
+                    raise ValueError(f"piece {d} is empty")
+                rows.append(genus_row(d, piece))
         self._marked = tuple(marked)
+        self._rows = tuple(rows)
         self._pieces: tuple[GradedSeries, ...] | None = None
         self._index: list[dict[Multiplicities, list]] = []
-        self._genus = None
 
     @classmethod
-    def _from_marked(cls, marked: Sequence[dict[RawKey, int]]) -> "ConnectedSeries":
-        """Trusted entry: marked counts already checked (the engine's own,
-        or a cache that passed every load check)."""
+    def _from_marked(cls, marked: Sequence[dict[RawKey, int]],
+                     rows: Sequence[list[int]] | None = None) -> "ConnectedSeries":
+        """Series of marked counts: with ``rows``, the engine's own degrees
+        and their genus rows, trusted; without, outside input (a cache),
+        checked as by the constructor."""
         series = cls.__new__(cls)
-        series._marked = tuple(marked)
-        series._pieces = None
-        series._index = []
-        series._genus = None
+        series._set(marked, rows)
         return series
 
     # -- construction ----------------------------------------------------------
@@ -479,31 +479,32 @@ class ConnectedSeries:
     @classmethod
     def compute(cls, dmax: int) -> "ConnectedSeries":
         """Build the series up to degree dmax from the one-edge seed."""
-        return cls._from_marked([{SEED_KEY: 1}]).extended_to(dmax)
+        return cls._from_marked([{SEED_KEY: 1}], [[1]]).extended_to(dmax)
 
     def extended_to(self, dmax: int) -> "ConnectedSeries":
         """Same series computed (or cut back) to another degree bound; each
         added degree comes whole from the degree step, and one whose keys
-        fail the key checks raises ArithmeticError (an engine invariant)."""
+        fail the checks of ``genus_row`` raises ArithmeticError (an engine
+        invariant)."""
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
         if dmax <= self.dmax:
-            return ConnectedSeries._from_marked(self._marked[:dmax]) \
+            return ConnectedSeries._from_marked(self._marked[:dmax], self._rows[:dmax]) \
                 if dmax < self.dmax else self
         pk = _Packing(dmax)  # checked pieces: k, l, m_i <= degree <= dmax
         packed = [pk.encode_terms(t) for t in self._marked]
-        marked = list(self._marked)
+        marked, rows = list(self._marked), list(self._rows)
         buckets: list = []
         for d in range(self.dmax + 1, dmax + 1):
             full = _next_marked(pk, packed, buckets, d)
             piece = pk.decode_terms(full)
             try:
-                _check_piece(d, piece)
+                rows.append(genus_row(d, piece))
             except ValueError as exc:
                 raise ArithmeticError(f"computed degree {d}: {exc}") from exc
             packed.append(full)
             marked.append(piece)
-        return ConnectedSeries._from_marked(marked)
+        return ConnectedSeries._from_marked(marked, rows)
 
     # -- access ------------------------------------------------------------------
 

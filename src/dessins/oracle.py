@@ -67,10 +67,9 @@ from .counts import indecomposable_count
 from .evolution import ConnectedSeries
 from .series import (
     Multiplicities,
-    NonPhysicalKeyError,
     RawKey,
     from_parts,
-    genus_of,
+    genus_row,
     partitions,
 )
 
@@ -298,8 +297,7 @@ class PairCounts:
     method: str = "classes"
 
     def __post_init__(self):
-        for key in self.counts:
-            genus_of(key)  # every occurring type must have integer genus >= 0
+        genus_row(self.d, self.counts)  # every type has weight d and a genus
 
     @property
     def total(self) -> int:
@@ -397,12 +395,13 @@ def transitive_pair_counts(d: int, method: str = "classes",
 
 
 def _checked(d: int, counts: dict[RawKey, int], method: str) -> PairCounts:
-    """The scan's table, after its invariants: every key has a genus, and
-    the d! * (indecomposable permutations of d + 1) / d transitive pairs
-    are all binned.  A failure is the scan's own fault: ArithmeticError."""
+    """The scan's table, after its invariants: every key has weight d and a
+    genus, and the d! * (indecomposable permutations of d + 1) / d
+    transitive pairs are all binned.  A failure is the scan's own fault:
+    ArithmeticError."""
     try:
         table = PairCounts(d, counts, method)
-    except NonPhysicalKeyError as exc:
+    except ValueError as exc:
         raise ArithmeticError(f"oracle scan of degree {d}: {exc}") from exc
     want = factorial(d - 1) * indecomposable_count(d + 1)
     if table.total != want:

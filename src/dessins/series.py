@@ -143,25 +143,29 @@ def genus_at(d: int, key: RawKey) -> int:
     return twice // 2
 
 
-def piece_genera(d: int, keys: Iterable[RawKey]) -> Iterator[int]:
-    """``genus_at(d, key)`` for every key of a degree-d piece (d >= 1), in
-    order; the weight and d + 2 - parts are read once per distinct profile.
+def genus_row(d: int, piece: Mapping[RawKey, int]) -> list[int]:
+    """The counts of a degree-d piece summed by genus, g = 0 .. (d-1)//2,
+    after checking every key; the weight and d + 2 - parts are read once
+    per distinct profile.
 
     A key whose profile has another weight raises ValueError ("piece d is
     not homogeneous of weight d"), an unphysical one the error of
     ``genus_at``.
     """
+    row = [0] * ((d + 1) // 2)
     offsets: dict[Multiplicities, int] = {}
-    for key in keys:
+    for key, v in piece.items():
         k, l, m = key
         offset = offsets.get(m)
         if offset is None:
             if partition_weight(m) != d:
                 raise ValueError(f"piece {d} is not homogeneous of weight {d}")
-            offset = offsets[m] = d + 2 - sum(m)
+            offset = offsets[m] = d + 2 - sum(m) if d > 0 else -2  # d = 0: none
         twice = offset - k - l
-        yield (twice >> 1 if twice >= 0 and not twice & 1 and k > 0 and l > 0
-               else genus_at(d, key))  # genus_at raises the key's error
+        if twice < 0 or twice & 1 or k < 1 or l < 1:
+            genus_at(d, key)  # raises the key's error
+        row[twice >> 1] += v
+    return row
 
 
 def physical_keys(d: int) -> Iterator[MonomialKey]:

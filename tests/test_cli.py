@@ -125,23 +125,40 @@ def test_table_collapses_through_cli_genus_table(capsys, monkeypatch):
     assert calls == [3]
 
 
+def _record_genus_rows(monkeypatch) -> list[int]:
+    """The degrees of every ``genus_row`` call from here on, in order."""
+    from dessins import evolution
+
+    degrees = []
+    real = evolution.genus_row
+
+    def recording(d, piece):
+        degrees.append(d)
+        return real(d, piece)
+
+    monkeypatch.setattr(evolution, "genus_row", recording)
+    return degrees
+
+
 def test_cached_table_collapses_once(tmp_path, capsys, monkeypatch):
     # cache load collapses the series for its checks; table reuses that
-    from dessins import counts
-
     cache = ["--cache", str(tmp_path / "f.cache")]
     assert run(capsys, "table", "--dmax", "5", *cache)[0] == 0  # writes it
-    degrees = []
-
-    def recording(d, keys):
-        degrees.append(d)
-        return real(d, keys)
-
-    real = counts.piece_genera
-    monkeypatch.setattr(counts, "piece_genera", recording)
+    degrees = _record_genus_rows(monkeypatch)
     code, out, _ = run(capsys, "table", "--dmax", "5", "--marked", *cache)
     assert code == 0 and out.startswith("d,g,G_marked\n1,0,1\n")
     assert degrees == [1, 2, 3, 4, 5]
+
+
+def test_cold_table_collapses_each_computed_degree_once(tmp_path, capsys,
+                                                        monkeypatch):
+    # the degree step collapses each degree it computes (the seed's row is
+    # given); writing the cache and the table reuse those rows
+    degrees = _record_genus_rows(monkeypatch)
+    code, out, _ = run(capsys, "table", "--dmax", "5", "--marked",
+                       "--cache", str(tmp_path / "f.cache"))
+    assert code == 0 and out.startswith("d,g,G_marked\n1,0,1\n")
+    assert degrees == [2, 3, 4, 5]
 
 
 def test_table_usage_errors(capsys):
@@ -381,6 +398,27 @@ def test_unphysical_oracle_key_exits_1(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal check failed: oracle scan of degree 4: "
                           "key (1, 1, (0, 0, 0, 1))")
+
+
+def test_oracle_key_of_another_degree_exits_1(capsys, monkeypatch):
+    from dessins import oracle
+
+    real_scan = oracle._scan_sigma
+    moved = []
+
+    def moving_scan(sigma, weight, tables, counts):
+        real_scan(sigma, weight, tables, counts)
+        if not moved:  # one count moves, so the pair total still holds
+            moved.append(next(iter(counts)))
+            counts[moved[0]] -= 1
+            counts[(1, 2, (0, 0, 0, 1))] = 1  # genus 1 at weight 4, not 3
+
+    monkeypatch.setattr(oracle, "_scan_sigma", moving_scan)
+    code, out, err = run(capsys, "oracle", "--d", "3", "--threads", "1")
+    assert code == 1
+    assert out == ""
+    assert err == ("internal check failed: oracle scan of degree 3: "
+                   "piece 3 is not homogeneous of weight 3\n")
 
 
 def test_oracle_pair_total_exits_1(capsys, monkeypatch):

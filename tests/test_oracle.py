@@ -336,6 +336,12 @@ def test_occurring_types_have_integer_genus():
         PairCounts(2, {(1, 1, (0, 1)): 1})  # parity-violating type
 
 
+def test_types_of_another_degree_are_refused():
+    # (1, 2, (0, 0, 0, 1)) has genus 1 at its own weight 4, none at d = 3
+    with pytest.raises(ValueError, match="^piece 3 is not homogeneous of weight 3$"):
+        PairCounts(3, {(1, 2, (0, 0, 0, 1)): 1})
+
+
 def test_engine_agreement(engine10):
     for d in range(1, 9):
         table, diffs = compare_with_series(engine10, d)
