@@ -7,7 +7,8 @@ append-only by degree: the body of a deeper cache is a byte-prefix
 extension of any shallower one, and re-running with a covering cache
 reloads the pieces instead of recomputing them.  A cache is written to a
 temporary file beside it and renamed into place, so a crash or a second
-writer never leaves half a cache.  Loading requires positive counts in
+writer never leaves half a cache; a failed write removes that file and
+is reported at the cache's own path.  Loading requires positive counts in
 strictly increasing canonical order and admits them as ``ConnectedSeries``
 input, whose one genus pass per degree checks the seed, that no degree is
 empty, and every key's weight and genus relation; each degree's row sum
@@ -21,6 +22,7 @@ still loads; ``oracle`` and ``recursion`` catch it.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from math import gcd
 from pathlib import Path
 
@@ -98,8 +100,11 @@ def save_cache(path: str | Path, series: ConnectedSeries) -> None:
     try:
         tmp.write_text(render_cache(series), encoding="ascii", newline="\n")
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 
@@ -108,9 +113,10 @@ def load_or_compute(dmax: int, cache_path: str | Path | None = None) -> Connecte
 
     A cache that already covers dmax is left untouched (and may be
     deeper than requested); otherwise the cached degrees seed the
-    computation and the extended series is written back.
+    computation and the extended series is written back.  An empty path
+    is no cache.
     """
-    if cache_path is None:
+    if not cache_path:
         return ConnectedSeries.compute(dmax)
     path = Path(cache_path)
     if path.exists():

@@ -46,7 +46,7 @@ class UsageError(Exception):
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--cache", default=os.environ.get("DESSIN_CACHE"),
+    sub.add_argument("--cache", default=os.environ.get("DESSIN_CACHE") or None,
                      metavar="PATH",
                      help="series cache file (default: $DESSIN_CACHE)")
 

@@ -86,7 +86,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import factorial, lcm
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -167,7 +167,15 @@ class _Packing:
         return (self._memo.get(prof) or self._decoded(prof))[1]
 
     def encode_terms(self, terms: Mapping[RawKey, object]) -> dict:
-        return {self.encode(key): c for key, c in terms.items()}
+        """The packed {code: c} of a {key: c} dict: each profile's fields
+        are packed once per call."""
+        bits, fields, out = self.bits, {}, {}
+        for (k, l, m), c in terms.items():
+            prof = fields.get(m)
+            if prof is None:
+                prof = fields[m] = self.encode((0, 0, m))
+            out[k | l << bits | prof] = c
+        return out
 
     def decode_terms(self, terms: Mapping[int, object]) -> dict:
         """The {key: c} of a packed dict: decode with the memo read inline."""
@@ -423,8 +431,7 @@ def next_piece(pieces: Sequence[GradedSeries]) -> GradedSeries:
     """Piece of weight d = len(pieces) + 1 from the pieces 1 .. d - 1,
     which are checked as by the ConnectedSeries constructor."""
     d = len(pieces) + 1
-    marked = ConnectedSeries(pieces).extended_to(d).marked_piece(d)
-    return GradedSeries({key: Fraction(v, d) for key, v in marked.items()}, d, _raw=True)
+    return ConnectedSeries(pieces).extended_to(d).piece(d)
 
 
 class ConnectedSeries:
@@ -435,11 +442,12 @@ class ConnectedSeries:
     checks a degree's keys as it collapses them, once, where the degree
     enters; outside input (the constructor's pieces, a cache) also has
     its seed, integrality and nonempty pieces checked.  The Fraction
-    pieces (``pieces``, ``piece``, ``combined``) are built on first use
-    and kept, and ``_profile_index`` regroups each degree by profile.
+    views are built on each call and not kept: ``piece(d)`` builds degree
+    d only, and ``pieces`` and ``combined`` are made of it.
+    ``_profile_index`` regroups each degree by profile.
     """
 
-    __slots__ = ("_marked", "_rows", "_pieces", "_index")
+    __slots__ = ("_marked", "_rows", "_index")
 
     def __init__(self, pieces: Sequence[GradedSeries]):
         self._set([_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)])
@@ -461,7 +469,6 @@ class ConnectedSeries:
                 rows.append(genus_row(d, piece))
         self._marked = tuple(marked)
         self._rows = tuple(rows)
-        self._pieces: tuple[GradedSeries, ...] | None = None
         self._index: list[dict[Multiplicities, list]] = []
 
     @classmethod
@@ -514,28 +521,27 @@ class ConnectedSeries:
 
     @property
     def pieces(self) -> tuple[GradedSeries, ...]:
-        if self._pieces is None:
-            self._pieces = tuple(
-                GradedSeries({key: Fraction(v, d) for key, v in marked.items()},
-                             self.dmax, _raw=True)
-                for d, marked in enumerate(self._marked, 1))
-        return self._pieces
+        return tuple(self.piece(d) for d in range(1, self.dmax + 1))
 
     def _profile_index(self, top: int) -> list[dict[Multiplicities, list]]:
         """Per degree d, at least up to top: {profile: [(k, l, d * N), ...]}
-        at index d - 1.  Degrees are added as a caller first needs them."""
+        at index d - 1, each list sorted by k.  Degrees are added as a
+        caller first needs them."""
         index = self._index
         for marked in self._marked[len(index):top]:
             by_profile: dict[Multiplicities, list] = {}
-            for (k, l, m), v in marked.items():
+            for (k, l, m), v in sorted(marked.items()):  # each list by k
                 by_profile.setdefault(m, []).append((k, l, v))
             index.append(by_profile)
         return index
 
     def piece(self, d: int) -> GradedSeries:
+        """The weighted counts of degree d, as Fractions."""
         if not 1 <= d <= self.dmax:
             raise TruncationError(f"degree {d} outside 1..{self.dmax}")
-        return self.pieces[d - 1]
+        marked = self._marked[d - 1]
+        return GradedSeries({key: Fraction(v, d) for key, v in marked.items()},
+                            self.dmax, _raw=True)
 
     def coefficient(self, k: int, l: int, m: Sequence[int]) -> Fraction:
         """Weighted count for the type (k, l, m); exact, 0 when absent."""
@@ -549,10 +555,8 @@ class ConnectedSeries:
 
     def combined(self) -> GradedSeries:
         """All pieces merged into one series truncated at dmax."""
-        out: dict = {}
-        for piece in self.pieces:
-            out.update(piece._terms)
-        return GradedSeries(out, self.dmax, _raw=True)
+        terms = {key: c for piece in self.pieces for key, c in piece._terms.items()}
+        return GradedSeries(terms, self.dmax, _raw=True)
 
     def marked_piece(self, d: int) -> dict[RawKey, int]:
         """d times the degree-d piece, with integer coefficients."""
@@ -680,9 +684,10 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     with coefficient() on every key (exercised by the test suite); it is
     never used to build the table.  The moves read canonical keys of known
     weight straight from that piece's marked counts M_w = w * N_w: the
-    three in-piece moves sum to S / (d - 1), the two-component move to
-    sum over w1 of P[w1] / (w1 * (d - 1 - w1)), with S and P[w1] integers,
-    and the whole is one Fraction over a common denominator.
+    three in-piece moves sum to S / (d - 1), and each two-component move
+    adds P / (w1 * (d - 1 - w1)), S and P integers.  Both denominators
+    divide (d - 1)! (w1 * (d - 1 - w1) divides w1! * (d - 1 - w1)!), so the
+    key sums one integer numerator over (d - 1)! and returns it over d!.
 
     Which profiles a move reads, and with what multiplicity, depends only
     on m: a move changes k and l by a fixed shift (in-piece) or shares
@@ -690,8 +695,8 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     involve k or l.  So the moves come from ``_move_plan(m)``, built once
     per profile, and a pair move walks the keys of profile r1 from the
     series' profile index (``ConnectedSeries._profile_index``, built for
-    the weights below d - 1 on first use) with k1 < k, l1 < l, probing only
-    the complement (k - k1, l - l1, r2).
+    the weights below d - 1 on first use, sorted by k1) up to k1 < k, and
+    probes the complement (k - k1, l - l1, r2) of each key with l1 < l.
     """
     mm = canonical_multiplicities(m)
     d = partition_weight(mm)
@@ -700,27 +705,18 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     if d <= 1:  # no lower piece to insert an edge into
         return Fraction(int((k, l, mm) == SEED_KEY))
     inpiece_moves, pair_moves = _move_plan(mm)
+    top = factorial(d - 1)  # every move's denominator divides it
     get = cs._marked[d - 2].get  # the in-piece moves remove one edge in place
-    inpiece = 0
-    for dk, dl, ref, f in inpiece_moves:
-        inpiece += f * get((k - dk, l - dl, ref), 0)
-
-    # pairs[w1] collects the products of marked counts of weights w1, d-1-w1
-    pairs: dict[int, int] = {}
+    num = top // (d - 1) * sum(f * get((k - dk, l - dl, ref), 0)
+                               for dk, dl, ref, f in inpiece_moves)
     index = cs._profile_index(d - 2)
     for w1, f, r1, r2 in pair_moves:
         ab = 0
         get2 = cs._marked[d - 2 - w1].get  # weight d - 1 - w1
         for k1, l1, a in index[w1 - 1].get(r1, ()):
-            if k1 < k and l1 < l:
-                b = get2((k - k1, l - l1, r2))
-                if b:
-                    ab += a * b
-        if ab:
-            pairs[w1] = pairs.get(w1, 0) + f * ab
-
-    dens = {w1: w1 * (d - 1 - w1) for w1 in pairs}
-    C = lcm(d - 1, *dens.values())
-    num = inpiece * (C // (d - 1))
-    num += sum(p * (C // dens[w1]) for w1, p in pairs.items())
-    return Fraction(num, C * d)
+            if k1 >= k:
+                break
+            if l1 < l:
+                ab += a * get2((k - k1, l - l1, r2), 0)
+        num += f * ab * (top // (w1 * (d - 1 - w1)))
+    return Fraction(num, top * d)

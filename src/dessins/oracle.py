@@ -35,7 +35,10 @@ int32 at d = 9; the tables take (d-1) * d! of them, 0.56 MB at d = 8
 and 11.6 MB at d = 9.
 The type index is int16: it is below p(d), the number of partitions of
 d, and a cycle count is at most d, so the scan's bin index
-tidx * (d + 1) + l stays below p(d) * (d + 1) = 300 at d = 9.
+tidx * (d + 1) + l stays below p(d) * (d + 1) = 300 at d = 9.  Each
+representative's int64 bincount, times its class size, is added into
+row k = parts of one (d + 1, p(d) * (d + 1)) int64 array.  No entry can
+overflow: each one is at most the d!^2 <= (9!)^2 < 2^37 pairs of degree d.
 
 Transitivity is read from the invariant-subset table.  The pair is
 transitive iff no proper, nonempty union of sigma-cycles is tau-invariant
@@ -269,19 +272,14 @@ def _compose(values: np.ndarray, sigma, tables) -> np.ndarray:
     return values
 
 
-def _scan_sigma(sigma, weight: int, tables, counts: dict) -> None:
-    """Bin the pairs (sigma, tau) over every tau; exact integer counts."""
+def _scan_sigma(sigma, tables) -> np.ndarray:
+    """The int64 histogram of the transitive pairs (sigma, tau) over every
+    tau, at t * (d + 1) + l: t indexes sigma*tau's type, l is tau's cycles."""
     d = tables.T.shape[1]
-    k_sigma = cycle_count(sigma)
     trans = _transitive_rows(sigma, tables)
-
     # the products sigma*tau_r run over S_d once: type each by its row
     combined = _compose(tables.tidx, sigma, tables) * (d + 1) + tables.lcounts
-    binned = np.bincount(combined[trans], minlength=len(tables.types) * (d + 1))
-    for flat in np.flatnonzero(binned):
-        t_idx, l = divmod(int(flat), d + 1)
-        key = (k_sigma, l, tables.types[t_idx])
-        counts[key] = counts.get(key, 0) + int(binned[flat]) * weight
+    return np.bincount(combined[trans], minlength=len(tables.types) * (d + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +354,10 @@ def transitive_pair_counts(d: int, method: str = "classes",
     method "classes" scans one sigma per cycle type with conjugacy-class
     weights (d <= 9), "naive" is the no-numpy reference scan over all
     d!^2 pairs (d <= 5).  Refuses degrees beyond the supported bound.
-    The sigma list is split across ``threads`` worker threads (0 for
-    auto), at most one per sigma and never more than the auto count;
-    counts merge by exact integer addition, so the result never depends
-    on the schedule.
+    The class representatives are scanned on ``threads`` worker threads
+    (0 for auto), one task each, never more threads than classes or than
+    the auto count; this thread adds up the histograms in class order, so
+    the result never depends on the schedule.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -374,23 +372,19 @@ def transitive_pair_counts(d: int, method: str = "classes",
     if d > CLASSES_LIMIT:
         raise ValueError(f"class-reduced enumeration supports "
                          f"d <= {CLASSES_LIMIT}")
-    sigmas = [(_representative(m), _class_size(m, d)) for m in partitions(d)]
-
+    classes = list(partitions(d))
     tables = _tau_tables(d)
-
-    def scan_chunk(chunk):
-        part: dict[RawKey, int] = {}
-        for sigma, weight in chunk:
-            _scan_sigma(sigma, weight, tables, part)
-        return part
-
     auto = _auto_threads()
-    n = min(threads or auto, auto, len(sigmas))
-    counts: dict[RawKey, int] = {}
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        for part in pool.map(scan_chunk, [sigmas[i::n] for i in range(n)]):
-            for key, c in part.items():
-                counts[key] = counts.get(key, 0) + c
+    hist = np.zeros((d + 1, len(tables.types) * (d + 1)), dtype=np.int64)
+    with ThreadPoolExecutor(max_workers=min(threads or auto, auto,
+                                            len(classes))) as pool:
+        scans = pool.map(lambda m: _scan_sigma(_representative(m), tables),
+                         classes)
+        for m, binned in zip(classes, scans):  # k = cycles of sigma
+            hist[sum(m)] += _class_size(m, d) * binned
+    cells = hist.reshape(d + 1, len(tables.types), d + 1)  # [k, t, l]
+    counts = {(int(k), int(l), tables.types[t]): int(cells[k, t, l])
+              for k, t, l in zip(*np.nonzero(cells))}
     return _checked(d, counts, method)
 
 

@@ -312,6 +312,44 @@ def test_cache_flag_and_env(tmp_path, capsys, monkeypatch):
     assert path.read_bytes() == bytes_before
 
 
+@pytest.mark.parametrize("env, flag", [("", []), (None, ["--cache", ""])],
+                         ids=["empty_env", "empty_flag"])
+def test_empty_cache_path_means_no_cache(tmp_path, capsys, monkeypatch, env, flag):
+    monkeypatch.chdir(tmp_path)  # an empty path must not be read as "."
+    monkeypatch.delenv("DESSIN_CACHE", raising=False)
+    want = {argv[0]: run(capsys, *argv) for argv in (
+        ["table", "--dmax", "4", "--marked"], ["closed", "--dmax", "4"],
+        ["coeff", "--d", "3", "--k", "1", "--l", "1", "--profile", "3^1"])}
+    assert all(code == 0 and not err for code, _, err in want.values())
+    if env is not None:
+        monkeypatch.setenv("DESSIN_CACHE", env)
+    for argv in (["table", "--dmax", "4", "--marked"], ["closed", "--dmax", "4"],
+                 ["coeff", "--d", "3", "--k", "1", "--l", "1", "--profile", "3^1"]):
+        assert run(capsys, *argv, *flag) == want[argv[0]]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("fault", ["missing_directory", "refused_rename"])
+def test_unwritable_cache_is_reported_at_its_path(tmp_path, capsys, monkeypatch,
+                                                  fault):
+    import os
+
+    path = tmp_path / "x.cache"
+    if fault == "missing_directory":
+        path = tmp_path / "missing" / "x.cache"
+        message = "[Errno 2] No such file or directory"
+    else:
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied", str(src), str(dst))
+
+        monkeypatch.setattr(os, "replace", refuse)
+        message = "[Errno 13] Permission denied"
+    for _ in range(2):  # the same bytes on every run: no temporary name
+        code, out, err = run(capsys, "table", "--dmax", "3", "--cache", str(path))
+        assert (code, out, err) == (3, "", f"I/O error: {message}: {str(path)!r}\n")
+    assert list(tmp_path.iterdir()) == []  # no temporary file is left
+
+
 def test_corrupt_cache_is_io_error(tmp_path, capsys):
     path = tmp_path / "bad.cache"
     path.write_text("garbage\n")
@@ -388,9 +426,12 @@ def test_unphysical_oracle_key_exits_1(capsys, monkeypatch):
 
     real_scan = oracle._scan_sigma
 
-    def stray_scan(sigma, weight, tables, counts):
-        real_scan(sigma, weight, tables, counts)
-        counts[(1, 1, (0, 0, 0, 1))] = 1  # d - k - l - parts + 2 = 3: odd
+    def stray_scan(sigma, tables):
+        binned = real_scan(sigma, tables)
+        if oracle.cycle_count(sigma) == 1:  # k = 1
+            # l = 1 at the type (0, 0, 0, 1): d - k - l - parts + 2 = 3, odd
+            binned[tables.types.index((0, 0, 0, 1)) * 5 + 1] += 1
+        return binned
 
     monkeypatch.setattr(oracle, "_scan_sigma", stray_scan)
     code, out, err = run(capsys, "oracle", "--d", "4")
@@ -403,18 +444,18 @@ def test_unphysical_oracle_key_exits_1(capsys, monkeypatch):
 def test_oracle_key_of_another_degree_exits_1(capsys, monkeypatch):
     from dessins import oracle
 
-    real_scan = oracle._scan_sigma
-    moved = []
+    # a histogram has no bin of another degree: the naive scan's table
+    # carries the fault
+    real_counts = oracle._naive_counts
 
-    def moving_scan(sigma, weight, tables, counts):
-        real_scan(sigma, weight, tables, counts)
-        if not moved:  # one count moves, so the pair total still holds
-            moved.append(next(iter(counts)))
-            counts[moved[0]] -= 1
-            counts[(1, 2, (0, 0, 0, 1))] = 1  # genus 1 at weight 4, not 3
+    def moving_counts(d):
+        counts = real_counts(d)
+        counts[next(iter(counts))] -= 1  # one count moves: the total holds
+        counts[(1, 2, (0, 0, 0, 1))] = 1  # genus 1 at weight 4, not 3
+        return counts
 
-    monkeypatch.setattr(oracle, "_scan_sigma", moving_scan)
-    code, out, err = run(capsys, "oracle", "--d", "3", "--threads", "1")
+    monkeypatch.setattr(oracle, "_naive_counts", moving_counts)
+    code, out, err = run(capsys, "oracle", "--d", "3", "--method", "naive")
     assert code == 1
     assert out == ""
     assert err == ("internal check failed: oracle scan of degree 3: "
@@ -426,27 +467,30 @@ def test_oracle_pair_total_exits_1(capsys, monkeypatch):
 
     real_scan = oracle._scan_sigma
 
-    def extra_scan(sigma, weight, tables, counts):
-        real_scan(sigma, weight, tables, counts)
-        key = (1, 1, (4,))  # physical: only the total can tell
-        counts[key] = counts.get(key, 0) + 1
+    def extra_scan(sigma, tables):
+        binned = real_scan(sigma, tables)
+        if oracle.cycle_count(sigma) == 1:  # k = 1
+            # l = 1 at the type (4,): physical, only the total can tell
+            binned[tables.types.index((4,)) * 5 + 1] += 1
+        return binned
 
     monkeypatch.setattr(oracle, "_scan_sigma", extra_scan)
     code, out, err = run(capsys, "oracle", "--d", "4", "--threads", "1")
     assert code == 1
     assert out == ""
-    # one stray pair per class representative: p(4) = 5 over 3! * 71
+    # one stray pair of the 4-cycle representative, weighted by its class
+    # size 3! = 6, over 3! * 71
     assert err == ("internal check failed: oracle scan of degree 4: "
-                   "431 transitive pairs, expected 426\n")
+                   "432 transitive pairs, expected 426\n")
 
 
 def test_no_command_builds_fraction_pieces(tmp_path, capsys, monkeypatch):
     from dessins.evolution import ConnectedSeries
 
-    def refuse(self):
+    def refuse(self, d):
         raise AssertionError("Fraction pieces built")
 
-    monkeypatch.setattr(ConnectedSeries, "pieces", property(refuse))
+    monkeypatch.setattr(ConnectedSeries, "piece", refuse)
     assert run(capsys, "table", "--dmax", "6")[0] == 0  # no cache
     cache = ["--cache", str(tmp_path / "f.cache")]  # saved once, then loaded
     for argv in (["table", "--dmax", "6"], ["table", "--dmax", "6", "--marked"],
