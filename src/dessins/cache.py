@@ -21,10 +21,12 @@ still loads; ``oracle`` and ``recursion`` catch it.
 
 from __future__ import annotations
 
+import errno
 import os
 from contextlib import suppress
 from math import gcd
 from pathlib import Path
+from stat import S_ISDIR
 
 from .counts import genus_table, indecomposable_count, marked_count_genus0, marked_count_genus1
 from .evolution import ConnectedSeries
@@ -113,7 +115,9 @@ def load_or_compute(dmax: int, cache_path: str | Path | None = None) -> Connecte
 
     A cache that already covers dmax is left untouched (and may be
     deeper than requested); otherwise the cached degrees seed the
-    computation and the extended series is written back.  An empty path
+    computation and the extended series is written back.  A new cache
+    whose directory is missing or not a directory is refused before any
+    computing, with the OSError its write would end in.  An empty path
     is no cache.
     """
     if not cache_path:
@@ -125,6 +129,12 @@ def load_or_compute(dmax: int, cache_path: str | Path | None = None) -> Connecte
             return series
         series = series.extended_to(dmax)
     else:
+        try:
+            code = 0 if S_ISDIR(path.parent.stat().st_mode) else errno.ENOTDIR
+        except OSError as exc:
+            code = exc.errno
+        if code:
+            raise OSError(code, os.strerror(code), str(path))
         series = ConnectedSeries.compute(dmax)
     save_cache(path, series)
     return series

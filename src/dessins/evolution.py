@@ -444,10 +444,12 @@ class ConnectedSeries:
     its seed, integrality and nonempty pieces checked.  The Fraction
     views are built on each call and not kept: ``piece(d)`` builds degree
     d only, and ``pieces`` and ``combined`` are made of it.
-    ``_profile_index`` regroups each degree by profile.
+    ``_packed_index`` packs each degree once, with one ``_Packing(dmax)``
+    per series, for the KP evaluator and ``recursion_rhs``, which also
+    keeps its per-profile moves read against that index in ``_moves``.
     """
 
-    __slots__ = ("_marked", "_rows", "_index")
+    __slots__ = ("_marked", "_rows", "_pk", "_index", "_moves")
 
     def __init__(self, pieces: Sequence[GradedSeries]):
         self._set([_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)])
@@ -469,7 +471,9 @@ class ConnectedSeries:
                 rows.append(genus_row(d, piece))
         self._marked = tuple(marked)
         self._rows = tuple(rows)
-        self._index: list[dict[Multiplicities, list]] = []
+        self._pk = _Packing(len(marked))  # k, l, m_i <= degree <= dmax
+        self._index: list[dict[int, dict[int, int]]] = []
+        self._moves: dict[Multiplicities, tuple] = {}  # of recursion_rhs
 
     @classmethod
     def _from_marked(cls, marked: Sequence[dict[RawKey, int]],
@@ -523,16 +527,24 @@ class ConnectedSeries:
     def pieces(self) -> tuple[GradedSeries, ...]:
         return tuple(self.piece(d) for d in range(1, self.dmax + 1))
 
-    def _profile_index(self, top: int) -> list[dict[Multiplicities, list]]:
-        """Per degree d, at least up to top: {profile: [(k, l, d * N), ...]}
-        at index d - 1, each list sorted by k.  Degrees are added as a
-        caller first needs them."""
-        index = self._index
+    def _packed_index(self, top: int) -> list[dict[int, dict[int, int]]]:
+        """Per degree d, at least up to top, at index d - 1: the marked
+        counts grouped by packed profile, {profile: {kl: d * N}}, where a
+        key's code in the series' one packing ``_pk`` is profile + kl,
+        profile holding the fields above k and l and kl = k | l << bits.
+        Each group iterates by increasing kl, so by l and then k.  Degrees
+        are added as a caller first needs them."""
+        index, pk = self._index, self._pk
+        bits = pk.bits
         for marked in self._marked[len(index):top]:
-            by_profile: dict[Multiplicities, list] = {}
-            for (k, l, m), v in sorted(marked.items()):  # each list by k
-                by_profile.setdefault(m, []).append((k, l, v))
-            index.append(by_profile)
+            by_m: dict[Multiplicities, list] = {}
+            for (k, l, m), v in marked.items():
+                group = by_m.get(m)
+                if group is None:
+                    group = by_m[m] = []
+                group.append((k | l << bits, v))
+            index.append({pk.encode((0, 0, m)): dict(sorted(group))
+                          for m, group in by_m.items()})
         return index
 
     def piece(self, d: int) -> GradedSeries:
@@ -673,6 +685,32 @@ def _move_plan(m: Multiplicities) -> tuple[tuple, tuple]:
             tuple((w1, f, r1, r2) for (w1, r1, r2), f in pairs.items()))
 
 
+def _planned_moves(cs: ConnectedSeries, mm: Multiplicities,
+                   d: int) -> tuple[tuple, tuple]:
+    """The moves of ``_move_plan(mm)`` read against the series' packed
+    index, once per series and profile, each factor scaled to a term of
+    one numerator over (d - 1)!: in-piece (get, dkl, f), where get probes
+    the reference profile's group one weight below at kl - dkl; pair
+    (entries, get2, f), the r1 group's (kl1, count) pairs and the probe
+    of the r2 group."""
+    moves = cs._moves.get(mm)
+    if moves is None:
+        index, pk = cs._packed_index(d - 1), cs._pk
+        top, empty = factorial(d - 1), {}
+
+        def group(w: int, ref: Multiplicities) -> dict:
+            return index[w - 1].get(pk.encode((0, 0, ref)), empty)
+
+        inpiece, pairs = _move_plan(mm)
+        moves = cs._moves[mm] = (
+            tuple((group(d - 1, ref).get, dk | dl << pk.bits, f * (top // (d - 1)))
+                  for dk, dl, ref, f in inpiece),
+            tuple((group(w1, r1).items(), group(d - 1 - w1, r2).get,
+                   f * (top // (w1 * (d - 1 - w1))))
+                  for w1, f, r1, r2 in pairs))
+    return moves
+
+
 def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
                   m: Sequence[int]) -> Fraction:
     """Evaluate the coefficient recursion right-hand side at (k, l, m).
@@ -693,10 +731,22 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     on m: a move changes k and l by a fixed shift (in-piece) or shares
     them between two components (pair), but its profiles and factors never
     involve k or l.  So the moves come from ``_move_plan(m)``, built once
-    per profile, and a pair move walks the keys of profile r1 from the
-    series' profile index (``ConnectedSeries._profile_index``, built for
-    the weights below d - 1 on first use, sorted by k1) up to k1 < k, and
-    probes the complement (k - k1, l - l1, r2) of each key with l1 < l.
+    per profile, and are read against the series' packed index
+    (``ConnectedSeries._packed_index``) once per series and profile
+    (``_planned_moves``).  Every read is then an integer probe of one
+    profile group, keyed by kl = k | l << bits: an in-piece move probes
+    kl - dkl, and a pair move walks the r1 group in increasing kl1 up to
+    l1 < l (kl1 < l << bits) and probes the r2 group at kl - kl1 for each
+    entry with k1 < k.
+
+    The probes cannot alias.  The series' packing has 2^bits > dmax >= d,
+    and every key of weight w has 1 <= k, l <= w.  So a key with k or l
+    outside 1..d reads only absent keys (an in-piece move reads k - dk,
+    l - dl with dk, dl <= 1 at weight d - 1; a pair move splits k and l
+    into two parts >= 1 at weights summing to d - 1), and it is answered
+    0 before packing.  Inside that range kl holds k and l exactly, kl -
+    dkl takes dk, dl <= 1 from fields k, l >= 1, and kl - kl1 leaves the
+    fields k - k1, l - l1 >= 1, so no field borrows or carries.
     """
     mm = canonical_multiplicities(m)
     d = partition_weight(mm)
@@ -704,19 +754,18 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
         raise TruncationError(f"weight {d} beyond computed degree {cs.dmax}")
     if d <= 1:  # no lower piece to insert an edge into
         return Fraction(int((k, l, mm) == SEED_KEY))
-    inpiece_moves, pair_moves = _move_plan(mm)
-    top = factorial(d - 1)  # every move's denominator divides it
-    get = cs._marked[d - 2].get  # the in-piece moves remove one edge in place
-    num = top // (d - 1) * sum(f * get((k - dk, l - dl, ref), 0)
-                               for dk, dl, ref, f in inpiece_moves)
-    index = cs._profile_index(d - 2)
-    for w1, f, r1, r2 in pair_moves:
+    if not (1 <= k <= d and 1 <= l <= d):
+        return Fraction(0)
+    inpiece_moves, pair_moves = _planned_moves(cs, mm, d)
+    bits, mask = cs._pk.bits, cs._pk.mask
+    kl, stop = k | l << bits, l << bits
+    num = sum(f * get(kl - dkl, 0) for get, dkl, f in inpiece_moves)
+    for entries, get2, f in pair_moves:
         ab = 0
-        get2 = cs._marked[d - 2 - w1].get  # weight d - 1 - w1
-        for k1, l1, a in index[w1 - 1].get(r1, ()):
-            if k1 >= k:
+        for kl1, a in entries:
+            if kl1 >= stop:
                 break
-            if l1 < l:
-                ab += a * get2((k - k1, l - l1, r2), 0)
-        num += f * ab * (top // (w1 * (d - 1 - w1)))
-    return Fraction(num, top * d)
+            if (kl1 & mask) < k:
+                ab += a * get2(kl - kl1, 0)
+        num += f * ab
+    return Fraction(num, factorial(d - 1) * d)

@@ -14,34 +14,50 @@ factors) pairs, each factor a multi-index of t-derivatives, and the whole
 equation moved to one side.  Further hierarchy equations can be added to
 KP_EQUATIONS without touching the evaluator.
 
-The evaluator runs on the packed keys and the pair convolution of
-``evolution`` with plain integer coefficients.  With F_d = M_d / d (M_d
-the integer marked piece), the s^n value of a product of r derivative
-factors is the sum over n_1 + ... + n_r = n of prod_j U_j(n_j) / n_j,
-U_j the factor's derivative of M.  Each prod n_j divides n! (it divides
-prod n_j!, which divides n!), so P_n = n! times that value is an
-integer.  One factor has P_n = (n-1)! U(n), a derivative of the integer
-piece G_n = n! F_n = (n-1)! M_n; appending a factor gives the binomial
-convolution P_n = sum_b C(n, b) P_head(n-b) (b-1)! U(b).  With L the lcm
-of an equation's coefficient denominators, L * n! times its residual is
-the integer sum of (coeff * L) P_n, which vanishes exactly when the
-residual does; a Fraction is formed only when residual() returns it.
+The evaluator reads the series' packed index (one ``_Packing(dmax)`` per
+series, see ``ConnectedSeries._packed_index``) and runs the pair
+convolution of ``evolution`` with plain integer coefficients.  With
+F_d = M_d / d (M_d the integer marked piece), the s^n value of a product
+of r derivative factors is the sum over n_1 + ... + n_r = n of prod_j
+U_j(n_j) / n_j, U_j the factor's derivative of M.  Each prod n_j divides
+n! (it divides prod n_j!, which divides n!), so P_n = n! times that value
+is an integer.  One factor has P_n = (n-1)! U(n), a derivative of the
+integer piece G_n = n! F_n = (n-1)! M_n; appending a factor gives the
+binomial convolution P_n = sum_b C(n, b) P_head(n-b) (b-1)! U(b).  With L
+the lcm of an equation's coefficient denominators, L * n! times its
+residual is the integer sum of (coeff * L) P_n, which vanishes exactly
+when the residual does; a Fraction is formed only when residual() returns
+it.
 
-Keys are packed with 2^bits > nmax.  A table entry at s-degree n is a
-derivative of one piece of weight n, or a product of derivatives of
-pieces whose weights sum to n; derivatives only lower an m_i that is at
-least one, and pieces have k, l, m_i <= weight, so every field of every
-key, sums included, stays in 0 .. n <= nmax and cannot carry or alias.
+Derivatives are profile factors.  A multi-derivative d^a (a_i
+t_i-derivatives) maps every key of one profile m to the profile m -
+sum a_i e_i with the same k and l, times prod m_i! / (m_i - a_i)!, so a
+derivative table holds one (profile, factor, entries) item per profile
+group of a degree, the entries a view of the index's own {kl: M}
+group, with nothing copied per key.  A product convolves each pair of
+groups in one call, the factors multiplied and the profiles added.  A
+square (the same factor twice, as in (1,1)^2, (1,2)^2 and (1,1,1)^2)
+has equal terms at b and n - b, since C(n, b) = C(n, n - b): it sums
+b < n - b doubled and b = n / 2 once.
+
+Codes cannot carry or alias.  The series' packing has 2^bits > dmax >=
+nmax.  A table entry at s-degree n is a derivative of one piece of
+weight n, or a product of derivatives of pieces whose weights sum to n.
+A derivative subtracts e_i only from a profile with m_i >= a_i (the
+factor is 0, and the group dropped, elsewhere), and pieces have k, l,
+m_i <= weight, so every field of every code, sums included, stays in
+0 .. n <= nmax < 2^bits.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 from typing import Sequence
 
-from .evolution import ConnectedSeries, _convolve, _Packing
+from .evolution import ConnectedSeries, _convolve
 from .series import GradedSeries, TruncationError
 
 MultiIndex = tuple[int, ...]
@@ -118,8 +134,11 @@ def equation_by_id(eq_id: int) -> KpEquation:
 # ---------------------------------------------------------------------------
 
 class KpEvaluator:
-    """Shared derivative/product tables for residuals up to one s-bound;
-    entry n of a table is a packed [(key, int), ...] list."""
+    """Derivative and product tables for residuals up to one s-bound, read
+    from the series' packed index.  Entry n of a derivative table is a
+    [(profile, factor, entries), ...] list, one item per profile group of
+    degree n; entry n of a product table is a packed [(code, int), ...]
+    list."""
 
     def __init__(self, series: ConnectedSeries, nmax: int):
         if nmax < 0:
@@ -128,42 +147,57 @@ class KpEvaluator:
             raise TruncationError(
                 f"s-degree {nmax} beyond computed degree {series.dmax}")
         self.nmax = nmax
-        self._pk = pk = _Packing(max(nmax, 1))
-        # the empty derivative, entry d: G_d = d! F_d = (d-1)! times the
-        # marked piece d * F_d
-        self._derivs: dict[MultiIndex, list] = {(): [None] + [
-            [(code, factorial(d - 1) * c) for code, c in pk.encode_terms(t).items()]
-            for d, t in enumerate(series._marked[:nmax], 1)]}
+        self._pk = series._pk
+        self._groups = [None] + series._packed_index(nmax)[:nmax]
+        self._derivs: dict[MultiIndex, list] = {}
         self._products: dict[tuple[MultiIndex, ...], list] = {}
 
     def _deriv(self, multi: MultiIndex) -> list:
-        """Entry d: the multi-derivative of G_d, one t_i-derivative (i the
-        last index) of the memoised multi[:-1]."""
+        """Entry d: the multi-derivative of G_d = (d-1)! M_d, as one item
+        (profile - sum of E[i], (d-1)! * prod m_i! / (m_i - a_i)!, entries)
+        per profile group with every m_i >= a_i, a_i the times i occurs in
+        multi; the entries are a view of the group's (kl, M) items."""
         tables = self._derivs.get(multi)
         if tables is None:
             pk = self._pk
-            shift = pk.bits * (multi[-1] + 1)  # the field of m_i
-            mask, e = pk.mask, 1 << shift
-            tables = self._derivs[multi] = [None] + [
-                [(code - e, x * c) for code, c in terms if (x := code >> shift & mask)]
-                for terms in self._deriv(multi[:-1])[1:]]
+            bits, mask, E = pk.bits, pk.mask, pk.units(max(multi, default=0))
+            # (the shift of m_i's field, a_i) for each index i in multi
+            alpha = [(bits * (i + 1), a) for i, a in Counter(multi).items()]
+            drop = sum(E[i] for i in multi)
+            tables = self._derivs[multi] = [None]
+            for d in range(1, self.nmax + 1):
+                items, fd = [], factorial(d - 1)
+                for prof, group in self._groups[d].items():
+                    f = fd
+                    for shift, a in alpha:
+                        f *= perm(prof >> shift & mask, a)  # 0 when m_i < a_i
+                    if f:
+                        items.append((prof - drop, f, group.items()))
+                tables.append(items)
         return tables
 
     def _product(self, factors: tuple[MultiIndex, ...]) -> list:
-        """Entry n: P_n, n! times the s^n value of the product of factors."""
-        if len(factors) == 1:
-            return self._deriv(factors[0])
-        if factors not in self._products:
-            head, U = self._product(factors[:-1]), self._deriv(factors[-1])
-            out: list = [None] * (self.nmax + 1)
+        """Entry n: P_n, n! times the s^n value of a product of two or more
+        factors, the binomial convolution of its head and last factor group
+        by group; a head of two or more factors is its flattened product
+        table, one group per degree.  A square doubles b < n - b."""
+        out = self._products.get(factors)
+        if out is None:
+            *head, last = factors
+            U = self._deriv(last)
+            square = head == [last]
+            A = self._deriv(head[0]) if len(head) == 1 else [
+                [(0, 1, terms)] for terms in self._product(tuple(head))]
+            out = self._products[factors] = [()] * (self.nmax + 1)
             for n in range(len(factors), self.nmax + 1):
                 acc: dict = {}
-                for b in range(1, n - len(factors) + 2):
-                    if head[n - b] and U[b]:
-                        _convolve(head[n - b], U[b], acc, comb(n, b))
+                for b in range(1, n // 2 + 1 if square else n):
+                    c = comb(n, b) << (square and 2 * b < n)
+                    for pb, fb, eb in U[b]:
+                        for pa, fa, ea in A[n - b]:
+                            _convolve(ea, eb, acc, c * fa * fb, pa + pb)
                 out[n] = [(code, v) for code, v in acc.items() if v]
-            self._products[factors] = out
-        return self._products[factors]
+        return out
 
     def _scaled_residual(self, eq: KpEquation, n: int) -> tuple[dict, int]:
         """(L * n! times the s^n residual as packed ints, L * n!)."""
@@ -171,10 +205,17 @@ class KpEvaluator:
             raise TruncationError(f"s-degree {n} outside 1..{self.nmax}")
         L = lcm(*(coeff.denominator for coeff, _ in eq.terms))
         acc: dict = {}
+        get = acc.get
         for coeff, factors in eq.terms:
             scale = coeff.numerator * (L // coeff.denominator)
-            for code, v in self._product(factors)[n] or ():
-                acc[code] = acc.get(code, 0) + scale * v
+            if len(factors) > 1:
+                for code, v in self._product(factors)[n]:
+                    acc[code] = get(code, 0) + scale * v
+                continue
+            for prof, f, entries in self._deriv(factors[0])[n]:
+                sf = scale * f
+                for kl, v in entries:
+                    acc[prof + kl] = get(prof + kl, 0) + sf * v
         return {code: v for code, v in acc.items() if v}, L * factorial(n)
 
     def residual(self, eq: KpEquation, n: int) -> GradedSeries:

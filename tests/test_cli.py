@@ -350,6 +350,25 @@ def test_unwritable_cache_is_reported_at_its_path(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []  # no temporary file is left
 
 
+@pytest.mark.parametrize("parent, message", [
+    ("missing", "[Errno 2] No such file or directory"),
+    ("afile", "[Errno 20] Not a directory")])
+def test_unwritable_cache_directory_is_refused_before_computing(
+        tmp_path, capsys, monkeypatch, parent, message):
+    from dessins.evolution import ConnectedSeries
+
+    def refuse(dmax):
+        raise AssertionError("computed before the cache path was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(ConnectedSeries, "compute", refuse)
+    (tmp_path / "afile").write_text("")
+    path = f"{parent}/x.cache"
+    code, out, err = run(capsys, "table", "--dmax", "8", "--cache", path)
+    assert (code, out, err) == (3, "", f"I/O error: {message}: {path!r}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
 def test_corrupt_cache_is_io_error(tmp_path, capsys):
     path = tmp_path / "bad.cache"
     path.write_text("garbage\n")

@@ -413,6 +413,20 @@ def test_recursion_returns_fractions(engine6):
         assert type(recursion_rhs(engine6, *key)) is F, key
 
 
+@pytest.mark.parametrize("m", [(0, 0, 2), (1, 1, 1), (6,), (0, 0, 0, 0, 1), (2, 0, 1)])
+def test_recursion_is_zero_for_k_or_l_outside_the_degree(engine6, m):
+    # engine6 packs k and l in 3-bit fields (2^3 > 6): l = d + 5 and k = 9
+    # would carry into the next field if they were packed, k = 9 as k = 1
+    # with l one higher; no lower key has k or l above its weight, so each
+    # value is 0
+    d = partition_weight(m)
+    for k, l in ((0, 1), (1, 0), (0, 0), (d + 1, 1), (1, d + 5), (d + 1, d + 5),
+                 (9, 1), (9, 2), (-1, 2), (2, -3)):
+        assert recursion_rhs(engine6, k, l, m) == 0, (k, l)
+    with pytest.raises(TruncationError):
+        recursion_rhs(engine6, 0, 0, m + (1,))  # weight d + len(m) + 1 > 6
+
+
 def test_recursion_vanishes_off_support(engine6):
     # keys violating the genus parity get zero from both paths
     for key in [(1, 1, (1, 1)), (2, 2, (0, 1)), (1, 2, (3,))]:

@@ -9,6 +9,7 @@ from dessins.evolution import ConnectedSeries, recursion_rhs
 from dessins.kp import (
     KP_EQUATIONS,
     KpEquation,
+    KpEvaluator,
     KpRow,
     equation_by_id,
     kp_report,
@@ -155,6 +156,54 @@ def test_residuals_match_series_algebra(engine10):
                 assert dict(got.terms) == want[(eq.id, n)], (i, eq.id, n)
                 assert all(isinstance(c, Fraction) for c in got.terms.values())
         assert any(want.values()) == (i > 0)
+
+
+@pytest.mark.parametrize("d, i, least", [
+    (4, 1, 4), (6, 1, 4), (8, 1, 4), (4, 2, 2), (6, 2, 2), (8, 2, 2),
+    (6, 3, 2), (8, 3, 2)])
+def test_profile_factors_match_series_algebra(engine10, d, i, least):
+    # a corruption at the key of degree d with the largest m_i >= least:
+    # its derivatives carry the falling factorials m_i! / (m_i - a_i)!,
+    # and the squares (1,1)^2, (1,2)^2, (1,1,1)^2 read it in both halves
+    def m_i(key):
+        return key[2][i - 1] if len(key[2]) >= i else 0
+
+    key = max(sorted(engine10.piece(d).terms), key=m_i)
+    assert m_i(key) >= least
+    mutated = _corrupt(engine10, d, key, 3)
+    want = _residuals_by_series_algebra(mutated, 8)
+    evaluator = KpEvaluator(mutated, 8)
+    for eq in KP_EQUATIONS:
+        for n in range(1, 9):
+            got = evaluator.residual(eq, n)
+            assert dict(got.terms) == want[(eq.id, n)], (eq.id, n)
+    assert any(want.values())
+
+
+def test_shared_index_does_not_depend_on_call_order(engine14):
+    # one series serves KP to 10, the recursion, then KP to 14 from one
+    # index; each result equals that of a series read by one route only
+    key = (1, 1, (3, 0, 1))
+    assert key in engine14.marked_piece(6)
+
+    def mutated():
+        return _corrupt(engine14, 6, key, 2)
+
+    keys = [key for d in range(1, 9) for key in sorted(engine14.marked_piece(d))]
+    shared = mutated()
+    first = kp_report(shared, 10)
+    values = [recursion_rhs(shared, *k) for k in keys]
+    last = kp_report(shared, 14)
+    assert first == kp_report(mutated(), 10)
+    fresh = mutated()
+    assert values == [recursion_rhs(fresh, *k) for k in keys]
+    assert last == kp_report(mutated(), 14)
+    assert not last.passed and sum(v != engine14.coefficient(*k)
+                                   for k, v in zip(keys, values)) > 0
+    cut = shared.extended_to(8)
+    assert cut._index is not shared._index
+    assert kp_report(cut, 8) == kp_report(mutated().extended_to(8), 8)
+    assert [recursion_rhs(cut, *k) for k in keys] == values
 
 
 def test_report_at_degree_14(engine14):
