@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .evolution import ConnectedSeries
+from .evolution import ConnectedSeries, indecomposable_count
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,6 @@ def genus_table(series: ConnectedSeries) -> GenusTable:
     """
     return GenusTable(series.dmax, {(d, g): v for d, row in enumerate(series._rows, 1)
                                     for g, v in enumerate(row)})
-
-
-def indecomposable_count(n: int) -> int:
-    """Indecomposable permutations of n symbols (OEIS A003319); the
-    marked counts of the degree-d piece sum to indecomposable_count(d + 1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a = [0, 1]
-    for m in range(2, n + 1):
-        a.append(factorial(m) - sum(a[j] * factorial(m - j) for j in range(1, m)))
-    return a[n]
 
 
 def marked_count_genus0(d: int) -> int:

@@ -23,71 +23,78 @@ exact throughout; internally each piece is manipulated as its "marked"
 integer form (d times the weighted counts), which keeps the hot
 convolution loops in plain big-integer arithmetic.
 
-The degree recursion runs the moves on one kernel over packed keys: k,
-l, m_1, m_2, ... sit in consecutive ``bits``-bit fields of one int, k
-lowest, so a move adds precomputed unit vectors (1: a white vertex,
-``V``: a black one, ``E[i]``: a part of size i) and the pair product of
-two profiles is one integer addition.  Grow and split/join depend only
-on a key's profile, so each packed profile gets one plan, built on first
-use: the merged (increment, weight) pairs of (u+v)*grow + split_or_join,
-and one loop adds each increment to the code of every key of that
-profile.  ``partition_function`` and the KP evaluator run the same
-kernel.  The public operators are sums of
-``GradedSeries`` derivatives, t-multiplications and products instead, so
-a piece assembled from them checks the kernel by other arithmetic.
+``partition_function`` runs a kernel over packed keys, and KP and
+``recursion_rhs`` read the series in the same packing: k, l, m_1, m_2,
+... sit in consecutive ``bits``-bit fields of one int, k lowest, so a
+move adds precomputed unit vectors (1: a white vertex, ``V``: a black
+one, ``E[i]``: a part of size i) and the pair product of two profiles is
+one integer addition.  Grow and split/join depend only on a key's
+profile, so each packed profile gets one plan, built on first use: the
+(increment, weight) pairs of (u+v)*grow + split_or_join, and one loop
+adds each increment to the code of every key of that profile.  The
+public operators are sums of ``GradedSeries`` derivatives,
+t-multiplications and products instead, so a piece assembled from them
+checks the engine by other arithmetic.
 
 Packed keys cannot carry or alias.  Packing is linear, so only the
 vector of each emitted key matters, not the order of the additions that
 build it.  E[i] is subtracted only from a key with m_i >= 1, so that
 vector is non-negative, and each of its entries (k, l, every
 multiplicity, every componentwise sum the pair product forms) is at most
-the largest weight W the call can produce: a connected piece of weight n
-has k, l, m_i <= n by the genus relation.  The width has 2^bits > W,
-from the degree bound of the call, so every field holds its entry
-exactly and distinct keys get distinct codes.  A planned increment is a
-difference of unit vectors: it removes E[r] only for a part r of its own
-profile (2 E[r] only when m_r >= 2) and is applied only to keys of that
-profile, so code + inc is the packed form of the same target vector the
-moves built unit by unit.
+the largest weight the call can produce: a connected piece of weight n
+has k, l, m_i <= n by the genus relation.  The width has 2^bits above
+that weight, from the degree bound of the call, so every field holds its
+entry exactly and distinct keys get distinct codes.  A planned increment
+is a difference of unit vectors: it removes E[r] only for a part r of
+its own profile (2 E[r] only when m_r >= 2) and is applied only to keys
+of that profile, so code + inc is the packed form of the same target
+vector the moves built unit by unit.
 
-Every piece is symmetric under u <-> v, and the degree recursion computes
-only its keys with k <= l.  A map is a transitive pair (sigma, tau) with
-k = cycles of sigma, l = cycles of tau and m the cycle type of sigma*tau.
-The swap (sigma, tau) -> (tau, sigma) keeps transitivity and exchanges k
-and l, and tau*sigma = sigma^-1 (sigma*tau) sigma has the cycle type of
-sigma*tau, so N(k, l, m) = N(l, k, m).  The k <= l half of a new piece
-then follows from the lower pieces phase by phase:
+The degree recursion works on one polynomial per profile.  Within a
+profile of weight n, l = n + 2 - 2g - k - parts, so a key is its slot
+(k, g), and a degree is stored as {packed profile: P} with
 
-* grow runs on the k <= l half of the previous piece.  The v shift of a
-  half key stays in the half.  Its u shift lands in the half only when
-  l - k >= 1; when l - k = 1 it lands on the diagonal, which also gets
-  the v shift of the mirror key (l, k), outside the half but with the
-  same coefficient, so that u shift counts twice.  So each profile plan
-  keeps three lists, with the u-shift grow moves 0, 2 and 1 times, for
-  l - k = 0, 1 and >= 2; the last is the full move.
-* split/join keeps k and l, so it maps the half onto the half.
-* a component join adds the (k, l) of its two factors, so its output has
-  k <= l iff delta_a + delta_b <= 0, with delta = k - l.  The derivative
-  buckets of the full lower pieces keep their entries sorted by delta (a
-  derivative keeps k and l), and each delta-group of a is convolved with
-  the prefix of b whose delta <= -delta_a.
+    P = sum_{k, g} M(k, l, m) * 2^(W * (k + K * g)),    K = dmax + 1,
 
-Integrality is u <-> v-invariant, so it is checked on the half; the
-degree step mirrors every key with k < l and returns whole degrees, whose
-keys ``genus_row`` checks as it collapses them.  A computed key with
-k > l is an invariant failure, never dropped or mirrored over.  The public operators
-and ``partition_function`` take no shortcut: they act on any series,
-symmetric or not, and the tests assemble the operators as the reference.
+each slot a ``W``-bit field.  Every move acts on P as a whole:
+
+* grow keeps g and adds a vertex of either color: (P << W) + P;
+* a split keeps k, l and g: P;
+* a join of two cycles of one component loses a part: P << W*K, g + 1;
+* a component join adds k, l and the genera of its factors, so the join
+  of profiles pa and pb is the one product Pa * Pb, added, times
+  factor * j * m_j * j2 * m_j2, into pa + pb - E[j] - E[j2] + E[j+j2+1]
+  for each part j of pa and j2 of pb.
+
+A degree ends in one decode pass over the slots (``_decode_degree``):
+each slot is divided by the step's common denominator C (integrality),
+its row is the key's genus, and k >= 1 and l >= 1 are checked.  The
+stored form of the degree is then P // C.
+
+Slots cannot carry or wrap.  Every stored count and every contribution
+is non-negative, so every slot of a step is at most the sum of all its
+slots, the step total T_d.  That total follows from the lower pieces'
+sums S_n alone: the moves of a profile of weight n have weights summing
+to n (n + 2) (grow 2n, counting both colors; splits sum r^2 m_r; joins
+n^2 - sum r^2 m_r), and the part pairs of two profiles sum to n * n2, so
+
+    T_d = C * ((d + 1) * S_{d-1} + sum_{n=1}^{d-2} S_n * S_{d-1-n}).
+
+Each step refuses its degree (ArithmeticError) unless T_d < 2^W, so no
+slot reaches 2^W and none carries into the next.  A stored count of
+2^W or more is refused as it is packed.  A connected key of weight n has
+k <= n <= dmax < K, so k never wraps into the next row.  On true counts
+S_n = A003319(n + 1) and T_d = C_d * A003319(d + 1), so W is that bound
+rounded up to whole bytes: 64 bits for dmax = 14 (59 bits at d = 14).
+After the decode, each degree's counts must sum to A003319(d + 1).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
-from operator import itemgetter
 from typing import Mapping, Sequence
 
 from .series import (
@@ -96,6 +103,7 @@ from .series import (
     RawKey,
     TruncationError,
     canonical_multiplicities,
+    genus_at,
     genus_row,
     multiplicities_decr,
     multiplicities_incr,
@@ -113,14 +121,14 @@ SEED_KEY: RawKey = (1, 1, (1,))
 class _Packing:
     """Bit-field layout for keys whose entries are all at most ``bound``.
 
-    Two memos are kept per packed profile (a key's fields above k and l),
-    since keys of one computation share few profiles: the decoded profile
-    with its part list, and the profile's one-edge move plans.  The unit
-    vectors ``E[i]`` of the part sizes are built as callers first need
-    them (``units``), so a large bound costs nothing up front.
+    The decoded profile and its part list are kept per packed profile (a
+    key's fields above k and l), since keys of one computation share few
+    profiles.  The unit vectors ``E[i]`` of the part sizes are built as
+    callers first need them (``units``), so a large bound costs nothing
+    up front.
     """
 
-    __slots__ = ("bits", "mask", "V", "E", "_memo", "_plans")
+    __slots__ = ("bits", "mask", "V", "E", "_memo")
 
     def __init__(self, bound: int):
         self.bits = bits = bound.bit_length()  # 2^bits > bound
@@ -128,7 +136,6 @@ class _Packing:
         self.V = 1 << bits
         self.E = [0]
         self._memo: dict[int, tuple[Multiplicities, tuple[tuple[int, int], ...]]] = {}
-        self._plans: dict[int, tuple[list, list, list]] = {}
 
     def units(self, n: int) -> list[int]:
         """E with E[i] = 1 << bits*(i+1), the vector of a part of size i,
@@ -188,89 +195,48 @@ class _Packing:
             out[code & mask, code >> bits & mask, entry[0]] = c
         return out
 
-    def _planned(self, prof: int) -> tuple[list, list, list]:
-        """The [(increment, weight), ...] moves of (u+v)*grow +
-        split_or_join on a key of packed profile prof, one list per
-        min(l - k, 2): the grow move with the u shift has weight 0, 2 and 1
-        times its v-shift twin (see ``_edge_moves``).  Entries with the
-        same increment are merged."""
-        parts = (self._memo.get(prof) or self._decoded(prof))[1]
-        E = self.units(sum(i * x for i, x in parts) + 1)
-        V = self.V
-        moves: dict[int, int] = {}
-        grows = []  # the u-shift grow moves: the only moves that change k
-
-        def add(inc: int, w: int) -> None:
-            moves[inc] = moves.get(inc, 0) + w
-
-        for a, (r, x) in enumerate(parts):
-            f = r * x
-            cut = -E[r]
-            grows.append((cut + E[r + 1] + 1, f))
-            add(cut + E[r + 1] + V, f)
-            # a split into (j, r + 1 - j) and its reverse give one key;
-            # the middle term of an odd r has one order only
-            for j in range(1, r // 2 + 1):
-                add(cut + E[j] + E[r + 1 - j], 2 * f)
-            if r % 2:
-                add(cut + 2 * E[(r + 1) // 2], f)
-            # joins of two cycles, from both orders
-            if x > 1:
-                add(cut - E[r] + E[2 * r + 1], r * (x - 1) * f)
-            for j2, x2 in parts[a + 1:]:
-                add(cut - E[j2] + E[r + j2 + 1], 2 * j2 * x2 * f)
-        same = list(moves.items())
-        plans = self._plans[prof] = (
-            same, same + [(inc, 2 * f) for inc, f in grows], same + grows)
-        return plans
 
 
-def _edge_moves(pk: _Packing, src: Mapping, out: dict, factor=1,
-                half=False) -> None:
-    """Add factor * ((u+v) * grow + split_or_join)(src) to out, where grow
-    is sum_r r t_{r+1} d/dt_r: one pass over src, adding each planned
-    increment of a key's profile to its code.
+def _profile_moves(E: list[int], parts: tuple[tuple[int, int], ...]):
+    """The one-edge moves on a profile with parts ((r, m_r), ...), as
+    (increment, weight, kind): the change of the packed profile, the
+    multiplicity, and the kind, 0 for a grow (a vertex appears), 1 for a
+    split and 2 for a join of two cycles (both keep k and l).  No two
+    moves share an increment: the kinds change the number of parts by 0,
+    +1 and -1, and within a kind the removed parts differ."""
+    for a, (r, x) in enumerate(parts):
+        f = r * x
+        cut = -E[r]
+        yield cut + E[r + 1], f, 0
+        # a split into (j, r + 1 - j) and its reverse give one key;
+        # the middle term of an odd r has one order only
+        for j in range(1, r // 2 + 1):
+            yield cut + E[j] + E[r + 1 - j], 2 * f, 1
+        if r % 2:
+            yield cut + 2 * E[(r + 1) // 2], f, 1
+        # joins of two cycles, from both orders
+        if x > 1:
+            yield cut - E[r] + E[2 * r + 1], r * (x - 1) * f, 2
+        for j2, x2 in parts[a + 1:]:
+            yield cut - E[j2] + E[r + j2 + 1], 2 * j2 * x2 * f, 2
 
-    With half, src is a u <-> v-symmetric series and only the k <= l half
-    of the result is emitted: keys with k > l are skipped, and each other
-    key takes the grow move with the v shift, with the u shift when
-    l - k >= 2, twice when l - k = 1 (its diagonal target also gets the
-    mirror key's v shift) and not when k = l.
-    """
-    bits, mask, shift = pk.bits, pk.mask, 2 * pk.bits
-    plans, planned, get = pk._plans, pk._planned, out.get
+
+def _edge_moves(pk: _Packing, src: Mapping, out: dict) -> None:
+    """Add ((u+v) * grow + split_or_join)(src) to out, where grow is
+    sum_r r t_{r+1} d/dt_r: one pass over src, adding each increment of
+    the plan of a key's profile, built on first use, to its code."""
+    shift, plans, get = 2 * pk.bits, {}, out.get
+    added = ((1, pk.V), (0,), (0,))  # by kind: grow adds a vertex of either color
     for code, c in src.items():
-        prof = code >> shift
-        plan = plans.get(prof) or planned(prof)
-        if half:
-            gap = (code >> bits & mask) - (code & mask)  # l - k
-            if gap < 0:
-                continue
-            moves = plan[gap] if gap < 2 else plan[2]
-        else:
-            moves = plan[2]
-        fc = factor * c
-        for inc, w in moves:
+        plan = plans.get(code >> shift)
+        if plan is None:
+            parts = pk.parts(code)
+            E = pk.units(sum(i * x for i, x in parts) + 1)
+            plan = plans[code >> shift] = [
+                (inc + v, w) for inc, w, kind in _profile_moves(E, parts) for v in added[kind]]
+        for inc, w in plan:
             key = code + inc
-            out[key] = get(key, 0) + w * fc
-
-
-def _diff_buckets(pk: _Packing, src: Mapping) -> list:
-    """j * d/dt_j (src) for every j, as a sorted [(j, terms, deltas)]:
-    terms is [(key, coeff), ...] sorted by delta = k - l, and deltas lists
-    the delta of each entry (a derivative keeps k and l)."""
-    E, bits, mask = pk.E, pk.bits, pk.mask
-    buckets: dict[int, list] = {}
-    for code, c in src.items():
-        delta = (code & mask) - (code >> bits & mask)
-        for j, x in pk.parts(code):
-            buckets.setdefault(j, []).append((delta, code - E[j], j * x * c))
-    out = []
-    for j, entries in sorted(buckets.items()):
-        entries.sort(key=itemgetter(0))
-        out.append((j, [(key, c) for _, key, c in entries],
-                    [delta for delta, _, _ in entries]))
-    return out
+            out[key] = get(key, 0) + w * c
 
 
 def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
@@ -284,24 +250,6 @@ def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
         for c2, v2 in tb:
             key = kc + c2
             out[key] = get(key, 0) + fv * v2
-
-
-def _join_pair(pk: _Packing, da: list, db: list, out: dict, factor=1) -> None:
-    """Add to out the keys with k <= l of factor * sum_{j,j2} t_{j+j2+1}
-    (j d/dt_j a)(j2 d/dt_j2 b), from the derivative buckets da, db of a
-    and b: each delta-group of a meets the prefix of b with delta <=
-    -delta_a."""
-    E = pk.E
-    for j, ta, deltas in da:
-        for j2, tb, deltas2 in db:
-            inc = E[j + j2 + 1]
-            start = 0
-            while start < len(ta):
-                delta = deltas[start]
-                stop = bisect_right(deltas, delta, start)
-                _convolve(ta[start:stop], tb[:bisect_right(deltas2, -delta)],
-                          out, factor, inc)
-                start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -375,10 +323,54 @@ def _marked_terms(terms: Mapping[RawKey, object], d: int) -> dict[RawKey, int]:
     return out
 
 
-def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
-                 d: int) -> dict[int, int]:
-    """The whole packed marked piece of weight d, from the full packed
-    marked pieces 1 .. d-1: the last pass mirrors each key with k < l.
+@lru_cache(maxsize=None)
+def indecomposable_count(n: int) -> int:
+    """Indecomposable permutations of n symbols (OEIS A003319); the
+    marked counts of the degree-d piece sum to indecomposable_count(d + 1)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a = [0, 1]
+    for m in range(2, n + 1):
+        a.append(factorial(m) - sum(a[j] * factorial(m - j) for j in range(1, m)))
+    return a[n]
+
+
+@lru_cache(maxsize=None)
+def _step_denominator(d: int) -> int:
+    """C, the common denominator of the degree-d step: with F_n = M_n / n,
+    the moves on F_{d-1} carry 1/(d - 1) and the join of F_n and F_{d-1-n}
+    carries 1/(n (d - 1 - n))."""
+    return lcm(d - 1, *(n * (d - 1 - n) for n in range(1, d - 1)))
+
+
+def _slot_width(dmax: int) -> int:
+    """W, the slot width in bits for degrees up to dmax: the largest true
+    step total C_d * A003319(d + 1), d <= dmax, rounded up to whole bytes."""
+    top = max((_step_denominator(d) * indecomposable_count(d + 1)
+               for d in range(2, dmax + 1)), default=1)
+    return -(-top.bit_length() // 8) * 8
+
+
+def _kron_encode(pk: _Packing, piece: Mapping[RawKey, int], d: int,
+                 W: int, K: int) -> dict[int, int]:
+    """The {packed profile: P} form of a degree-d piece of marked counts,
+    each count added into its W-bit slot k + K*g."""
+    out, profs = {}, {}
+    for key, v in piece.items():
+        k, l, m = key
+        if v >> W:
+            raise ArithmeticError(
+                f"degree {d}: marked count at {key!r} needs more than {W} bits")
+        prof = profs.get(m) or profs.setdefault(m, pk.encode((0, 0, m)))
+        out[prof] = out.get(prof, 0) + (v << W * (k + K * ((d + 2 - k - l - sum(m)) >> 1)))
+    return out
+
+
+def _next_marked(pk: _Packing, kron: list[dict[int, int]], sums: list[int],
+                 d: int, W: int, K: int) -> dict[int, int]:
+    """C times the marked piece of weight d, as {packed profile: P}, from
+    the pieces 1 .. d-1 in that form (``kron``) and their count sums,
+    after the step total T_d (module docstring) is checked against 2^W.
 
     d*F_d = ((u+v)*grow + split_or_join) F_{d-1}
             + sum_{n=1}^{d-2} join_components(F_n, F_{d-1-n});
@@ -386,45 +378,90 @@ def _next_marked(pk: _Packing, packed: list[dict], buckets: list,
     whole, so everything is accumulated over the common denominator C.
     Both join_components and the denominator n*(d-1-n) are symmetric
     under n <-> d-1-n, so the pair sum runs over n <= (d-1)/2 and doubles
-    each term with n != d-1-n.  ``buckets`` holds the derivative buckets
-    of the pieces and grows with them, so each is built once.
-
-    Every phase emits only keys with k <= l (see the module docstring):
-    grow and split/join run as one planned move on the k <= l half of
-    F_{d-1}, grow with the u shift doubled onto the diagonal, and each
-    component join meets a delta-group of its first factor with the
-    delta <= -delta_a prefix of its second.
+    each term with n != d-1-n; the square n = d-1-n takes each unordered
+    pair of profiles once, doubled when they differ.
     """
     if d < 2:
         raise ValueError("the seed piece is fixed, recursion starts at d = 2")
-    pk.units(d)  # every part size of this step is at most d
-    while len(buckets) < d - 2:
-        buckets.append(_diff_buckets(pk, packed[len(buckets)]))
-    bits, mask, V = pk.bits, pk.mask, pk.V
-    C = lcm(d - 1, *(n * (d - 1 - n) for n in range(1, d - 1)))
-    acc: dict = {}
-    _edge_moves(pk, packed[d - 2], acc, C // (d - 1), True)
+    C = _step_denominator(d)
+    total = C * ((d + 1) * sums[d - 2]
+                 + sum(sums[n - 1] * sums[d - 2 - n] for n in range(1, d - 1)))
+    if total >> W:
+        raise ArithmeticError(
+            f"computed degree {d}: step total {total} does not fit {W}-bit slots")
+    E, WK = pk.units(d), W * K  # every part size of this step is at most d
+    acc: dict[int, int] = {}
+    get = acc.get
+    f = C // (d - 1)
+    for prof, P in kron[d - 2].items():
+        moved = ((P << W) + P, P, P << WK)  # grow, split, join (see _profile_moves)
+        for inc, w, kind in _profile_moves(E, pk.parts(prof)):
+            t = prof + inc
+            acc[t] = get(t, 0) + f * w * moved[kind]
+    cuts = {}  # per profile: (profile - E[j], j * m_j, j) for each part j
+    for n in range(1, d - 1):
+        cuts[n] = [(P, [(prof - E[j], j * x, j) for j, x in pk.parts(prof)])
+                   for prof, P in kron[n - 1].items()]
     for n in range(1, (d - 1) // 2 + 1):
         n2 = d - 1 - n
-        factor = C // (n * n2) * (1 if n == n2 else 2)
-        _join_pair(pk, buckets[n - 1], buckets[n2 - 1], acc, factor)
-    out: dict[int, int] = {}
-    mirror: dict[int, int] = {}  # after the half: callers list keys in this order
-    for code, v in acc.items():
-        if v:
-            q, r = divmod(v, C)
-            if r:
-                raise ArithmeticError(
-                    f"marked count at {pk.decode(code)!r} is not integral")
-            gap = (code >> bits & mask) - (code & mask)  # l - k
-            if gap < 0:
-                raise ArithmeticError(
-                    f"computed degree {d}: key {pk.decode(code)!r} has k > l")
-            out[code] = q
-            if gap:
-                mirror[code + gap - gap * V] = q  # (k, l) -> (l, k)
-    out.update(mirror)
-    return out
+        factor = C // (n * n2)
+        square = n == n2
+        a, b = cuts[n], cuts[n2]
+        for i, (Pa, ca) in enumerate(a):
+            for i2 in range(i if square else 0, len(b)):
+                Pb, cb = b[i2]
+                Q = Pa * Pb * (factor if square and i2 == i else 2 * factor)
+                for qa, wa, ja in ca:
+                    for qb, wb, jb in cb:
+                        t = qa + qb + E[ja + jb + 1]
+                        acc[t] = get(t, 0) + wa * wb * Q
+    return acc
+
+
+def _decode_degree(pk: _Packing, acc: Mapping[int, int], d: int, W: int,
+                   K: int) -> tuple[dict[RawKey, int], list[int], dict[int, int]]:
+    """The marked piece, genus row and stored {profile: P // C} of the
+    degree-d step's output ``acc``, in one pass over its W-bit slots.
+
+    Each nonzero slot k + K*g is divided by C and becomes the count of
+    (k, l, m), l = d + 2 - 2g - k - parts, in genus row g.  A count that
+    is not integral, a profile of another weight, a slot with k < 1 or
+    l < 1, and counts that do not sum to A003319(d + 1) are engine
+    invariant failures and raise ArithmeticError.
+    """
+    C, wb = _step_denominator(d), W // 8
+    zero = bytes(wb)
+    piece: dict[RawKey, int] = {}
+    row = [0] * ((d + 1) // 2)
+    stored: dict[int, int] = {}
+    try:
+        for prof, P in acc.items():
+            m, parts = pk.decode(prof)[2], pk.parts(prof)
+            if sum(i * x for i, x in parts) != d:
+                raise ValueError(f"piece {d} is not homogeneous of weight {d}")
+            top = d + 2 - sum(x for _, x in parts)
+            raw = P.to_bytes(-(-P.bit_length() // W) * wb, "little")
+            for s in range(len(raw) // wb):
+                chunk = raw[s * wb:(s + 1) * wb]
+                if chunk == zero:
+                    continue
+                g, k = divmod(s, K)
+                key = (k, top - 2 * g - k, m)
+                v, r = divmod(int.from_bytes(chunk, "little"), C)
+                if r:
+                    raise ArithmeticError(f"marked count at {key!r} is not integral")
+                if k < 1 or key[1] < 1:
+                    genus_at(d, key)  # raises the key's error
+                piece[key] = v
+                row[g] += v
+            stored[prof] = P // C
+    except ValueError as exc:
+        raise ArithmeticError(f"computed degree {d}: {exc}") from exc
+    want = indecomposable_count(d + 1)
+    if sum(row) != want:
+        raise ArithmeticError(f"computed degree {d}: marked counts sum to "
+                              f"{sum(row)}, not A003319({d + 1}) = {want}")
+    return piece, row, stored
 
 
 def next_piece(pieces: Sequence[GradedSeries]) -> GradedSeries:
@@ -438,10 +475,11 @@ class ConnectedSeries:
     """Homogeneous pieces of the connected series for degrees 1 .. dmax.
 
     Only the marked counts are stored: per degree d, {(k, l, m): d * N}
-    with int values, beside the degree's genus row.  ``series.genus_row``
-    checks a degree's keys as it collapses them, once, where the degree
-    enters; outside input (the constructor's pieces, a cache) also has
-    its seed, integrality and nonempty pieces checked.  The Fraction
+    with int values, beside the degree's genus row.  Each degree is
+    collapsed by genus once, where it enters: a computed degree by its
+    decode (``_decode_degree``), outside input (the constructor's pieces,
+    a cache) by ``series.genus_row``, which checks its keys, after its
+    seed, integrality, signs and nonempty pieces are checked.  The Fraction
     views are built on each call and not kept: ``piece(d)`` builds degree
     d only, and ``pieces`` and ``combined`` are made of it.
     ``_packed_index`` packs each degree once, with one ``_Packing(dmax)``
@@ -458,7 +496,7 @@ class ConnectedSeries:
              rows: Sequence[list[int]] | None = None) -> None:
         """Store marked counts with their genus rows.  Without ``rows``
         the counts are outside input, and the seed, each degree and every
-        key are checked while the rows are collapsed."""
+        key and its sign are checked while the rows are collapsed."""
         if rows is None:
             if not marked:
                 raise ValueError("need at least the degree-1 piece")
@@ -468,6 +506,9 @@ class ConnectedSeries:
             for d, piece in enumerate(marked, 1):
                 if not piece:
                     raise ValueError(f"piece {d} is empty")
+                for key, v in piece.items():
+                    if v < 0:  # counts of maps; the degree step's bound needs them >= 0
+                        raise ValueError(f"piece {d}: marked count at {key!r} is negative")
                 rows.append(genus_row(d, piece))
         self._marked = tuple(marked)
         self._rows = tuple(rows)
@@ -494,27 +535,27 @@ class ConnectedSeries:
 
     def extended_to(self, dmax: int) -> "ConnectedSeries":
         """Same series computed (or cut back) to another degree bound; each
-        added degree comes whole from the degree step, and one whose keys
-        fail the checks of ``genus_row`` raises ArithmeticError (an engine
-        invariant)."""
+        added degree comes whole from the degree step, and a degree that
+        fails a check of ``_next_marked`` or ``_decode_degree`` raises
+        ArithmeticError (an engine invariant).  The stored degrees are
+        packed once per call, in slots sized for dmax."""
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
         if dmax <= self.dmax:
             return ConnectedSeries._from_marked(self._marked[:dmax], self._rows[:dmax]) \
                 if dmax < self.dmax else self
-        pk = _Packing(dmax)  # checked pieces: k, l, m_i <= degree <= dmax
-        packed = [pk.encode_terms(t) for t in self._marked]
+        pk = _Packing(dmax)  # checked pieces: m_i <= degree <= dmax
+        W, K = _slot_width(dmax), dmax + 1
+        kron = [_kron_encode(pk, piece, d, W, K) for d, piece in enumerate(self._marked, 1)]
+        sums = [sum(row) for row in self._rows]
         marked, rows = list(self._marked), list(self._rows)
-        buckets: list = []
         for d in range(self.dmax + 1, dmax + 1):
-            full = _next_marked(pk, packed, buckets, d)
-            piece = pk.decode_terms(full)
-            try:
-                rows.append(genus_row(d, piece))
-            except ValueError as exc:
-                raise ArithmeticError(f"computed degree {d}: {exc}") from exc
-            packed.append(full)
+            piece, row, stored = _decode_degree(
+                pk, _next_marked(pk, kron, sums, d, W, K), d, W, K)
+            kron.append(stored)
+            sums.append(sum(row))
             marked.append(piece)
+            rows.append(row)
         return ConnectedSeries._from_marked(marked, rows)
 
     # -- access ------------------------------------------------------------------

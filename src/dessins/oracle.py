@@ -50,6 +50,10 @@ uint16 bitmasks, exact for d <= 16; the table holds 2^(d-1) bits per row
 would be int32, the bins 462, the masks 10 bits), but the tables would
 take about 410 MB, 232 MB of it subset bits; so the tables refuse every
 degree past CLASSES_LIMIT = 9 by size, not by overflow.
+
+numpy is imported by the functions that scan, not with the module: the
+table commands never load it, and ``transitive_pair_counts`` loads it
+on the calling thread before its workers start.
 """
 
 from __future__ import annotations
@@ -63,8 +67,6 @@ from math import factorial
 from operator import mul
 import os
 from typing import NamedTuple
-
-import numpy as np
 
 from .counts import indecomposable_count
 from .evolution import ConnectedSeries
@@ -156,6 +158,7 @@ def _tau_tables(d: int) -> _Tables:
     if d > CLASSES_LIMIT:
         raise ValueError(f"tables of degree {d} exceed the class-reduced "
                          f"scan's d <= {CLASSES_LIMIT}")
+    import numpy as np
     # filled straight from the generator: no d! tuples held at once
     T = np.fromiter(chain.from_iterable(iter_permutations(range(d))), np.int8,
                     count=factorial(d) * d).reshape(-1, d)
@@ -236,6 +239,7 @@ def _cycle_masks(sigma) -> list[int]:
 def _transitive_rows(sigma, tables) -> np.ndarray:
     """Is (sigma, tau_r) transitive, for every row r: does tau_r fix no
     proper union of sigma-cycles that contains 0?"""
+    import numpy as np
     first, *rest = _cycle_masks(sigma)
     unions = [first]
     for cycle in rest:
@@ -267,6 +271,7 @@ def _word(sigma) -> list[int]:
 def _compose(values: np.ndarray, sigma, tables) -> np.ndarray:
     """values at the row of sigma * tau_r, for every row r: one gather
     per letter of sigma's word, as s_i * tau_r is row swap[i][r]."""
+    import numpy as np
     for i in _word(sigma):  # np.take: no intp copy of a narrow index
         values = np.take(values, tables.swap[i])
     return values
@@ -275,6 +280,7 @@ def _compose(values: np.ndarray, sigma, tables) -> np.ndarray:
 def _scan_sigma(sigma, tables) -> np.ndarray:
     """The int64 histogram of the transitive pairs (sigma, tau) over every
     tau, at t * (d + 1) + l: t indexes sigma*tau's type, l is tau's cycles."""
+    import numpy as np
     d = tables.T.shape[1]
     trans = _transitive_rows(sigma, tables)
     # the products sigma*tau_r run over S_d once: type each by its row
@@ -372,6 +378,8 @@ def transitive_pair_counts(d: int, method: str = "classes",
     if d > CLASSES_LIMIT:
         raise ValueError(f"class-reduced enumeration supports "
                          f"d <= {CLASSES_LIMIT}")
+    import numpy as np  # here, before the pool: never first in a worker
+
     classes = list(partitions(d))
     tables = _tau_tables(d)
     auto = _auto_threads()

@@ -33,6 +33,15 @@ def test_d14_cache_bytes_are_pinned(engine14):
         "4749c0293251626d4e1b168f0269b86e9d7dd2f884e6c971cb1966c5b48e486c")
 
 
+def test_d16_cache_bytes_are_pinned(engine14):
+    # every coefficient of degrees 15 and 16, as the earlier dict-based
+    # degree step rendered them
+    text = render_cache(engine14.extended_to(16)).encode("ascii")
+    assert len(text) == 631330
+    assert hashlib.sha256(text).hexdigest() == (
+        "f2327e409f9a1241fb88941749f6b57ad821ca45aeb59d454b7d883261e21164")
+
+
 def test_d14_round_trip_keeps_marked_and_fraction_pieces(engine14):
     computed = ConnectedSeries.compute(14)
     parsed = parse_cache(render_cache(engine14))

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -126,17 +129,24 @@ def test_table_collapses_through_cli_genus_table(capsys, monkeypatch):
 
 
 def _record_genus_rows(monkeypatch) -> list[int]:
-    """The degrees of every ``genus_row`` call from here on, in order."""
+    """The degrees of every genus collapse from here on, in order: a
+    ``genus_row`` call (outside input) or a ``_decode_degree`` call (a
+    computed degree)."""
     from dessins import evolution
 
     degrees = []
-    real = evolution.genus_row
+    real_row, real_decode = evolution.genus_row, evolution._decode_degree
 
-    def recording(d, piece):
+    def recording_row(d, piece):
         degrees.append(d)
-        return real(d, piece)
+        return real_row(d, piece)
 
-    monkeypatch.setattr(evolution, "genus_row", recording)
+    def recording_decode(pk, acc, d, W, K):
+        degrees.append(d)
+        return real_decode(pk, acc, d, W, K)
+
+    monkeypatch.setattr(evolution, "genus_row", recording_row)
+    monkeypatch.setattr(evolution, "_decode_degree", recording_decode)
     return degrees
 
 
@@ -159,6 +169,22 @@ def test_cold_table_collapses_each_computed_degree_once(tmp_path, capsys,
                        "--cache", str(tmp_path / "f.cache"))
     assert code == 0 and out.startswith("d,g,G_marked\n1,0,1\n")
     assert degrees == [2, 3, 4, 5]
+
+
+def test_table_run_leaves_numpy_unloaded():
+    # only the oracle scans need numpy: importing the package and running a
+    # table, in a fresh interpreter, must not load it
+    env = {k: v for k, v in os.environ.items() if k != "DESSIN_CACHE"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    code = ("import sys, dessins; from dessins.cli import main; "
+            "rc = main(['table', '--dmax', '6']); "
+            "print(rc, 'numpy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=False)
+    assert proc.stdout.startswith("d,g,")
+    assert proc.stderr == "0 False\n"
 
 
 def test_table_usage_errors(capsys):
@@ -389,16 +415,36 @@ def test_non_integral_cache_is_input_error(tmp_path, capsys):
     assert err.startswith("error: corrupt cache")
 
 
+def _plant(monkeypatch, d, m, k, g, count):
+    """Make the degree-d step add ``count`` (a marked count, times the
+    step's denominator C) to slot (k, g) of profile m before its decode."""
+    from dessins import evolution
+
+    real_step = evolution._next_marked
+
+    def planted(pk, kron, sums, step, W, K):
+        acc = real_step(pk, kron, sums, step, W, K)
+        if step == d:
+            prof = pk.encode((0, 0, m))
+            c = evolution._step_denominator(d)
+            acc[prof] = acc.get(prof, 0) + (count * c << W * (k + K * g))
+        return acc
+
+    monkeypatch.setattr(evolution, "_next_marked", planted)
+
+
 def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
     from dessins import evolution
 
-    real_moves = evolution._edge_moves
+    real_step = evolution._next_marked
 
-    def leaky_moves(pk, src, out, *args):
-        real_moves(pk, src, out, *args)
-        out[next(iter(out))] += 1  # one stray unit breaks integrality at d = 3
+    def leaky_step(pk, kron, sums, d, W, K):
+        acc = real_step(pk, kron, sums, d, W, K)
+        if d == 3:  # one stray unit in slot k = 1 breaks integrality (C = 2)
+            acc[next(iter(acc))] += 1 << W
+        return acc
 
-    monkeypatch.setattr(evolution, "_edge_moves", leaky_moves)
+    monkeypatch.setattr(evolution, "_next_marked", leaky_step)
     code, out, err = run(capsys, "table", "--dmax", "3", "--marked")
     assert code == 1
     assert out == ""
@@ -406,38 +452,21 @@ def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
 
 
 def test_unphysical_engine_key_exits_1(capsys, monkeypatch):
-    from dessins import evolution
-
-    real_moves = evolution._edge_moves
-
-    def stray_moves(pk, src, out, factor=1, half=False):
-        real_moves(pk, src, out, factor, half)
-        code = next(iter(out)) + 1  # k + 1: no integer genus
-        out[code] = out.get(code, 0) + 2 * factor  # integral at d = 2 and 3
-
-    monkeypatch.setattr(evolution, "_edge_moves", stray_moves)
+    _plant(monkeypatch, 2, (0, 1), 0, 0, 2)  # slot k = 0: the key (0, 3, (0, 1))
     code, out, err = run(capsys, "table", "--dmax", "3")
     assert code == 1
     assert out == ""
-    assert err.startswith("internal check failed: computed degree 2: key")
+    assert err.startswith("internal check failed: computed degree 2: key (0, 3, ")
 
 
-def test_engine_key_past_the_half_exits_1(capsys, monkeypatch):
-    from dessins import evolution
-
-    real_moves = evolution._edge_moves
-
-    def mirroring_moves(pk, src, out, factor=1, half=False):
-        real_moves(pk, src, out, factor, half)
-        k, l, m = next(key for key in map(pk.decode, out) if key[0] < key[1])
-        code = pk.encode((l, k, m))  # physical, and integral at d = 2
-        out[code] = out.get(code, 0) + 2 * factor
-
-    monkeypatch.setattr(evolution, "_edge_moves", mirroring_moves)
+def test_engine_row_sum_failure_exits_1(capsys, monkeypatch):
+    # a physical, integral key: only the degree's count sum can see it
+    _plant(monkeypatch, 2, (0, 1), 2, 0, 2)  # (2, 1, (0, 1)) gets 2 more
     code, out, err = run(capsys, "table", "--dmax", "3")
     assert code == 1
     assert out == ""
-    assert err.startswith("internal check failed: computed degree 2: key (2, 1, ")
+    assert err == ("internal check failed: computed degree 2: marked counts "
+                   "sum to 5, not A003319(3) = 3\n")
 
 
 def test_unphysical_oracle_key_exits_1(capsys, monkeypatch):

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from dessins.cache import load_cache, save_cache
 from dessins.evolution import (
     ConnectedSeries,
-    _diff_buckets,
+    _decode_degree,
     _edge_moves,
-    _join_pair,
+    _kron_encode,
     _next_marked,
     _Packing,
+    _slot_width,
+    _step_denominator,
     grow_cycle,
     join_components,
     next_piece,
@@ -29,6 +31,7 @@ from dessins.series import (
     canonical_multiplicities,
     exp_series,
     genus_of,
+    genus_row,
     partition_weight,
     physical_keys,
 )
@@ -100,7 +103,6 @@ def test_operators_raise_weight_by_one():
 # ---------------------------------------------------------------------------
 
 KERNEL = _Packing(16)  # every k, l and weight below is < 16
-KERNEL.units(16)  # the unit vectors _diff_buckets and _join_pair read
 
 
 def _decoded(out):
@@ -111,10 +113,6 @@ def _moved(move, terms, *args):
     out = {}
     move(KERNEL, KERNEL.encode_terms(terms), out, *args)
     return _decoded(out)
-
-
-def _half(terms):
-    return {(k, l, m): c for (k, l, m), c in terms.items() if k <= l}
 
 
 def _one_edge(series):
@@ -154,21 +152,6 @@ def test_encode_terms_matches_per_key_encode(terms):
     assert KERNEL.decode_terms(packed) == terms
 
 
-@pytest.mark.parametrize("n", range(3, 7))
-def test_kernel_half_modes_match_operators(engine6, n):
-    # u <-> v-symmetric engine pieces, re-truncated so no output is cut;
-    # the half mode reads the whole piece and skips its keys with k > l
-    a = GradedSeries(dict(engine6.piece(n).terms), 16)
-    assert _moved(_edge_moves, a.terms, 1, True) == _half(_one_edge(a).terms)
-    da = _diff_buckets(KERNEL, KERNEL.encode_terms(a.terms))
-    for n2 in range(3, 7):
-        b = GradedSeries(dict(engine6.piece(n2).terms), 16)
-        db = _diff_buckets(KERNEL, KERNEL.encode_terms(b.terms))
-        out = {}
-        _join_pair(KERNEL, da, db, out)
-        assert _decoded(out) == _half(join_components(a, b).terms)
-
-
 # ---------------------------------------------------------------------------
 # the recursion
 # ---------------------------------------------------------------------------
@@ -203,18 +186,40 @@ def _assembled_piece(pieces, d):
     return total.scaled(F(1, d))
 
 
+def _step(series, d, plant=None):
+    """The degree-d step of the engine on the series' pieces below d, with
+    ``plant`` = (profile, k, g, marked count) added to its output slots."""
+    pk, W, K = _Packing(d), _slot_width(d), d + 1
+    marked = [series.marked_piece(n) for n in range(1, d)]
+    kron = [_kron_encode(pk, p, n, W, K) for n, p in enumerate(marked, 1)]
+    acc = _next_marked(pk, kron, [sum(p.values()) for p in marked], d, W, K)
+    if plant:
+        m, k, g, count = plant
+        prof = pk.encode((0, 0, m))
+        acc[prof] = acc.get(prof, 0) + (count * _step_denominator(d) << W * (k + K * g))
+    return _decode_degree(pk, acc, d, W, K)
+
+
 @pytest.mark.parametrize("d", range(2, 10))
 def test_next_piece_matches_public_operator_assembly(engine10, d):
     pieces = engine10.pieces[:d - 1]
     assembled = _assembled_piece(pieces, d)
     assert next_piece(pieces) == assembled
     assert dict(assembled.terms) == dict(engine10.piece(d).terms)
-    # the engine's own step: the k <= l half computed, the rest mirrored
-    pk = _Packing(d)
-    packed = [pk.encode_terms(engine10.marked_piece(n)) for n in range(1, d)]
-    full = _next_marked(pk, packed, [], d)
-    assert {pk.decode(code): v for code, v in full.items()} == {
-        key: c * d for key, c in assembled.terms.items()}
+    # the engine's own step and decode, on the lower pieces packed in slots
+    piece, row, _ = _step(engine10, d)
+    assert piece == {key: c * d for key, c in assembled.terms.items()}
+    assert row == genus_row(d, piece)
+
+
+def test_step_is_exact_on_asymmetric_pieces():
+    # one marked count moved between two genus-0 keys of degree 3 breaks
+    # u <-> v symmetry but keeps the sums; the step still equals the
+    # operators on every key of degree 4
+    lie = {**PIECE_3, (2, 2, (0, 0, 1)): F(2)}
+    del lie[1, 2, (1, 1)]
+    pieces = [GradedSeries(PIECE_1, 4), GradedSeries(PIECE_2, 4), GradedSeries(lie, 4)]
+    assert ConnectedSeries(pieces).extended_to(4).piece(4) == _assembled_piece(pieces, 4)
 
 
 def test_packing_memory_is_linear_in_the_bound():
@@ -300,22 +305,35 @@ def test_constructor_check_messages(key, exc_type, message):
     assert type(info.value) is exc_type and str(info.value) == message
 
 
-def _stray_moves(monkeypatch, d, key):
-    """Make the degree-d step emit key (marked count 1) on top of its moves."""
-    real = _edge_moves
+def _plant(monkeypatch, d, m, k, g):
+    """Make the degree-d step add a marked count of 1 to slot (k, g) of
+    profile m before its decode."""
+    real = _next_marked
 
-    def stray(pk, src, out, factor=1, half=False):
-        real(pk, src, out, factor, half)
-        if partition_weight(pk.decode(next(iter(src)))[2]) == d - 1:
-            code = pk.encode(key)
-            out[code] = out.get(code, 0) + factor * (d - 1)
+    def planted(pk, kron, sums, step, W, K):
+        acc = real(pk, kron, sums, step, W, K)
+        if step == d:
+            prof = pk.encode((0, 0, m))
+            acc[prof] = acc.get(prof, 0) + (_step_denominator(d) << W * (k + K * g))
+        return acc
 
-    monkeypatch.setattr("dessins.evolution._edge_moves", stray)
+    monkeypatch.setattr("dessins.evolution._next_marked", planted)
 
 
-@pytest.mark.parametrize("key, exc_type, message", BAD_KEYS)
-def test_computed_degree_check_messages(monkeypatch, key, exc_type, message):
-    _stray_moves(monkeypatch, 2, key)
+# (profile, k, g) planted in the degree-2 step, the cause and its message;
+# a computed key's genus is its slot row, so it cannot lack an integer genus
+COMPUTED_FAULTS = [
+    pytest.param((1,), 1, 0, ValueError, "piece 2 is not homogeneous of weight 2",
+                 id="key0-ValueError-piece 2 is not homogeneous of weight 2"),
+    pytest.param((0, 1), 0, 0, NonPhysicalKeyError,
+                 "key (0, 3, (0, 1)) needs k, l >= 1 and weight >= 1",
+                 id="key2-NonPhysicalKeyError-key (0, 3, (0, 1)) needs k, l >= 1 and weight >= 1"),
+]
+
+
+@pytest.mark.parametrize("m, k, g, exc_type, message", COMPUTED_FAULTS)
+def test_computed_degree_check_messages(monkeypatch, m, k, g, exc_type, message):
+    _plant(monkeypatch, 2, m, k, g)
     with pytest.raises(ArithmeticError) as info:
         ConnectedSeries.compute(3)
     assert str(info.value) == f"computed degree 2: {message}"
@@ -323,16 +341,51 @@ def test_computed_degree_check_messages(monkeypatch, key, exc_type, message):
 
 
 def test_profile_checked_at_each_degree(monkeypatch):
-    # profile (0, 1) is planned in the step of degree 3 (its keys are the
-    # source); as a key of degree 3 it has the wrong weight
+    # profile (0, 1) is a source of the step of degree 3; as a key of
+    # degree 3 it has the wrong weight
     pieces = [GradedSeries(PIECE_1, 3), GradedSeries(PIECE_2, 3),
               GradedSeries({**PIECE_3, (1, 2, (0, 1)): F(1, 3)}, 3)]
     with pytest.raises(ValueError, match="^piece 3 is not homogeneous of weight 3$"):
         ConnectedSeries(pieces)
-    _stray_moves(monkeypatch, 3, (1, 2, (0, 1)))
+    _plant(monkeypatch, 3, (0, 1), 1, 0)
     with pytest.raises(ArithmeticError,
                        match="^computed degree 3: piece 3 is not homogeneous of weight 3$"):
         ConnectedSeries.compute(4)
+
+
+@pytest.mark.parametrize("k, g, key", [(0, 0, (0, 3, (0, 1))), (2, 1, (2, -1, (0, 1)))])
+def test_decode_refuses_slots_without_a_vertex_of_each_color(engine6, k, g, key):
+    # at d = 2 the profile (0, 1) has l = 3 - 2g - k: slot (0, 0) is the key
+    # (0, 3), slot (2, 1) is (2, -1); both are refused, never dropped
+    with pytest.raises(ArithmeticError) as info:
+        _step(engine6, 2, ((0, 1), k, g, 1))
+    assert str(info.value) == (f"computed degree 2: key {key!r} "
+                               "needs k, l >= 1 and weight >= 1")
+    assert type(info.value.__cause__) is NonPhysicalKeyError
+
+
+def test_step_refuses_a_total_past_the_slots():
+    # dmax = 3 packs into 8-bit slots (C_3 * A003319(4) = 26); piece 2 with
+    # every count times 40 fits them, but T_3 = 2 * (4 * 120 + 1) = 962 does not
+    assert _slot_width(3) == 8 and _slot_width(14) == 64
+    seed = GradedSeries(PIECE_1, 3)
+    scaled = GradedSeries({key: 40 * c for key, c in PIECE_2.items()}, 3)
+    with pytest.raises(ArithmeticError,
+                       match="^computed degree 3: step total 962 does not fit 8-bit slots$"):
+        ConnectedSeries([seed, scaled]).extended_to(3)
+    # a stored count past the slot is refused as it is packed
+    scaled = GradedSeries({key: 300 * c for key, c in PIECE_2.items()}, 3)
+    with pytest.raises(ArithmeticError, match=r"^degree 2: marked count at \(1, 1, \(2,\)\) "
+                                              "needs more than 8 bits$"):
+        ConnectedSeries([seed, scaled]).extended_to(3)
+
+
+def test_constructor_rejects_negative_counts():
+    # the degree step's slot bound needs counts of maps, never below 0
+    pieces = [GradedSeries(PIECE_1, 3), GradedSeries(PIECE_2, 3).scaled(-1)]
+    with pytest.raises(ValueError,
+                       match=r"^piece 2: marked count at \(1, 1, \(2,\)\) is negative$"):
+        ConnectedSeries(pieces)
 
 
 def test_coefficient_lookup(engine6):
