@@ -173,29 +173,6 @@ class _Packing:
         prof = code >> 2 * self.bits
         return (self._memo.get(prof) or self._decoded(prof))[1]
 
-    def encode_terms(self, terms: Mapping[RawKey, object]) -> dict:
-        """The packed {code: c} of a {key: c} dict: each profile's fields
-        are packed once per call."""
-        bits, fields, out = self.bits, {}, {}
-        for (k, l, m), c in terms.items():
-            prof = fields.get(m)
-            if prof is None:
-                prof = fields[m] = self.encode((0, 0, m))
-            out[k | l << bits | prof] = c
-        return out
-
-    def decode_terms(self, terms: Mapping[int, object]) -> dict:
-        """The {key: c} of a packed dict: decode with the memo read inline."""
-        bits, mask, memo = self.bits, self.mask, self._memo
-        shift = 2 * bits
-        out = {}
-        for code, c in terms.items():
-            prof = code >> shift
-            entry = memo.get(prof) or self._decoded(prof)
-            out[code & mask, code >> bits & mask, entry[0]] = c
-        return out
-
-
 
 def _profile_moves(E: list[int], parts: tuple[tuple[int, int], ...]):
     """The one-edge moves on a profile with parts ((r, m_r), ...), as

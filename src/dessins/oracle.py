@@ -51,9 +51,8 @@ would be int32, the bins 462, the masks 10 bits), but the tables would
 take about 410 MB, 232 MB of it subset bits; so the tables refuse every
 degree past CLASSES_LIMIT = 9 by size, not by overflow.
 
-numpy is imported by the functions that scan, not with the module: the
-table commands never load it, and ``transitive_pair_counts`` loads it
-on the calling thread before its workers start.
+numpy is imported by the functions that scan, not with the module, so a
+table run never loads it; ``transitive_pair_counts`` loads it first.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from dessins import evolution
 from dessins.evolution import ConnectedSeries
 
 
@@ -23,3 +24,24 @@ def engine14(engine10) -> ConnectedSeries:
 @pytest.fixture(scope="session")
 def engine20(engine14) -> ConnectedSeries:
     return engine14.extended_to(20)
+
+
+@pytest.fixture
+def plant(monkeypatch):
+    """plant(d, m, k, g, count=1): make the degree-d step add ``count``
+    marked counts (times the step's denominator C) to slot (k, g) of
+    profile m, before the step's decode reads it."""
+    real = evolution._next_marked
+
+    def install(d, m, k, g, count=1):
+        def planted(pk, kron, sums, step, W, K):
+            acc = real(pk, kron, sums, step, W, K)
+            if step == d:
+                prof = pk.encode((0, 0, m))
+                c = evolution._step_denominator(d)
+                acc[prof] = acc.get(prof, 0) + (count * c << W * (k + K * g))
+            return acc
+
+        monkeypatch.setattr(evolution, "_next_marked", planted)
+
+    return install

@@ -415,24 +415,6 @@ def test_non_integral_cache_is_input_error(tmp_path, capsys):
     assert err.startswith("error: corrupt cache")
 
 
-def _plant(monkeypatch, d, m, k, g, count):
-    """Make the degree-d step add ``count`` (a marked count, times the
-    step's denominator C) to slot (k, g) of profile m before its decode."""
-    from dessins import evolution
-
-    real_step = evolution._next_marked
-
-    def planted(pk, kron, sums, step, W, K):
-        acc = real_step(pk, kron, sums, step, W, K)
-        if step == d:
-            prof = pk.encode((0, 0, m))
-            c = evolution._step_denominator(d)
-            acc[prof] = acc.get(prof, 0) + (count * c << W * (k + K * g))
-        return acc
-
-    monkeypatch.setattr(evolution, "_next_marked", planted)
-
-
 def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
     from dessins import evolution
 
@@ -451,17 +433,17 @@ def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
     assert err.startswith("internal check failed: marked count at")
 
 
-def test_unphysical_engine_key_exits_1(capsys, monkeypatch):
-    _plant(monkeypatch, 2, (0, 1), 0, 0, 2)  # slot k = 0: the key (0, 3, (0, 1))
+def test_unphysical_engine_key_exits_1(capsys, plant):
+    plant(2, (0, 1), 0, 0, 2)  # slot k = 0: the key (0, 3, (0, 1))
     code, out, err = run(capsys, "table", "--dmax", "3")
     assert code == 1
     assert out == ""
     assert err.startswith("internal check failed: computed degree 2: key (0, 3, ")
 
 
-def test_engine_row_sum_failure_exits_1(capsys, monkeypatch):
+def test_engine_row_sum_failure_exits_1(capsys, plant):
     # a physical, integral key: only the degree's count sum can see it
-    _plant(monkeypatch, 2, (0, 1), 2, 0, 2)  # (2, 1, (0, 1)) gets 2 more
+    plant(2, (0, 1), 2, 0, 2)  # (2, 1, (0, 1)) gets 2 more
     code, out, err = run(capsys, "table", "--dmax", "3")
     assert code == 1
     assert out == ""

@@ -16,7 +16,6 @@ from dessins.evolution import (
     _next_marked,
     _Packing,
     _slot_width,
-    _step_denominator,
     grow_cycle,
     join_components,
     next_piece,
@@ -111,7 +110,7 @@ def _decoded(out):
 
 def _moved(move, terms, *args):
     out = {}
-    move(KERNEL, KERNEL.encode_terms(terms), out, *args)
+    move(KERNEL, {KERNEL.encode(key): c for key, c in terms.items()}, out, *args)
     return _decoded(out)
 
 
@@ -140,16 +139,6 @@ def test_kernel_full_mode_matches_operators_on_random_series(terms):
     series = GradedSeries(terms, 16)
     moved = {key: c for key, c in _moved(_edge_moves, series.terms).items() if c}
     assert moved == dict(_one_edge(series).terms)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.dictionaries(st.tuples(st.integers(0, 15), st.integers(0, 15), _PROFILES),
-                       st.integers(-5, 5), max_size=12))
-def test_encode_terms_matches_per_key_encode(terms):
-    # each profile's fields are packed once per call, keys kept in order
-    packed = KERNEL.encode_terms(terms)
-    assert list(packed.items()) == [(KERNEL.encode(key), c) for key, c in terms.items()]
-    assert KERNEL.decode_terms(packed) == terms
 
 
 # ---------------------------------------------------------------------------
@@ -186,17 +175,13 @@ def _assembled_piece(pieces, d):
     return total.scaled(F(1, d))
 
 
-def _step(series, d, plant=None):
-    """The degree-d step of the engine on the series' pieces below d, with
-    ``plant`` = (profile, k, g, marked count) added to its output slots."""
+def _step(series, d):
+    """The degree-d step and decode of the engine on the series' pieces
+    below d, packed in slots."""
     pk, W, K = _Packing(d), _slot_width(d), d + 1
     marked = [series.marked_piece(n) for n in range(1, d)]
     kron = [_kron_encode(pk, p, n, W, K) for n, p in enumerate(marked, 1)]
     acc = _next_marked(pk, kron, [sum(p.values()) for p in marked], d, W, K)
-    if plant:
-        m, k, g, count = plant
-        prof = pk.encode((0, 0, m))
-        acc[prof] = acc.get(prof, 0) + (count * _step_denominator(d) << W * (k + K * g))
     return _decode_degree(pk, acc, d, W, K)
 
 
@@ -206,7 +191,7 @@ def test_next_piece_matches_public_operator_assembly(engine10, d):
     assembled = _assembled_piece(pieces, d)
     assert next_piece(pieces) == assembled
     assert dict(assembled.terms) == dict(engine10.piece(d).terms)
-    # the engine's own step and decode, on the lower pieces packed in slots
+    # the engine's own step and decode
     piece, row, _ = _step(engine10, d)
     assert piece == {key: c * d for key, c in assembled.terms.items()}
     assert row == genus_row(d, piece)
@@ -287,6 +272,10 @@ def test_constructor_rejects_bad_pieces():
     non_integral = GradedSeries({(1, 1, (2,)): F(1, 3)}, 2)  # 2/3 not integer
     with pytest.raises(ArithmeticError):
         ConnectedSeries([seed, non_integral])
+    # counts of maps: the degree step's slot bound needs them >= 0
+    with pytest.raises(ValueError,
+                       match=r"^piece 2: marked count at \(1, 1, \(2,\)\) is negative$"):
+        ConnectedSeries([seed, GradedSeries(PIECE_2, 2).scaled(-1)])
 
 
 BAD_KEYS = [  # (piece 2 plus this key, exception type, message)
@@ -305,63 +294,42 @@ def test_constructor_check_messages(key, exc_type, message):
     assert type(info.value) is exc_type and str(info.value) == message
 
 
-def _plant(monkeypatch, d, m, k, g):
-    """Make the degree-d step add a marked count of 1 to slot (k, g) of
-    profile m before its decode."""
-    real = _next_marked
-
-    def planted(pk, kron, sums, step, W, K):
-        acc = real(pk, kron, sums, step, W, K)
-        if step == d:
-            prof = pk.encode((0, 0, m))
-            acc[prof] = acc.get(prof, 0) + (_step_denominator(d) << W * (k + K * g))
-        return acc
-
-    monkeypatch.setattr("dessins.evolution._next_marked", planted)
-
-
-# (profile, k, g) planted in the degree-2 step, the cause and its message;
-# a computed key's genus is its slot row, so it cannot lack an integer genus
+# (profile, k, g) planted in the degree-2 step, the cause and its message:
+# at d = 2 the profile (0, 1) has l = 3 - 2g - k, so slot (0, 0) is the key
+# (0, 3) and slot (2, 1) is (2, -1).  A computed key's genus is its slot
+# row, so it cannot lack an integer genus.
 COMPUTED_FAULTS = [
     pytest.param((1,), 1, 0, ValueError, "piece 2 is not homogeneous of weight 2",
                  id="key0-ValueError-piece 2 is not homogeneous of weight 2"),
     pytest.param((0, 1), 0, 0, NonPhysicalKeyError,
                  "key (0, 3, (0, 1)) needs k, l >= 1 and weight >= 1",
                  id="key2-NonPhysicalKeyError-key (0, 3, (0, 1)) needs k, l >= 1 and weight >= 1"),
+    pytest.param((0, 1), 2, 1, NonPhysicalKeyError,
+                 "key (2, -1, (0, 1)) needs k, l >= 1 and weight >= 1",
+                 id="slot-l-below-1-NonPhysicalKeyError"),
 ]
 
 
 @pytest.mark.parametrize("m, k, g, exc_type, message", COMPUTED_FAULTS)
-def test_computed_degree_check_messages(monkeypatch, m, k, g, exc_type, message):
-    _plant(monkeypatch, 2, m, k, g)
+def test_computed_degree_check_messages(plant, m, k, g, exc_type, message):
+    plant(2, m, k, g)
     with pytest.raises(ArithmeticError) as info:
         ConnectedSeries.compute(3)
     assert str(info.value) == f"computed degree 2: {message}"
     assert type(info.value.__cause__) is exc_type
 
 
-def test_profile_checked_at_each_degree(monkeypatch):
+def test_profile_checked_at_each_degree(plant):
     # profile (0, 1) is a source of the step of degree 3; as a key of
     # degree 3 it has the wrong weight
     pieces = [GradedSeries(PIECE_1, 3), GradedSeries(PIECE_2, 3),
               GradedSeries({**PIECE_3, (1, 2, (0, 1)): F(1, 3)}, 3)]
     with pytest.raises(ValueError, match="^piece 3 is not homogeneous of weight 3$"):
         ConnectedSeries(pieces)
-    _plant(monkeypatch, 3, (0, 1), 1, 0)
+    plant(3, (0, 1), 1, 0)
     with pytest.raises(ArithmeticError,
                        match="^computed degree 3: piece 3 is not homogeneous of weight 3$"):
         ConnectedSeries.compute(4)
-
-
-@pytest.mark.parametrize("k, g, key", [(0, 0, (0, 3, (0, 1))), (2, 1, (2, -1, (0, 1)))])
-def test_decode_refuses_slots_without_a_vertex_of_each_color(engine6, k, g, key):
-    # at d = 2 the profile (0, 1) has l = 3 - 2g - k: slot (0, 0) is the key
-    # (0, 3), slot (2, 1) is (2, -1); both are refused, never dropped
-    with pytest.raises(ArithmeticError) as info:
-        _step(engine6, 2, ((0, 1), k, g, 1))
-    assert str(info.value) == (f"computed degree 2: key {key!r} "
-                               "needs k, l >= 1 and weight >= 1")
-    assert type(info.value.__cause__) is NonPhysicalKeyError
 
 
 def test_step_refuses_a_total_past_the_slots():
@@ -378,14 +346,6 @@ def test_step_refuses_a_total_past_the_slots():
     with pytest.raises(ArithmeticError, match=r"^degree 2: marked count at \(1, 1, \(2,\)\) "
                                               "needs more than 8 bits$"):
         ConnectedSeries([seed, scaled]).extended_to(3)
-
-
-def test_constructor_rejects_negative_counts():
-    # the degree step's slot bound needs counts of maps, never below 0
-    pieces = [GradedSeries(PIECE_1, 3), GradedSeries(PIECE_2, 3).scaled(-1)]
-    with pytest.raises(ValueError,
-                       match=r"^piece 2: marked count at \(1, 1, \(2,\)\) is negative$"):
-        ConnectedSeries(pieces)
 
 
 def test_coefficient_lookup(engine6):
