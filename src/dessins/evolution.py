@@ -398,13 +398,11 @@ def _next_marked(pk: _Packing, kron: list[dict[int, int]], sums: list[int],
 def _decode_degree(pk: _Packing, acc: Mapping[int, int], d: int, W: int,
                    K: int) -> tuple[dict[RawKey, int], list[int], dict[int, int]]:
     """The marked piece, genus row and stored {profile: P // C} of the
-    degree-d step's output ``acc``, in one pass over its W-bit slots.
-
-    Each nonzero slot k + K*g is divided by C and becomes the count of
-    (k, l, m), l = d + 2 - 2g - k - parts, in genus row g.  A count that
-    is not integral, a profile of another weight, a slot with k < 1 or
-    l < 1, and counts that do not sum to A003319(d + 1) are engine
-    invariant failures and raise ArithmeticError.
+    degree-d step's output ``acc``, in one pass over its W-bit slots: slot
+    k + K*g holds C times the count of (k, d + 2 - 2g - k - parts, m).  A
+    count that is not integral, a profile of another weight, a slot with
+    k < 1 or l < 1, and counts that do not sum to A003319(d + 1) are
+    engine invariant failures and raise ArithmeticError.
     """
     C, wb = _step_denominator(d), W // 8
     zero = bytes(wb)
@@ -483,9 +481,9 @@ class ConnectedSeries:
             for d, piece in enumerate(marked, 1):
                 if not piece:
                     raise ValueError(f"piece {d} is empty")
-                for key, v in piece.items():
-                    if v < 0:  # counts of maps; the degree step's bound needs them >= 0
-                        raise ValueError(f"piece {d}: marked count at {key!r} is negative")
+                if min(piece.values()) < 0:  # counts of maps: the step's bound needs >= 0
+                    key = next(key for key, v in piece.items() if v < 0)
+                    raise ValueError(f"piece {d}: marked count at {key!r} is negative")
                 rows.append(genus_row(d, piece))
         self._marked = tuple(marked)
         self._rows = tuple(rows)
