@@ -8,15 +8,17 @@ extension of any shallower one, and re-running with a covering cache
 reloads the pieces instead of recomputing them.  A cache is written to a
 temporary file beside it and renamed into place, so a crash or a second
 writer never leaves half a cache; a failed write removes that file and
-is reported at the cache's own path.  Loading requires positive counts in
-strictly increasing canonical order and admits them as ``ConnectedSeries``
-input, whose one genus pass per degree checks the seed, that no degree is
-empty, and every key's weight and genus relation; each degree's row sum
-and genus-0 and genus-1 column sums are then checked against A003319 and
-the closed forms.  So a cut or reordered file is rejected, and so is an
-edit that leaves a negative count or changes a row or genus-0/1 column
-sum.  Only a positive move between two keys of the same degree and genus
-still loads; ``oracle`` and ``recursion`` catch it.
+is reported at the cache's own path.  Loading reads the lines in
+strictly increasing canonical order, each once, and streams the counts
+into ``ConnectedSeries.from_counts``, whose one pass checks the degree
+range, the integral marked count, its sign and the weight and genus
+relation of every key as it files it, then the seed and that no degree
+is empty; each degree's row sum and genus-0 and genus-1 column sums are
+then checked against A003319 and the closed forms.  So a cut or
+reordered file is rejected, and so is an edit that leaves a negative
+count or changes a row or genus-0/1 column sum.  Only a positive move
+between two keys of the same degree and genus still loads; ``oracle``
+and ``recursion`` catch it.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ HEADER_TAG = "DESSIN-F v1"
 
 def render_cache(series: ConnectedSeries) -> str:
     def terms():  # canonical order: by weight, then by (k, l, m)
-        for d, marked in enumerate(series._marked, 1):
-            for key in sorted(marked):
-                v = marked[key]
+        for d in range(1, series.dmax + 1):
+            for key, v in series.marked_piece(d).items():
                 g = gcd(v, d)
                 yield d, key, v // g, d // g
     body = "\n".join(render_lines(terms()))
@@ -50,10 +51,11 @@ def parse_cache(text: str) -> ConnectedSeries:
     """The series a cache text holds, read in one pass to marked counts.
 
     A malformed, reordered, repeated, negative or unphysical line, a degree
-    outside the header's range, a wrong seed, a degree whose marked counts
-    do not sum to A003319(d+1) or whose genus-0 or genus-1 marked counts
-    do not sum to the closed forms raises ValueError; a coefficient whose
-    marked count is not an integer raises ArithmeticError.
+    outside the header's range or without a line, a wrong seed, a degree
+    whose marked counts do not sum to A003319(d+1) or whose genus-0 or
+    genus-1 marked counts do not sum to the closed forms raises
+    ValueError; a coefficient whose marked count is not an integer raises
+    ArithmeticError.
     """
     head, _, body = text.partition("\n")
     fields = head.split()
@@ -61,22 +63,10 @@ def parse_cache(text: str) -> ConnectedSeries:
             or not fields[2].startswith("dmax=")):
         raise ValueError(f"not a series cache (header {head!r})")
     dmax = int(fields[2][len("dmax="):])
-    marked: dict[int, dict] = {}  # by degree; no allocation from the header
-    for lineno, d, key, num, den in parse_lines(body, start=2):
-        if not 1 <= d <= dmax:
-            raise ValueError(f"line {lineno}: degree {d} outside 1..{dmax}")
-        if num < 0:  # every coefficient counts maps
-            raise ValueError(f"line {lineno}: count at {key!r} is negative")
-        v, r = divmod(num * d, den)
-        if r:
-            raise ArithmeticError(
-                f"line {lineno}: marked count at {key!r} is not integral")
-        if d not in marked:  # canonical order: the lines come by degree
-            piece = marked[d] = {}
-        piece[key] = v
-    series = ConnectedSeries._from_marked(  # checked: seed, gaps, every key
-        [marked.get(d, {}) for d in range(1, len(marked) + 1)])
-    table = genus_table(series)  # a degree past the body fails its row sum
+    # checked as it is filed: degree range, integrality, sign, every key,
+    # then the seed and every degree present
+    series = ConnectedSeries.from_counts(dmax, parse_lines(body, start=2))
+    table = genus_table(series)
     for d in range(2, dmax + 1):
         if sum(table.row_marked(d)) != indecomposable_count(d + 1):
             raise ValueError(f"degree-{d} marked counts do not sum to "

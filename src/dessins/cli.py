@@ -26,14 +26,13 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
 from .cache import load_or_compute
 from .counts import genus_table, marked_count_genus0, marked_count_genus1
 from .evolution import recursion_rhs
 from .kp import KP_EQUATIONS, equation_by_id, kp_report
 from .oracle import CLASSES_LIMIT, NAIVE_LIMIT, compare_with_series
-from .series import profile_text
+from .series import physical_keys, profile_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -183,9 +182,8 @@ def cmd_coeff(args) -> int:
     m = parse_profile(args.profile, args.d)
     if args.d < 1 or args.k < 1 or args.l < 1:
         raise UsageError("--d, --k, --l must all be >= 1")
-    series = load_or_compute(args.d, args.cache)
-    marked = series.marked_piece(args.d).get((args.k, args.l, m), 0)
-    sys.stdout.write(f"N={Fraction(marked, args.d)}, marked={marked}\n")
+    weighted = load_or_compute(args.d, args.cache).coefficient(args.k, args.l, m)
+    sys.stdout.write(f"N={weighted}, marked={weighted * args.d}\n")
     return EXIT_OK
 
 
@@ -282,13 +280,10 @@ def cmd_recursion(args) -> int:
     if args.dmax < 1:
         raise UsageError("--dmax must be >= 1")
     series = load_or_compute(args.dmax, args.cache)
-    keys = [key for d in range(1, args.dmax + 1) for key in series.marked_piece(d)]
-    bad = []
-    for key in keys:
-        got = recursion_rhs(series, *key)
-        want = series.coefficient(*key)
-        if got != want:
-            bad.append((key, want, got))
+    # every physical key, so a count a corrupt cache drops is checked too
+    keys = [key for d in range(1, args.dmax + 1) for key in physical_keys(d)]
+    diffs = ((key, series.coefficient(*key), recursion_rhs(series, *key)) for key in keys)
+    bad = [diff for diff in diffs if diff[1] != diff[2]]
     return _key_report(args, {"dmax": args.dmax, "keys_checked": len(keys)},
                        f"recursion cross-check dmax={args.dmax}: {len(keys)} keys",
                        bad, ("table", "recursion"), "keys", "both paths agree")

@@ -45,7 +45,7 @@ def genus_table(series: ConnectedSeries) -> GenusTable:
     read off from 2g - 2 = d - (k + l + parts).  Entries exist for all
     0 <= g <= (d-1)//2 (as zeros where nothing contributes).  A view of
     the genus rows the series collapsed, with its key checks, as each
-    degree entered it (see ``series.genus_row``).
+    degree entered it (see ``ConnectedSeries``).
     """
     return GenusTable(series.dmax, {(d, g): v for d, row in enumerate(series._rows, 1)
                                     for g, v in enumerate(row)})

@@ -23,12 +23,13 @@ exact throughout; internally each piece is manipulated as its "marked"
 integer form (d times the weighted counts), which keeps the hot
 convolution loops in plain big-integer arithmetic.
 
-``partition_function`` runs a kernel over packed keys, and KP and
-``recursion_rhs`` read the series in the same packing: k, l, m_1, m_2,
-... sit in consecutive ``bits``-bit fields of one int, k lowest, so a
-move adds precomputed unit vectors (1: a white vertex, ``V``: a black
-one, ``E[i]``: a part of size i) and the pair product of two profiles is
-one integer addition.  Grow and split/join depend only on a key's
+``partition_function`` runs a kernel over packed keys, and the series
+is stored in the same packing: l, k, m_1, m_2, ... sit in consecutive
+``bits``-bit fields of one int, l lowest, so a move adds precomputed
+unit vectors (1: a black vertex, 1 << bits: a white one, ``E[i]``: a
+part of size i), the pair product of two profiles is one integer
+addition, and within one profile the codes order keys by k and then l,
+as the canonical order does.  Grow and split/join depend only on a key's
 profile, so each packed profile gets one plan, built on first use: the
 (increment, weight) pairs of (u+v)*grow + split_or_join, and one loop
 adds each increment to the code of every key of that profile.  The
@@ -52,7 +53,7 @@ vector the moves built unit by unit.
 
 The degree recursion works on one polynomial per profile.  Within a
 profile of weight n, l = n + 2 - 2g - k - parts, so a key is its slot
-(k, g), and a degree is stored as {packed profile: P} with
+(k, g), and the step holds a degree as {packed profile: P} with
 
     P = sum_{k, g} M(k, l, m) * 2^(W * (k + K * g)),    K = dmax + 1,
 
@@ -68,8 +69,8 @@ each slot a ``W``-bit field.  Every move acts on P as a whole:
 
 A degree ends in one decode pass over the slots (``_decode_degree``):
 each slot is divided by the step's common denominator C (integrality),
-its row is the key's genus, and k >= 1 and l >= 1 are checked.  The
-stored form of the degree is then P // C.
+its row is the key's genus, k >= 1 and l >= 1 are checked, and the count
+is filed into the degree's profile groups (see ``ConnectedSeries``).
 
 Slots cannot carry or wrap.  Every stored count and every contribution
 is non-negative, so every slot of a step is at most the sum of all its
@@ -95,7 +96,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .series import (
     GradedSeries,
@@ -104,7 +105,6 @@ from .series import (
     TruncationError,
     canonical_multiplicities,
     genus_at,
-    genus_row,
     multiplicities_decr,
     multiplicities_incr,
     partition_weight,
@@ -122,20 +122,20 @@ class _Packing:
     """Bit-field layout for keys whose entries are all at most ``bound``.
 
     The decoded profile and its part list are kept per packed profile (a
-    key's fields above k and l), since keys of one computation share few
-    profiles.  The unit vectors ``E[i]`` of the part sizes are built as
-    callers first need them (``units``), so a large bound costs nothing
-    up front.
+    key's fields above k and l), and the packed profile per multiplicity
+    vector, since keys of one computation share few profiles.  The unit
+    vectors ``E[i]`` of the part sizes are built as callers first need
+    them (``units``), so a large bound costs nothing up front.
     """
 
-    __slots__ = ("bits", "mask", "V", "E", "_memo")
+    __slots__ = ("bits", "mask", "E", "_memo", "_codes")
 
     def __init__(self, bound: int):
         self.bits = bits = bound.bit_length()  # 2^bits > bound
         self.mask = (1 << bits) - 1
-        self.V = 1 << bits
         self.E = [0]
         self._memo: dict[int, tuple[Multiplicities, tuple[tuple[int, int], ...]]] = {}
+        self._codes: dict[Multiplicities, int] = {}
 
     def units(self, n: int) -> list[int]:
         """E with E[i] = 1 << bits*(i+1), the vector of a part of size i,
@@ -147,11 +147,13 @@ class _Packing:
 
     def encode(self, key: RawKey) -> int:
         k, l, m = key
-        bits = self.bits
-        code = k | l << bits
-        for i, x in enumerate(m, 2):
-            code |= x << bits * i
-        return code
+        prof = self._codes.get(m)
+        if prof is None:
+            prof = 0
+            for x in reversed(m):
+                prof = prof << self.bits | x
+            prof = self._codes[m] = prof << 2 * self.bits
+        return prof | k << self.bits | l
 
     def _decoded(self, prof: int) -> tuple[Multiplicities, tuple[tuple[int, int], ...]]:
         bits, mask, code, out = self.bits, self.mask, prof, []
@@ -166,7 +168,7 @@ class _Packing:
         bits, mask = self.bits, self.mask
         prof = code >> 2 * bits
         entry = self._memo.get(prof) or self._decoded(prof)
-        return (code & mask, code >> bits & mask, entry[0])
+        return (code >> bits & mask, code & mask, entry[0])
 
     def parts(self, code: int) -> tuple[tuple[int, int], ...]:
         """(i, m_i) for every part size i present in the key."""
@@ -202,8 +204,8 @@ def _edge_moves(pk: _Packing, src: Mapping, out: dict) -> None:
     """Add ((u+v) * grow + split_or_join)(src) to out, where grow is
     sum_r r t_{r+1} d/dt_r: one pass over src, adding each increment of
     the plan of a key's profile, built on first use, to its code."""
-    shift, plans, get = 2 * pk.bits, {}, out.get
-    added = ((1, pk.V), (0,), (0,))  # by kind: grow adds a vertex of either color
+    shift, plans = 2 * pk.bits, {}
+    added = ((1, 1 << pk.bits), (0,), (0,))  # by kind: grow adds a vertex of either color
     for code, c in src.items():
         plan = plans.get(code >> shift)
         if plan is None:
@@ -211,9 +213,7 @@ def _edge_moves(pk: _Packing, src: Mapping, out: dict) -> None:
             E = pk.units(sum(i * x for i, x in parts) + 1)
             plan = plans[code >> shift] = [
                 (inc + v, w) for inc, w, kind in _profile_moves(E, parts) for v in added[kind]]
-        for inc, w in plan:
-            key = code + inc
-            out[key] = get(key, 0) + w * c
+        _convolve(((code, c),), plan, out)
 
 
 def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
@@ -286,18 +286,58 @@ def join_components(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 # the degree recursion
 # ---------------------------------------------------------------------------
 
-def _marked_terms(terms: Mapping[RawKey, object], d: int) -> dict[RawKey, int]:
-    """d times the coefficients, as exact integers (the marked counts)."""
-    out: dict[RawKey, int] = {}
-    for key, c in terms.items():
-        if isinstance(c, Fraction):
-            v, r = divmod(c.numerator * d, c.denominator)
+def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
+                    ) -> tuple[_Packing, list[dict[int, dict[int, int]]], list[list[int]]]:
+    """The packing, profile groups and genus rows of outside counts, the
+    (d, key, num, den) of weighted counts num/den of degrees 1 .. dmax,
+    in one pass that files each marked count d * num / den as it checks
+    it: integral (else ArithmeticError), positive, at a key of weight d
+    with k, l >= 1 and an integer genus (weight and d + 2 - parts read
+    once per profile).  Then degree 1 must be the seed, no degree empty
+    and no key repeated (its counts would all be in the genus row, one in
+    its group); these failures raise ValueError.  A group out of kl order
+    is sorted."""
+    if dmax < 1:
+        raise ValueError("need at least the degree-1 piece")
+    pk = _Packing(dmax)  # a checked key of weight d has k, l, m_i <= d <= dmax
+    bits, groups, rows, found = pk.bits, {}, {}, {}
+    for d, key, num, den in terms:
+        k, l, m = key
+        entry = found.get(m)
+        if entry is None:  # per profile: weight, weight + 2 - parts, group, row
+            w = partition_weight(m)
+            entry = found[m] = (None, -1, None, None)  # no degree of the series
+            if min(m, default=0) >= 0 and 1 <= w <= dmax:
+                entry = found[m] = (w, w + 2 - sum(m), groups.setdefault(w, {}).setdefault(
+                    pk.encode((0, 0, m)), {}), rows.setdefault(w, [0] * ((w + 1) // 2)))
+        w, offset, group, row = entry
+        v, r = divmod(num * d, den)
+        twice = offset - k - l
+        if r or twice < 0 or twice & 1 or k < 1 or l < 1 or v < 1 or w != d:
             if r:
                 raise ArithmeticError(f"marked count at {key!r} is not integral")
-        else:
-            v = c * d
-        out[key] = v
-    return out
+            if d == 1:
+                raise ValueError("degree-1 piece must be exactly u*v*t1")
+            if not 1 <= d <= dmax:
+                raise ValueError(f"degree {d} outside 1..{dmax}")
+            if w != d:
+                raise ValueError(f"piece {d} is not homogeneous of weight {d}")
+            if v < 1:  # counts of maps: the step's slot bound needs them >= 0
+                raise ValueError(f"piece {d}: marked count at {key!r} is "
+                                 f"{'negative' if v else 'zero'}")
+            genus_at(d, key)  # raises the key's error
+        group[l | k << bits] = v
+        row[twice >> 1] += v
+    if rows.get(1) != [1]:  # its one physical key is the seed's
+        raise ValueError("degree-1 piece must be exactly u*v*t1")
+    for d in range(2, dmax + 1):
+        if d not in groups:
+            raise ValueError(f"piece {d} is empty")
+        if sum(rows[d]) != sum(sum(group.values()) for group in groups[d].values()):
+            raise ValueError(f"piece {d} repeats a key")
+        groups[d] = {prof: group if list(group) == sorted(group) else dict(sorted(group.items()))
+                     for prof, group in groups[d].items()}
+    return pk, [groups[d] for d in range(1, dmax + 1)], [rows[d] for d in range(1, dmax + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -328,19 +368,28 @@ def _slot_width(dmax: int) -> int:
     return -(-top.bit_length() // 8) * 8
 
 
-def _kron_encode(pk: _Packing, piece: Mapping[RawKey, int], d: int,
-                 W: int, K: int) -> dict[int, int]:
-    """The {packed profile: P} form of a degree-d piece of marked counts,
-    each count added into its W-bit slot k + K*g."""
-    out, profs = {}, {}
-    for key, v in piece.items():
-        k, l, m = key
-        if v >> W:
-            raise ArithmeticError(
-                f"degree {d}: marked count at {key!r} needs more than {W} bits")
-        prof = profs.get(m) or profs.setdefault(m, pk.encode((0, 0, m)))
-        out[prof] = out.get(prof, 0) + (v << W * (k + K * ((d + 2 - k - l - sum(m)) >> 1)))
-    return out
+def _kron_encode(pk: _Packing, groups: Mapping[int, Mapping[int, int]], d: int,
+                 new: _Packing, W: int, K: int) -> tuple[dict, dict[int, int]]:
+    """Degree d's groups re-keyed from the packing pk into new (the same
+    groups when new is pk; both hold k and l exactly, so the order stays),
+    and their {packed profile: P} form, each count in its W-bit slot
+    k + K*g."""
+    bits, mask, nb = pk.bits, pk.mask, new.bits
+    keyed, slots = {}, {}
+    for prof, group in groups.items():
+        m = pk.decode(prof)[2]
+        top, P = d + 2 - sum(m), 0
+        for kl, v in group.items():
+            k, l = kl >> bits, kl & mask
+            if v >> W:
+                raise ArithmeticError(
+                    f"degree {d}: marked count at {(k, l, m)!r} needs more than {W} bits")
+            P += v << W * (k + K * ((top - k - l) >> 1))
+        if new is not pk:
+            prof = new.encode((0, 0, m))
+            group = {kl >> bits << nb | kl & mask: v for kl, v in group.items()}
+        keyed[prof], slots[prof] = group, P
+    return keyed, slots
 
 
 def _next_marked(pk: _Packing, kron: list[dict[int, int]], sums: list[int],
@@ -396,39 +445,44 @@ def _next_marked(pk: _Packing, kron: list[dict[int, int]], sums: list[int],
 
 
 def _decode_degree(pk: _Packing, acc: Mapping[int, int], d: int, W: int,
-                   K: int) -> tuple[dict[RawKey, int], list[int], dict[int, int]]:
-    """The marked piece, genus row and stored {profile: P // C} of the
+                   K: int) -> tuple[dict[int, dict[int, int]], list[int], dict[int, int]]:
+    """The groups, genus row and slot form {profile: P // C} of the
     degree-d step's output ``acc``, in one pass over its W-bit slots: slot
-    k + K*g holds C times the count of (k, d + 2 - 2g - k - parts, m).  A
+    k + K*g holds C times the count of (k, d + 2 - 2g - k - parts, m),
+    read by k and falling g, so each group is written in kl order.  A
     count that is not integral, a profile of another weight, a slot with
     k < 1 or l < 1, and counts that do not sum to A003319(d + 1) are
     engine invariant failures and raise ArithmeticError.
     """
-    C, wb = _step_denominator(d), W // 8
+    C, wb, bits = _step_denominator(d), W // 8, pk.bits
     zero = bytes(wb)
-    piece: dict[RawKey, int] = {}
+    groups: dict[int, dict[int, int]] = {}
     row = [0] * ((d + 1) // 2)
     stored: dict[int, int] = {}
     try:
         for prof, P in acc.items():
-            m, parts = pk.decode(prof)[2], pk.parts(prof)
+            parts = pk.parts(prof)
             if sum(i * x for i, x in parts) != d:
                 raise ValueError(f"piece {d} is not homogeneous of weight {d}")
             top = d + 2 - sum(x for _, x in parts)
-            raw = P.to_bytes(-(-P.bit_length() // W) * wb, "little")
-            for s in range(len(raw) // wb):
-                chunk = raw[s * wb:(s + 1) * wb]
-                if chunk == zero:
-                    continue
-                g, k = divmod(s, K)
-                key = (k, top - 2 * g - k, m)
-                v, r = divmod(int.from_bytes(chunk, "little"), C)
-                if r:
-                    raise ArithmeticError(f"marked count at {key!r} is not integral")
-                if k < 1 or key[1] < 1:
-                    genus_at(d, key)  # raises the key's error
-                piece[key] = v
-                row[g] += v
+            slots = -(-P.bit_length() // W)
+            raw = P.to_bytes(slots * wb, "little")
+            group = groups[prof] = {}
+            for k in range(min(K, slots)):
+                for g in range((slots - 1 - k) // K, -1, -1):
+                    s = (k + K * g) * wb
+                    chunk = raw[s:s + wb]
+                    if chunk == zero:
+                        continue
+                    l = top - 2 * g - k
+                    v, r = divmod(int.from_bytes(chunk, "little"), C)
+                    if r or k < 1 or l < 1:
+                        key = (k, l, pk.decode(prof)[2])
+                        if r:
+                            raise ArithmeticError(f"marked count at {key!r} is not integral")
+                        genus_at(d, key)  # raises the key's error
+                    group[l | k << bits] = v
+                    row[g] += v
             stored[prof] = P // C
     except ValueError as exc:
         raise ArithmeticError(f"computed degree {d}: {exc}") from exc
@@ -436,7 +490,7 @@ def _decode_degree(pk: _Packing, acc: Mapping[int, int], d: int, W: int,
     if sum(row) != want:
         raise ArithmeticError(f"computed degree {d}: marked counts sum to "
                               f"{sum(row)}, not A003319({d + 1}) = {want}")
-    return piece, row, stored
+    return groups, row, stored
 
 
 def next_piece(pieces: Sequence[GradedSeries]) -> GradedSeries:
@@ -449,64 +503,56 @@ def next_piece(pieces: Sequence[GradedSeries]) -> GradedSeries:
 class ConnectedSeries:
     """Homogeneous pieces of the connected series for degrees 1 .. dmax.
 
-    Only the marked counts are stored: per degree d, {(k, l, m): d * N}
-    with int values, beside the degree's genus row.  Each degree is
-    collapsed by genus once, where it enters: a computed degree by its
-    decode (``_decode_degree``), outside input (the constructor's pieces,
-    a cache) by ``series.genus_row``, which checks its keys, after its
-    seed, integrality, signs and nonempty pieces are checked.  The Fraction
-    views are built on each call and not kept: ``piece(d)`` builds degree
-    d only, and ``pieces`` and ``combined`` are made of it.
-    ``_packed_index`` packs each degree once, with one ``_Packing(dmax)``
-    per series, for the KP evaluator and ``recursion_rhs``, which also
-    keeps its per-profile moves read against that index in ``_moves``.
+    One form is stored: per degree, the marked counts d * N by packed
+    profile, {profile: {kl: d * N}} with kl = l | k << bits in the one
+    packing ``_pk`` (a key's code is profile + kl), beside its genus row.
+    Each group iterates by increasing kl, by k and then l, the canonical
+    order on which the pair walk of ``recursion_rhs`` stops.  Every k, l
+    and m_i is at most dmax < 2^bits, so no field carries.  A degree is
+    checked and collapsed by genus once, where it enters: computed, by
+    ``_decode_degree``; outside input (the constructor, ``from_counts``,
+    a cache), by ``_checked_groups``.  ``extended_to`` re-keys the stored
+    degrees into ``_Packing(dmax)`` as it packs them into slots, unless
+    the width stays; a cut-back shares its parent's groups and wider
+    packing.  KP and ``recursion_rhs`` (its moves kept in ``_moves``) read
+    the groups as stored; tuple keys and Fractions are built per call.
     """
 
-    __slots__ = ("_marked", "_rows", "_pk", "_index", "_moves")
+    __slots__ = ("_groups", "_rows", "_pk", "_moves")
 
     def __init__(self, pieces: Sequence[GradedSeries]):
-        self._set([_marked_terms(p._terms, d) for d, p in enumerate(pieces, 1)])
+        self._set(*_checked_groups(len(pieces), (
+            (d, key, c.numerator, c.denominator)
+            for d, piece in enumerate(pieces, 1) for key, c in piece._terms.items())))
 
-    def _set(self, marked: Sequence[dict[RawKey, int]],
-             rows: Sequence[list[int]] | None = None) -> None:
-        """Store marked counts with their genus rows.  Without ``rows``
-        the counts are outside input, and the seed, each degree and every
-        key and its sign are checked while the rows are collapsed."""
-        if rows is None:
-            if not marked:
-                raise ValueError("need at least the degree-1 piece")
-            if marked[0] != {SEED_KEY: 1}:
-                raise ValueError("degree-1 piece must be exactly u*v*t1")
-            rows = []
-            for d, piece in enumerate(marked, 1):
-                if not piece:
-                    raise ValueError(f"piece {d} is empty")
-                if min(piece.values()) < 0:  # counts of maps: the step's bound needs >= 0
-                    key = next(key for key, v in piece.items() if v < 0)
-                    raise ValueError(f"piece {d}: marked count at {key!r} is negative")
-                rows.append(genus_row(d, piece))
-        self._marked = tuple(marked)
-        self._rows = tuple(rows)
-        self._pk = _Packing(len(marked))  # k, l, m_i <= degree <= dmax
-        self._index: list[dict[int, dict[int, int]]] = []
+    def _set(self, pk: _Packing, groups: Sequence[dict],
+             rows: Sequence[list[int]]) -> "ConnectedSeries":
+        self._pk, self._groups, self._rows = pk, tuple(groups), tuple(rows)
         self._moves: dict[Multiplicities, tuple] = {}  # of recursion_rhs
+        return self
 
     @classmethod
-    def _from_marked(cls, marked: Sequence[dict[RawKey, int]],
-                     rows: Sequence[list[int]] | None = None) -> "ConnectedSeries":
-        """Series of marked counts: with ``rows``, the engine's own degrees
-        and their genus rows, trusted; without, outside input (a cache),
-        checked as by the constructor."""
-        series = cls.__new__(cls)
-        series._set(marked, rows)
-        return series
+    def _stored(cls, pk: _Packing, groups: Sequence[dict],
+                rows: Sequence[list[int]]) -> "ConnectedSeries":
+        """Series of the engine's own groups and genus rows, trusted."""
+        return cls.__new__(cls)._set(pk, groups, rows)
+
+    @classmethod
+    def from_counts(cls, dmax: int,
+                    terms: Iterable[tuple[int, RawKey, int, int]]) -> "ConnectedSeries":
+        """Series of degrees 1 .. dmax from its weighted counts, (d, key,
+        num, den) for N = num/den, in any order, checked as the
+        constructor's pieces are (``_checked_groups``)."""
+        return cls._stored(*_checked_groups(dmax, terms))
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
     def compute(cls, dmax: int) -> "ConnectedSeries":
         """Build the series up to degree dmax from the one-edge seed."""
-        return cls._from_marked([{SEED_KEY: 1}], [[1]]).extended_to(dmax)
+        pk = _Packing(1)
+        seed = {pk.encode((0, 0, SEED_KEY[2])): {pk.encode((1, 1, ())): 1}}
+        return cls._stored(pk, [seed], [[1]]).extended_to(dmax)
 
     def extended_to(self, dmax: int) -> "ConnectedSeries":
         """Same series computed (or cut back) to another degree bound; each
@@ -517,80 +563,71 @@ class ConnectedSeries:
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
         if dmax <= self.dmax:
-            return ConnectedSeries._from_marked(self._marked[:dmax], self._rows[:dmax]) \
+            return ConnectedSeries._stored(self._pk, self._groups[:dmax], self._rows[:dmax]) \
                 if dmax < self.dmax else self
-        pk = _Packing(dmax)  # checked pieces: m_i <= degree <= dmax
+        # checked pieces: k, l, m_i <= degree <= dmax < 2^bits
+        pk = self._pk if self._pk.bits == dmax.bit_length() else _Packing(dmax)
         W, K = _slot_width(dmax), dmax + 1
-        kron = [_kron_encode(pk, piece, d, W, K) for d, piece in enumerate(self._marked, 1)]
-        sums = [sum(row) for row in self._rows]
-        marked, rows = list(self._marked), list(self._rows)
+        groups, kron = zip(*(_kron_encode(self._pk, stored, d, pk, W, K)
+                             for d, stored in enumerate(self._groups, 1)))
+        groups, kron, rows = list(groups), list(kron), list(self._rows)
         for d in range(self.dmax + 1, dmax + 1):
-            piece, row, stored = _decode_degree(
-                pk, _next_marked(pk, kron, sums, d, W, K), d, W, K)
-            kron.append(stored)
-            sums.append(sum(row))
-            marked.append(piece)
+            keyed, row, slots = _decode_degree(
+                pk, _next_marked(pk, kron, [sum(row) for row in rows], d, W, K), d, W, K)
+            groups.append(keyed)
+            kron.append(slots)
             rows.append(row)
-        return ConnectedSeries._from_marked(marked, rows)
+        return ConnectedSeries._stored(pk, groups, rows)
 
     # -- access ------------------------------------------------------------------
 
     @property
     def dmax(self) -> int:
-        return len(self._marked)
+        return len(self._groups)
 
     @property
     def pieces(self) -> tuple[GradedSeries, ...]:
         return tuple(self.piece(d) for d in range(1, self.dmax + 1))
 
-    def _packed_index(self, top: int) -> list[dict[int, dict[int, int]]]:
-        """Per degree d, at least up to top, at index d - 1: the marked
-        counts grouped by packed profile, {profile: {kl: d * N}}, where a
-        key's code in the series' one packing ``_pk`` is profile + kl,
-        profile holding the fields above k and l and kl = k | l << bits.
-        Each group iterates by increasing kl, so by l and then k.  Degrees
-        are added as a caller first needs them."""
-        index, pk = self._index, self._pk
-        bits = pk.bits
-        for marked in self._marked[len(index):top]:
-            by_m: dict[Multiplicities, list] = {}
-            for (k, l, m), v in marked.items():
-                group = by_m.get(m)
-                if group is None:
-                    group = by_m[m] = []
-                group.append((k | l << bits, v))
-            index.append({pk.encode((0, 0, m)): dict(sorted(group))
-                          for m, group in by_m.items()})
-        return index
+    def marked_piece(self, d: int) -> dict[RawKey, int]:
+        """d times the degree-d piece, with integer coefficients, in
+        canonical order (by k, l and m): each count sorts by one int, its
+        kl above the rank of its profile."""
+        if not 1 <= d <= self.dmax:
+            raise TruncationError(f"degree {d} outside 1..{self.dmax}")
+        pk = self._pk
+        ranked = sorted((pk.decode(prof)[2], group)
+                        for prof, group in self._groups[d - 1].items())
+        rb = len(ranked).bit_length()  # every rank fits rb bits
+        out = {}
+        for code in sorted(kl << rb | r for r, (_, group) in enumerate(ranked) for kl in group):
+            m, group = ranked[code & (1 << rb) - 1]
+            kl = code >> rb
+            out[kl >> pk.bits, kl & pk.mask, m] = group[kl]
+        return out
 
     def piece(self, d: int) -> GradedSeries:
         """The weighted counts of degree d, as Fractions."""
-        if not 1 <= d <= self.dmax:
-            raise TruncationError(f"degree {d} outside 1..{self.dmax}")
-        marked = self._marked[d - 1]
-        return GradedSeries({key: Fraction(v, d) for key, v in marked.items()},
+        return GradedSeries({key: Fraction(v, d) for key, v in self.marked_piece(d).items()},
                             self.dmax, _raw=True)
 
     def coefficient(self, k: int, l: int, m: Sequence[int]) -> Fraction:
-        """Weighted count for the type (k, l, m); exact, 0 when absent."""
+        """Weighted count for the type (k, l, m); exact, 0 when absent
+        (as is every k or l outside 1..d, before it is packed)."""
         mm = canonical_multiplicities(m)
         d = partition_weight(mm)
         if d > self.dmax:
             raise TruncationError(f"weight {d} beyond computed degree {self.dmax}")
-        if d == 0 or k < 1 or l < 1:
+        if not (1 <= k <= d and 1 <= l <= d):
             return Fraction(0)
-        return Fraction(self._marked[d - 1].get((k, l, mm), 0), d)
+        pk = self._pk
+        group = self._groups[d - 1].get(pk.encode((0, 0, mm)), {})
+        return Fraction(group.get(l | k << pk.bits, 0), d)
 
     def combined(self) -> GradedSeries:
         """All pieces merged into one series truncated at dmax."""
         terms = {key: c for piece in self.pieces for key, c in piece._terms.items()}
         return GradedSeries(terms, self.dmax, _raw=True)
-
-    def marked_piece(self, d: int) -> dict[RawKey, int]:
-        """d times the degree-d piece, with integer coefficients."""
-        if not 1 <= d <= self.dmax:
-            raise TruncationError(f"degree {d} outside 1..{self.dmax}")
-        return dict(self._marked[d - 1])
 
     def __repr__(self) -> str:
         return f"ConnectedSeries(dmax={self.dmax})"
@@ -617,8 +654,7 @@ def partition_function(dmax: int) -> GradedSeries:
     for n in range(1, dmax + 1):
         nxt: dict = {}
         _edge_moves(pk, x, nxt)
-        for code, c in x.items():
-            nxt[code + seed] = nxt.get(code + seed, 0) + c
+        _convolve(x.items(), ((seed, 1),), nxt)  # times the seed monomial
         x = {code: c for code, c in nxt.items() if c}
         fact *= n
         for code, c in x.items():
@@ -703,23 +739,23 @@ def _move_plan(m: Multiplicities) -> tuple[tuple, tuple]:
 
 def _planned_moves(cs: ConnectedSeries, mm: Multiplicities,
                    d: int) -> tuple[tuple, tuple]:
-    """The moves of ``_move_plan(mm)`` read against the series' packed
-    index, once per series and profile, each factor scaled to a term of
+    """The moves of ``_move_plan(mm)`` read against the series' stored
+    groups, once per series and profile, each factor scaled to a term of
     one numerator over (d - 1)!: in-piece (get, dkl, f), where get probes
     the reference profile's group one weight below at kl - dkl; pair
     (entries, get2, f), the r1 group's (kl1, count) pairs and the probe
     of the r2 group."""
     moves = cs._moves.get(mm)
     if moves is None:
-        index, pk = cs._packed_index(d - 1), cs._pk
+        stored, pk = cs._groups, cs._pk
         top, empty = factorial(d - 1), {}
 
         def group(w: int, ref: Multiplicities) -> dict:
-            return index[w - 1].get(pk.encode((0, 0, ref)), empty)
+            return stored[w - 1].get(pk.encode((0, 0, ref)), empty)
 
         inpiece, pairs = _move_plan(mm)
         moves = cs._moves[mm] = (
-            tuple((group(d - 1, ref).get, dk | dl << pk.bits, f * (top // (d - 1)))
+            tuple((group(d - 1, ref).get, dl | dk << pk.bits, f * (top // (d - 1)))
                   for dk, dl, ref, f in inpiece),
             tuple((group(w1, r1).items(), group(d - 1 - w1, r2).get,
                    f * (top // (w1 * (d - 1 - w1))))
@@ -747,22 +783,20 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     on m: a move changes k and l by a fixed shift (in-piece) or shares
     them between two components (pair), but its profiles and factors never
     involve k or l.  So the moves come from ``_move_plan(m)``, built once
-    per profile, and are read against the series' packed index
-    (``ConnectedSeries._packed_index``) once per series and profile
+    per profile, and are read against the series' stored groups
+    (``ConnectedSeries``) once per series and profile
     (``_planned_moves``).  Every read is then an integer probe of one
-    profile group, keyed by kl = k | l << bits: an in-piece move probes
+    profile group, keyed by kl = l | k << bits: an in-piece move probes
     kl - dkl, and a pair move walks the r1 group in increasing kl1 up to
-    l1 < l (kl1 < l << bits) and probes the r2 group at kl - kl1 for each
-    entry with k1 < k.
+    k1 < k (kl1 < k << bits) and probes the r2 group at kl - kl1 for each
+    entry with l1 < l.
 
-    The probes cannot alias.  The series' packing has 2^bits > dmax >= d,
-    and every key of weight w has 1 <= k, l <= w.  So a key with k or l
-    outside 1..d reads only absent keys (an in-piece move reads k - dk,
-    l - dl with dk, dl <= 1 at weight d - 1; a pair move splits k and l
-    into two parts >= 1 at weights summing to d - 1), and it is answered
-    0 before packing.  Inside that range kl holds k and l exactly, kl -
-    dkl takes dk, dl <= 1 from fields k, l >= 1, and kl - kl1 leaves the
-    fields k - k1, l - l1 >= 1, so no field borrows or carries.
+    The probes cannot alias.  Every key of weight w has 1 <= k, l <= w <=
+    d < 2^bits, so a key with k or l outside 1..d reads only absent keys
+    (an in-piece move takes dk, dl <= 1 at weight d - 1; a pair move
+    splits k and l into parts >= 1) and is answered 0 before packing.
+    Inside, kl - dkl and kl - kl1 leave fields k - dk, l - dl, k - k1 and
+    l - l1 >= 1, so no field borrows or carries.
     """
     mm = canonical_multiplicities(m)
     d = partition_weight(mm)
@@ -774,14 +808,14 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
         return Fraction(0)
     inpiece_moves, pair_moves = _planned_moves(cs, mm, d)
     bits, mask = cs._pk.bits, cs._pk.mask
-    kl, stop = k | l << bits, l << bits
+    kl, stop = l | k << bits, k << bits
     num = sum(f * get(kl - dkl, 0) for get, dkl, f in inpiece_moves)
     for entries, get2, f in pair_moves:
         ab = 0
         for kl1, a in entries:
             if kl1 >= stop:
                 break
-            if (kl1 & mask) < k:
+            if (kl1 & mask) < l:
                 ab += a * get2(kl - kl1, 0)
         num += f * ab
     return Fraction(num, factorial(d - 1) * d)

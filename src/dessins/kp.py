@@ -14,9 +14,9 @@ factors) pairs, each factor a multi-index of t-derivatives, and the whole
 equation moved to one side.  Further hierarchy equations can be added to
 KP_EQUATIONS without touching the evaluator.
 
-The evaluator reads the series' packed index (one ``_Packing(dmax)`` per
-series, see ``ConnectedSeries._packed_index``) and runs the pair
-convolution of ``evolution`` with plain integer coefficients.  With
+The evaluator reads the series' stored profile groups (one packing per
+series, see ``ConnectedSeries``) and runs the pair convolution of
+``evolution`` with plain integer coefficients.  With
 F_d = M_d / d (M_d the integer marked piece), the s^n value of a product
 of r derivative factors is the sum over n_1 + ... + n_r = n of prod_j
 U_j(n_j) / n_j, U_j the factor's derivative of M.  Each prod n_j divides
@@ -33,20 +33,19 @@ Derivatives are profile factors.  A multi-derivative d^a (a_i
 t_i-derivatives) maps every key of one profile m to the profile m -
 sum a_i e_i with the same k and l, times prod m_i! / (m_i - a_i)!, so a
 derivative table holds one (profile, factor, entries) item per profile
-group of a degree, the entries a view of the index's own {kl: M}
+group of a degree, the entries a view of the series' own {kl: M}
 group, with nothing copied per key.  A product convolves each pair of
 groups in one call, the factors multiplied and the profiles added.  A
 square (the same factor twice, as in (1,1)^2, (1,2)^2 and (1,1,1)^2)
 has equal terms at b and n - b, since C(n, b) = C(n, n - b): it sums
 b < n - b doubled and b = n / 2 once.
 
-Codes cannot carry or alias.  The series' packing has 2^bits > dmax >=
-nmax.  A table entry at s-degree n is a derivative of one piece of
-weight n, or a product of derivatives of pieces whose weights sum to n.
-A derivative subtracts e_i only from a profile with m_i >= a_i (the
-factor is 0, and the group dropped, elsewhere), and pieces have k, l,
-m_i <= weight, so every field of every code, sums included, stays in
-0 .. n <= nmax < 2^bits.
+Codes cannot carry or alias.  A table entry at s-degree n is a
+derivative of one piece of weight n, or a product of derivatives of
+pieces whose weights sum to n.  A derivative subtracts e_i only from a
+profile with m_i >= a_i (elsewhere the factor is 0 and the group
+dropped), and pieces have k, l, m_i <= weight, so every field of every
+code, sums included, stays in 0 .. n <= nmax <= dmax < 2^bits.
 """
 
 from __future__ import annotations
@@ -135,7 +134,7 @@ def equation_by_id(eq_id: int) -> KpEquation:
 
 class KpEvaluator:
     """Derivative and product tables for residuals up to one s-bound, read
-    from the series' packed index.  Entry n of a derivative table is a
+    from the series' stored groups.  Entry n of a derivative table is a
     [(profile, factor, entries), ...] list, one item per profile group of
     degree n; entry n of a product table is a packed [(code, int), ...]
     list."""
@@ -148,7 +147,7 @@ class KpEvaluator:
                 f"s-degree {nmax} beyond computed degree {series.dmax}")
         self.nmax = nmax
         self._pk = series._pk
-        self._groups = [None] + series._packed_index(nmax)[:nmax]
+        self._groups = [None, *series._groups[:nmax]]
         self._derivs: dict[MultiIndex, list] = {}
         self._products: dict[tuple[MultiIndex, ...], list] = {}
 
@@ -205,17 +204,13 @@ class KpEvaluator:
             raise TruncationError(f"s-degree {n} outside 1..{self.nmax}")
         L = lcm(*(coeff.denominator for coeff, _ in eq.terms))
         acc: dict = {}
-        get = acc.get
-        for coeff, factors in eq.terms:
+        for coeff, factors in eq.terms:  # each term times the unit series 1
             scale = coeff.numerator * (L // coeff.denominator)
             if len(factors) > 1:
-                for code, v in self._product(factors)[n]:
-                    acc[code] = get(code, 0) + scale * v
+                _convolve(((0, 1),), self._product(factors)[n], acc, scale)
                 continue
             for prof, f, entries in self._deriv(factors[0])[n]:
-                sf = scale * f
-                for kl, v in entries:
-                    acc[prof + kl] = get(prof + kl, 0) + sf * v
+                _convolve(((0, 1),), entries, acc, scale * f, prof)
         return {code: v for code, v in acc.items() if v}, L * factorial(n)
 
     def residual(self, eq: KpEquation, n: int) -> GradedSeries:

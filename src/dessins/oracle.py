@@ -73,7 +73,8 @@ from .series import (
     Multiplicities,
     RawKey,
     from_parts,
-    genus_row,
+    genus_at,
+    partition_weight,
     partitions,
 )
 
@@ -300,7 +301,10 @@ class PairCounts:
     method: str = "classes"
 
     def __post_init__(self):
-        genus_row(self.d, self.counts)  # every type has weight d and a genus
+        for key in self.counts:  # every type has weight d and a genus
+            if partition_weight(key[2]) != self.d:
+                raise ValueError(f"piece {self.d} is not homogeneous of weight {self.d}")
+            genus_at(self.d, key)
 
     @property
     def total(self) -> int:

@@ -143,31 +143,6 @@ def genus_at(d: int, key: RawKey) -> int:
     return twice // 2
 
 
-def genus_row(d: int, piece: Mapping[RawKey, int]) -> list[int]:
-    """The counts of a degree-d piece summed by genus, g = 0 .. (d-1)//2,
-    after checking every key; the weight and d + 2 - parts are read once
-    per distinct profile.
-
-    A key whose profile has another weight raises ValueError ("piece d is
-    not homogeneous of weight d"), an unphysical one the error of
-    ``genus_at``.
-    """
-    row = [0] * ((d + 1) // 2)
-    offsets: dict[Multiplicities, int] = {}
-    for key, v in piece.items():
-        k, l, m = key
-        offset = offsets.get(m)
-        if offset is None:
-            if partition_weight(m) != d:
-                raise ValueError(f"piece {d} is not homogeneous of weight {d}")
-            offset = offsets[m] = d + 2 - sum(m) if d > 0 else -2  # d = 0: none
-        twice = offset - k - l
-        if twice < 0 or twice & 1 or k < 1 or l < 1:
-            genus_at(d, key)  # raises the key's error
-        row[twice >> 1] += v
-    return row
-
-
 def physical_keys(d: int) -> Iterator[MonomialKey]:
     """All keys of weight d that satisfy the genus relation.
 
@@ -385,10 +360,9 @@ class GradedSeries:
         """Inverse of render(); strict about the line format, which
         includes the canonical line order (see ``parse_lines``)."""
         out: dict[RawKey, Coefficient] = {}
-        for lineno, d, key, num, den in parse_lines(text):
+        for d, key, num, den in parse_lines(text):
             if d > truncation:
-                raise TruncationError(
-                    f"line {lineno}: weight {d} exceeds truncation {truncation}")
+                raise TruncationError(f"term {key!r} exceeds truncation {truncation}")
             out[key] = Fraction(num, den)
         return cls(out, truncation, _raw=True)
 
@@ -415,14 +389,13 @@ def render_lines(terms: Iterable[tuple[int, RawKey, int, int]]) -> list[str]:
     return lines
 
 
-def parse_lines(text: str, start: int = 1
-                ) -> Iterator[tuple[int, int, RawKey, int, int]]:
+def parse_lines(text: str, start: int = 1) -> Iterator[tuple[int, RawKey, int, int]]:
     """Inverse of ``render_lines`` over the non-blank lines of ``text``.
 
-    Yields ``(lineno, d, key, num, den)`` (lines numbered from ``start``)
-    with a canonical key of weight d, k, l >= 0, num != 0 and den > 0,
-    the keys strictly increasing in canonical order (so none repeats);
-    any other line raises ValueError naming its number.
+    Yields ``(d, key, num, den)`` with a canonical key of weight d, k, l
+    >= 0, num != 0 and den > 0, the keys strictly increasing in canonical
+    order (so none repeats); any other line raises ValueError naming its
+    number (lines numbered from ``start``).
     """
     profiles: dict[str, tuple[Multiplicities, int]] = {"-": ((), 0)}
     prev: tuple = ()
@@ -450,7 +423,7 @@ def parse_lines(text: str, start: int = 1
             raise ValueError(f"line {lineno}: key out of canonical order or "
                              f"repeated: {line!r}")
         prev = order
-        yield lineno, d, (k, l, prof[0]), num, den
+        yield d, (k, l, prof[0]), num, den
 
 
 # ---------------------------------------------------------------------------

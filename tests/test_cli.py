@@ -129,23 +129,23 @@ def test_table_collapses_through_cli_genus_table(capsys, monkeypatch):
 
 
 def _record_genus_rows(monkeypatch) -> list[int]:
-    """The degrees of every genus collapse from here on, in order: a
-    ``genus_row`` call (outside input) or a ``_decode_degree`` call (a
-    computed degree)."""
+    """The degrees of every genus collapse from here on, in order: the
+    degrees 1 .. dmax of a ``_checked_groups`` call (outside input) or a
+    ``_decode_degree`` call (a computed degree)."""
     from dessins import evolution
 
     degrees = []
-    real_row, real_decode = evolution.genus_row, evolution._decode_degree
+    real_check, real_decode = evolution._checked_groups, evolution._decode_degree
 
-    def recording_row(d, piece):
-        degrees.append(d)
-        return real_row(d, piece)
+    def recording_check(dmax, terms):
+        degrees.extend(range(1, dmax + 1))
+        return real_check(dmax, terms)
 
     def recording_decode(pk, acc, d, W, K):
         degrees.append(d)
         return real_decode(pk, acc, d, W, K)
 
-    monkeypatch.setattr(evolution, "genus_row", recording_row)
+    monkeypatch.setattr(evolution, "_checked_groups", recording_check)
     monkeypatch.setattr(evolution, "_decode_degree", recording_decode)
     return degrees
 

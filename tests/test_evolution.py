@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dessins.cache import load_cache, save_cache
+from dessins.cache import load_cache, parse_cache, render_cache, save_cache
 from dessins.evolution import (
     ConnectedSeries,
     _decode_degree,
@@ -30,7 +31,6 @@ from dessins.series import (
     canonical_multiplicities,
     exp_series,
     genus_of,
-    genus_row,
     partition_weight,
     physical_keys,
 )
@@ -176,13 +176,16 @@ def _assembled_piece(pieces, d):
 
 
 def _step(series, d):
-    """The degree-d step and decode of the engine on the series' pieces
-    below d, packed in slots."""
+    """The degree-d step and decode of the engine on the series' groups
+    below d, re-keyed and packed in slots for dmax = d; the decoded groups
+    as a tuple-keyed piece, and the genus row."""
     pk, W, K = _Packing(d), _slot_width(d), d + 1
-    marked = [series.marked_piece(n) for n in range(1, d)]
-    kron = [_kron_encode(pk, p, n, W, K) for n, p in enumerate(marked, 1)]
-    acc = _next_marked(pk, kron, [sum(p.values()) for p in marked], d, W, K)
-    return _decode_degree(pk, acc, d, W, K)
+    kron = [_kron_encode(series._pk, series._groups[n - 1], n, pk, W, K)[1]
+            for n in range(1, d)]
+    sums = [sum(series.marked_piece(n).values()) for n in range(1, d)]
+    groups, row, _ = _decode_degree(pk, _next_marked(pk, kron, sums, d, W, K), d, W, K)
+    return {pk.decode(prof + kl): v for prof, group in groups.items()
+            for kl, v in group.items()}, row
 
 
 @pytest.mark.parametrize("d", range(2, 10))
@@ -192,9 +195,10 @@ def test_next_piece_matches_public_operator_assembly(engine10, d):
     assert next_piece(pieces) == assembled
     assert dict(assembled.terms) == dict(engine10.piece(d).terms)
     # the engine's own step and decode
-    piece, row, _ = _step(engine10, d)
+    piece, row = _step(engine10, d)
     assert piece == {key: c * d for key, c in assembled.terms.items()}
-    assert row == genus_row(d, piece)
+    assert row == [sum(v for key, v in piece.items() if genus_of(key) == g)
+                   for g in range(len(row))]
 
 
 def test_step_is_exact_on_asymmetric_pieces():
@@ -220,10 +224,69 @@ def test_packing_memory_is_linear_in_the_bound():
 
 @pytest.mark.parametrize("start, stop", [(3, 9), (12, 17)])
 def test_extension_across_field_widths(start, stop):
-    # packed fields are dmax.bit_length() wide: the lower pieces are re-encoded
+    # packed fields are dmax.bit_length() wide: the lower pieces are re-keyed
     # from 2 to 4 bits (3 -> 9) and from 4 to 5 bits (12 -> 17)
     extended = ConnectedSeries.compute(start).extended_to(stop)
-    assert extended.pieces == ConnectedSeries.compute(stop).pieces
+    computed = ConnectedSeries.compute(stop)
+    assert extended.pieces == computed.pieces
+    assert extended._pk.bits == computed._pk.bits == stop.bit_length()
+    assert extended._groups == computed._groups
+
+
+def _in_order(series) -> list:
+    """Every group of the series as its list of (kl, count) items, by degree
+    and profile."""
+    return [(d, prof, list(group.items())) for d, groups in enumerate(series._groups, 1)
+            for prof, group in sorted(groups.items())]
+
+
+def test_every_entry_stores_one_form():
+    # computed, loaded from a cache, given as pieces, or cut back: a series
+    # holds the same {profile: {kl: M}} groups in the same packing, and
+    # every group iterates by increasing kl = l | k << bits, so by k and
+    # then l, the canonical order, on which the pair walk of recursion_rhs
+    # stops at the first k1 >= k
+    computed = ConnectedSeries.compute(10)
+    deeper = ConnectedSeries.compute(12)
+    cut = deeper.extended_to(10)
+    forms = [computed, parse_cache(render_cache(computed)),
+             ConnectedSeries(computed.pieces), cut]
+    for series in forms:
+        assert series._pk.bits == computed._pk.bits
+        assert series._groups == computed._groups
+        assert series._rows == computed._rows
+        assert _in_order(series) == _in_order(computed)
+    assert all(list(group) == sorted(group)
+               for groups in computed._groups for group in groups.values())
+    # a cut-back shares its parent's groups and packing, not its moves
+    assert cut._pk is deeper._pk and cut._groups == deeper._groups[:10]
+    assert all(a is b for a, b in zip(cut._groups, deeper._groups))
+    assert cut._moves is not deeper._moves
+
+
+def test_from_counts_files_any_order_and_checks_it(engine6):
+    # (d, key, num, den) of the weighted counts N = num/den, as a cache holds them
+    terms = [(d, key, c.numerator, c.denominator)
+             for d in range(1, 7) for key, c in engine6.piece(d).terms.items()]
+    shuffled = random.Random(22).sample(terms, len(terms))
+    assert _in_order(ConnectedSeries.from_counts(6, shuffled)) == _in_order(engine6)
+
+    def changed(key, num, den=1):
+        return [(d, k, num, den) if k == key else (d, k, n, q) for d, k, n, q in terms]
+
+    repeated = next(t for t in terms if t[0] == 3)
+    with pytest.raises(ValueError, match="^piece 3 repeats a key$"):
+        ConnectedSeries.from_counts(6, terms + [repeated])
+    with pytest.raises(ValueError, match=r"^degree 7 outside 1\.\.6$"):
+        ConnectedSeries.from_counts(6, terms + [(7, (1, 1, (7,)), 1, 7)])
+    with pytest.raises(ValueError, match="^piece 6 is empty$"):
+        ConnectedSeries.from_counts(6, [t for t in terms if t[0] < 6])
+    with pytest.raises(ValueError, match=r"^piece 3: marked count at \(1, 1, \(3,\)\) is zero$"):
+        ConnectedSeries.from_counts(6, changed((1, 1, (3,)), 0))
+    with pytest.raises(ArithmeticError, match=r"^marked count at \(1, 1, \(3,\)\) is not integral$"):
+        ConnectedSeries.from_counts(6, changed((1, 1, (3,)), 1, 2))
+    with pytest.raises(ValueError, match="^degree-1 piece must be exactly u\\*v\\*t1$"):
+        ConnectedSeries.from_counts(6, changed((1, 1, (1,)), 2))
 
 
 def test_cache_loaded_series_extends(tmp_path):
@@ -428,10 +491,10 @@ def test_recursion_returns_fractions(engine6):
 
 @pytest.mark.parametrize("m", [(0, 0, 2), (1, 1, 1), (6,), (0, 0, 0, 0, 1), (2, 0, 1)])
 def test_recursion_is_zero_for_k_or_l_outside_the_degree(engine6, m):
-    # engine6 packs k and l in 3-bit fields (2^3 > 6): l = d + 5 and k = 9
-    # would carry into the next field if they were packed, k = 9 as k = 1
-    # with l one higher; no lower key has k or l above its weight, so each
-    # value is 0
+    # engine6 packs l and k in 3-bit fields (2^3 > 6): if they were packed,
+    # l = d + 5 would carry into k's field and k = 9 into m_1's (as k = 1
+    # with m_1 one higher); no lower key has k or l above its weight, so
+    # each value is 0
     d = partition_weight(m)
     for k, l in ((0, 1), (1, 0), (0, 0), (d + 1, 1), (1, d + 5), (d + 1, d + 5),
                  (9, 1), (9, 2), (-1, 2), (2, -3)):

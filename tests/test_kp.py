@@ -181,8 +181,8 @@ def test_profile_factors_match_series_algebra(engine10, d, i, least):
 
 
 def test_shared_index_does_not_depend_on_call_order(engine14):
-    # one series serves KP to 10, the recursion, then KP to 14 from one
-    # index; each result equals that of a series read by one route only
+    # one series serves KP to 10, the recursion, then KP to 14 from its
+    # stored groups; each result equals that of a series read by one route only
     key = (1, 1, (3, 0, 1))
     assert key in engine14.marked_piece(6)
 
@@ -201,7 +201,7 @@ def test_shared_index_does_not_depend_on_call_order(engine14):
     assert not last.passed and sum(v != engine14.coefficient(*k)
                                    for k, v in zip(keys, values)) > 0
     cut = shared.extended_to(8)
-    assert cut._index is not shared._index
+    assert cut._moves is not shared._moves
     assert kp_report(cut, 8) == kp_report(mutated().extended_to(8), 8)
     assert [recursion_rhs(cut, *k) for k in keys] == values
 
