@@ -15,8 +15,8 @@ report path: JSON records or text lines plus a summary line, exit 0 or 1.
 All outputs are exact (rationals as num/den, big integers as decimal
 strings) and byte-deterministic for fixed flags.  Exit codes: 0 pass,
 1 check failure (a verification mismatch, or an invariant of the engine
-or of the oracle's scan), 2 usage error, 3 I/O error or unreadable
-input.
+or of the oracle's scan), 2 usage error (a degree past DMAX_LIMIT too),
+3 I/O error or unreadable input.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import sys
 
 from .cache import load_or_compute
 from .counts import genus_table, marked_count_genus0, marked_count_genus1
-from .evolution import recursion_rhs
+from .evolution import DMAX_LIMIT, ConnectedSeries, recursion_rhs
 from .kp import KP_EQUATIONS, equation_by_id, kp_report
 from .oracle import CLASSES_LIMIT, NAIVE_LIMIT, compare_with_series
 from .series import physical_keys, profile_text
@@ -110,6 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _series(args, dmax: int) -> ConnectedSeries:
+    """The series to degree dmax, through the cache of ``--cache``; a
+    degree past DMAX_LIMIT is a usage error, before the cache is touched."""
+    if dmax > DMAX_LIMIT:
+        raise UsageError(f"degree {dmax} is beyond the limit {DMAX_LIMIT}")
+    return load_or_compute(dmax, args.cache)
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="ascii", newline="\n") as fh:
@@ -128,7 +136,7 @@ def cmd_table(args) -> int:
     gmax = (args.dmax - 1) // 2 if args.gmax is None else args.gmax
     if gmax < 0:
         raise UsageError("--gmax must be >= 0")
-    series = load_or_compute(args.dmax, args.cache)
+    series = _series(args, args.dmax)
     table = genus_table(series)
     value = table.marked if args.marked else table.weighted
     cells = [(d, g, value(d, g))
@@ -182,7 +190,7 @@ def cmd_coeff(args) -> int:
     m = parse_profile(args.profile, args.d)
     if args.d < 1 or args.k < 1 or args.l < 1:
         raise UsageError("--d, --k, --l must all be >= 1")
-    weighted = load_or_compute(args.d, args.cache).coefficient(args.k, args.l, m)
+    weighted = _series(args, args.d).coefficient(args.k, args.l, m)
     sys.stdout.write(f"N={weighted}, marked={weighted * args.d}\n")
     return EXIT_OK
 
@@ -221,7 +229,7 @@ def cmd_kp(args) -> int:
     if args.dmax < 0:
         raise UsageError("--dmax must be >= 0")
     equations = KP_EQUATIONS if args.eq is None else (equation_by_id(args.eq),)
-    series = load_or_compute(max(args.dmax, 1), args.cache)
+    series = _series(args, max(args.dmax, 1))
     report = kp_report(series, args.dmax, equations)
     records = [{"eq": row.eq, "n": row.n, "residual_terms": row.residual_terms,
                 "pass": row.passed} for row in report.rows]
@@ -242,7 +250,7 @@ def cmd_oracle(args) -> int:
         raise UsageError(f"brute force supports d <= {limit}{which}")
     if args.threads < 0:
         raise UsageError("--threads must be >= 0")
-    series = load_or_compute(args.d, args.cache)
+    series = _series(args, args.d)
     table, diffs = compare_with_series(series, args.d, args.method,
                                        args.threads)
     head = {"d": args.d, "method": table.method, "types": len(table.counts),
@@ -257,7 +265,7 @@ def cmd_oracle(args) -> int:
 def cmd_closed(args) -> int:
     if args.dmax < 1:
         raise UsageError("--dmax must be >= 1")
-    series = load_or_compute(args.dmax, args.cache)
+    series = _series(args, args.dmax)
     table = genus_table(series)
     records = []
     lines = []
@@ -279,7 +287,7 @@ def cmd_closed(args) -> int:
 def cmd_recursion(args) -> int:
     if args.dmax < 1:
         raise UsageError("--dmax must be >= 1")
-    series = load_or_compute(args.dmax, args.cache)
+    series = _series(args, args.dmax)
     # every physical key, so a count a corrupt cache drops is checked too
     keys = [key for d in range(1, args.dmax + 1) for key in physical_keys(d)]
     diffs = ((key, series.coefficient(*key), recursion_rhs(series, *key)) for key in keys)

@@ -24,16 +24,17 @@ integer form (d times the weighted counts), which keeps the hot
 convolution loops in plain big-integer arithmetic.
 
 ``partition_function`` runs a kernel over packed keys, and the series
-is stored in the same packing: l, k, m_1, m_2, ... sit in consecutive
-``bits``-bit fields of one int, l lowest, so a move adds precomputed
-unit vectors (1: a black vertex, 1 << bits: a white one, ``E[i]``: a
-part of size i), the pair product of two profiles is one integer
-addition, and within one profile the codes order keys by k and then l,
-as the canonical order does.  Grow and split/join depend only on a key's
-profile, so each packed profile gets one plan, built on first use: the
-(increment, weight) pairs of (u+v)*grow + split_or_join, and one loop
-adds each increment to the code of every key of that profile.  The
-public operators are sums of ``GradedSeries`` derivatives,
+is stored in the same packing, one layout for the whole package
+(``_PK``): l, k, m_1, m_2, ... sit in consecutive fields of
+``DMAX_LIMIT.bit_length()`` = 5 bits in one int, l lowest, so a move
+adds precomputed unit vectors (1: a black vertex, 1 << 5: a white one,
+``E[i]``: a part of size i), the pair product of two profiles is one
+integer addition, and within one profile the codes order keys by k and
+then l, as the canonical order does.  Grow and split/join depend only on
+a key's profile, so each packed profile gets one plan, built on first
+use: the (increment, weight) pairs of (u+v)*grow + split_or_join, and
+one loop adds each increment to the code of every key of that profile.
+The public operators are sums of ``GradedSeries`` derivatives,
 t-multiplications and products instead, so a piece assembled from them
 checks the engine by other arithmetic.
 
@@ -42,14 +43,15 @@ vector of each emitted key matters, not the order of the additions that
 build it.  E[i] is subtracted only from a key with m_i >= 1, so that
 vector is non-negative, and each of its entries (k, l, every
 multiplicity, every componentwise sum the pair product forms) is at most
-the largest weight the call can produce: a connected piece of weight n
-has k, l, m_i <= n by the genus relation.  The width has 2^bits above
-that weight, from the degree bound of the call, so every field holds its
-entry exactly and distinct keys get distinct codes.  A planned increment
-is a difference of unit vectors: it removes E[r] only for a part r of
-its own profile (2 E[r] only when m_r >= 2) and is applied only to keys
-of that profile, so code + inc is the packed form of the same target
-vector the moves built unit by unit.
+the weight of its piece (a connected piece of weight n has k, l, m_i <= n
+by the genus relation; a disconnected one sums its components), and no
+weight passes DMAX_LIMIT = 31 < 2^5: ``_checked_groups``, ``extended_to``
+and ``partition_function`` refuse a larger degree.  So one layout holds
+every entry of every series exactly, and distinct keys get distinct
+codes.  A planned increment is a difference of unit vectors: it removes
+E[r] only for a part r of its own profile (2 E[r] only when m_r >= 2)
+and is applied only to keys of that profile, so code + inc is the packed
+form of the same target vector the moves built unit by unit.
 
 The degree recursion works on one polynomial per profile.  Within a
 profile of weight n, l = n + 2 - 2g - k - parts, so a key is its slot
@@ -111,6 +113,7 @@ from .series import (
 )
 
 SEED_KEY: RawKey = (1, 1, (1,))
+DMAX_LIMIT = 31  # the largest degree computed, loaded or packed (5-bit fields)
 
 
 # ---------------------------------------------------------------------------
@@ -119,31 +122,21 @@ SEED_KEY: RawKey = (1, 1, (1,))
 # ---------------------------------------------------------------------------
 
 class _Packing:
-    """Bit-field layout for keys whose entries are all at most ``bound``.
-
-    The decoded profile and its part list are kept per packed profile (a
-    key's fields above k and l), and the packed profile per multiplicity
-    vector, since keys of one computation share few profiles.  The unit
-    vectors ``E[i]`` of the part sizes are built as callers first need
-    them (``units``), so a large bound costs nothing up front.
-    """
+    """The one bit-field layout of packed keys, ``_PK``: fields of
+    DMAX_LIMIT.bit_length() bits, and E[i] = 1 << bits*(i+1), the vector
+    of a part of size i, for every i <= DMAX_LIMIT + 1.  The decoded
+    profile and its part list are kept per packed profile (a key's fields
+    above k and l), and the packed profile per multiplicity vector, since
+    keys share few profiles."""
 
     __slots__ = ("bits", "mask", "E", "_memo", "_codes")
 
-    def __init__(self, bound: int):
-        self.bits = bits = bound.bit_length()  # 2^bits > bound
+    def __init__(self):
+        self.bits = bits = DMAX_LIMIT.bit_length()  # 2^bits > DMAX_LIMIT
         self.mask = (1 << bits) - 1
-        self.E = [0]
+        self.E = [0, *(1 << bits * (i + 1) for i in range(1, DMAX_LIMIT + 2))]
         self._memo: dict[int, tuple[Multiplicities, tuple[tuple[int, int], ...]]] = {}
         self._codes: dict[Multiplicities, int] = {}
-
-    def units(self, n: int) -> list[int]:
-        """E with E[i] = 1 << bits*(i+1), the vector of a part of size i,
-        built for every i <= n."""
-        E, bits = self.E, self.bits
-        for i in range(len(E), n + 1):
-            E.append(1 << bits * (i + 1))
-        return E
 
     def encode(self, key: RawKey) -> int:
         k, l, m = key
@@ -176,6 +169,9 @@ class _Packing:
         return (self._memo.get(prof) or self._decoded(prof))[1]
 
 
+_PK = _Packing()
+
+
 def _profile_moves(E: list[int], parts: tuple[tuple[int, int], ...]):
     """The one-edge moves on a profile with parts ((r, m_r), ...), as
     (increment, weight, kind): the change of the packed profile, the
@@ -200,19 +196,18 @@ def _profile_moves(E: list[int], parts: tuple[tuple[int, int], ...]):
             yield cut - E[j2] + E[r + j2 + 1], 2 * j2 * x2 * f, 2
 
 
-def _edge_moves(pk: _Packing, src: Mapping, out: dict) -> None:
+def _edge_moves(src: Mapping, out: dict) -> None:
     """Add ((u+v) * grow + split_or_join)(src) to out, where grow is
     sum_r r t_{r+1} d/dt_r: one pass over src, adding each increment of
     the plan of a key's profile, built on first use, to its code."""
-    shift, plans = 2 * pk.bits, {}
-    added = ((1, 1 << pk.bits), (0,), (0,))  # by kind: grow adds a vertex of either color
+    shift, plans = 2 * _PK.bits, {}
+    added = ((1, 1 << _PK.bits), (0,), (0,))  # by kind: grow adds a vertex of either color
     for code, c in src.items():
         plan = plans.get(code >> shift)
         if plan is None:
-            parts = pk.parts(code)
-            E = pk.units(sum(i * x for i, x in parts) + 1)
-            plan = plans[code >> shift] = [
-                (inc + v, w) for inc, w, kind in _profile_moves(E, parts) for v in added[kind]]
+            plan = plans[code >> shift] = [(inc + v, w) for inc, w, kind in
+                                           _profile_moves(_PK.E, _PK.parts(code))
+                                           for v in added[kind]]
         _convolve(((code, c),), plan, out)
 
 
@@ -287,20 +282,21 @@ def join_components(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 # ---------------------------------------------------------------------------
 
 def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
-                    ) -> tuple[_Packing, list[dict[int, dict[int, int]]], list[list[int]]]:
-    """The packing, profile groups and genus rows of outside counts, the
+                    ) -> tuple[list[dict[int, dict[int, int]]], list[list[int]]]:
+    """The profile groups and genus rows of outside counts, the
     (d, key, num, den) of weighted counts num/den of degrees 1 .. dmax,
     in one pass that files each marked count d * num / den as it checks
     it: integral (else ArithmeticError), positive, at a key of weight d
     with k, l >= 1 and an integer genus (weight and d + 2 - parts read
     once per profile).  Then degree 1 must be the seed, no degree empty
     and no key repeated (its counts would all be in the genus row, one in
-    its group); these failures raise ValueError.  A group out of kl order
-    is sorted."""
+    its group); these failures, and a dmax past DMAX_LIMIT (before any
+    term is read), raise ValueError.  A group out of kl order is sorted."""
     if dmax < 1:
         raise ValueError("need at least the degree-1 piece")
-    pk = _Packing(dmax)  # a checked key of weight d has k, l, m_i <= d <= dmax
-    bits, groups, rows, found = pk.bits, {}, {}, {}
+    if dmax > DMAX_LIMIT:
+        raise ValueError(f"degree {dmax} is beyond DMAX_LIMIT = {DMAX_LIMIT}")
+    bits, groups, rows, found = _PK.bits, {}, {}, {}
     for d, key, num, den in terms:
         k, l, m = key
         entry = found.get(m)
@@ -309,7 +305,7 @@ def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
             entry = found[m] = (None, -1, None, None)  # no degree of the series
             if min(m, default=0) >= 0 and 1 <= w <= dmax:
                 entry = found[m] = (w, w + 2 - sum(m), groups.setdefault(w, {}).setdefault(
-                    pk.encode((0, 0, m)), {}), rows.setdefault(w, [0] * ((w + 1) // 2)))
+                    _PK.encode((0, 0, m)), {}), rows.setdefault(w, [0] * ((w + 1) // 2)))
         w, offset, group, row = entry
         v, r = divmod(num * d, den)
         twice = offset - k - l
@@ -337,7 +333,7 @@ def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
             raise ValueError(f"piece {d} repeats a key")
         groups[d] = {prof: group if list(group) == sorted(group) else dict(sorted(group.items()))
                      for prof, group in groups[d].items()}
-    return pk, [groups[d] for d in range(1, dmax + 1)], [rows[d] for d in range(1, dmax + 1)]
+    return [groups[d] for d in range(1, dmax + 1)], [rows[d] for d in range(1, dmax + 1)]
 
 
 @lru_cache(maxsize=None)
@@ -368,16 +364,13 @@ def _slot_width(dmax: int) -> int:
     return -(-top.bit_length() // 8) * 8
 
 
-def _kron_encode(pk: _Packing, groups: Mapping[int, Mapping[int, int]], d: int,
-                 new: _Packing, W: int, K: int) -> tuple[dict, dict[int, int]]:
-    """Degree d's groups re-keyed from the packing pk into new (the same
-    groups when new is pk; both hold k and l exactly, so the order stays),
-    and their {packed profile: P} form, each count in its W-bit slot
-    k + K*g."""
-    bits, mask, nb = pk.bits, pk.mask, new.bits
-    keyed, slots = {}, {}
+def _kron_encode(groups: Mapping[int, Mapping[int, int]], d: int, W: int,
+                 K: int) -> dict[int, int]:
+    """Degree d's groups in their {packed profile: P} form, each count in
+    its W-bit slot k + K*g."""
+    bits, mask, slots = _PK.bits, _PK.mask, {}
     for prof, group in groups.items():
-        m = pk.decode(prof)[2]
+        m = _PK.decode(prof)[2]
         top, P = d + 2 - sum(m), 0
         for kl, v in group.items():
             k, l = kl >> bits, kl & mask
@@ -385,15 +378,12 @@ def _kron_encode(pk: _Packing, groups: Mapping[int, Mapping[int, int]], d: int,
                 raise ArithmeticError(
                     f"degree {d}: marked count at {(k, l, m)!r} needs more than {W} bits")
             P += v << W * (k + K * ((top - k - l) >> 1))
-        if new is not pk:
-            prof = new.encode((0, 0, m))
-            group = {kl >> bits << nb | kl & mask: v for kl, v in group.items()}
-        keyed[prof], slots[prof] = group, P
-    return keyed, slots
+        slots[prof] = P
+    return slots
 
 
-def _next_marked(pk: _Packing, kron: list[dict[int, int]], sums: list[int],
-                 d: int, W: int, K: int) -> dict[int, int]:
+def _next_marked(kron: list[dict[int, int]], sums: list[int], d: int, W: int,
+                 K: int) -> dict[int, int]:
     """C times the marked piece of weight d, as {packed profile: P}, from
     the pieces 1 .. d-1 in that form (``kron``) and their count sums,
     after the step total T_d (module docstring) is checked against 2^W.
@@ -415,18 +405,18 @@ def _next_marked(pk: _Packing, kron: list[dict[int, int]], sums: list[int],
     if total >> W:
         raise ArithmeticError(
             f"computed degree {d}: step total {total} does not fit {W}-bit slots")
-    E, WK = pk.units(d), W * K  # every part size of this step is at most d
+    E, WK = _PK.E, W * K
     acc: dict[int, int] = {}
     get = acc.get
     f = C // (d - 1)
     for prof, P in kron[d - 2].items():
         moved = ((P << W) + P, P, P << WK)  # grow, split, join (see _profile_moves)
-        for inc, w, kind in _profile_moves(E, pk.parts(prof)):
+        for inc, w, kind in _profile_moves(E, _PK.parts(prof)):
             t = prof + inc
             acc[t] = get(t, 0) + f * w * moved[kind]
     cuts = {}  # per profile: (profile - E[j], j * m_j, j) for each part j
     for n in range(1, d - 1):
-        cuts[n] = [(P, [(prof - E[j], j * x, j) for j, x in pk.parts(prof)])
+        cuts[n] = [(P, [(prof - E[j], j * x, j) for j, x in _PK.parts(prof)])
                    for prof, P in kron[n - 1].items()]
     for n in range(1, (d - 1) // 2 + 1):
         n2 = d - 1 - n
@@ -444,7 +434,7 @@ def _next_marked(pk: _Packing, kron: list[dict[int, int]], sums: list[int],
     return acc
 
 
-def _decode_degree(pk: _Packing, acc: Mapping[int, int], d: int, W: int,
+def _decode_degree(acc: Mapping[int, int], d: int, W: int,
                    K: int) -> tuple[dict[int, dict[int, int]], list[int], dict[int, int]]:
     """The groups, genus row and slot form {profile: P // C} of the
     degree-d step's output ``acc``, in one pass over its W-bit slots: slot
@@ -454,14 +444,14 @@ def _decode_degree(pk: _Packing, acc: Mapping[int, int], d: int, W: int,
     k < 1 or l < 1, and counts that do not sum to A003319(d + 1) are
     engine invariant failures and raise ArithmeticError.
     """
-    C, wb, bits = _step_denominator(d), W // 8, pk.bits
+    C, wb, bits = _step_denominator(d), W // 8, _PK.bits
     zero = bytes(wb)
     groups: dict[int, dict[int, int]] = {}
     row = [0] * ((d + 1) // 2)
     stored: dict[int, int] = {}
     try:
         for prof, P in acc.items():
-            parts = pk.parts(prof)
+            parts = _PK.parts(prof)
             if sum(i * x for i, x in parts) != d:
                 raise ValueError(f"piece {d} is not homogeneous of weight {d}")
             top = d + 2 - sum(x for _, x in parts)
@@ -477,7 +467,7 @@ def _decode_degree(pk: _Packing, acc: Mapping[int, int], d: int, W: int,
                     l = top - 2 * g - k
                     v, r = divmod(int.from_bytes(chunk, "little"), C)
                     if r or k < 1 or l < 1:
-                        key = (k, l, pk.decode(prof)[2])
+                        key = (k, l, _PK.decode(prof)[2])
                         if r:
                             raise ArithmeticError(f"marked count at {key!r} is not integral")
                         genus_at(d, key)  # raises the key's error
@@ -504,38 +494,36 @@ class ConnectedSeries:
     """Homogeneous pieces of the connected series for degrees 1 .. dmax.
 
     One form is stored: per degree, the marked counts d * N by packed
-    profile, {profile: {kl: d * N}} with kl = l | k << bits in the one
-    packing ``_pk`` (a key's code is profile + kl), beside its genus row.
-    Each group iterates by increasing kl, by k and then l, the canonical
-    order on which the pair walk of ``recursion_rhs`` stops.  Every k, l
-    and m_i is at most dmax < 2^bits, so no field carries.  A degree is
-    checked and collapsed by genus once, where it enters: computed, by
-    ``_decode_degree``; outside input (the constructor, ``from_counts``,
-    a cache), by ``_checked_groups``.  ``extended_to`` re-keys the stored
-    degrees into ``_Packing(dmax)`` as it packs them into slots, unless
-    the width stays; a cut-back shares its parent's groups and wider
-    packing.  KP and ``recursion_rhs`` (its moves kept in ``_moves``) read
-    the groups as stored; tuple keys and Fractions are built per call.
+    profile, {profile: {kl: d * N}} with kl = l | k << bits in the
+    package's one packing ``_PK`` (a key's code is profile + kl), beside
+    its genus row.  Each group iterates by increasing kl, by k and then l,
+    the canonical order on which the pair walk of ``recursion_rhs`` stops.
+    Every k, l and m_i is at most dmax <= DMAX_LIMIT < 2^bits, so no field
+    carries.  A degree is checked and collapsed by genus once, where it
+    enters: computed, by ``_decode_degree``; outside input (the
+    constructor, ``from_counts``, a cache), by ``_checked_groups``.
+    ``extended_to`` packs the stored groups into slots as they are, and a
+    cut-back shares its parent's groups.  KP and ``recursion_rhs`` (its
+    moves kept in ``_moves``) read the groups as stored; tuple keys and
+    Fractions are built per call.
     """
 
-    __slots__ = ("_groups", "_rows", "_pk", "_moves")
+    __slots__ = ("_groups", "_rows", "_moves")
 
     def __init__(self, pieces: Sequence[GradedSeries]):
         self._set(*_checked_groups(len(pieces), (
             (d, key, c.numerator, c.denominator)
             for d, piece in enumerate(pieces, 1) for key, c in piece._terms.items())))
 
-    def _set(self, pk: _Packing, groups: Sequence[dict],
-             rows: Sequence[list[int]]) -> "ConnectedSeries":
-        self._pk, self._groups, self._rows = pk, tuple(groups), tuple(rows)
+    def _set(self, groups: Sequence[dict], rows: Sequence[list[int]]) -> "ConnectedSeries":
+        self._groups, self._rows = tuple(groups), tuple(rows)
         self._moves: dict[Multiplicities, tuple] = {}  # of recursion_rhs
         return self
 
     @classmethod
-    def _stored(cls, pk: _Packing, groups: Sequence[dict],
-                rows: Sequence[list[int]]) -> "ConnectedSeries":
+    def _stored(cls, groups: Sequence[dict], rows: Sequence[list[int]]) -> "ConnectedSeries":
         """Series of the engine's own groups and genus rows, trusted."""
-        return cls.__new__(cls)._set(pk, groups, rows)
+        return cls.__new__(cls)._set(groups, rows)
 
     @classmethod
     def from_counts(cls, dmax: int,
@@ -550,34 +538,33 @@ class ConnectedSeries:
     @classmethod
     def compute(cls, dmax: int) -> "ConnectedSeries":
         """Build the series up to degree dmax from the one-edge seed."""
-        pk = _Packing(1)
-        seed = {pk.encode((0, 0, SEED_KEY[2])): {pk.encode((1, 1, ())): 1}}
-        return cls._stored(pk, [seed], [[1]]).extended_to(dmax)
+        seed = {_PK.encode((0, 0, SEED_KEY[2])): {_PK.encode((1, 1, ())): 1}}
+        return cls._stored([seed], [[1]]).extended_to(dmax)
 
     def extended_to(self, dmax: int) -> "ConnectedSeries":
         """Same series computed (or cut back) to another degree bound; each
         added degree comes whole from the degree step, and a degree that
         fails a check of ``_next_marked`` or ``_decode_degree`` raises
-        ArithmeticError (an engine invariant).  The stored degrees are
-        packed once per call, in slots sized for dmax."""
+        ArithmeticError (an engine invariant); a dmax past DMAX_LIMIT
+        raises ValueError.  The stored degrees are packed once per call, in
+        slots sized for dmax."""
         if dmax < 1:
             raise ValueError("dmax must be >= 1")
+        if dmax > DMAX_LIMIT:
+            raise ValueError(f"degree {dmax} is beyond DMAX_LIMIT = {DMAX_LIMIT}")
         if dmax <= self.dmax:
-            return ConnectedSeries._stored(self._pk, self._groups[:dmax], self._rows[:dmax]) \
+            return ConnectedSeries._stored(self._groups[:dmax], self._rows[:dmax]) \
                 if dmax < self.dmax else self
-        # checked pieces: k, l, m_i <= degree <= dmax < 2^bits
-        pk = self._pk if self._pk.bits == dmax.bit_length() else _Packing(dmax)
         W, K = _slot_width(dmax), dmax + 1
-        groups, kron = zip(*(_kron_encode(self._pk, stored, d, pk, W, K)
-                             for d, stored in enumerate(self._groups, 1)))
-        groups, kron, rows = list(groups), list(kron), list(self._rows)
+        kron = [_kron_encode(stored, d, W, K) for d, stored in enumerate(self._groups, 1)]
+        groups, rows = list(self._groups), list(self._rows)
         for d in range(self.dmax + 1, dmax + 1):
             keyed, row, slots = _decode_degree(
-                pk, _next_marked(pk, kron, [sum(row) for row in rows], d, W, K), d, W, K)
+                _next_marked(kron, [sum(row) for row in rows], d, W, K), d, W, K)
             groups.append(keyed)
             kron.append(slots)
             rows.append(row)
-        return ConnectedSeries._stored(pk, groups, rows)
+        return ConnectedSeries._stored(groups, rows)
 
     # -- access ------------------------------------------------------------------
 
@@ -595,15 +582,14 @@ class ConnectedSeries:
         kl above the rank of its profile."""
         if not 1 <= d <= self.dmax:
             raise TruncationError(f"degree {d} outside 1..{self.dmax}")
-        pk = self._pk
-        ranked = sorted((pk.decode(prof)[2], group)
+        ranked = sorted((_PK.decode(prof)[2], group)
                         for prof, group in self._groups[d - 1].items())
         rb = len(ranked).bit_length()  # every rank fits rb bits
         out = {}
         for code in sorted(kl << rb | r for r, (_, group) in enumerate(ranked) for kl in group):
             m, group = ranked[code & (1 << rb) - 1]
             kl = code >> rb
-            out[kl >> pk.bits, kl & pk.mask, m] = group[kl]
+            out[kl >> _PK.bits, kl & _PK.mask, m] = group[kl]
         return out
 
     def piece(self, d: int) -> GradedSeries:
@@ -620,9 +606,8 @@ class ConnectedSeries:
             raise TruncationError(f"weight {d} beyond computed degree {self.dmax}")
         if not (1 <= k <= d and 1 <= l <= d):
             return Fraction(0)
-        pk = self._pk
-        group = self._groups[d - 1].get(pk.encode((0, 0, mm)), {})
-        return Fraction(group.get(l | k << pk.bits, 0), d)
+        group = self._groups[d - 1].get(_PK.encode((0, 0, mm)), {})
+        return Fraction(group.get(l | k << _PK.bits, 0), d)
 
     def combined(self) -> GradedSeries:
         """All pieces merged into one series truncated at dmax."""
@@ -642,23 +627,25 @@ def partition_function(dmax: int) -> GradedSeries:
 
     The weight-n piece is A^n(1)/n! where A applies (u+v)*grow,
     split_or_join, and multiplication by the seed monomial u*v*t1.
-    Term-by-term this equals exp() of the connected series.
+    Term-by-term this equals exp() of the connected series.  A dmax past
+    DMAX_LIMIT raises ValueError.
     """
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
+    if dmax > DMAX_LIMIT:
+        raise ValueError(f"degree {dmax} is beyond DMAX_LIMIT = {DMAX_LIMIT}")
     z: dict[RawKey, Fraction] = {(0, 0, ()): Fraction(1)}
-    pk = _Packing(max(dmax, 1))  # k, l, m_i <= n in the weight-n piece
-    seed = pk.encode(SEED_KEY)
+    seed = _PK.encode(SEED_KEY)
     x: dict = {0: 1}
     fact = 1
     for n in range(1, dmax + 1):
         nxt: dict = {}
-        _edge_moves(pk, x, nxt)
+        _edge_moves(x, nxt)
         _convolve(x.items(), ((seed, 1),), nxt)  # times the seed monomial
         x = {code: c for code, c in nxt.items() if c}
         fact *= n
         for code, c in x.items():
-            z[pk.decode(code)] = Fraction(c, fact)
+            z[_PK.decode(code)] = Fraction(c, fact)
     out = GradedSeries(z, dmax, _raw=True)
     out.validate_disconnected()
     return out
@@ -747,15 +734,14 @@ def _planned_moves(cs: ConnectedSeries, mm: Multiplicities,
     of the r2 group."""
     moves = cs._moves.get(mm)
     if moves is None:
-        stored, pk = cs._groups, cs._pk
-        top, empty = factorial(d - 1), {}
+        stored, top, empty = cs._groups, factorial(d - 1), {}
 
         def group(w: int, ref: Multiplicities) -> dict:
-            return stored[w - 1].get(pk.encode((0, 0, ref)), empty)
+            return stored[w - 1].get(_PK.encode((0, 0, ref)), empty)
 
         inpiece, pairs = _move_plan(mm)
         moves = cs._moves[mm] = (
-            tuple((group(d - 1, ref).get, dl | dk << pk.bits, f * (top // (d - 1)))
+            tuple((group(d - 1, ref).get, dl | dk << _PK.bits, f * (top // (d - 1)))
                   for dk, dl, ref, f in inpiece),
             tuple((group(w1, r1).items(), group(d - 1 - w1, r2).get,
                    f * (top // (w1 * (d - 1 - w1))))
@@ -792,7 +778,7 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     entry with l1 < l.
 
     The probes cannot alias.  Every key of weight w has 1 <= k, l <= w <=
-    d < 2^bits, so a key with k or l outside 1..d reads only absent keys
+    d <= DMAX_LIMIT < 2^bits, so a key with k or l outside 1..d reads only absent keys
     (an in-piece move takes dk, dl <= 1 at weight d - 1; a pair move
     splits k and l into parts >= 1) and is answered 0 before packing.
     Inside, kl - dkl and kl - kl1 leave fields k - dk, l - dl, k - k1 and
@@ -807,7 +793,7 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     if not (1 <= k <= d and 1 <= l <= d):
         return Fraction(0)
     inpiece_moves, pair_moves = _planned_moves(cs, mm, d)
-    bits, mask = cs._pk.bits, cs._pk.mask
+    bits, mask = _PK.bits, _PK.mask
     kl, stop = l | k << bits, k << bits
     num = sum(f * get(kl - dkl, 0) for get, dkl, f in inpiece_moves)
     for entries, get2, f in pair_moves:

@@ -14,8 +14,8 @@ factors) pairs, each factor a multi-index of t-derivatives, and the whole
 equation moved to one side.  Further hierarchy equations can be added to
 KP_EQUATIONS without touching the evaluator.
 
-The evaluator reads the series' stored profile groups (one packing per
-series, see ``ConnectedSeries``) and runs the pair convolution of
+The evaluator reads the series' stored profile groups (in the package's
+one packing ``_PK``, see ``ConnectedSeries``) and runs the pair convolution of
 ``evolution`` with plain integer coefficients.  With
 F_d = M_d / d (M_d the integer marked piece), the s^n value of a product
 of r derivative factors is the sum over n_1 + ... + n_r = n of prod_j
@@ -45,7 +45,8 @@ derivative of one piece of weight n, or a product of derivatives of
 pieces whose weights sum to n.  A derivative subtracts e_i only from a
 profile with m_i >= a_i (elsewhere the factor is 0 and the group
 dropped), and pieces have k, l, m_i <= weight, so every field of every
-code, sums included, stays in 0 .. n <= nmax <= dmax < 2^bits.
+code, sums included, stays in 0 .. n <= nmax <= dmax <= DMAX_LIMIT <
+2^bits.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm
 from typing import Sequence
 
-from .evolution import ConnectedSeries, _convolve
+from .evolution import _PK, ConnectedSeries, _convolve
 from .series import GradedSeries, TruncationError
 
 MultiIndex = tuple[int, ...]
@@ -146,7 +147,6 @@ class KpEvaluator:
             raise TruncationError(
                 f"s-degree {nmax} beyond computed degree {series.dmax}")
         self.nmax = nmax
-        self._pk = series._pk
         self._groups = [None, *series._groups[:nmax]]
         self._derivs: dict[MultiIndex, list] = {}
         self._products: dict[tuple[MultiIndex, ...], list] = {}
@@ -158,8 +158,7 @@ class KpEvaluator:
         multi; the entries are a view of the group's (kl, M) items."""
         tables = self._derivs.get(multi)
         if tables is None:
-            pk = self._pk
-            bits, mask, E = pk.bits, pk.mask, pk.units(max(multi, default=0))
+            bits, mask, E = _PK.bits, _PK.mask, _PK.E
             # (the shift of m_i's field, a_i) for each index i in multi
             alpha = [(bits * (i + 1), a) for i, a in Counter(multi).items()]
             drop = sum(E[i] for i in multi)
@@ -216,7 +215,7 @@ class KpEvaluator:
     def residual(self, eq: KpEquation, n: int) -> GradedSeries:
         """s^n coefficient of the residual; a polynomial in u, v, t."""
         terms, den = self._scaled_residual(eq, n)
-        decode = self._pk.decode
+        decode = _PK.decode
         return GradedSeries({decode(code): Fraction(v, den)
                              for code, v in terms.items()}, n, _raw=True)
 

@@ -34,10 +34,10 @@ def plant(monkeypatch):
     real = evolution._next_marked
 
     def install(d, m, k, g, count=1):
-        def planted(pk, kron, sums, step, W, K):
-            acc = real(pk, kron, sums, step, W, K)
+        def planted(kron, sums, step, W, K):
+            acc = real(kron, sums, step, W, K)
             if step == d:
-                prof = pk.encode((0, 0, m))
+                prof = evolution._PK.encode((0, 0, m))
                 c = evolution._step_denominator(d)
                 acc[prof] = acc.get(prof, 0) + (count * c << W * (k + K * g))
             return acc

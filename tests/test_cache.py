@@ -113,6 +113,14 @@ def test_load_reports_non_integral_cache_as_corrupt(tmp_path, engine6):
         load_cache(path)
 
 
+def test_load_refuses_a_degree_past_the_limit(tmp_path):
+    path = tmp_path / "f.cache"
+    path.write_text("DESSIN-F v1 dmax=32\nnot a cache line\n")  # refused before it
+    with pytest.raises(ValueError,
+                       match="corrupt cache .*degree 32 is beyond DMAX_LIMIT = 31"):
+        load_cache(path)
+
+
 def test_failed_write_leaves_previous_cache(tmp_path, engine6, monkeypatch):
     path = tmp_path / "f.cache"
     save_cache(path, engine6.extended_to(4))

@@ -141,9 +141,9 @@ def _record_genus_rows(monkeypatch) -> list[int]:
         degrees.extend(range(1, dmax + 1))
         return real_check(dmax, terms)
 
-    def recording_decode(pk, acc, d, W, K):
+    def recording_decode(acc, d, W, K):
         degrees.append(d)
-        return real_decode(pk, acc, d, W, K)
+        return real_decode(acc, d, W, K)
 
     monkeypatch.setattr(evolution, "_checked_groups", recording_check)
     monkeypatch.setattr(evolution, "_decode_degree", recording_decode)
@@ -197,6 +197,25 @@ def test_table_usage_errors(capsys):
     assert run(capsys, "oracle", "--d", "0")[0] == 2
     assert run(capsys, "closed", "--dmax", "0")[0] == 2
     assert run(capsys, "recursion", "--dmax", "0")[0] == 2
+
+
+def test_degrees_past_the_limit_are_usage_errors(tmp_path, capsys):
+    # refused before any cache is read or written
+    path = tmp_path / "f.cache"
+    code, out, err = run(capsys, "table", "--dmax", "32", "--cache", str(path))
+    assert (code, out, err) == (2, "", "error: degree 32 is beyond the limit 31\n")
+    assert not path.exists()
+    assert run(capsys, "coeff", "--d", "32", "--k", "1", "--l", "1",
+               "--profile", "32^1")[0] == 2
+    for argv in (["kp", "--dmax", "32"], ["closed", "--dmax", "32"],
+                 ["recursion", "--dmax", "40", "--cache", str(path)]):
+        assert run(capsys, *argv)[0] == 2
+    assert not path.exists()
+    # a cache whose header claims such a degree is corrupt: exit 3
+    path.write_text("DESSIN-F v1 dmax=32\nnot a cache line\n")
+    code, out, err = run(capsys, "table", "--dmax", "3", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: corrupt cache") and "beyond DMAX_LIMIT = 31" in err
 
 
 def test_table_out_file(tmp_path, capsys):
@@ -420,8 +439,8 @@ def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
 
     real_step = evolution._next_marked
 
-    def leaky_step(pk, kron, sums, d, W, K):
-        acc = real_step(pk, kron, sums, d, W, K)
+    def leaky_step(kron, sums, d, W, K):
+        acc = real_step(kron, sums, d, W, K)
         if d == 3:  # one stray unit in slot k = 1 breaks integrality (C = 2)
             acc[next(iter(acc))] += 1 << W
         return acc

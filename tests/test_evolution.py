@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,12 +9,13 @@ from hypothesis import strategies as st
 
 from dessins.cache import load_cache, parse_cache, render_cache, save_cache
 from dessins.evolution import (
+    _PK,
+    DMAX_LIMIT,
     ConnectedSeries,
     _decode_degree,
     _edge_moves,
     _kron_encode,
     _next_marked,
-    _Packing,
     _slot_width,
     grow_cycle,
     join_components,
@@ -101,17 +101,11 @@ def test_operators_raise_weight_by_one():
 # the packed kernel against the operators
 # ---------------------------------------------------------------------------
 
-KERNEL = _Packing(16)  # every k, l and weight below is < 16
-
-
-def _decoded(out):
-    return {KERNEL.decode(code): c for code, c in out.items()}
-
-
+# every k, l and weight below is < 32, so it fits the packing _PK
 def _moved(move, terms, *args):
     out = {}
-    move(KERNEL, {KERNEL.encode(key): c for key, c in terms.items()}, out, *args)
-    return _decoded(out)
+    move({_PK.encode(key): c for key, c in terms.items()}, out, *args)
+    return {_PK.decode(code): c for code, c in out.items()}
 
 
 def _one_edge(series):
@@ -129,7 +123,7 @@ def test_kernel_full_modes_match_operators(series):
 
 
 _PROFILES = st.lists(st.integers(0, 3), max_size=4).map(canonical_multiplicities) \
-    .filter(lambda m: partition_weight(m) <= 8)  # every output entry stays < 16
+    .filter(lambda m: partition_weight(m) <= 8)  # every output entry stays < 32
 
 
 @settings(max_examples=60, deadline=None)
@@ -177,14 +171,13 @@ def _assembled_piece(pieces, d):
 
 def _step(series, d):
     """The degree-d step and decode of the engine on the series' groups
-    below d, re-keyed and packed in slots for dmax = d; the decoded groups
-    as a tuple-keyed piece, and the genus row."""
-    pk, W, K = _Packing(d), _slot_width(d), d + 1
-    kron = [_kron_encode(series._pk, series._groups[n - 1], n, pk, W, K)[1]
-            for n in range(1, d)]
+    below d, packed in slots for dmax = d; the decoded groups as a
+    tuple-keyed piece, and the genus row."""
+    W, K = _slot_width(d), d + 1
+    kron = [_kron_encode(series._groups[n - 1], n, W, K) for n in range(1, d)]
     sums = [sum(series.marked_piece(n).values()) for n in range(1, d)]
-    groups, row, _ = _decode_degree(pk, _next_marked(pk, kron, sums, d, W, K), d, W, K)
-    return {pk.decode(prof + kl): v for prof, group in groups.items()
+    groups, row, _ = _decode_degree(_next_marked(kron, sums, d, W, K), d, W, K)
+    return {_PK.decode(prof + kl): v for prof, group in groups.items()
             for kl, v in group.items()}, row
 
 
@@ -211,26 +204,50 @@ def test_step_is_exact_on_asymmetric_pieces():
     assert ConnectedSeries(pieces).extended_to(4).piece(4) == _assembled_piece(pieces, 4)
 
 
-def test_packing_memory_is_linear_in_the_bound():
-    tracemalloc.start()
-    try:
-        pk = _Packing(6000)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-    assert pk.units(3) == [0, 1 << 26, 1 << 39, 1 << 52]  # 13-bit fields
+def test_packing_holds_every_key_up_to_the_limit():
+    # 5-bit fields hold every entry up to DMAX_LIMIT = 31; E has a unit
+    # vector for every part size up to DMAX_LIMIT + 1
+    assert _PK.bits == 5 and DMAX_LIMIT == 31
+    for key in [(31, 31, (31,)), (1, 31, (0,) * 30 + (1,)), (31, 1, (1,) * 31)]:
+        assert _PK.decode(_PK.encode(key)) == key
+    assert len(_PK.E) == DMAX_LIMIT + 2
+    assert _PK.E[:3] == [0, 1 << 10, 1 << 15]
 
 
 @pytest.mark.parametrize("start, stop", [(3, 9), (12, 17)])
-def test_extension_across_field_widths(start, stop):
-    # packed fields are dmax.bit_length() wide: the lower pieces are re-keyed
-    # from 2 to 4 bits (3 -> 9) and from 4 to 5 bits (12 -> 17)
-    extended = ConnectedSeries.compute(start).extended_to(stop)
+def test_extension_reuses_the_stored_groups(start, stop):
+    # the stored groups enter the slots of the larger bound as they are;
+    # the series equals one computed to that bound at once
+    lower = ConnectedSeries.compute(start)
+    extended = lower.extended_to(stop)
     computed = ConnectedSeries.compute(stop)
     assert extended.pieces == computed.pieces
-    assert extended._pk.bits == computed._pk.bits == stop.bit_length()
     assert extended._groups == computed._groups
+    assert all(a is b for a, b in zip(extended._groups, lower._groups))
+
+
+def test_checked_input_refuses_degrees_past_the_limit():
+    def unread():  # the bound is refused before any term is read
+        raise AssertionError("a term was read")
+        yield
+
+    with pytest.raises(ValueError, match="degree 32 is beyond DMAX_LIMIT = 31"):
+        ConnectedSeries.from_counts(DMAX_LIMIT + 1, unread())
+    with pytest.raises(ValueError, match="degree 32 is beyond DMAX_LIMIT = 31"):
+        ConnectedSeries([GradedSeries(PIECE_1, 32)] * 32)
+
+
+def test_extension_refuses_degrees_past_the_limit(engine6):
+    for extend in (engine6.extended_to, ConnectedSeries.compute):
+        with pytest.raises(ValueError, match="degree 40 is beyond DMAX_LIMIT = 31"):
+            extend(40)
+    with pytest.raises(ValueError, match="degree 32 is beyond DMAX_LIMIT = 31"):
+        engine6.extended_to(DMAX_LIMIT + 1)
+
+
+def test_partition_function_refuses_degrees_past_the_limit():
+    with pytest.raises(ValueError, match="degree 32 is beyond DMAX_LIMIT = 31"):
+        partition_function(DMAX_LIMIT + 1)
 
 
 def _in_order(series) -> list:
@@ -242,7 +259,7 @@ def _in_order(series) -> list:
 
 def test_every_entry_stores_one_form():
     # computed, loaded from a cache, given as pieces, or cut back: a series
-    # holds the same {profile: {kl: M}} groups in the same packing, and
+    # holds the same {profile: {kl: M}} groups in the one packing, and
     # every group iterates by increasing kl = l | k << bits, so by k and
     # then l, the canonical order, on which the pair walk of recursion_rhs
     # stops at the first k1 >= k
@@ -252,14 +269,13 @@ def test_every_entry_stores_one_form():
     forms = [computed, parse_cache(render_cache(computed)),
              ConnectedSeries(computed.pieces), cut]
     for series in forms:
-        assert series._pk.bits == computed._pk.bits
         assert series._groups == computed._groups
         assert series._rows == computed._rows
         assert _in_order(series) == _in_order(computed)
     assert all(list(group) == sorted(group)
                for groups in computed._groups for group in groups.values())
-    # a cut-back shares its parent's groups and packing, not its moves
-    assert cut._pk is deeper._pk and cut._groups == deeper._groups[:10]
+    # a cut-back shares its parent's groups, not its moves
+    assert cut._groups == deeper._groups[:10]
     assert all(a is b for a, b in zip(cut._groups, deeper._groups))
     assert cut._moves is not deeper._moves
 
