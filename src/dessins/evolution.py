@@ -90,13 +90,17 @@ k <= n <= dmax < K, so k never wraps into the next row.  On true counts
 S_n = A003319(n + 1) and T_d = C_d * A003319(d + 1), so W is that bound
 rounded up to whole bytes: 64 bits for dmax = 14 (59 bits at d = 14).
 After the decode, each degree's counts must sum to A003319(d + 1).
+
+The coefficient recursion (``recursion_rhs``), a check and never a
+solver, plans its moves on packed profiles too (``_move_plan``): tuple
+profiles appear only where a caller hands one in (``_PK.profile``) or a
+key is decoded.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -107,8 +111,6 @@ from .series import (
     TruncationError,
     canonical_multiplicities,
     genus_at,
-    multiplicities_decr,
-    multiplicities_incr,
     partition_weight,
 )
 
@@ -126,8 +128,8 @@ class _Packing:
     DMAX_LIMIT.bit_length() bits, and E[i] = 1 << bits*(i+1), the vector
     of a part of size i, for every i <= DMAX_LIMIT + 1.  The decoded
     profile and its part list are kept per packed profile (a key's fields
-    above k and l), and the packed profile per multiplicity vector, since
-    keys share few profiles."""
+    above k and l), and the weight and packed profile per multiplicity
+    vector as a caller gives it, since keys share few profiles."""
 
     __slots__ = ("bits", "mask", "E", "_memo", "_codes")
 
@@ -136,17 +138,25 @@ class _Packing:
         self.mask = (1 << bits) - 1
         self.E = [0, *(1 << bits * (i + 1) for i in range(1, DMAX_LIMIT + 2))]
         self._memo: dict[int, tuple[Multiplicities, tuple[tuple[int, int], ...]]] = {}
-        self._codes: dict[Multiplicities, int] = {}
+        self._codes: dict[tuple, tuple[int, int]] = {}
+
+    def profile(self, m: Sequence[int]) -> tuple[int, int]:
+        """(weight, packed profile) of the multiplicity vector m, any
+        sequence, trailing zeros allowed; memoised per tuple(m).  A
+        negative entry raises ValueError, on every call: it is never
+        memoised."""
+        m = m if type(m) is tuple else tuple(m)
+        entry = self._codes.get(m)
+        if entry is None:
+            mm, prof = canonical_multiplicities(m), 0
+            for x in reversed(mm):
+                prof = prof << self.bits | x
+            entry = self._codes[m] = (partition_weight(mm), prof << 2 * self.bits)
+        return entry
 
     def encode(self, key: RawKey) -> int:
         k, l, m = key
-        prof = self._codes.get(m)
-        if prof is None:
-            prof = 0
-            for x in reversed(m):
-                prof = prof << self.bits | x
-            prof = self._codes[m] = prof << 2 * self.bits
-        return prof | k << self.bits | l
+        return self.profile(m)[1] | k << self.bits | l
 
     def _decoded(self, prof: int) -> tuple[Multiplicities, tuple[tuple[int, int], ...]]:
         bits, mask, code, out = self.bits, self.mask, prof, []
@@ -290,8 +300,9 @@ def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
     with k, l >= 1 and an integer genus (weight and d + 2 - parts read
     once per profile).  Then degree 1 must be the seed, no degree empty
     and no key repeated (its counts would all be in the genus row, one in
-    its group); these failures, and a dmax past DMAX_LIMIT (before any
-    term is read), raise ValueError.  A group out of kl order is sorted."""
+    its group); these failures, a zero den, and a dmax past DMAX_LIMIT
+    (before any term is read), raise ValueError.  A group out of kl order
+    is sorted."""
     if dmax < 1:
         raise ValueError("need at least the degree-1 piece")
     if dmax > DMAX_LIMIT:
@@ -307,9 +318,11 @@ def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
                 entry = found[m] = (w, w + 2 - sum(m), groups.setdefault(w, {}).setdefault(
                     _PK.encode((0, 0, m)), {}), rows.setdefault(w, [0] * ((w + 1) // 2)))
         w, offset, group, row = entry
-        v, r = divmod(num * d, den)
+        v, r = divmod(num * d, den) if den else (0, 0)  # den = 0 is refused below
         twice = offset - k - l
         if r or twice < 0 or twice & 1 or k < 1 or l < 1 or v < 1 or w != d:
+            if not den:
+                raise ValueError(f"piece {d}: count at {key!r} has denominator 0")
             if r:
                 raise ArithmeticError(f"marked count at {key!r} is not integral")
             if d == 1:
@@ -370,13 +383,12 @@ def _kron_encode(groups: Mapping[int, Mapping[int, int]], d: int, W: int,
     its W-bit slot k + K*g."""
     bits, mask, slots = _PK.bits, _PK.mask, {}
     for prof, group in groups.items():
-        m = _PK.decode(prof)[2]
-        top, P = d + 2 - sum(m), 0
+        top, P = d + 2 - sum(x for _, x in _PK.parts(prof)), 0
         for kl, v in group.items():
             k, l = kl >> bits, kl & mask
             if v >> W:
-                raise ArithmeticError(
-                    f"degree {d}: marked count at {(k, l, m)!r} needs more than {W} bits")
+                raise ArithmeticError(f"degree {d}: marked count at "
+                                      f"{_PK.decode(prof | kl)!r} needs more than {W} bits")
             P += v << W * (k + K * ((top - k - l) >> 1))
         slots[prof] = P
     return slots
@@ -503,8 +515,9 @@ class ConnectedSeries:
     enters: computed, by ``_decode_degree``; outside input (the
     constructor, ``from_counts``, a cache), by ``_checked_groups``.
     ``extended_to`` packs the stored groups into slots as they are, and a
-    cut-back shares its parent's groups.  KP and ``recursion_rhs`` (its
-    moves kept in ``_moves``) read the groups as stored; tuple keys and
+    cut-back shares its parent's groups.  KP and ``recursion_rhs`` read
+    the groups as stored, the latter through ``_moves``: per packed
+    profile, its move plan bound to the groups by code; tuple keys and
     Fractions are built per call.
     """
 
@@ -517,7 +530,7 @@ class ConnectedSeries:
 
     def _set(self, groups: Sequence[dict], rows: Sequence[list[int]]) -> "ConnectedSeries":
         self._groups, self._rows = tuple(groups), tuple(rows)
-        self._moves: dict[Multiplicities, tuple] = {}  # of recursion_rhs
+        self._moves: dict[int, tuple] = {}  # of recursion_rhs
         return self
 
     @classmethod
@@ -600,13 +613,12 @@ class ConnectedSeries:
     def coefficient(self, k: int, l: int, m: Sequence[int]) -> Fraction:
         """Weighted count for the type (k, l, m); exact, 0 when absent
         (as is every k or l outside 1..d, before it is packed)."""
-        mm = canonical_multiplicities(m)
-        d = partition_weight(mm)
+        d, prof = _PK.profile(m)
         if d > self.dmax:
             raise TruncationError(f"weight {d} beyond computed degree {self.dmax}")
         if not (1 <= k <= d and 1 <= l <= d):
             return Fraction(0)
-        group = self._groups[d - 1].get(_PK.encode((0, 0, mm)), {})
+        group = self._groups[d - 1].get(prof, {})
         return Fraction(group.get(l | k << _PK.bits, 0), d)
 
     def combined(self) -> GradedSeries:
@@ -656,97 +668,72 @@ def partition_function(dmax: int) -> GradedSeries:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _move_plan(m: Multiplicities) -> tuple[tuple, tuple]:
-    """The reference keys of every move that ends at profile m, with their
-    insertion multiplicities; memoised per canonical profile (at most the
-    partitions of weight <= dmax).
+def _move_plan(prof: int) -> tuple[tuple, tuple]:
+    """The moves that end at the packed profile prof, of weight d, each
+    factor its insertion multiplicity times (d - 1)! over the move's
+    denominator; memoised per packed profile.  A reference profile is prof
+    plus unit vectors ``_PK.E``, and a multiplicity is read from a field
+    of the profile that the move reads.
 
-    Returns (inpiece, pairs).  inpiece lists (dk, dl, ref, factor): the
-    move reads the marked count of (k - dk, l - dl, ref) one weight below.
-    pairs lists (w1, factor, r1, r2): the move reads the marked counts of
-    (k1, l1, r1) at weight w1 and of (k - k1, l - l1, r2) at the
-    complementary weight, over all k1 < k, l1 < l.  Entries that name the
-    same reference keys are merged by adding their factors.
+    Returns (inpiece, pairs), entries that name the same reference keys
+    merged: an inpiece (ref, dkl, f) reads profile ref one weight below at
+    kl - dkl, dkl = dl | dk << bits; a pair (w1, r1, r2, f) reads (k1, l1,
+    r1) at weight w1 and (k - k1, l - l1, r2) at the complementary weight,
+    over all k1 < k, l1 < l.
     """
-    sizes = [i + 1 for i, x in enumerate(m) if x]
-    inpiece: dict[tuple, int] = {}
+    E, bits, mask, parts = _PK.E, _PK.bits, _PK.mask, _PK.parts(prof)
+    d = sum(i * x for i, x in parts)
+    top = factorial(d - 1)
 
-    def add(dk: int, dl: int, ref: Multiplicities, f: int) -> None:
-        inpiece[dk, dl, ref] = inpiece.get((dk, dl, ref), 0) + f
+    def field(code: int, i: int) -> int:  # m_i of a packed profile
+        return code >> bits * (i + 1) & mask
+
+    inpiece: dict[tuple[int, int], int] = {}
+
+    def add(ref: int, dkl: int, f: int) -> None:
+        inpiece[ref, dkl] = inpiece.get((ref, dkl), 0) + f
 
     # double-edge insertion: a cycle i-1 grew to i, a vertex was added
-    for i in sizes:
+    for i, _ in parts:
         if i >= 2:
-            ref = multiplicities_incr(multiplicities_decr(m, i), i - 1)
-            f = (i - 1) * (m[i - 2] + 1)
-            add(1, 0, ref, f)
-            add(0, 1, ref, f)
+            ref = prof - E[i] + E[i - 1]
+            for dkl in (1 << bits, 1):  # a white or a black vertex
+                add(ref, dkl, (i - 1) * field(ref, i - 1))
 
     # one cycle i-1 was split into j + j2 (ordered pairs)
-    for j in sizes:
-        for j2 in sizes:
-            if j == j2 and m[j - 1] < 2:
+    for j, x in parts:
+        for j2, _ in parts:
+            if j == j2 and x < 2:
                 continue
             i = j + j2
-            prev = m[i - 2] if i - 1 <= len(m) else 0
-            f = (i - 1) * (prev + 1 - (j == 1) - (j2 == 1))
-            if f:
-                base = multiplicities_decr(multiplicities_decr(m, j), j2)
-                add(0, 0, multiplicities_incr(base, i - 1), f)
+            ref = prof - E[j] - E[j2] + E[i - 1]
+            add(ref, 0, (i - 1) * field(ref, i - 1))
 
     # two cycles j, j2 were joined into c = j + j2 + 1, either of one
     # component or of two separate components; in the latter the other
     # parts are shared between the components in every way
-    pairs: dict[tuple, int] = {}
-    for c in sizes:
+    pairs: dict[tuple[int, int, int], int] = {}
+    for c, _ in parts:
         if c < 3:
             continue
-        i = c - 1
-        base = multiplicities_decr(m, c)
-        for j in range(1, i):
+        i, base = c - 1, prof - E[c]
+        for j in range(1, i):  # an ordered pair of distinct cycles of ref
             j2 = i - j
-            mj = m[j - 1] if j <= len(m) else 0
-            mj2 = m[j2 - 1] if j2 <= len(m) else 0
-            f = j * j2 * (mj + 1) * (mj2 + 1 + (j == j2))
-            add(0, 0, multiplicities_incr(multiplicities_incr(base, j), j2), f)
-        for choice in product(*(range(x + 1) for x in base)):
-            m1 = canonical_multiplicities(choice)
-            m2 = canonical_multiplicities(tuple(t - x for t, x in zip(base, choice)))
-            w = partition_weight(m1)
+            ref = base + E[j] + E[j2]
+            add(ref, 0, j * j2 * field(ref, j) * (field(ref, j2) - (j == j2)))
+        subs = [(0, 0)]  # every sub-profile of base, with its weight
+        for r, x in _PK.parts(base):
+            subs = [(s + t * E[r], w + t * r) for s, w in subs for t in range(x + 1)]
+        for sub, w in subs:
             for j in range(1, i):
                 j2 = i - j
-                f1 = m1[j - 1] + 1 if j <= len(m1) else 1
-                f2 = m2[j2 - 1] + 1 if j2 <= len(m2) else 1
-                move = (w + j, multiplicities_incr(m1, j), multiplicities_incr(m2, j2))
-                pairs[move] = pairs.get(move, 0) + j * j2 * f1 * f2
+                r1, r2 = sub + E[j], base - sub + E[j2]
+                move = (w + j, r1, r2)
+                pairs[move] = pairs.get(move, 0) + j * j2 * field(r1, j) * field(r2, j2)
 
-    return (tuple((dk, dl, ref, f) for (dk, dl, ref), f in inpiece.items()),
-            tuple((w1, f, r1, r2) for (w1, r1, r2), f in pairs.items()))
-
-
-def _planned_moves(cs: ConnectedSeries, mm: Multiplicities,
-                   d: int) -> tuple[tuple, tuple]:
-    """The moves of ``_move_plan(mm)`` read against the series' stored
-    groups, once per series and profile, each factor scaled to a term of
-    one numerator over (d - 1)!: in-piece (get, dkl, f), where get probes
-    the reference profile's group one weight below at kl - dkl; pair
-    (entries, get2, f), the r1 group's (kl1, count) pairs and the probe
-    of the r2 group."""
-    moves = cs._moves.get(mm)
-    if moves is None:
-        stored, top, empty = cs._groups, factorial(d - 1), {}
-
-        def group(w: int, ref: Multiplicities) -> dict:
-            return stored[w - 1].get(_PK.encode((0, 0, ref)), empty)
-
-        inpiece, pairs = _move_plan(mm)
-        moves = cs._moves[mm] = (
-            tuple((group(d - 1, ref).get, dl | dk << _PK.bits, f * (top // (d - 1)))
-                  for dk, dl, ref, f in inpiece),
-            tuple((group(w1, r1).items(), group(d - 1 - w1, r2).get,
-                   f * (top // (w1 * (d - 1 - w1))))
-                  for w1, f, r1, r2 in pairs))
-    return moves
+    return (tuple((ref, dkl, f * (top // (d - 1))) for (ref, dkl), f in inpiece.items()),
+            tuple((w1, r1, r2, f * (top // (w1 * (d - 1 - w1))))
+                  for (w1, r1, r2), f in pairs.items()))
 
 
 def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
@@ -758,24 +745,27 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     degree d; the one-edge seed enters as a Kronecker term at d = 1.
     Evaluated purely from the already computed table, this must agree
     with coefficient() on every key (exercised by the test suite); it is
-    never used to build the table.  The moves read canonical keys of known
-    weight straight from that piece's marked counts M_w = w * N_w: the
-    three in-piece moves sum to S / (d - 1), and each two-component move
-    adds P / (w1 * (d - 1 - w1)), S and P integers.  Both denominators
-    divide (d - 1)! (w1 * (d - 1 - w1) divides w1! * (d - 1 - w1)!), so the
-    key sums one integer numerator over (d - 1)! and returns it over d!.
+    never used to build the table.  The moves read keys of known weight
+    straight from that piece's marked counts M_w = w * N_w: the three
+    in-piece moves sum to S / (d - 1), and each two-component move adds
+    P / (w1 * (d - 1 - w1)), S and P integers.  Both denominators divide
+    (d - 1)! (w1 * (d - 1 - w1) divides w1! * (d - 1 - w1)!), so the key
+    sums one integer numerator over (d - 1)! and returns it over d!.
 
     Which profiles a move reads, and with what multiplicity, depends only
     on m: a move changes k and l by a fixed shift (in-piece) or shares
     them between two components (pair), but its profiles and factors never
-    involve k or l.  So the moves come from ``_move_plan(m)``, built once
-    per profile, and are read against the series' stored groups
-    (``ConnectedSeries``) once per series and profile
-    (``_planned_moves``).  Every read is then an integer probe of one
-    profile group, keyed by kl = l | k << bits: an in-piece move probes
-    kl - dkl, and a pair move walks the r1 group in increasing kl1 up to
-    k1 < k (kl1 < k << bits) and probes the r2 group at kl - kl1 for each
-    entry with l1 < l.
+    involve k or l.  So m is looked up once as its weight and packed
+    profile (``_PK.profile``), the moves come from ``_move_plan``, built
+    once per packed profile, and are bound to the series' stored groups
+    (``ConnectedSeries``) by code once per series and profile: an
+    in-piece move as (get, dkl, f), the probe of its reference group, and
+    a pair move as (entries, get2, f), the r1 group's (kl1, count) pairs
+    and the probe of the r2 group.  Every read is then an integer probe of
+    one profile group, keyed by kl = l | k << bits: an in-piece move
+    probes kl - dkl, and a pair move walks the r1 group in increasing kl1
+    up to k1 < k (kl1 < k << bits) and probes the r2 group at kl - kl1
+    for each entry with l1 < l.
 
     The probes cannot alias.  Every key of weight w has 1 <= k, l <= w <=
     d <= DMAX_LIMIT < 2^bits, so a key with k or l outside 1..d reads only absent keys
@@ -784,15 +774,22 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     Inside, kl - dkl and kl - kl1 leave fields k - dk, l - dl, k - k1 and
     l - l1 >= 1, so no field borrows or carries.
     """
-    mm = canonical_multiplicities(m)
-    d = partition_weight(mm)
+    d, prof = _PK.profile(m)
     if d > cs.dmax:
         raise TruncationError(f"weight {d} beyond computed degree {cs.dmax}")
-    if d <= 1:  # no lower piece to insert an edge into
-        return Fraction(int((k, l, mm) == SEED_KEY))
+    if d <= 1:  # no lower piece to insert an edge into; E[1] is t1's profile
+        return Fraction(int(k == l == 1 and prof == _PK.E[1]))
     if not (1 <= k <= d and 1 <= l <= d):
         return Fraction(0)
-    inpiece_moves, pair_moves = _planned_moves(cs, mm, d)
+    moves = cs._moves.get(prof)
+    if moves is None:
+        stored, empty = cs._groups, {}
+        inpiece, pairs = _move_plan(prof)
+        moves = cs._moves[prof] = (
+            tuple((stored[d - 2].get(ref, empty).get, dkl, f) for ref, dkl, f in inpiece),
+            tuple((stored[w1 - 1].get(r1, empty).items(), stored[d - 2 - w1].get(r2, empty).get, f)
+                  for w1, r1, r2, f in pairs))
+    inpiece_moves, pair_moves = moves
     bits, mask = _PK.bits, _PK.mask
     kl, stop = l | k << bits, k << bits
     num = sum(f * get(kl - dkl, 0) for get, dkl, f in inpiece_moves)

@@ -427,7 +427,7 @@ def parse_lines(text: str, start: int = 1) -> Iterator[tuple[int, RawKey, int, i
 
 
 # ---------------------------------------------------------------------------
-# multiplicity-vector surgery (shared with the evolution kernels)
+# multiplicity-vector surgery (of the series algebra)
 # ---------------------------------------------------------------------------
 
 def multiplicities_incr(m: Multiplicities, i: int) -> Multiplicities:

@@ -15,6 +15,7 @@ from dessins.evolution import (
     _decode_degree,
     _edge_moves,
     _kron_encode,
+    _move_plan,
     _next_marked,
     _slot_width,
     grow_cycle,
@@ -32,6 +33,7 @@ from dessins.series import (
     exp_series,
     genus_of,
     partition_weight,
+    partitions,
     physical_keys,
 )
 
@@ -303,6 +305,8 @@ def test_from_counts_files_any_order_and_checks_it(engine6):
         ConnectedSeries.from_counts(6, changed((1, 1, (3,)), 1, 2))
     with pytest.raises(ValueError, match="^degree-1 piece must be exactly u\\*v\\*t1$"):
         ConnectedSeries.from_counts(6, changed((1, 1, (1,)), 2))
+    with pytest.raises(ValueError, match=r"^piece 3: count at \(1, 1, \(3,\)\) has denominator 0$"):
+        ConnectedSeries.from_counts(6, changed((1, 1, (3,)), 1, 0))
 
 
 def test_cache_loaded_series_extends(tmp_path):
@@ -478,6 +482,23 @@ def test_partition_function_is_exp_of_connected(engine6):
 # coefficient recursion as an identity check
 # ---------------------------------------------------------------------------
 
+def test_move_plans_read_profiles_of_the_right_weight():
+    # every move into a profile of weight d reads profiles of total weight
+    # d - 1, with a positive factor: no planned difference of unit vectors
+    # borrows from a field (a split into two equal parts j needs m_j >= 2)
+    def weight(code):
+        assert code > 0
+        return partition_weight(_PK.decode(code)[2])
+
+    for d in range(2, 13):
+        for m in partitions(d):
+            inpiece, pairs = _move_plan(_PK.profile(m)[1])
+            for ref, dkl, f in inpiece:
+                assert weight(ref) == d - 1 and dkl in (0, 1, 1 << _PK.bits) and f > 0, m
+            for w1, r1, r2, f in pairs:
+                assert weight(r1) == w1 and weight(r2) == d - 1 - w1 and f > 0, m
+
+
 def test_recursion_seed_and_example(engine6):
     assert recursion_rhs(engine6, 1, 1, (1,)) == 1
     assert recursion_rhs(engine6, 2, 1, (0, 1)) == F(1, 2)
@@ -507,16 +528,31 @@ def test_recursion_returns_fractions(engine6):
 
 @pytest.mark.parametrize("m", [(0, 0, 2), (1, 1, 1), (6,), (0, 0, 0, 0, 1), (2, 0, 1)])
 def test_recursion_is_zero_for_k_or_l_outside_the_degree(engine6, m):
-    # engine6 packs l and k in 3-bit fields (2^3 > 6): if they were packed,
-    # l = d + 5 would carry into k's field and k = 9 into m_1's (as k = 1
-    # with m_1 one higher); no lower key has k or l above its weight, so
-    # each value is 0
+    # l and k sit in 5-bit fields of kl = l | k << 5: if they were packed,
+    # l = 33 would read as l = 1 and l = 34 as l = 2 (both with k's bit 0
+    # set), and k = 33 would carry into m_1's field; no key has k or l
+    # above its weight, so each value is 0, from the recursion and the table
     d = partition_weight(m)
-    for k, l in ((0, 1), (1, 0), (0, 0), (d + 1, 1), (1, d + 5), (d + 1, d + 5),
-                 (9, 1), (9, 2), (-1, 2), (2, -3)):
+    for k, l in ((0, 1), (1, 0), (0, 0), (d + 1, 1), (1, d + 1), (d + 1, d + 1),
+                 (1, 33), (33, 1), (1, 34), (3, 34), (33, 33), (-1, 2), (2, -3)):
         assert recursion_rhs(engine6, k, l, m) == 0, (k, l)
+        assert engine6.coefficient(k, l, m) == 0, (k, l)
     with pytest.raises(TruncationError):
         recursion_rhs(engine6, 0, 0, m + (1,))  # weight d + len(m) + 1 > 6
+    with pytest.raises(TruncationError):
+        engine6.coefficient(0, 0, m + (1,))
+
+
+def test_profiles_are_read_in_any_form(engine6):
+    # trailing zeros and a list name the same profile; a negative entry is
+    # refused on every call, so it is never memoised
+    for read in (engine6.coefficient, lambda *key: recursion_rhs(engine6, *key)):
+        assert read(2, 1, (0, 1)) == F(1, 2)
+        for k, l in ((1, 1), (2, 1), (1, 2), (2, 2)):
+            assert read(k, l, (0, 1, 0)) == read(k, l, [0, 1]) == read(k, l, (0, 1)), (k, l)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^negative multiplicity in \(1, -1\)$"):
+                read(1, 1, (1, -1))
 
 
 def test_recursion_vanishes_off_support(engine6):
