@@ -45,8 +45,8 @@ vector is non-negative, and each of its entries (k, l, every
 multiplicity, every componentwise sum the pair product forms) is at most
 the weight of its piece (a connected piece of weight n has k, l, m_i <= n
 by the genus relation; a disconnected one sums its components), and no
-weight passes DMAX_LIMIT = 31 < 2^5: ``_checked_groups``, ``extended_to``
-and ``partition_function`` refuse a larger degree.  So one layout holds
+weight passes DMAX_LIMIT = 31 < 2^5: ``_filing``, ``extended_to`` and
+``partition_function`` refuse a larger degree.  So one layout holds
 every entry of every series exactly, and distinct keys get distinct
 codes.  A planned increment is a difference of unit vectors: it removes
 E[r] only for a part r of its own profile (2 E[r] only when m_r >= 2)
@@ -291,62 +291,97 @@ def join_components(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 # the degree recursion
 # ---------------------------------------------------------------------------
 
-def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
-                    ) -> tuple[list[dict[int, dict[int, int]]], list[list[int]]]:
-    """The profile groups and genus rows of outside counts, the
-    (d, key, num, den) of weighted counts num/den of degrees 1 .. dmax,
-    in one pass that files each marked count d * num / den as it checks
-    it: integral (else ArithmeticError), positive, at a key of weight d
-    with k, l >= 1 and an integer genus (weight and d + 2 - parts read
-    once per profile).  Then degree 1 must be the seed, no degree empty
-    and no key repeated (its counts would all be in the genus row, one in
-    its group); these failures, a zero den, and a dmax past DMAX_LIMIT
-    (before any term is read), raise ValueError.  A group out of kl order
-    is sorted."""
+def _filing(dmax: int) -> tuple[list[dict[int, dict[int, int]]], list[list[int]]]:
+    """Empty profile groups and zero genus rows of degrees 1 .. dmax, for
+    outside counts to be filed into; a dmax below 1 or past DMAX_LIMIT
+    raises ValueError."""
     if dmax < 1:
         raise ValueError("need at least the degree-1 piece")
     if dmax > DMAX_LIMIT:
         raise ValueError(f"degree {dmax} is beyond DMAX_LIMIT = {DMAX_LIMIT}")
-    bits, groups, rows, found = _PK.bits, {}, {}, {}
+    return [{} for _ in range(dmax)], [[0] * ((d + 1) // 2) for d in range(1, dmax + 1)]
+
+
+def _profile_entry(m: Multiplicities, groups: list, rows: list) -> tuple:
+    """(weight, weight + 2 - parts, group, genus row) of the canonical
+    profile m among the filing's groups and rows: a count of degree d
+    passes at (k, l, m) when the weight is d and twice its genus,
+    weight + 2 - parts - k - l, is even and >= 0 (and k, l >= 1).  A
+    profile of no degree of the filing gets (None, -1, None, None), at
+    which no count passes."""
+    w = partition_weight(m)
+    if min(m, default=0) < 0 or not 1 <= w <= len(groups):
+        return None, -1, None, None
+    return (w, w + 2 - sum(m), groups[w - 1].setdefault(_PK.profile(m)[1], {}),
+            rows[w - 1])
+
+
+def _refuse_count(dmax: int, d: int, key: RawKey, num: int, den: int,
+                  w: int | None) -> None:
+    """Raise the error of the count num/den at key in piece d (w: the
+    weight ``_profile_entry`` gave its profile) that did not pass: a zero
+    den, a degree outside 1 .. dmax, a profile of another weight, a zero or
+    negative marked count and a key without an integer genus >= 0 raise
+    ValueError (any failure at d = 1: the seed's), a marked count
+    d * num / den that is not an integer ArithmeticError."""
+    if not den:
+        raise ValueError(f"piece {d}: count at {key!r} has denominator 0")
+    v, r = divmod(num * d, den)
+    if r:
+        raise ArithmeticError(f"marked count at {key!r} is not integral")
+    if d == 1:
+        raise ValueError("degree-1 piece must be exactly u*v*t1")
+    if not 1 <= d <= dmax:
+        raise ValueError(f"degree {d} outside 1..{dmax}")
+    if w != d:
+        raise ValueError(f"piece {d} is not homogeneous of weight {d}")
+    if v < 1:  # counts of maps: the step's slot bound needs them >= 0
+        raise ValueError(f"piece {d}: marked count at {key!r} is "
+                         f"{'negative' if v else 'zero'}")
+    genus_at(d, key)  # raises the key's error
+
+
+def _check_filed(groups: list, rows: list) -> None:
+    """The closing checks of a filing: degree 1 is the seed and no degree
+    is empty, else ValueError."""
+    if rows[0] != [1]:  # its one physical key is the seed's
+        raise ValueError("degree-1 piece must be exactly u*v*t1")
+    for d, profiles in enumerate(groups[1:], 2):
+        if not profiles:
+            raise ValueError(f"piece {d} is empty")
+
+
+def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
+                    ) -> tuple[list[dict[int, dict[int, int]]], list[list[int]]]:
+    """The profile groups and genus rows of outside counts, the
+    (d, key, num, den) of weighted counts num/den of degrees 1 .. dmax,
+    in any order, in one pass that files each marked count d * num / den
+    as it checks it (``_profile_entry`` once per profile, and
+    ``_refuse_count`` names what a count that does not pass fails).  Then
+    the filing's closing checks, and no key may repeat (its counts would
+    all be in the genus row, one in its group; ValueError).  A group out of
+    kl order is sorted."""
+    groups, rows = _filing(dmax)
+    bits, found = _PK.bits, {}
     for d, key, num, den in terms:
         k, l, m = key
         entry = found.get(m)
-        if entry is None:  # per profile: weight, weight + 2 - parts, group, row
-            w = partition_weight(m)
-            entry = found[m] = (None, -1, None, None)  # no degree of the series
-            if min(m, default=0) >= 0 and 1 <= w <= dmax:
-                entry = found[m] = (w, w + 2 - sum(m), groups.setdefault(w, {}).setdefault(
-                    _PK.encode((0, 0, m)), {}), rows.setdefault(w, [0] * ((w + 1) // 2)))
+        if entry is None:
+            entry = found[m] = _profile_entry(m, groups, rows)
         w, offset, group, row = entry
         v, r = divmod(num * d, den) if den else (0, 0)  # den = 0 is refused below
         twice = offset - k - l
         if r or twice < 0 or twice & 1 or k < 1 or l < 1 or v < 1 or w != d:
-            if not den:
-                raise ValueError(f"piece {d}: count at {key!r} has denominator 0")
-            if r:
-                raise ArithmeticError(f"marked count at {key!r} is not integral")
-            if d == 1:
-                raise ValueError("degree-1 piece must be exactly u*v*t1")
-            if not 1 <= d <= dmax:
-                raise ValueError(f"degree {d} outside 1..{dmax}")
-            if w != d:
-                raise ValueError(f"piece {d} is not homogeneous of weight {d}")
-            if v < 1:  # counts of maps: the step's slot bound needs them >= 0
-                raise ValueError(f"piece {d}: marked count at {key!r} is "
-                                 f"{'negative' if v else 'zero'}")
-            genus_at(d, key)  # raises the key's error
+            _refuse_count(dmax, d, key, num, den, w)
         group[l | k << bits] = v
         row[twice >> 1] += v
-    if rows.get(1) != [1]:  # its one physical key is the seed's
-        raise ValueError("degree-1 piece must be exactly u*v*t1")
-    for d in range(2, dmax + 1):
-        if d not in groups:
-            raise ValueError(f"piece {d} is empty")
-        if sum(rows[d]) != sum(sum(group.values()) for group in groups[d].values()):
-            raise ValueError(f"piece {d} repeats a key")
-        groups[d] = {prof: group if list(group) == sorted(group) else dict(sorted(group.items()))
-                     for prof, group in groups[d].items()}
-    return [groups[d] for d in range(1, dmax + 1)], [rows[d] for d in range(1, dmax + 1)]
+    _check_filed(groups, rows)
+    for i, profiles in enumerate(groups):
+        if sum(rows[i]) != sum(sum(group.values()) for group in profiles.values()):
+            raise ValueError(f"piece {i + 1} repeats a key")
+        groups[i] = {prof: group if list(group) == sorted(group) else dict(sorted(group.items()))
+                     for prof, group in profiles.items()}
+    return groups, rows
 
 
 @lru_cache(maxsize=None)
@@ -512,8 +547,10 @@ class ConnectedSeries:
     the canonical order on which the pair walk of ``recursion_rhs`` stops.
     Every k, l and m_i is at most dmax <= DMAX_LIMIT < 2^bits, so no field
     carries.  A degree is checked and collapsed by genus once, where it
-    enters: computed, by ``_decode_degree``; outside input (the
-    constructor, ``from_counts``, a cache), by ``_checked_groups``.
+    enters: computed, by ``_decode_degree``; outside input, as it is
+    filed (``_filing``, ``_profile_entry`` and ``_refuse_count``): the
+    constructor's pieces by ``_checked_groups``, a cache's lines by
+    ``cache.parse_cache``.
     ``extended_to`` packs the stored groups into slots as they are, and a
     cut-back shares its parent's groups.  KP and ``recursion_rhs`` read
     the groups as stored, the latter through ``_moves``: per packed
@@ -535,16 +572,9 @@ class ConnectedSeries:
 
     @classmethod
     def _stored(cls, groups: Sequence[dict], rows: Sequence[list[int]]) -> "ConnectedSeries":
-        """Series of the engine's own groups and genus rows, trusted."""
+        """Series of groups and genus rows that are already checked: the
+        engine's own, or a cache's as ``cache.parse_cache`` filed them."""
         return cls.__new__(cls)._set(groups, rows)
-
-    @classmethod
-    def from_counts(cls, dmax: int,
-                    terms: Iterable[tuple[int, RawKey, int, int]]) -> "ConnectedSeries":
-        """Series of degrees 1 .. dmax from its weighted counts, (d, key,
-        num, den) for N = num/den, in any order, checked as the
-        constructor's pieces are (``_checked_groups``)."""
-        return cls._stored(*_checked_groups(dmax, terms))
 
     # -- construction ----------------------------------------------------------
 
@@ -679,7 +709,10 @@ def _move_plan(prof: int) -> tuple[tuple, tuple]:
     merged: an inpiece (ref, dkl, f) reads profile ref one weight below at
     kl - dkl, dkl = dl | dk << bits; a pair (w1, r1, r2, f) reads (k1, l1,
     r1) at weight w1 and (k - k1, l - l1, r2) at the complementary weight,
-    over all k1 < k, l1 < l.
+    over all k1 < k, l1 < l.  A pair move and its mirror, (d - 1 - w1, r2,
+    r1), read the same products, so a plan keeps the lesser of the two
+    with both factors (twice its own); a move that is its own mirror
+    appears once.
     """
     E, bits, mask, parts = _PK.E, _PK.bits, _PK.mask, _PK.parts(prof)
     d = sum(i * x for i, x in parts)
@@ -728,7 +761,7 @@ def _move_plan(prof: int) -> tuple[tuple, tuple]:
             for j in range(1, i):
                 j2 = i - j
                 r1, r2 = sub + E[j], base - sub + E[j2]
-                move = (w + j, r1, r2)
+                move = min((w + j, r1, r2), (d - 1 - w - j, r2, r1))
                 pairs[move] = pairs.get(move, 0) + j * j2 * field(r1, j) * field(r2, j2)
 
     return (tuple((ref, dkl, f * (top // (d - 1))) for (ref, dkl), f in inpiece.items()),

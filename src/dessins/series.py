@@ -368,7 +368,7 @@ class GradedSeries:
 
 
 # ---------------------------------------------------------------------------
-# canonical text form of one term (shared with the series cache)
+# canonical text form of one term (rendering shared with the series cache)
 # ---------------------------------------------------------------------------
 
 def profile_text(m: Multiplicities) -> str:
@@ -389,17 +389,17 @@ def render_lines(terms: Iterable[tuple[int, RawKey, int, int]]) -> list[str]:
     return lines
 
 
-def parse_lines(text: str, start: int = 1) -> Iterator[tuple[int, RawKey, int, int]]:
+def parse_lines(text: str) -> Iterator[tuple[int, RawKey, int, int]]:
     """Inverse of ``render_lines`` over the non-blank lines of ``text``.
 
     Yields ``(d, key, num, den)`` with a canonical key of weight d, k, l
     >= 0, num != 0 and den > 0, the keys strictly increasing in canonical
     order (so none repeats); any other line raises ValueError naming its
-    number (lines numbered from ``start``).
+    number.
     """
     profiles: dict[str, tuple[Multiplicities, int]] = {"-": ((), 0)}
     prev: tuple = ()
-    for lineno, line in enumerate(text.splitlines(), start):
+    for lineno, line in enumerate(text.splitlines(), 1):
         fields = line.split()
         if not fields:
             continue

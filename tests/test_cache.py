@@ -5,6 +5,8 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dessins import cache
 from dessins.cache import (
@@ -193,7 +195,8 @@ def _mutated_cache8(engine10, mutation: str) -> str:
 def test_mutated_cache_is_rejected(tmp_path, capsys, engine10, mutation):
     path = tmp_path / "f.cache"
     path.write_text(_mutated_cache8(engine10, mutation))
-    with pytest.raises(ValueError, match="corrupt cache"):
+    # the refusal names the line (or lines) or the key at fault
+    with pytest.raises(ValueError, match=r"^corrupt cache .*(lines? \d|at \(\d+, \d+, \()"):
         load_cache(path)
     assert main(["table", "--dmax", "8", "--marked", "--cache", str(path)]) == 3
     out = capsys.readouterr()
@@ -211,3 +214,52 @@ def test_valid_cache_loads_with_identical_output(tmp_path, capsys, engine10):
     assert main(argv + ["--cache", str(path)]) == 0
     assert capsys.readouterr().out == cold
     assert path.read_bytes() == before
+
+
+#: one edit of one line of a cache text split at its newlines (the last
+#: element, after the final newline, is empty): drop it, insert a line
+#: before it, replace it, or replace n characters of it at pos
+_TEXT = st.text(alphabet="0123456789 ,/-+_\t\r\n", max_size=12)
+_EDITS = st.one_of(
+    st.tuples(st.just("delete")),
+    st.tuples(st.just("insert"), _TEXT),
+    st.tuples(st.just("replace"), _TEXT),
+    st.tuples(st.just("chars"), st.integers(0, 20), st.integers(0, 3), _TEXT),
+)
+
+
+def _edited(text: str, index: int, edit: tuple) -> str:
+    lines = text.split("\n")
+    i = index % len(lines)
+    kind, *args = edit
+    if kind == "delete":
+        del lines[i]
+    elif kind == "insert":
+        lines.insert(i, args[0])
+    elif kind == "replace":
+        lines[i] = args[0]
+    else:
+        pos, n, new = args
+        lines[i] = lines[i][:pos] + new + lines[i][pos + n:]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(0, 10 ** 4), edit=_EDITS)
+@example(index=2, edit=("insert", ""))  # a blank line after the seed's
+@example(index=5, edit=("replace", "3 1 1 3 2/6"))  # 1/3 not in lowest terms
+@example(index=2, edit=("chars", 0, 0, " "))  # a leading space
+@example(index=0, edit=("chars", 17, 0, "0"))  # dmax=06
+@example(index=3, edit=("chars", 99, 0, "\r"))  # a Windows line end
+def test_single_line_edit_is_refused_or_round_trips(tmp_path_factory, engine6, index, edit):
+    # the reader accepts exactly the bytes render_cache writes: an edited
+    # cache is refused as corrupt or is the cache of what it loads
+    text = _edited(render_cache(engine6), index, edit)
+    path = tmp_path_factory.mktemp("edit") / "f.cache"
+    path.write_bytes(text.encode("ascii"))
+    try:
+        series = load_cache(path)
+    except ValueError as exc:
+        assert str(exc).startswith("corrupt cache")
+        return
+    assert render_cache(series) == text

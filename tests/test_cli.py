@@ -130,12 +130,20 @@ def test_table_collapses_through_cli_genus_table(capsys, monkeypatch):
 
 def _record_genus_rows(monkeypatch) -> list[int]:
     """The degrees of every genus collapse from here on, in order: the
-    degrees 1 .. dmax of a ``_checked_groups`` call (outside input) or a
-    ``_decode_degree`` call (a computed degree)."""
-    from dessins import evolution
+    degrees 1 .. dmax of a ``cache.parse_cache`` call (the reader files a
+    cache's counts into their genus rows), of a ``_checked_groups`` call
+    (outside input to the constructor) or a ``_decode_degree`` call (a
+    computed degree)."""
+    from dessins import cache, evolution
 
     degrees = []
-    real_check, real_decode = evolution._checked_groups, evolution._decode_degree
+    real_read, real_check = cache.parse_cache, evolution._checked_groups
+    real_decode = evolution._decode_degree
+
+    def recording_read(text):
+        series = real_read(text)
+        degrees.extend(range(1, series.dmax + 1))
+        return series
 
     def recording_check(dmax, terms):
         degrees.extend(range(1, dmax + 1))
@@ -145,6 +153,7 @@ def _record_genus_rows(monkeypatch) -> list[int]:
         degrees.append(d)
         return real_decode(acc, d, W, K)
 
+    monkeypatch.setattr(cache, "parse_cache", recording_read)
     monkeypatch.setattr(evolution, "_checked_groups", recording_check)
     monkeypatch.setattr(evolution, "_decode_degree", recording_decode)
     return degrees

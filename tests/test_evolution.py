@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from dessins.evolution import (
     _PK,
     DMAX_LIMIT,
     ConnectedSeries,
+    _checked_groups,
     _decode_degree,
     _edge_moves,
     _kron_encode,
@@ -234,7 +236,7 @@ def test_checked_input_refuses_degrees_past_the_limit():
         yield
 
     with pytest.raises(ValueError, match="degree 32 is beyond DMAX_LIMIT = 31"):
-        ConnectedSeries.from_counts(DMAX_LIMIT + 1, unread())
+        _checked_groups(DMAX_LIMIT + 1, unread())
     with pytest.raises(ValueError, match="degree 32 is beyond DMAX_LIMIT = 31"):
         ConnectedSeries([GradedSeries(PIECE_1, 32)] * 32)
 
@@ -282,31 +284,39 @@ def test_every_entry_stores_one_form():
     assert cut._moves is not deeper._moves
 
 
-def test_from_counts_files_any_order_and_checks_it(engine6):
-    # (d, key, num, den) of the weighted counts N = num/den, as a cache holds them
-    terms = [(d, key, c.numerator, c.denominator)
-             for d in range(1, 7) for key, c in engine6.piece(d).terms.items()]
-    shuffled = random.Random(22).sample(terms, len(terms))
-    assert _in_order(ConnectedSeries.from_counts(6, shuffled)) == _in_order(engine6)
+def test_constructor_files_any_order_and_checks_it(engine6):
+    # the pieces' terms may come in any order; every count is checked as it
+    # is filed
+    def pieces(changes=(), top=6):
+        out = []
+        for d in range(1, top + 1):
+            terms = list(engine6.piece(d).terms.items()) if d <= 6 else []
+            random.Random(22 + d).shuffle(terms)
+            terms = dict(terms)
+            terms.update((key, c) for at, key, c in changes if at == d)
+            out.append(GradedSeries(terms, top, _raw=True))
+        return out
 
-    def changed(key, num, den=1):
-        return [(d, k, num, den) if k == key else (d, k, n, q) for d, k, n, q in terms]
+    def refused(error, message, changes=(), top=6):
+        with pytest.raises(error, match=message):
+            ConnectedSeries(pieces(changes, top))
 
-    repeated = next(t for t in terms if t[0] == 3)
-    with pytest.raises(ValueError, match="^piece 3 repeats a key$"):
-        ConnectedSeries.from_counts(6, terms + [repeated])
-    with pytest.raises(ValueError, match=r"^degree 7 outside 1\.\.6$"):
-        ConnectedSeries.from_counts(6, terms + [(7, (1, 1, (7,)), 1, 7)])
-    with pytest.raises(ValueError, match="^piece 6 is empty$"):
-        ConnectedSeries.from_counts(6, [t for t in terms if t[0] < 6])
-    with pytest.raises(ValueError, match=r"^piece 3: marked count at \(1, 1, \(3,\)\) is zero$"):
-        ConnectedSeries.from_counts(6, changed((1, 1, (3,)), 0))
-    with pytest.raises(ArithmeticError, match=r"^marked count at \(1, 1, \(3,\)\) is not integral$"):
-        ConnectedSeries.from_counts(6, changed((1, 1, (3,)), 1, 2))
-    with pytest.raises(ValueError, match="^degree-1 piece must be exactly u\\*v\\*t1$"):
-        ConnectedSeries.from_counts(6, changed((1, 1, (1,)), 2))
-    with pytest.raises(ValueError, match=r"^piece 3: count at \(1, 1, \(3,\)\) has denominator 0$"):
-        ConnectedSeries.from_counts(6, changed((1, 1, (3,)), 1, 0))
+    assert _in_order(ConnectedSeries(pieces())) == _in_order(engine6)
+    # (3, 0) is the profile (3,) with a trailing zero: the key again
+    refused(ValueError, "^piece 3 repeats a key$", [(3, (1, 1, (3, 0)), F(1, 3))])
+    refused(ValueError, "^piece 6 is not homogeneous of weight 6$",
+            [(6, (1, 1, (0,) * 6 + (1,)), F(1))])
+    refused(ValueError, "^piece 7 is empty$", top=7)
+    refused(ValueError, r"^piece 3: marked count at \(1, 1, \(3,\)\) is zero$",
+            [(3, (1, 1, (3,)), F(0))])
+    refused(ValueError, r"^piece 3: marked count at \(1, 1, \(3,\)\) is negative$",
+            [(3, (1, 1, (3,)), F(-1, 3))])
+    refused(ArithmeticError, r"^marked count at \(1, 1, \(3,\)\) is not integral$",
+            [(3, (1, 1, (3,)), F(1, 2))])
+    refused(ValueError, "^degree-1 piece must be exactly u\\*v\\*t1$",
+            [(1, (1, 1, (1,)), F(2))])
+    refused(ValueError, r"^piece 3: count at \(1, 1, \(3,\)\) has denominator 0$",
+            [(3, (1, 1, (3,)), SimpleNamespace(numerator=1, denominator=0))])
 
 
 def test_cache_loaded_series_extends(tmp_path):
@@ -497,6 +507,10 @@ def test_move_plans_read_profiles_of_the_right_weight():
                 assert weight(ref) == d - 1 and dkl in (0, 1, 1 << _PK.bits) and f > 0, m
             for w1, r1, r2, f in pairs:
                 assert weight(r1) == w1 and weight(r2) == d - 1 - w1 and f > 0, m
+            # a pair move and its mirror are one entry
+            moves = {(w1, r1, r2) for w1, r1, r2, _ in pairs}
+            assert not any((d - 1 - w1, r2, r1) in moves
+                           for w1, r1, r2 in moves if (w1, r1) != (d - 1 - w1, r2)), m
 
 
 def test_recursion_seed_and_example(engine6):
