@@ -2,7 +2,9 @@
 
 Text format: a header line ``DESSIN-F v1 dmax=<D>`` followed by the
 canonical rendering of all pieces (one term per line, sorted by the
-canonical key order, so lower degrees come first).  The body is
+canonical key order, so lower degrees come first), the bytes
+``GradedSeries.render`` gives each piece, rendered straight from the
+series' profile groups (``render_cache``).  The body is
 append-only by degree: the body of a deeper cache is a byte-prefix
 extension of any shallower one, and re-running with a covering cache
 reloads the pieces instead of recomputing them.  A cache is written to a
@@ -48,19 +50,36 @@ from .evolution import (
     _refuse_count,
     indecomposable_count,
 )
-from .series import Multiplicities, from_parts, partition_weight, profile_text, render_lines
+from .series import Multiplicities, from_parts, partition_weight, profile_text
 
 HEADER_TAG = "DESSIN-F v1"
 
 
 def render_cache(series: ConnectedSeries) -> str:
-    def terms():  # canonical order: by weight, then by (k, l, m)
-        for d in range(1, series.dmax + 1):
-            for key, v in series.marked_piece(d).items():
+    """The cache text of a series, written from its profile groups: per
+    degree, the profiles ranked once by their multiplicities, one
+    ``" <profile> "`` string each, filed by rank into buckets by kl, and
+    the buckets walked in increasing kl, so the lines come in canonical
+    order (by k, l and m) without a sort of the keys."""
+    bits, mask = _PK.bits, _PK.mask
+    lines = [f"{HEADER_TAG} dmax={series.dmax}"]
+    for d, profiles in enumerate(series._groups, 1):
+        buckets: dict[int, list] = {}
+        for m, group in sorted((_PK.decode(prof)[2], group) for prof, group in profiles.items()):
+            text = f" {profile_text(m)} "
+            for kl, v in group.items():
                 g = gcd(v, d)
-                yield d, key, v // g, d // g
-    body = "\n".join(render_lines(terms()))
-    return f"{HEADER_TAG} dmax={series.dmax}\n{body}\n"
+                tail = f"{text}{v // g}/{d // g}"
+                bucket = buckets.get(kl)
+                if bucket is None:
+                    buckets[kl] = [tail]
+                else:
+                    bucket.append(tail)
+        for kl in sorted(buckets):
+            head = f"{d} {kl >> bits} {kl & mask}"
+            lines.append(head + ("\n" + head).join(buckets[kl]))  # its lines, by rank
+    lines.append("")
+    return "\n".join(lines)
 
 
 #: the numerals d, k, l, den and a profile's parts are read with, each

@@ -69,10 +69,13 @@ each slot a ``W``-bit field.  Every move acts on P as a whole:
   factor * j * m_j * j2 * m_j2, into pa + pb - E[j] - E[j2] + E[j+j2+1]
   for each part j of pa and j2 of pb.
 
-A degree ends in one decode pass over the slots (``_decode_degree``):
-each slot is divided by the step's common denominator C (integrality),
-its row is the key's genus, k >= 1 and l >= 1 are checked, and the count
-is filed into the degree's profile groups (see ``ConnectedSeries``).
+A degree ends in one decode pass over the physical slots, those with
+k >= 1 and l >= 1 (``_decode_degree``): one mask per profile refuses a
+count in any other slot, each physical slot is divided by the step's
+common denominator C (integrality), its row is the key's genus, and the
+count is filed into the degree's profile groups (see
+``ConnectedSeries``).  Skipping the other slots loses nothing: the mask
+has checked that they are zero.
 
 Slots cannot carry or wrap.  Every stored count and every contribution
 is non-negative, so every slot of a step is at most the sum of all its
@@ -481,45 +484,73 @@ def _next_marked(kron: list[dict[int, int]], sums: list[int], d: int, W: int,
     return acc
 
 
+def _physical_slots(top: int, W: int, K: int) -> tuple[list[tuple[int, int, int]], int, int]:
+    """The physical slots of a profile with k + l + 2g = top, as (slots,
+    mask, size): slots the (byte offset, kl, g) of each slot (k, g) with
+    k >= 1 and l = top - 2g - k >= 1, by k and falling g (so by kl); mask
+    the W-bit fields of those slots; size the bytes of its top // 2 genus
+    rows, which hold every such slot."""
+    wb, bits, slots, mask = W // 8, _PK.bits, [], 0
+    for k in range(1, top):
+        for g in range((top - 1 - k) // 2, -1, -1):
+            s = k + K * g
+            slots.append((s * wb, (top - 2 * g - k) | k << bits, g))
+            mask |= (1 << W) - 1 << W * s
+    return slots, mask, wb * K * (top // 2)
+
+
 def _decode_degree(acc: Mapping[int, int], d: int, W: int,
                    K: int) -> tuple[dict[int, dict[int, int]], list[int], dict[int, int]]:
     """The groups, genus row and slot form {profile: P // C} of the
-    degree-d step's output ``acc``, in one pass over its W-bit slots: slot
-    k + K*g holds C times the count of (k, d + 2 - 2g - k - parts, m),
-    read by k and falling g, so each group is written in kl order.  A
-    count that is not integral, a profile of another weight, a slot with
+    degree-d step's output ``acc``, in one pass over the physical slots of
+    its profiles (``_physical_slots``, built once per top = d + 2 - parts):
+    slot k + K*g holds C times the count of (k, top - 2g - k, m), read by
+    k and falling g, so each group is written in kl order.  A count that
+    is not integral, a profile of another weight, a nonzero slot with
     k < 1 or l < 1, and counts that do not sum to A003319(d + 1) are
     engine invariant failures and raise ArithmeticError.
+
+    Reading only the physical slots is exact.  One ``P & ~mask`` per
+    profile refuses every bit outside them, naming the lowest such slot,
+    whose k < 1 or l < 1 (every slot with k, l >= 1 is in the mask); after
+    it P fits the rows the slots span, so ``to_bytes`` runs at their fixed
+    size.  Every physical slot is still divided by C (integrality) and
+    summed into the row that A003319 checks, and P // C is the slot form
+    of the same counts.
     """
-    C, wb, bits = _step_denominator(d), W // 8, _PK.bits
+    C, wb, from_bytes = _step_denominator(d), W // 8, int.from_bytes
     zero = bytes(wb)
     groups: dict[int, dict[int, int]] = {}
     row = [0] * ((d + 1) // 2)
     stored: dict[int, int] = {}
+    layouts: dict[int, tuple] = {}  # per top: _physical_slots
     try:
         for prof, P in acc.items():
             parts = _PK.parts(prof)
             if sum(i * x for i, x in parts) != d:
                 raise ValueError(f"piece {d} is not homogeneous of weight {d}")
             top = d + 2 - sum(x for _, x in parts)
-            slots = -(-P.bit_length() // W)
-            raw = P.to_bytes(slots * wb, "little")
+            layout = layouts.get(top)
+            if layout is None:
+                layout = layouts[top] = _physical_slots(top, W, K)
+            slots, mask, size = layout
+            stray = P & ~mask
+            if stray:
+                s = ((stray & -stray).bit_length() - 1) // W
+                k, g = s % K, s // K
+                genus_at(d, (k, top - 2 * g - k, _PK.decode(prof)[2]))  # raises
+            raw = P.to_bytes(size, "little")
             group = groups[prof] = {}
-            for k in range(min(K, slots)):
-                for g in range((slots - 1 - k) // K, -1, -1):
-                    s = (k + K * g) * wb
-                    chunk = raw[s:s + wb]
-                    if chunk == zero:
-                        continue
-                    l = top - 2 * g - k
-                    v, r = divmod(int.from_bytes(chunk, "little"), C)
-                    if r or k < 1 or l < 1:
-                        key = (k, l, _PK.decode(prof)[2])
-                        if r:
-                            raise ArithmeticError(f"marked count at {key!r} is not integral")
-                        genus_at(d, key)  # raises the key's error
-                    group[l | k << bits] = v
-                    row[g] += v
+            for s, kl, g in slots:
+                chunk = raw[s:s + wb]
+                if chunk == zero:
+                    continue
+                v, r = divmod(from_bytes(chunk, "little"), C)
+                if r:
+                    key = (kl >> _PK.bits, kl & _PK.mask, _PK.decode(prof)[2])
+                    raise ArithmeticError(f"marked count at {key!r} is not integral")
+                group[kl] = v
+                row[g] += v
             stored[prof] = P // C
     except ValueError as exc:
         raise ArithmeticError(f"computed degree {d}: {exc}") from exc

@@ -347,13 +347,19 @@ class GradedSeries:
     # -- canonical text form --------------------------------------------------------
 
     def render(self) -> str:
-        """One line per term (see ``render_lines``), in the canonical key
+        """One line ``d k l <profile> <num>/<den>`` per term, the
+        coefficient num/den of a key of weight d, in the canonical key
         order, so the output is byte-deterministic."""
-        items = ((key, Fraction(self._terms[key]))
-                 for key in sorted(self._terms, key=sort_key))
-        return "\n".join(render_lines(
-            (partition_weight(key[2]), key, c.numerator, c.denominator)
-            for key, c in items))
+        profiles: dict[Multiplicities, str] = {}  # profiles repeat across lines
+        lines = []
+        for key in sorted(self._terms, key=sort_key):
+            k, l, m = key
+            c = Fraction(self._terms[key])
+            prof = profiles.get(m)
+            if prof is None:
+                prof = profiles[m] = profile_text(m)
+            lines.append(f"{partition_weight(m)} {k} {l} {prof} {c.numerator}/{c.denominator}")
+        return "\n".join(lines)
 
     @classmethod
     def parse(cls, text: str, truncation: int) -> "GradedSeries":
@@ -368,7 +374,7 @@ class GradedSeries:
 
 
 # ---------------------------------------------------------------------------
-# canonical text form of one term (rendering shared with the series cache)
+# canonical text form of one term
 # ---------------------------------------------------------------------------
 
 def profile_text(m: Multiplicities) -> str:
@@ -376,26 +382,15 @@ def profile_text(m: Multiplicities) -> str:
     return ",".join(str(p) for p in parts_list(m)) or "-"
 
 
-def render_lines(terms: Iterable[tuple[int, RawKey, int, int]]) -> list[str]:
-    """``d k l <profile> <num>/<den>`` for each term ``(d, key, num, den)``,
-    the coefficient num/den of a key of weight d."""
-    profiles: dict[Multiplicities, str] = {}  # profiles repeat across lines
-    lines = []
-    for d, (k, l, m), num, den in terms:
-        prof = profiles.get(m)
-        if prof is None:
-            prof = profiles[m] = profile_text(m)
-        lines.append(f"{d} {k} {l} {prof} {num}/{den}")
-    return lines
-
-
 def parse_lines(text: str) -> Iterator[tuple[int, RawKey, int, int]]:
-    """Inverse of ``render_lines`` over the non-blank lines of ``text``.
+    """Inverse of ``GradedSeries.render`` over the non-blank lines of
+    ``text``.
 
     Yields ``(d, key, num, den)`` with a canonical key of weight d, k, l
     >= 0, num != 0 and den > 0, the keys strictly increasing in canonical
     order (so none repeats); any other line raises ValueError naming its
-    number.
+    number.  A part larger than its line's d is refused before the
+    profile is sized by it.
     """
     profiles: dict[str, tuple[Multiplicities, int]] = {"-": ((), 0)}
     prev: tuple = ()
@@ -409,7 +404,10 @@ def parse_lines(text: str) -> Iterator[tuple[int, RawKey, int, int]]:
             d, k, l = int(fields[0]), int(fields[1]), int(fields[2])
             prof = profiles.get(fields[3])
             if prof is None:
-                m = from_parts(int(p) for p in fields[3].split(","))
+                parts = [int(p) for p in fields[3].split(",")]
+                if max(parts) > d:
+                    raise ValueError(f"part {max(parts)} is larger than the weight {d}")
+                m = from_parts(parts)
                 prof = profiles[fields[3]] = (m, partition_weight(m))
             num, _, den = fields[4].partition("/")
             num, den = int(num), int(den)

@@ -30,16 +30,20 @@ def engine20(engine14) -> ConnectedSeries:
 def plant(monkeypatch):
     """plant(d, m, k, g, count=1): make the degree-d step add ``count``
     marked counts (times the step's denominator C) to slot (k, g) of
-    profile m, before the step's decode reads it."""
-    real = evolution._next_marked
+    profile m, before the step's decode reads it.  A count may be a
+    Fraction whose product with C is an int (not divisible by C: a
+    non-integral count); plants made in one test all apply."""
 
     def install(d, m, k, g, count=1):
+        real = evolution._next_marked
+
         def planted(kron, sums, step, W, K):
             acc = real(kron, sums, step, W, K)
             if step == d:
                 prof = evolution._PK.encode((0, 0, m))
-                c = evolution._step_denominator(d)
-                acc[prof] = acc.get(prof, 0) + (count * c << W * (k + K * g))
+                raw = count * evolution._step_denominator(d)
+                assert raw == int(raw)
+                acc[prof] = acc.get(prof, 0) + (int(raw) << W * (k + K * g))
             return acc
 
         monkeypatch.setattr(evolution, "_next_marked", planted)

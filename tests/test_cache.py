@@ -18,6 +18,7 @@ from dessins.cache import (
 )
 from dessins.cli import main
 from dessins.evolution import ConnectedSeries
+from dessins.series import GradedSeries
 
 
 def test_round_trip(engine6):
@@ -42,6 +43,25 @@ def test_d16_cache_bytes_are_pinned(engine14):
     assert len(text) == 631330
     assert hashlib.sha256(text).hexdigest() == (
         "f2327e409f9a1241fb88941749f6b57ad821ca45aeb59d454b7d883261e21164")
+
+
+def _fraction_route(series):
+    """The cache text through the Fraction pieces and GradedSeries.render,
+    which sorts each piece by its own key order."""
+    body = "\n".join(series.piece(d).render() for d in range(1, series.dmax + 1))
+    return f"DESSIN-F v1 dmax={series.dmax}\n{body}\n"
+
+
+@pytest.mark.parametrize("dmax", [*range(1, 11), 14])
+def test_render_matches_the_fraction_route(engine14, dmax):
+    computed = engine14 if dmax == 14 else ConnectedSeries.compute(dmax)
+    want = _fraction_route(computed)
+    loaded = parse_cache(want)
+    # the constructor's groups filed in reverse canonical order
+    built = ConnectedSeries([GradedSeries(dict(reversed(piece.terms.items())), dmax)
+                             for piece in computed.pieces])
+    for series in (computed, loaded, built):
+        assert render_cache(series) == want
 
 
 def test_d14_round_trip_keeps_marked_and_fraction_pieces(engine14):

@@ -387,29 +387,46 @@ def test_constructor_check_messages(key, exc_type, message):
     assert type(info.value) is exc_type and str(info.value) == message
 
 
-# (profile, k, g) planted in the degree-2 step, the cause and its message:
-# at d = 2 the profile (0, 1) has l = 3 - 2g - k, so slot (0, 0) is the key
-# (0, 3) and slot (2, 1) is (2, -1).  A computed key's genus is its slot
-# row, so it cannot lack an integer genus.
+# the plants (d, profile, k, g, count) of a compute(d + 1), the cause of
+# the error and its message.  At d = 2 the profile (0, 1) has l = 3 - 2g - k,
+# so slot (0, 0) is the key (0, 3), slot (2, 1) is (2, -1), slot (3, 0) is
+# (3, 0) and slot (0, 1) is (0, 1); at d = 3 the profile (0, 0, 1) has
+# l = 4 - 2g - k and two genus rows, the last of which holds the physical
+# slot (1, 1) beside (2, 1), the key (2, 0).  A computed key's genus is
+# its slot row, so it cannot lack an integer genus.  C = 2 at d = 3, so a
+# count of 1/2 is not integral; an ArithmeticError of the decode itself
+# has no cause.
 COMPUTED_FAULTS = [
-    pytest.param((1,), 1, 0, ValueError, "piece 2 is not homogeneous of weight 2",
+    pytest.param([(2, (1,), 1, 0, 1)], ValueError,
+                 "computed degree 2: piece 2 is not homogeneous of weight 2",
                  id="key0-ValueError-piece 2 is not homogeneous of weight 2"),
-    pytest.param((0, 1), 0, 0, NonPhysicalKeyError,
-                 "key (0, 3, (0, 1)) needs k, l >= 1 and weight >= 1",
+    pytest.param([(2, (0, 1), 0, 0, 1)], NonPhysicalKeyError,
+                 "computed degree 2: key (0, 3, (0, 1)) needs k, l >= 1 and weight >= 1",
                  id="key2-NonPhysicalKeyError-key (0, 3, (0, 1)) needs k, l >= 1 and weight >= 1"),
-    pytest.param((0, 1), 2, 1, NonPhysicalKeyError,
-                 "key (2, -1, (0, 1)) needs k, l >= 1 and weight >= 1",
+    pytest.param([(2, (0, 1), 2, 1, 1)], NonPhysicalKeyError,
+                 "computed degree 2: key (2, -1, (0, 1)) needs k, l >= 1 and weight >= 1",
                  id="slot-l-below-1-NonPhysicalKeyError"),
+    pytest.param([(3, (0, 0, 1), 2, 1, 1)], NonPhysicalKeyError,
+                 "computed degree 3: key (2, 0, (0, 0, 1)) needs k, l >= 1 and weight >= 1",
+                 id="slot-l-below-1-in-the-last-genus-row"),
+    # the lower slot is named, though a scan by k would meet (0, 1) first
+    pytest.param([(2, (0, 1), 0, 1, 1), (2, (0, 1), 3, 0, 1)], NonPhysicalKeyError,
+                 "computed degree 2: key (3, 0, (0, 1)) needs k, l >= 1 and weight >= 1",
+                 id="two-faults-name-the-lower-slot"),
+    pytest.param([(3, (0, 0, 1), 1, 0, F(1, 2))], type(None),
+                 "marked count at (1, 3, (0, 0, 1)) is not integral",
+                 id="non-integral-physical-slot"),
 ]
 
 
-@pytest.mark.parametrize("m, k, g, exc_type, message", COMPUTED_FAULTS)
-def test_computed_degree_check_messages(plant, m, k, g, exc_type, message):
-    plant(2, m, k, g)
+@pytest.mark.parametrize("plants, cause, message", COMPUTED_FAULTS)
+def test_computed_degree_check_messages(plant, plants, cause, message):
+    for fault in plants:
+        plant(*fault)
     with pytest.raises(ArithmeticError) as info:
-        ConnectedSeries.compute(3)
-    assert str(info.value) == f"computed degree 2: {message}"
-    assert type(info.value.__cause__) is exc_type
+        ConnectedSeries.compute(plants[0][0] + 1)
+    assert str(info.value) == message
+    assert type(info.value.__cause__) is cause
 
 
 def test_profile_checked_at_each_degree(plant):

@@ -222,6 +222,21 @@ def test_parse_rejects_garbage():
         GradedSeries.parse("1 1 1 1", 4)  # missing field
 
 
+def test_parse_refuses_a_part_past_the_weight_before_sizing(monkeypatch):
+    # from_parts sizes a list by the largest part: the refused line must
+    # not reach it (a recorder stands in, so nothing is sized here)
+    calls = []
+
+    def recording(parts):
+        calls.append(list(parts))
+        return (1,)
+
+    monkeypatch.setattr("dessins.series.from_parts", recording)
+    with pytest.raises(ValueError, match="^line 2: part 3000000 is larger than the weight 1$"):
+        GradedSeries.parse("1 1 1 1 1/1\n1 1 1 3000000 1/1", 1)
+    assert calls == [[1]]
+
+
 # ---------------------------------------------------------------------------
 # exp
 # ---------------------------------------------------------------------------
