@@ -110,11 +110,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_limit(dmax: int) -> None:
+    """A degree past DMAX_LIMIT is a usage error."""
+    if dmax > DMAX_LIMIT:
+        raise UsageError(f"degree {dmax} is beyond the limit {DMAX_LIMIT}")
+
+
 def _series(args, dmax: int) -> ConnectedSeries:
     """The series to degree dmax, through the cache of ``--cache``; a
     degree past DMAX_LIMIT is a usage error, before the cache is touched."""
-    if dmax > DMAX_LIMIT:
-        raise UsageError(f"degree {dmax} is beyond the limit {DMAX_LIMIT}")
+    _check_limit(dmax)
     return load_or_compute(dmax, args.cache)
 
 
@@ -136,6 +141,8 @@ def cmd_table(args) -> int:
     gmax = (args.dmax - 1) // 2 if args.gmax is None else args.gmax
     if gmax < 0:
         raise UsageError("--gmax must be >= 0")
+    if gmax > (DMAX_LIMIT - 1) // 2:  # no degree that can be computed reaches it
+        raise UsageError(f"--gmax must be <= {(DMAX_LIMIT - 1) // 2}")
     series = _series(args, args.dmax)
     table = genus_table(series)
     value = table.marked if args.marked else table.weighted
@@ -187,9 +194,10 @@ def parse_profile(text: str, weight: int) -> tuple[int, ...]:
 
 
 def cmd_coeff(args) -> int:
-    m = parse_profile(args.profile, args.d)
     if args.d < 1 or args.k < 1 or args.l < 1:
         raise UsageError("--d, --k, --l must all be >= 1")
+    _check_limit(args.d)  # before the profile is sized by --d
+    m = parse_profile(args.profile, args.d)
     weighted = _series(args, args.d).coefficient(args.k, args.l, m)
     sys.stdout.write(f"N={weighted}, marked={weighted * args.d}\n")
     return EXIT_OK

@@ -95,9 +95,9 @@ rounded up to whole bytes: 64 bits for dmax = 14 (59 bits at d = 14).
 After the decode, each degree's counts must sum to A003319(d + 1).
 
 The coefficient recursion (``recursion_rhs``), a check and never a
-solver, plans its moves on packed profiles too (``_move_plan``): tuple
-profiles appear only where a caller hands one in (``_PK.profile``) or a
-key is decoded.
+solver, is this step read at one key: ``_next_marked`` on a series'
+stored degrees below the key's, without the decode's checks, so only
+``_profile_moves`` knows the one-edge moves.
 """
 
 from __future__ import annotations
@@ -432,6 +432,13 @@ def _kron_encode(groups: Mapping[int, Mapping[int, int]], d: int, W: int,
     return slots
 
 
+def _step_total(sums: Sequence[int], d: int) -> int:
+    """T_d, the sum of all slots of the degree-d step (module docstring),
+    from the count sums of degrees 1 .. d-1."""
+    return _step_denominator(d) * ((d + 1) * sums[d - 2] + sum(
+        sums[n - 1] * sums[d - 2 - n] for n in range(1, d - 1)))
+
+
 def _next_marked(kron: list[dict[int, int]], sums: list[int], d: int, W: int,
                  K: int) -> dict[int, int]:
     """C times the marked piece of weight d, as {packed profile: P}, from
@@ -449,9 +456,7 @@ def _next_marked(kron: list[dict[int, int]], sums: list[int], d: int, W: int,
     """
     if d < 2:
         raise ValueError("the seed piece is fixed, recursion starts at d = 2")
-    C = _step_denominator(d)
-    total = C * ((d + 1) * sums[d - 2]
-                 + sum(sums[n - 1] * sums[d - 2 - n] for n in range(1, d - 1)))
+    C, total = _step_denominator(d), _step_total(sums, d)
     if total >> W:
         raise ArithmeticError(
             f"computed degree {d}: step total {total} does not fit {W}-bit slots")
@@ -575,7 +580,7 @@ class ConnectedSeries:
     profile, {profile: {kl: d * N}} with kl = l | k << bits in the
     package's one packing ``_PK`` (a key's code is profile + kl), beside
     its genus row.  Each group iterates by increasing kl, by k and then l,
-    the canonical order on which the pair walk of ``recursion_rhs`` stops.
+    the canonical order.
     Every k, l and m_i is at most dmax <= DMAX_LIMIT < 2^bits, so no field
     carries.  A degree is checked and collapsed by genus once, where it
     enters: computed, by ``_decode_degree``; outside input, as it is
@@ -583,13 +588,13 @@ class ConnectedSeries:
     constructor's pieces by ``_checked_groups``, a cache's lines by
     ``cache.parse_cache``.
     ``extended_to`` packs the stored groups into slots as they are, and a
-    cut-back shares its parent's groups.  KP and ``recursion_rhs`` read
-    the groups as stored, the latter through ``_moves``: per packed
-    profile, its move plan bound to the groups by code; tuple keys and
-    Fractions are built per call.
+    cut-back shares its parent's groups.  KP reads the groups as stored;
+    ``recursion_rhs`` keeps their slot form and its step outputs in
+    ``_steps``, built on first use, which a cut-back starts without.
+    Tuple keys and Fractions are built per call.
     """
 
-    __slots__ = ("_groups", "_rows", "_moves")
+    __slots__ = ("_groups", "_rows", "_steps")
 
     def __init__(self, pieces: Sequence[GradedSeries]):
         self._set(*_checked_groups(len(pieces), (
@@ -598,7 +603,7 @@ class ConnectedSeries:
 
     def _set(self, groups: Sequence[dict], rows: Sequence[list[int]]) -> "ConnectedSeries":
         self._groups, self._rows = tuple(groups), tuple(rows)
-        self._moves: dict[int, tuple] = {}  # of recursion_rhs
+        self._steps: tuple | None = None  # of recursion_rhs: W, sums, packed degrees, steps
         return self
 
     @classmethod
@@ -728,141 +733,55 @@ def partition_function(dmax: int) -> GradedSeries:
 # coefficient-level recursion (diagnostic identity, never a solver)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _move_plan(prof: int) -> tuple[tuple, tuple]:
-    """The moves that end at the packed profile prof, of weight d, each
-    factor its insertion multiplicity times (d - 1)! over the move's
-    denominator; memoised per packed profile.  A reference profile is prof
-    plus unit vectors ``_PK.E``, and a multiplicity is read from a field
-    of the profile that the move reads.
-
-    Returns (inpiece, pairs), entries that name the same reference keys
-    merged: an inpiece (ref, dkl, f) reads profile ref one weight below at
-    kl - dkl, dkl = dl | dk << bits; a pair (w1, r1, r2, f) reads (k1, l1,
-    r1) at weight w1 and (k - k1, l - l1, r2) at the complementary weight,
-    over all k1 < k, l1 < l.  A pair move and its mirror, (d - 1 - w1, r2,
-    r1), read the same products, so a plan keeps the lesser of the two
-    with both factors (twice its own); a move that is its own mirror
-    appears once.
-    """
-    E, bits, mask, parts = _PK.E, _PK.bits, _PK.mask, _PK.parts(prof)
-    d = sum(i * x for i, x in parts)
-    top = factorial(d - 1)
-
-    def field(code: int, i: int) -> int:  # m_i of a packed profile
-        return code >> bits * (i + 1) & mask
-
-    inpiece: dict[tuple[int, int], int] = {}
-
-    def add(ref: int, dkl: int, f: int) -> None:
-        inpiece[ref, dkl] = inpiece.get((ref, dkl), 0) + f
-
-    # double-edge insertion: a cycle i-1 grew to i, a vertex was added
-    for i, _ in parts:
-        if i >= 2:
-            ref = prof - E[i] + E[i - 1]
-            for dkl in (1 << bits, 1):  # a white or a black vertex
-                add(ref, dkl, (i - 1) * field(ref, i - 1))
-
-    # one cycle i-1 was split into j + j2 (ordered pairs)
-    for j, x in parts:
-        for j2, _ in parts:
-            if j == j2 and x < 2:
-                continue
-            i = j + j2
-            ref = prof - E[j] - E[j2] + E[i - 1]
-            add(ref, 0, (i - 1) * field(ref, i - 1))
-
-    # two cycles j, j2 were joined into c = j + j2 + 1, either of one
-    # component or of two separate components; in the latter the other
-    # parts are shared between the components in every way
-    pairs: dict[tuple[int, int, int], int] = {}
-    for c, _ in parts:
-        if c < 3:
-            continue
-        i, base = c - 1, prof - E[c]
-        for j in range(1, i):  # an ordered pair of distinct cycles of ref
-            j2 = i - j
-            ref = base + E[j] + E[j2]
-            add(ref, 0, j * j2 * field(ref, j) * (field(ref, j2) - (j == j2)))
-        subs = [(0, 0)]  # every sub-profile of base, with its weight
-        for r, x in _PK.parts(base):
-            subs = [(s + t * E[r], w + t * r) for s, w in subs for t in range(x + 1)]
-        for sub, w in subs:
-            for j in range(1, i):
-                j2 = i - j
-                r1, r2 = sub + E[j], base - sub + E[j2]
-                move = min((w + j, r1, r2), (d - 1 - w - j, r2, r1))
-                pairs[move] = pairs.get(move, 0) + j * j2 * field(r1, j) * field(r2, j2)
-
-    return (tuple((ref, dkl, f * (top // (d - 1))) for (ref, dkl), f in inpiece.items()),
-            tuple((w1, r1, r2, f * (top // (w1 * (d - 1 - w1))))
-                  for (w1, r1, r2), f in pairs.items()))
-
 
 def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
                   m: Sequence[int]) -> Fraction:
     """Evaluate the coefficient recursion right-hand side at (k, l, m).
 
-    Sums, over the four one-edge-insertion moves, the lower-degree
-    weighted counts times their insertion multiplicities, divided by the
-    degree d; the one-edge seed enters as a Kronecker term at d = 1.
-    Evaluated purely from the already computed table, this must agree
-    with coefficient() on every key (exercised by the test suite); it is
-    never used to build the table.  The moves read keys of known weight
-    straight from that piece's marked counts M_w = w * N_w: the three
-    in-piece moves sum to S / (d - 1), and each two-component move adds
-    P / (w1 * (d - 1 - w1)), S and P integers.  Both denominators divide
-    (d - 1)! (w1 * (d - 1 - w1) divides w1! * (d - 1 - w1)!), so the key
-    sums one integer numerator over (d - 1)! and returns it over d!.
+    The value is the engine's degree step read at one key: the one-edge
+    moves (``_profile_moves``) and component joins of ``_next_marked``
+    applied to the series' stored degrees 1 .. d-1, divided by the
+    degree d; the one-edge seed enters as a Kronecker term at d = 1.  It
+    must agree with coefficient() on every key of a series the engine
+    computed, and a stored series (loaded from a cache or given to the
+    constructor) that fails it at some key does not satisfy the
+    cut-and-join equation there; it is never used to build the table.
+    The step runs without ``_decode_degree``'s integrality and A003319
+    checks, so a corrupted series gets its exact value, integral or not.
 
-    Which profiles a move reads, and with what multiplicity, depends only
-    on m: a move changes k and l by a fixed shift (in-piece) or shares
-    them between two components (pair), but its profiles and factors never
-    involve k or l.  So m is looked up once as its weight and packed
-    profile (``_PK.profile``), the moves come from ``_move_plan``, built
-    once per packed profile, and are bound to the series' stored groups
-    (``ConnectedSeries``) by code once per series and profile: an
-    in-piece move as (get, dkl, f), the probe of its reference group, and
-    a pair move as (entries, get2, f), the r1 group's (kl1, count) pairs
-    and the probe of the r2 group.  Every read is then an integer probe of
-    one profile group, keyed by kl = l | k << bits: an in-piece move
-    probes kl - dkl, and a pair move walks the r1 group in increasing kl1
-    up to k1 < k (kl1 < k << bits) and probes the r2 group at kl - kl1
-    for each entry with l1 < l.
+    The key is slot k + K*g of its profile's polynomial in the step
+    output, C_d times its marked count, so the value is that slot over
+    C_d * d.  The degrees are packed and each degree's step output is
+    kept on the series (``ConnectedSeries._steps``), built on first use:
+    a query of degree d packs only the degrees below d not yet packed.
 
-    The probes cannot alias.  Every key of weight w has 1 <= k, l <= w <=
-    d <= DMAX_LIMIT < 2^bits, so a key with k or l outside 1..d reads only absent keys
-    (an in-piece move takes dk, dl <= 1 at weight d - 1; a pair move
-    splits k and l into parts >= 1) and is answered 0 before packing.
-    Inside, kl - dkl and kl - kl1 leave fields k - dk, l - dl, k - k1 and
-    l - l1 >= 1, so no field borrows or carries.
+    A read cannot alias.  A key with k < 1, l < 1 or no integer genus
+    g >= 0 is answered 0 before any slot is read; otherwise k + l + 2g =
+    d + 2 - parts <= d + 1, so k <= d < K and the slot lies in row g.
+    W is the bit length of the largest step total T_d (module docstring)
+    that the series' own count sums give for d <= dmax: every count of
+    the series is positive (the constructor and the cache reader refuse
+    any other), so every slot is at most T_d < 2^W, and each stored count
+    of degree n < dmax is at most S_n <= T_{n+1}, so no check of
+    ``_kron_encode`` or ``_next_marked`` can fail.
     """
     d, prof = _PK.profile(m)
     if d > cs.dmax:
         raise TruncationError(f"weight {d} beyond computed degree {cs.dmax}")
     if d <= 1:  # no lower piece to insert an edge into; E[1] is t1's profile
         return Fraction(int(k == l == 1 and prof == _PK.E[1]))
-    if not (1 <= k <= d and 1 <= l <= d):
+    twice = d + 2 - sum(x for _, x in _PK.parts(prof)) - k - l  # 2g
+    if k < 1 or l < 1 or twice < 0 or twice & 1:
         return Fraction(0)
-    moves = cs._moves.get(prof)
-    if moves is None:
-        stored, empty = cs._groups, {}
-        inpiece, pairs = _move_plan(prof)
-        moves = cs._moves[prof] = (
-            tuple((stored[d - 2].get(ref, empty).get, dkl, f) for ref, dkl, f in inpiece),
-            tuple((stored[w1 - 1].get(r1, empty).items(), stored[d - 2 - w1].get(r2, empty).get, f)
-                  for w1, r1, r2, f in pairs))
-    inpiece_moves, pair_moves = moves
-    bits, mask = _PK.bits, _PK.mask
-    kl, stop = l | k << bits, k << bits
-    num = sum(f * get(kl - dkl, 0) for get, dkl, f in inpiece_moves)
-    for entries, get2, f in pair_moves:
-        ab = 0
-        for kl1, a in entries:
-            if kl1 >= stop:
-                break
-            if (kl1 & mask) < l:
-                ab += a * get2(kl - kl1, 0)
-        num += f * ab
-    return Fraction(num, factorial(d - 1) * d)
+    if cs._steps is None:
+        sums = [sum(row) for row in cs._rows]
+        W = max(_step_total(sums, n) for n in range(2, cs.dmax + 1)).bit_length()
+        cs._steps = (W, sums, [], {})
+    W, sums, kron, steps = cs._steps
+    K = cs.dmax + 1
+    acc = steps.get(d)
+    if acc is None:
+        kron.extend(_kron_encode(cs._groups[n - 1], n, W, K) for n in range(len(kron) + 1, d))
+        acc = steps[d] = _next_marked(kron, sums, d, W, K)
+    slot = acc.get(prof, 0) >> W * (k + K * (twice >> 1)) & (1 << W) - 1
+    return Fraction(slot, _step_denominator(d) * d)

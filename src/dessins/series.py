@@ -366,9 +366,7 @@ class GradedSeries:
         """Inverse of render(); strict about the line format, which
         includes the canonical line order (see ``parse_lines``)."""
         out: dict[RawKey, Coefficient] = {}
-        for d, key, num, den in parse_lines(text):
-            if d > truncation:
-                raise TruncationError(f"term {key!r} exceeds truncation {truncation}")
+        for d, key, num, den in parse_lines(text, truncation):
             out[key] = Fraction(num, den)
         return cls(out, truncation, _raw=True)
 
@@ -382,14 +380,15 @@ def profile_text(m: Multiplicities) -> str:
     return ",".join(str(p) for p in parts_list(m)) or "-"
 
 
-def parse_lines(text: str) -> Iterator[tuple[int, RawKey, int, int]]:
+def parse_lines(text: str, truncation: int) -> Iterator[tuple[int, RawKey, int, int]]:
     """Inverse of ``GradedSeries.render`` over the non-blank lines of
     ``text``.
 
     Yields ``(d, key, num, den)`` with a canonical key of weight d, k, l
     >= 0, num != 0 and den > 0, the keys strictly increasing in canonical
     order (so none repeats); any other line raises ValueError naming its
-    number.  A part larger than its line's d is refused before the
+    number, a d above the truncation TruncationError.  The d field is
+    checked against the truncation, and a part against d, before the
     profile is sized by it.
     """
     profiles: dict[str, tuple[Multiplicities, int]] = {"-": ((), 0)}
@@ -402,6 +401,8 @@ def parse_lines(text: str) -> Iterator[tuple[int, RawKey, int, int]]:
             raise ValueError(f"line {lineno}: expected 5 fields, got {line!r}")
         try:
             d, k, l = int(fields[0]), int(fields[1]), int(fields[2])
+            if d > truncation:
+                raise TruncationError(f"weight {d} exceeds truncation {truncation}")
             prof = profiles.get(fields[3])
             if prof is None:
                 parts = [int(p) for p in fields[3].split(",")]
@@ -411,8 +412,8 @@ def parse_lines(text: str) -> Iterator[tuple[int, RawKey, int, int]]:
                 prof = profiles[fields[3]] = (m, partition_weight(m))
             num, _, den = fields[4].partition("/")
             num, den = int(num), int(den)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:  # TruncationError too, kept as such
+            raise type(exc)(f"line {lineno}: {exc}") from None
         if den <= 0 or num == 0 or k < 0 or l < 0 or prof[1] != d:
             raise ValueError(f"line {lineno}: not a term of weight {d} with "
                              f"k, l >= 0 and a nonzero <num>/<den>: {line!r}")

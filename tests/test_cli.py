@@ -227,6 +227,36 @@ def test_degrees_past_the_limit_are_usage_errors(tmp_path, capsys):
     assert err.startswith("error: corrupt cache") and "beyond DMAX_LIMIT = 31" in err
 
 
+def test_coeff_degree_is_checked_before_the_profile(tmp_path, capsys, monkeypatch):
+    # --d sizes the profile vector: past the limit it is refused first
+    def unread(text, weight):
+        raise AssertionError("parse_profile was called")
+
+    monkeypatch.setattr("dessins.cli.parse_profile", unread)
+    path = tmp_path / "f.cache"
+    code, out, err = run(capsys, "coeff", "--d", "3000000", "--k", "1", "--l", "1",
+                         "--profile", "3000000^1", "--cache", str(path))
+    assert (code, out, err) == (2, "", "error: degree 3000000 is beyond the limit 31\n")
+    assert run(capsys, "coeff", "--d", "0", "--k", "1", "--l", "1",
+               "--profile", "1^1")[0] == 2
+    assert not path.exists()
+
+
+def test_table_gmax_past_every_computable_genus_is_refused(tmp_path, capsys):
+    # degree 31 reaches genus 15 at most: a larger --gmax is refused before
+    # anything is computed; up to 15 it only adds zero columns
+    path = tmp_path / "f.cache"
+    code, out, err = run(capsys, "table", "--dmax", "2", "--gmax", "16",
+                         "--cache", str(path))
+    assert (code, out, err) == (2, "", "error: --gmax must be <= 15\n")
+    assert run(capsys, "table", "--dmax", "2", "--gmax", "1000000")[0] == 2
+    assert not path.exists()
+    code, out, _ = run(capsys, "table", "--dmax", "2", "--gmax", "15", "--marked")
+    assert code == 0
+    assert out == "d,g,G_marked\n" + "".join(
+        f"{d},{g},{(1, 3)[d - 1] if g == 0 else 0}\n" for d in (1, 2) for g in range(16))
+
+
 def test_table_out_file(tmp_path, capsys):
     out_path = tmp_path / "t.csv"
     code, out, _ = run(capsys, "table", "--dmax", "2", "--marked",

@@ -17,7 +17,6 @@ from dessins.evolution import (
     _decode_degree,
     _edge_moves,
     _kron_encode,
-    _move_plan,
     _next_marked,
     _slot_width,
     grow_cycle,
@@ -35,7 +34,6 @@ from dessins.series import (
     exp_series,
     genus_of,
     partition_weight,
-    partitions,
     physical_keys,
 )
 
@@ -265,10 +263,10 @@ def test_every_entry_stores_one_form():
     # computed, loaded from a cache, given as pieces, or cut back: a series
     # holds the same {profile: {kl: M}} groups in the one packing, and
     # every group iterates by increasing kl = l | k << bits, so by k and
-    # then l, the canonical order, on which the pair walk of recursion_rhs
-    # stops at the first k1 >= k
+    # then l, the canonical order
     computed = ConnectedSeries.compute(10)
     deeper = ConnectedSeries.compute(12)
+    recursion_rhs(deeper, 2, 1, (0, 1))  # builds deeper's step memo
     cut = deeper.extended_to(10)
     forms = [computed, parse_cache(render_cache(computed)),
              ConnectedSeries(computed.pieces), cut]
@@ -278,10 +276,10 @@ def test_every_entry_stores_one_form():
         assert _in_order(series) == _in_order(computed)
     assert all(list(group) == sorted(group)
                for groups in computed._groups for group in groups.values())
-    # a cut-back shares its parent's groups, not its moves
+    # a cut-back shares its parent's groups, not its step memo
     assert cut._groups == deeper._groups[:10]
     assert all(a is b for a, b in zip(cut._groups, deeper._groups))
-    assert cut._moves is not deeper._moves
+    assert deeper._steps is not None and cut._steps is None
 
 
 def test_constructor_files_any_order_and_checks_it(engine6):
@@ -509,25 +507,30 @@ def test_partition_function_is_exp_of_connected(engine6):
 # coefficient recursion as an identity check
 # ---------------------------------------------------------------------------
 
-def test_move_plans_read_profiles_of_the_right_weight():
-    # every move into a profile of weight d reads profiles of total weight
-    # d - 1, with a positive factor: no planned difference of unit vectors
-    # borrows from a field (a split into two equal parts j needs m_j >= 2)
-    def weight(code):
-        assert code > 0
-        return partition_weight(_PK.decode(code)[2])
+@pytest.fixture(scope="module")
+def corrupted8():
+    """compute(8) with +1 on the weighted count at one key each of degrees
+    5, 6 and 7, as the constructor accepts it."""
+    pieces = list(ConnectedSeries.compute(8).pieces)
+    for d, key in ((5, (1, 4, (0, 1, 1))), (6, (1, 5, (1, 0, 0, 0, 1))),
+                   (7, (2, 4, (0, 2, 1)))):
+        terms = dict(pieces[d - 1].terms)
+        assert key in terms
+        terms[key] += 1
+        pieces[d - 1] = GradedSeries(terms, 8)
+    return ConnectedSeries(pieces)
 
-    for d in range(2, 13):
-        for m in partitions(d):
-            inpiece, pairs = _move_plan(_PK.profile(m)[1])
-            for ref, dkl, f in inpiece:
-                assert weight(ref) == d - 1 and dkl in (0, 1, 1 << _PK.bits) and f > 0, m
-            for w1, r1, r2, f in pairs:
-                assert weight(r1) == w1 and weight(r2) == d - 1 - w1 and f > 0, m
-            # a pair move and its mirror are one entry
-            moves = {(w1, r1, r2) for w1, r1, r2, _ in pairs}
-            assert not any((d - 1 - w1, r2, r1) in moves
-                           for w1, r1, r2 in moves if (w1, r1) != (d - 1 - w1, r2)), m
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_recursion_matches_public_operator_assembly_on_corrupted_series(corrupted8, d):
+    # on counts the engine never produced, the recursion still gives the
+    # insertion formula of the public operators, exactly, on every key
+    assembled = dict(_assembled_piece(corrupted8.pieces[:d - 1], d).terms)
+    values = {key: recursion_rhs(corrupted8, *key) for key in physical_keys(d)}
+    assert values == {key: assembled.get(key, 0) for key in physical_keys(d)}
+    assert all(type(v) is F for v in values.values())
+    if d >= 6:  # the edits below d reach this degree
+        assert any(v != corrupted8.coefficient(*key) for key, v in values.items())
 
 
 def test_recursion_seed_and_example(engine6):

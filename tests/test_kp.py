@@ -201,7 +201,7 @@ def test_shared_index_does_not_depend_on_call_order(engine14):
     assert not last.passed and sum(v != engine14.coefficient(*k)
                                    for k, v in zip(keys, values)) > 0
     cut = shared.extended_to(8)
-    assert cut._moves is not shared._moves
+    assert cut._steps is not shared._steps
     assert kp_report(cut, 8) == kp_report(mutated().extended_to(8), 8)
     assert [recursion_rhs(cut, *k) for k in keys] == values
 

@@ -235,6 +235,12 @@ def test_parse_refuses_a_part_past_the_weight_before_sizing(monkeypatch):
     with pytest.raises(ValueError, match="^line 2: part 3000000 is larger than the weight 1$"):
         GradedSeries.parse("1 1 1 1 1/1\n1 1 1 3000000 1/1", 1)
     assert calls == [[1]]
+    # a weight past the truncation is refused before its profile is read,
+    # and the error names the weight, not the key
+    with pytest.raises(TruncationError,
+                       match="^line 2: weight 3000000 exceeds truncation 1$"):
+        GradedSeries.parse("1 1 1 1 1/1\n3000000 1 1 3000000 1/1", 1)
+    assert calls == [[1], [1]]  # line 1 of each text
 
 
 # ---------------------------------------------------------------------------
