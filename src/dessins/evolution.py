@@ -18,25 +18,21 @@ inserting one edge, which acts on a monomial through three moves:
                         previously disconnected components.
 
 All three raise the t-weight by exactly one, so the piece of weight d
-follows from weights < d and the seed alone.  Coefficient arithmetic is
-exact throughout; internally each piece is manipulated as its "marked"
-integer form (d times the weighted counts), which keeps the hot
-convolution loops in plain big-integer arithmetic.
+follows from weights < d and the seed alone.  Arithmetic is exact, on
+each piece's integer "marked" form (d times the weighted counts).
 
-``partition_function`` runs a kernel over packed keys, and the series
-is stored in the same packing, one layout for the whole package
-(``_PK``): l, k, m_1, m_2, ... sit in consecutive fields of
-``DMAX_LIMIT.bit_length()`` = 5 bits in one int, l lowest, so a move
-adds precomputed unit vectors (1: a black vertex, 1 << 5: a white one,
-``E[i]``: a part of size i), the pair product of two profiles is one
-integer addition, and within one profile the codes order keys by k and
-then l, as the canonical order does.  Grow and split/join depend only on
-a key's profile, so each packed profile gets one plan, built on first
-use: the (increment, weight) pairs of (u+v)*grow + split_or_join, and
-one loop adds each increment to the code of every key of that profile.
-The public operators are sums of ``GradedSeries`` derivatives,
-t-multiplications and products instead, so a piece assembled from them
-checks the engine by other arithmetic.
+The package has one key layout (``_PK``): l, k, m_1, m_2, ... sit in
+consecutive fields of ``DMAX_LIMIT.bit_length()`` = 5 bits in one int,
+l lowest, so a move adds precomputed unit vectors (1: a black vertex,
+1 << 5: a white one, ``E[i]``: a part of size i), the pair product of
+two profiles is one integer addition, and within one profile the codes
+order keys by k and then l, as the canonical order does.  The one-edge
+moves depend only on a key's profile: ``_profile_moves`` lists them as
+increments of the packed profile, and ``_linear_moves`` alone applies
+them, to one slot polynomial per profile (below), for the degree step
+and the partition function alike.  The public operators are sums of
+``GradedSeries`` derivatives, t-multiplications and products instead,
+so a piece assembled from them checks the engine by other arithmetic.
 
 Packed keys cannot carry or alias.  Packing is linear, so only the
 vector of each emitted key matters, not the order of the additions that
@@ -48,10 +44,9 @@ by the genus relation; a disconnected one sums its components), and no
 weight passes DMAX_LIMIT = 31 < 2^5: ``_filing``, ``extended_to`` and
 ``partition_function`` refuse a larger degree.  So one layout holds
 every entry of every series exactly, and distinct keys get distinct
-codes.  A planned increment is a difference of unit vectors: it removes
-E[r] only for a part r of its own profile (2 E[r] only when m_r >= 2)
-and is applied only to keys of that profile, so code + inc is the packed
-form of the same target vector the moves built unit by unit.
+codes.  A move's increment is a difference of unit vectors that removes
+E[r] only for a part r of its own profile (2 E[r] only when m_r >= 2),
+so profile + inc is the packed target profile.
 
 The degree recursion works on one polynomial per profile.  Within a
 profile of weight n, l = n + 2 - 2g - k - parts, so a key is its slot
@@ -59,7 +54,7 @@ profile of weight n, l = n + 2 - 2g - k - parts, so a key is its slot
 
     P = sum_{k, g} M(k, l, m) * 2^(W * (k + K * g)),    K = dmax + 1,
 
-each slot a ``W``-bit field.  Every move acts on P as a whole:
+each slot a ``W``-bit field.  ``_linear_moves`` moves P as a whole:
 
 * grow keeps g and adds a vertex of either color: (P << W) + P;
 * a split keeps k, l and g: P;
@@ -94,10 +89,19 @@ S_n = A003319(n + 1) and T_d = C_d * A003319(d + 1), so W is that bound
 rounded up to whole bytes: 64 bits for dmax = 14 (59 bits at d = 14).
 After the decode, each degree's counts must sum to A003319(d + 1).
 
+The partition function runs the same moves in the layout (k, l).  Its
+weight-n piece is A^n(1) / n!, A = (u+v)*grow + split_or_join + u*v*t1,
+held as {packed profile: P} with the coefficient of (k, l, m) in W-bit
+slot k + K*l: ``_linear_moves`` shifts by W, W*K and 0 (a split or a
+join of two cycles keeps k and l), and the seed adds P << W*(K+1) at
+profile + E[1].  No slot carries or wraps: every coefficient is
+non-negative, A^n(1) at u = v = t = 1 sums to (n!)^2 (the moves of a
+profile of weight n - 1 weigh (n - 1)(n + 1) = n^2 - 1, the seed 1), so
+every slot is at most (dmax!)^2 < 2^W, W that bit length rounded up to
+whole bytes, and k, l <= dmax < K.
+
 The coefficient recursion (``recursion_rhs``), a check and never a
-solver, is this step read at one key: ``_next_marked`` on a series'
-stored degrees below the key's, without the decode's checks, so only
-``_profile_moves`` knows the one-edge moves.
+solver, is the degree step read at one key, without the decode's checks.
 """
 
 from __future__ import annotations
@@ -122,8 +126,7 @@ DMAX_LIMIT = 31  # the largest degree computed, loaded or packed (5-bit fields)
 
 
 # ---------------------------------------------------------------------------
-# packed-key kernel on {packed key: coefficient} dicts (int or Fraction
-# coefficients; only integer factors are applied, so ints stay ints)
+# the one key layout and the one-edge moves
 # ---------------------------------------------------------------------------
 
 class _Packing:
@@ -209,32 +212,19 @@ def _profile_moves(E: list[int], parts: tuple[tuple[int, int], ...]):
             yield cut - E[j2] + E[r + j2 + 1], 2 * j2 * x2 * f, 2
 
 
-def _edge_moves(src: Mapping, out: dict) -> None:
-    """Add ((u+v) * grow + split_or_join)(src) to out, where grow is
-    sum_r r t_{r+1} d/dt_r: one pass over src, adding each increment of
-    the plan of a key's profile, built on first use, to its code."""
-    shift, plans = 2 * _PK.bits, {}
-    added = ((1, 1 << _PK.bits), (0,), (0,))  # by kind: grow adds a vertex of either color
-    for code, c in src.items():
-        plan = plans.get(code >> shift)
-        if plan is None:
-            plan = plans[code >> shift] = [(inc + v, w) for inc, w, kind in
-                                           _profile_moves(_PK.E, _PK.parts(code))
-                                           for v in added[kind]]
-        _convolve(((code, c),), plan, out)
-
-
-def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
-    """Add factor * (ta)(tb), every key shifted by inc, to out: the product
-    of two packed [(key, coeff), ...] lists is one key addition per pair.
-    Zero sums stay in out."""
-    get = out.get
-    for c1, v1 in ta:
-        kc = c1 + inc
-        fv = factor * v1
-        for c2, v2 in tb:
-            key = kc + c2
-            out[key] = get(key, 0) + fv * v2
+def _linear_moves(src: Mapping[int, int], acc: dict[int, int], f: int, white: int,
+                  black: int, join: int) -> None:
+    """Add f times ((u+v) * grow + split_or_join)(src) to acc, both
+    {packed profile: P} in a caller's slot layout: for every
+    (inc, w, kind) of ``_profile_moves``, f * w times the moved P at
+    profile + inc.  A grow is (P << white) + (P << black), a vertex of
+    either color, a split is P and a join of two cycles is P << join."""
+    E, get = _PK.E, acc.get
+    for prof, P in src.items():
+        moved = ((P << white) + (P << black), P, P << join)
+        for inc, w, kind in _profile_moves(E, _PK.parts(prof)):
+            t = prof + inc
+            acc[t] = get(t, 0) + f * w * moved[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +352,7 @@ def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
     as it checks it (``_profile_entry`` once per profile, and
     ``_refuse_count`` names what a count that does not pass fails).  Then
     the filing's closing checks, and no key may repeat (its counts would
-    all be in the genus row, one in its group; ValueError).  A group out of
-    kl order is sorted."""
+    all be in the genus row, one in its group; ValueError)."""
     groups, rows = _filing(dmax)
     bits, found = _PK.bits, {}
     for d, key, num, den in terms:
@@ -382,8 +371,6 @@ def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
     for i, profiles in enumerate(groups):
         if sum(rows[i]) != sum(sum(group.values()) for group in profiles.values()):
             raise ValueError(f"piece {i + 1} repeats a key")
-        groups[i] = {prof: group if list(group) == sorted(group) else dict(sorted(group.items()))
-                     for prof, group in profiles.items()}
     return groups, rows
 
 
@@ -460,15 +447,10 @@ def _next_marked(kron: list[dict[int, int]], sums: list[int], d: int, W: int,
     if total >> W:
         raise ArithmeticError(
             f"computed degree {d}: step total {total} does not fit {W}-bit slots")
-    E, WK = _PK.E, W * K
+    E = _PK.E
     acc: dict[int, int] = {}
     get = acc.get
-    f = C // (d - 1)
-    for prof, P in kron[d - 2].items():
-        moved = ((P << W) + P, P, P << WK)  # grow, split, join (see _profile_moves)
-        for inc, w, kind in _profile_moves(E, _PK.parts(prof)):
-            t = prof + inc
-            acc[t] = get(t, 0) + f * w * moved[kind]
+    _linear_moves(kron[d - 2], acc, C // (d - 1), W, 0, W * K)
     cuts = {}  # per profile: (profile - E[j], j * m_j, j) for each part j
     for n in range(1, d - 1):
         cuts[n] = [(P, [(prof - E[j], j * x, j) for j, x in _PK.parts(prof)])
@@ -509,9 +491,8 @@ def _decode_degree(acc: Mapping[int, int], d: int, W: int,
     """The groups, genus row and slot form {profile: P // C} of the
     degree-d step's output ``acc``, in one pass over the physical slots of
     its profiles (``_physical_slots``, built once per top = d + 2 - parts):
-    slot k + K*g holds C times the count of (k, top - 2g - k, m), read by
-    k and falling g, so each group is written in kl order.  A count that
-    is not integral, a profile of another weight, a nonzero slot with
+    slot k + K*g holds C times the count of (k, top - 2g - k, m).  A count
+    that is not integral, a profile of another weight, a nonzero slot with
     k < 1 or l < 1, and counts that do not sum to A003319(d + 1) are
     engine invariant failures and raise ArithmeticError.
 
@@ -579,14 +560,12 @@ class ConnectedSeries:
     One form is stored: per degree, the marked counts d * N by packed
     profile, {profile: {kl: d * N}} with kl = l | k << bits in the
     package's one packing ``_PK`` (a key's code is profile + kl), beside
-    its genus row.  Each group iterates by increasing kl, by k and then l,
-    the canonical order.
-    Every k, l and m_i is at most dmax <= DMAX_LIMIT < 2^bits, so no field
-    carries.  A degree is checked and collapsed by genus once, where it
-    enters: computed, by ``_decode_degree``; outside input, as it is
-    filed (``_filing``, ``_profile_entry`` and ``_refuse_count``): the
-    constructor's pieces by ``_checked_groups``, a cache's lines by
-    ``cache.parse_cache``.
+    its genus row.  Every k, l and m_i is at most dmax <= DMAX_LIMIT <
+    2^bits, so no field carries.  A degree is checked and collapsed by
+    genus once, where it enters: computed, by ``_decode_degree``; outside
+    input, as it is filed (``_filing``, ``_profile_entry`` and
+    ``_refuse_count``): the constructor's pieces by ``_checked_groups``,
+    a cache's lines by ``cache.parse_cache``.
     ``extended_to`` packs the stored groups into slots as they are, and a
     cut-back shares its parent's groups.  KP reads the groups as stored;
     ``recursion_rhs`` keeps their slot form and its step outputs in
@@ -707,23 +686,30 @@ def partition_function(dmax: int) -> GradedSeries:
     split_or_join, and multiplication by the seed monomial u*v*t1.
     Term-by-term this equals exp() of the connected series.  A dmax past
     DMAX_LIMIT raises ValueError.
+
+    A^n(1) is kept in the (k, l) slots of the module docstring, which
+    bound each by (dmax!)^2; each degree's slots are read once.
     """
     if dmax < 0:
         raise ValueError("dmax must be >= 0")
     if dmax > DMAX_LIMIT:
         raise ValueError(f"degree {dmax} is beyond DMAX_LIMIT = {DMAX_LIMIT}")
+    K, wb = dmax + 1, -(-(factorial(dmax) ** 2).bit_length() // 8)
+    W, E1, from_bytes = 8 * wb, _PK.E[1], int.from_bytes
     z: dict[RawKey, Fraction] = {(0, 0, ()): Fraction(1)}
-    seed = _PK.encode(SEED_KEY)
-    x: dict = {0: 1}
-    fact = 1
+    x, fact = {0: 1}, 1  # A^0(1) = 1 in slot (0, 0) of the empty profile
     for n in range(1, dmax + 1):
-        nxt: dict = {}
-        _edge_moves(x, nxt)
-        _convolve(x.items(), ((seed, 1),), nxt)  # times the seed monomial
-        x = {code: c for code, c in nxt.items() if c}
-        fact *= n
-        for code, c in x.items():
-            z[_PK.decode(code)] = Fraction(c, fact)
+        nxt: dict[int, int] = {}
+        _linear_moves(x, nxt, 1, W, W * K, 0)
+        for prof, P in x.items():  # times the seed monomial u*v*t1
+            nxt[prof + E1] = nxt.get(prof + E1, 0) + (P << W * (K + 1))
+        x, fact = nxt, fact * n
+        for prof, P in x.items():
+            m, raw = _PK.decode(prof)[2], P.to_bytes(wb * K * (n + 1), "little")
+            for s in range(K * (n + 1)):  # l <= n
+                c = from_bytes(raw[s * wb:(s + 1) * wb], "little")
+                if c:
+                    z[s % K, s // K, m] = Fraction(c, fact)
     out = GradedSeries(z, dmax, _raw=True)
     out.validate_disconnected()
     return out

@@ -15,8 +15,8 @@ equation moved to one side.  Further hierarchy equations can be added to
 KP_EQUATIONS without touching the evaluator.
 
 The evaluator reads the series' stored profile groups (in the package's
-one packing ``_PK``, see ``ConnectedSeries``) and runs the pair convolution of
-``evolution`` with plain integer coefficients.  With
+one packing ``_PK``, see ``ConnectedSeries``) and runs one pair
+convolution, ``_convolve``, with plain integer coefficients.  With
 F_d = M_d / d (M_d the integer marked piece), the s^n value of a product
 of r derivative factors is the sum over n_1 + ... + n_r = n of prod_j
 U_j(n_j) / n_j, U_j the factor's derivative of M.  Each prod n_j divides
@@ -57,7 +57,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm
 from typing import Sequence
 
-from .evolution import _PK, ConnectedSeries, _convolve
+from .evolution import _PK, ConnectedSeries
 from .series import GradedSeries, TruncationError
 
 MultiIndex = tuple[int, ...]
@@ -132,6 +132,19 @@ def equation_by_id(eq_id: int) -> KpEquation:
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
+    """Add factor * (ta)(tb), every key shifted by inc, to out: the product
+    of two packed [(key, coeff), ...] lists is one key addition per pair.
+    Zero sums stay in out."""
+    get = out.get
+    for c1, v1 in ta:
+        kc = c1 + inc
+        fv = factor * v1
+        for c2, v2 in tb:
+            key = kc + c2
+            out[key] = get(key, 0) + fv * v2
+
 
 class KpEvaluator:
     """Derivative and product tables for residuals up to one s-bound, read

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 from types import SimpleNamespace
 
 import pytest
@@ -15,8 +16,8 @@ from dessins.evolution import (
     ConnectedSeries,
     _checked_groups,
     _decode_degree,
-    _edge_moves,
     _kron_encode,
+    _linear_moves,
     _next_marked,
     _slot_width,
     grow_cycle,
@@ -103,11 +104,33 @@ def test_operators_raise_weight_by_one():
 # the packed kernel against the operators
 # ---------------------------------------------------------------------------
 
-# every k, l and weight below is < 32, so it fits the packing _PK
-def _moved(move, terms, *args):
-    out = {}
-    move({_PK.encode(key): c for key, c in terms.items()}, out, *args)
-    return {_PK.decode(code): c for code, c in out.items()}
+def _slots(P, W):
+    """(index, value) of every nonzero W-bit slot of P."""
+    mask = (1 << W) - 1
+    return [(s, P >> W * s & mask) for s in range(P.bit_length() // W + 1)
+            if P >> W * s & mask]
+
+
+def _kl_moved(terms):
+    """The moves of ``_linear_moves`` on terms, in the (k, l) layout of the
+    partition function: slot k + K*l of the profile's P holds the count at
+    (k, l, m).  Every k and l below is at most 6 before a move, so K = 16
+    holds them, and every moved count fits W = 32 bits.  A slot holds a
+    count >= 0, so the positive and the negative parts move apart."""
+    W, K, out = 32, 16, {}
+    for sign in (1, -1):
+        src = {}
+        for (k, l, m), c in terms.items():
+            if sign * c > 0:
+                prof = _PK.profile(m)[1]
+                src[prof] = src.get(prof, 0) + (int(sign * c) << W * (k + K * l))
+        acc = {}
+        _linear_moves(src, acc, 1, W, W * K, 0)
+        for prof, P in acc.items():
+            for s, v in _slots(P, W):
+                key = (s % K, s // K, _PK.decode(prof)[2])
+                out[key] = out.get(key, 0) + sign * v
+    return {key: c for key, c in out.items() if c}
 
 
 def _one_edge(series):
@@ -121,7 +144,7 @@ def _one_edge(series):
     GradedSeries.monomial(0, 0, (0, 1), 1, 4),
     GradedSeries.monomial(0, 0, (1, 1), 1, 8)])
 def test_kernel_full_modes_match_operators(series):
-    assert _moved(_edge_moves, series.terms) == dict(_one_edge(series).terms)
+    assert _kl_moved(series.terms) == dict(_one_edge(series).terms)
 
 
 _PROFILES = st.lists(st.integers(0, 3), max_size=4).map(canonical_multiplicities) \
@@ -133,8 +156,24 @@ _PROFILES = st.lists(st.integers(0, 3), max_size=4).map(canonical_multiplicities
                        st.integers(-5, 5), max_size=6))
 def test_kernel_full_mode_matches_operators_on_random_series(terms):
     series = GradedSeries(terms, 16)
-    moved = {key: c for key, c in _moved(_edge_moves, series.terms).items() if c}
-    assert moved == dict(_one_edge(series).terms)
+    assert _kl_moved(series.terms) == dict(_one_edge(series).terms)
+
+
+def test_linear_moves_in_the_engine_layout_match_operators():
+    # the degree step's layout: slot k + K*g of a moved profile of weight
+    # d + 1 holds the count at (k, top - 2g - k, m), top = d + 3 - parts
+    series = ConnectedSeries.compute(9)
+    W, K = _slot_width(9), 10
+    for d in range(1, 9):
+        acc = {}
+        _linear_moves(_kron_encode(series._groups[d - 1], d, W, K), acc, 1, W, 0, W * K)
+        moved = {}
+        for prof, P in acc.items():
+            m = _PK.decode(prof)[2]
+            for s, v in _slots(P, W):
+                k, g = s % K, s // K
+                moved[k, d + 3 - sum(m) - 2 * g - k, m] = v
+        assert moved == dict(_one_edge(series.piece(d)).scaled(d).terms), d
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +291,9 @@ def test_partition_function_refuses_degrees_past_the_limit():
         partition_function(DMAX_LIMIT + 1)
 
 
-def _in_order(series) -> list:
-    """Every group of the series as its list of (kl, count) items, by degree
-    and profile."""
-    return [(d, prof, list(group.items())) for d, groups in enumerate(series._groups, 1)
-            for prof, group in sorted(groups.items())]
-
-
 def test_every_entry_stores_one_form():
     # computed, loaded from a cache, given as pieces, or cut back: a series
-    # holds the same {profile: {kl: M}} groups in the one packing, and
-    # every group iterates by increasing kl = l | k << bits, so by k and
-    # then l, the canonical order
+    # holds the same {profile: {kl: M}} groups in the one packing
     computed = ConnectedSeries.compute(10)
     deeper = ConnectedSeries.compute(12)
     recursion_rhs(deeper, 2, 1, (0, 1))  # builds deeper's step memo
@@ -273,9 +303,6 @@ def test_every_entry_stores_one_form():
     for series in forms:
         assert series._groups == computed._groups
         assert series._rows == computed._rows
-        assert _in_order(series) == _in_order(computed)
-    assert all(list(group) == sorted(group)
-               for groups in computed._groups for group in groups.values())
     # a cut-back shares its parent's groups, not its step memo
     assert cut._groups == deeper._groups[:10]
     assert all(a is b for a, b in zip(cut._groups, deeper._groups))
@@ -299,7 +326,7 @@ def test_constructor_files_any_order_and_checks_it(engine6):
         with pytest.raises(error, match=message):
             ConnectedSeries(pieces(changes, top))
 
-    assert _in_order(ConnectedSeries(pieces())) == _in_order(engine6)
+    assert ConnectedSeries(pieces())._groups == engine6._groups
     # (3, 0) is the profile (3,) with a trailing zero: the key again
     refused(ValueError, "^piece 3 repeats a key$", [(3, (1, 1, (3, 0)), F(1, 3))])
     refused(ValueError, "^piece 6 is not homogeneous of weight 6$",
@@ -501,6 +528,15 @@ def test_partition_function_small():
 
 def test_partition_function_is_exp_of_connected(engine6):
     assert partition_function(6) == exp_series(engine6.combined())
+
+
+def test_partition_function_pieces_sum_to_n_factorial():
+    # the weight-n piece counts the pairs of permutations of n symbols over
+    # n!, so its coefficients sum to n!: the premise of the slot bound
+    sums = [0] * 13
+    for (_, _, m), c in partition_function(12).terms.items():
+        sums[partition_weight(m)] += c
+    assert sums == [factorial(n) for n in range(13)]
 
 
 # ---------------------------------------------------------------------------
