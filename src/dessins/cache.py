@@ -1,33 +1,47 @@
 """Resumable on-disk cache of computed series pieces.
 
-Text format: a header line ``DESSIN-F v1 dmax=<D>`` followed by the
-canonical rendering of all pieces (one term per line, sorted by the
-canonical key order, so lower degrees come first), the bytes
-``GradedSeries.render`` gives each piece, rendered straight from the
-series' profile groups (``render_cache``).  The body is
-append-only by degree: the body of a deeper cache is a byte-prefix
-extension of any shallower one, and re-running with a covering cache
-reloads the pieces instead of recomputing them.  A cache is written to a
-temporary file beside it and renamed into place, so a crash or a second
-writer never leaves half a cache; a failed write removes that file and
-is reported at the cache's own path.
+Text format (v2, the one ``render_cache`` writes): a header line
+``DESSIN-F v2 dmax=<D>``, then for each degree d = 1 .. D and each
+partition m of d in canonical profile order (by multiplicities) one line
+``d <profile> c_1 ... c_s``: the integer marked counts d * N of m's
+physical slots, the keys (k, l, m) with k, l >= 1 and l = top - 2g - k
+(top = d + 2 - parts), in the (k, l) order of
+``evolution._physical_slots``; a key with no count is written ``0``.
+Every partition of d >= 1 is realised (sigma a d-cycle), so every
+partition has its line.  The body is append-only by degree: the body of
+a deeper cache is a byte-prefix extension of any shallower one, and
+re-running with a covering cache reloads the pieces instead of
+recomputing them.  A cache is written to a temporary file beside it and
+renamed into place, so a crash or a second writer never leaves half a
+cache; a failed write removes that file and is reported at the cache's
+own path.
 
 Loading (``parse_cache``) reads exactly the bytes ``render_cache``
-writes, in one pass over the lines: single spaces, a newline after every
-line and no blank one, numerals with no sign, leading zero or '_', each
-num/den in lowest terms and the keys strictly increasing in canonical
-order, so a line cut short, reordered or repeated is refused.  Each line
-is filed straight into its profile group and genus row (the profile
-read, and its group set up, once per profile token) as its count is
-checked as the ``ConnectedSeries`` constructor checks it: the degree
-range, an integral marked count, its sign, and the weight and genus
-relation of its key.  Then degree 1 must be the seed and no degree
-empty, and each degree's row sum and genus-0 and genus-1 column sums
-are checked against A003319 and the closed forms.  So an edit that
-leaves a negative count or changes a row or genus-0/1 column sum is
-refused too, naming its line or lines.  Only a positive move between two
-keys of the same degree and genus still loads; ``oracle`` and
-``recursion`` catch it.
+writes, in one pass over the lines.  The next line's degree and profile
+are known in advance, so a missing, extra, repeated or reordered line is
+refused by comparing its head; then its field count must equal its slot
+count (before any numeral is converted), its counts must be canonical
+numerals (they are converted with ``int`` and rejoined with ``str``) and
+none may be negative, and its nonzero counts are filed into their
+profile group and genus row.  An unphysical key or a non-integral count
+cannot be written at all.
+
+The v1 format (header ``DESSIN-F v1 dmax=<D>``, one line ``d k l
+<profile> <num>/<den>`` per term in canonical key order, the bytes
+``GradedSeries.render`` gives each piece) is still read, as strictly as
+before: single spaces, a newline after every line and no blank one,
+numerals with no sign, leading zero or '_', each num/den in lowest terms
+and the keys strictly increasing in canonical order, each count checked
+as the ``ConnectedSeries`` constructor checks it.  A v1 cache that
+``load_or_compute`` extends is rewritten as v2.
+
+Both readers end with the same checks (``_check_degrees``): degree 1
+must be the seed and no degree empty, and each degree's row sum and
+genus-0 and genus-1 column sums are checked against A003319 and the
+closed forms, naming the lines of the degree.  So an edit that leaves a
+negative count or changes a row or genus-0/1 column sum is refused too.
+Only a positive move between two keys of the same degree and genus
+still loads; ``oracle`` and ``recursion`` catch it.
 """
 
 from __future__ import annotations
@@ -35,7 +49,10 @@ from __future__ import annotations
 import errno
 import os
 from contextlib import suppress
+from functools import lru_cache
+from itertools import repeat
 from math import gcd
+from operator import mul
 from pathlib import Path
 from stat import S_ISDIR
 
@@ -46,40 +63,129 @@ from .evolution import (
     ConnectedSeries,
     _check_filed,
     _filing,
+    _physical_slots,
     _profile_entry,
     _refuse_count,
     indecomposable_count,
 )
-from .series import Multiplicities, from_parts, partition_weight, profile_text
+from .series import Multiplicities, from_parts, partition_weight, partitions, profile_text
 
-HEADER_TAG = "DESSIN-F v1"
+HEADER_TAG = "DESSIN-F v2"
+V1_TAG = "DESSIN-F v1"
+
+
+@lru_cache(maxsize=None)
+def _slots(top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(kls, genera): the kl and genus of each physical slot of a profile
+    with k + l + 2g = top, in the order of ``evolution._physical_slots``."""
+    slots = _physical_slots(top, 8, 1)[0]  # only kl and g are read
+    return tuple(kl for _, kl, _ in slots), tuple(g for *_, g in slots)
+
+
+@lru_cache(maxsize=None)
+def _profile_lines(d: int) -> tuple[tuple[int, str, tuple[int, ...], tuple[int, ...]], ...]:
+    """The v2 lines of degree d, one per partition m of d in canonical
+    profile order (by multiplicities), as (packed profile, the line's
+    head ``"d <profile> "``, kls, genera), the last two ``_slots``'s.
+    The packed profile is the sum of m_i * E[i], as ``_PK.profile`` packs
+    it.  Memoised, like ``_slots``: every d (and top) is at most
+    DMAX_LIMIT + 1, so each memo holds at most 32 entries."""
+    units = _PK.E[1:]
+    return tuple((sum(map(mul, m, units)), f"{d} {profile_text(m)} ", *_slots(d + 2 - sum(m)))
+                 for m in sorted(partitions(d)))
 
 
 def render_cache(series: ConnectedSeries) -> str:
-    """The cache text of a series, written from its profile groups: per
-    degree, the profiles ranked once by their multiplicities, one
-    ``" <profile> "`` string each, filed by rank into buckets by kl, and
-    the buckets walked in increasing kl, so the lines come in canonical
-    order (by k, l and m) without a sort of the keys."""
-    bits, mask = _PK.bits, _PK.mask
+    """The v2 cache text of a series, written from its profile groups:
+    per degree, one line per partition in canonical profile order, the
+    marked count of each of its physical slots, 0 where none is stored."""
     lines = [f"{HEADER_TAG} dmax={series.dmax}"]
     for d, profiles in enumerate(series._groups, 1):
-        buckets: dict[int, list] = {}
-        for m, group in sorted((_PK.decode(prof)[2], group) for prof, group in profiles.items()):
-            text = f" {profile_text(m)} "
-            for kl, v in group.items():
-                g = gcd(v, d)
-                tail = f"{text}{v // g}/{d // g}"
-                bucket = buckets.get(kl)
-                if bucket is None:
-                    buckets[kl] = [tail]
-                else:
-                    bucket.append(tail)
-        for kl in sorted(buckets):
-            head = f"{d} {kl >> bits} {kl & mask}"
-            lines.append(head + ("\n" + head).join(buckets[kl]))  # its lines, by rank
+        for prof, head, kls, _ in _profile_lines(d):
+            group = profiles.get(prof, {})
+            lines.append(head + " ".join(map(str, map(group.get, kls, repeat(0)))))
     lines.append("")
     return "\n".join(lines)
+
+
+def _is_count(s: str) -> bool:
+    """Is s the canonical decimal of a positive int (no sign, no leading
+    zero, no '_')?  For an ASCII s."""
+    return s.isdigit() and s[0] != "0"
+
+
+def _shown(line: str) -> str:
+    """A v2 line as an error message shows it: its repr, cut after 80
+    characters (a hostile line may be long)."""
+    return repr(line) if len(line) <= 80 else f"{line[:80]!r}..."
+
+
+def _v2_line_error(lineno: int, line: str, head: str, size: int) -> ValueError:
+    """The error of v2 body line ``lineno``, which failed the reader's
+    check as the line ``head`` of ``size`` counts."""
+    fields = line.split(" ")
+    if not line.startswith(head):
+        d, token = head.split()
+        why = f"expected the line of degree {d}, profile {token}"
+    elif len(fields) != size + 2:
+        why = f"expected {size} counts, got {len(fields) - 2}"
+    else:
+        why = "not a cache line"
+        for s in fields[2:]:
+            if s[:1] == "-" and _is_count(s[1:]):
+                why = f"negative count {s}"
+            elif s != "0" and not _is_count(s):
+                why = f"count {s[:20]!r} is not a canonical numeral"
+            else:
+                try:
+                    int(s)
+                    continue
+                except ValueError as exc:
+                    why = f"count {s[:20]}...: {exc}"
+            break
+    return ValueError(f"line {lineno}: {why}: {_shown(line)}")
+
+
+def _read_v2(lines: list[str], dmax: int, groups: list, rows: list) -> list[int]:
+    """File the v2 body ``lines`` into the filing's groups and genus rows
+    (nonzero counts only, so a profile with none stays out of its degree's
+    groups); return the number of lines of each degree."""
+    n = 0  # body lines read
+    sizes = []
+    for d in range(1, dmax + 1):
+        profiles, row = groups[d - 1], rows[d - 1]
+        order = _profile_lines(d)
+        for prof, head, kls, genera in order:
+            if n == len(lines):
+                raise ValueError(f"line {n + 2}: expected the line of degree {d}, "
+                                 f"profile {head.split()[1]}, found the end of the file")
+            line = lines[n]
+            n += 1
+            # the field count before any numeral is converted, then the
+            # counts canonical (rejoined as written) and not negative
+            fields = line.split(" ")
+            if len(fields) != len(kls) + 2 or not line.startswith(head):
+                raise _v2_line_error(n + 1, line, head, len(kls))
+            try:
+                counts = list(map(int, fields[2:]))
+            except ValueError:
+                raise _v2_line_error(n + 1, line, head, len(kls)) from None
+            if head + " ".join(map(str, counts)) != line or min(counts) < 0:
+                raise _v2_line_error(n + 1, line, head, len(kls))
+            group = {}
+            for kl, g, v in zip(kls, genera, counts):
+                if v:
+                    group[kl] = v
+                    row[g] += v
+            if group:
+                profiles[prof] = group
+        sizes.append(len(order))
+    if rows[0] != [1]:  # named here: _check_degrees names no line for it
+        raise ValueError(f"line 2: degree-1 piece must be exactly u*v*t1: {_shown(lines[0])}")
+    if n < len(lines):
+        raise ValueError(f"line {n + 2}: a line after the last profile of degree "
+                         f"{dmax}: {_shown(lines[n])}")
+    return sizes
 
 
 #: the numerals d, k, l, den and a profile's parts are read with, each
@@ -88,12 +194,6 @@ _NUMERALS = {str(i): i for i in range(DMAX_LIMIT + 1)}
 #: per weight d, d // den for each numeral den that divides d
 _QUOTIENTS = [{str(den): d // den for den in range(1, d + 1) if d % den == 0}
               for d in range(DMAX_LIMIT + 1)]
-
-
-def _is_count(s: str) -> bool:
-    """Is s the canonical decimal of a positive int (no sign, no leading
-    zero, no '_')?  For an ASCII s."""
-    return s.isdigit() and s[0] != "0"
 
 
 def _profile(token: str) -> Multiplicities | None:
@@ -132,34 +232,11 @@ def _line_error(lineno: int, line: str, dmax: int, prev: tuple) -> Exception:
     return ValueError(f"line {lineno}: not a cache line: {line!r}")
 
 
-def parse_cache(text: str) -> ConnectedSeries:
-    """The series a cache text holds, read in one pass to marked counts.
-
-    Only the bytes ``render_cache`` writes are read: an ASCII text, its
-    header, then body lines of single-spaced fields, each line ended by a
-    newline (no blank line), numerals with no sign, leading zero or '_',
-    each num/den in lowest terms and the keys strictly increasing in
-    canonical order (so none repeats).  Each line's marked count is
-    checked as the constructor checks it (``evolution._refuse_count``)
-    and filed into its profile group and genus row; then degree 1 must
-    be the seed, no degree empty, and each degree's marked counts must
-    sum to A003319(d+1) and its genus-0 and genus-1 counts to the closed
-    forms.  A failure raises ValueError naming its line or lines, a
-    marked count that is not an integer ArithmeticError.
-    """
-    head, _, body = text.partition("\n")
-    tag, _, dm = head.rpartition(" dmax=")
-    if tag != HEADER_TAG or not _is_count(dm):
-        raise ValueError(f"not a series cache (header {head!r})")
-    if not text.isascii():
-        raise ValueError("not a series cache (not ASCII)")
-    dmax = int(dm)
-    groups, rows = _filing(dmax)
-    if not text.endswith("\n"):
-        cut = text.count("\n") + 1
-        raise ValueError(f"line {cut} is cut short (no final newline)")
-    lines = body.split("\n")
-    lines.pop()  # the empty string after the final newline
+def _read_v1(lines: list[str], dmax: int, groups: list, rows: list) -> list[int]:
+    """File the v1 body ``lines`` into the filing's groups and genus rows,
+    each count checked as the constructor checks it
+    (``evolution._refuse_count``); return the number of lines of each
+    degree."""
     bits = _PK.bits
     profiles: dict = {}  # per token: m, weight, weight + 2 - parts, group, row, quotients
     heads: dict = {}  # per "d k l" with 1 <= d <= dmax and k, l >= 1: order, d, kl, k + l
@@ -196,10 +273,19 @@ def parse_cache(text: str) -> ConnectedSeries:
         prev, prev_m = order, m
         group[kl] = v
         row[twice >> 1] += v
+    return [sum(map(len, degree.values())) for degree in groups]
+
+
+def _check_degrees(groups: list, rows: list, sizes: list[int]) -> None:
+    """The closing checks of both readers: those of the filing (degree 1
+    is the seed, no degree is empty), then each degree's marked counts
+    must sum to A003319(d+1) and its genus-0 and genus-1 counts equal the
+    closed forms; sizes[d-1] is the number of body lines of degree d, so
+    a failure names its degree's lines."""
     _check_filed(groups, rows)
-    last = 2  # the line of the last key of the degree before: the seed's
-    for d in range(2, dmax + 1):
-        first, last = last + 1, last + sum(map(len, groups[d - 1].values()))
+    last = 1 + sizes[0]  # the last line of degree 1
+    for d in range(2, len(rows) + 1):
+        first, last = last + 1, last + sizes[d - 1]
         row = rows[d - 1]
         if sum(row) != indecomposable_count(d + 1):
             raise ValueError(f"lines {first}-{last}: degree-{d} marked counts do not "
@@ -207,6 +293,44 @@ def parse_cache(text: str) -> ConnectedSeries:
         if [*row, 0][:2] != [marked_count_genus0(d), marked_count_genus1(d)]:
             raise ValueError(f"lines {first}-{last}: degree-{d} genus-0/1 marked "
                              f"counts differ from the closed forms")
+
+
+def parse_cache(text: str) -> ConnectedSeries:
+    """The series a cache text holds, read in one pass to marked counts.
+
+    Only the bytes a writer of its version writes are read: an ASCII
+    text, its header (``DESSIN-F v2`` or ``v1`` and a dmax of at most
+    DMAX_LIMIT, checked before any per-degree work), then body lines
+    each ended by a newline.  A v2 body must hold the line of every
+    partition of every degree in order, each with its slot count of
+    canonical numerals, none negative, and degree 1 the seed's
+    (``render_cache``); a v1 body one line per term, in lowest terms and
+    strictly increasing canonical key order, each count checked as the
+    constructor checks it (``evolution._refuse_count``).  Then degree 1
+    must be the seed, no degree empty, and each degree's marked counts
+    must sum to A003319(d+1) and its genus-0 and genus-1 counts to the
+    closed forms (``_check_degrees``).  A failure raises ValueError
+    naming its line or lines; a v1 marked count that is not an integer
+    ArithmeticError.
+    """
+    head, _, body = text.partition("\n")
+    tag, _, dm = head.rpartition(" dmax=")
+    if tag not in (HEADER_TAG, V1_TAG) or not _is_count(dm):
+        raise ValueError(f"not a series cache (header {head!r})")
+    if not text.isascii():
+        if tag == V1_TAG:
+            raise ValueError("not a series cache (not ASCII)")
+        at = next(i for i, c in enumerate(text) if not c.isascii())
+        raise ValueError(f"line {text.count(chr(10), 0, at) + 1}: not ASCII")
+    dmax = int(dm)
+    groups, rows = _filing(dmax)
+    if not text.endswith("\n"):
+        cut = text.count("\n") + 1
+        raise ValueError(f"line {cut} is cut short (no final newline)")
+    lines = body.split("\n")
+    lines.pop()  # the empty string after the final newline
+    read = _read_v2 if tag == HEADER_TAG else _read_v1
+    _check_degrees(groups, rows, read(lines, dmax, groups, rows))
     return ConnectedSeries._stored(groups, rows)
 
 
@@ -239,7 +363,8 @@ def load_or_compute(dmax: int, cache_path: str | Path | None = None) -> Connecte
 
     A cache that already covers dmax is left untouched (and may be
     deeper than requested); otherwise the cached degrees seed the
-    computation and the extended series is written back.  A new cache
+    computation and the extended series is written back, as v2 whatever
+    the version read.  A new cache
     whose directory is missing or not a directory is refused before any
     computing, with the OSError its write would end in.  An empty path
     is no cache.

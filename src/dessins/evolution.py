@@ -474,9 +474,10 @@ def _next_marked(kron: list[dict[int, int]], sums: list[int], d: int, W: int,
 def _physical_slots(top: int, W: int, K: int) -> tuple[list[tuple[int, int, int]], int, int]:
     """The physical slots of a profile with k + l + 2g = top, as (slots,
     mask, size): slots the (byte offset, kl, g) of each slot (k, g) with
-    k >= 1 and l = top - 2g - k >= 1, by k and falling g (so by kl); mask
-    the W-bit fields of those slots; size the bytes of its top // 2 genus
-    rows, which hold every such slot."""
+    k >= 1 and l = top - 2g - k >= 1, by k and falling g (so by kl, the
+    order of the counts on a v2 cache line, too); mask the W-bit fields of
+    those slots; size the bytes of its top // 2 genus rows, which hold
+    every such slot."""
     wb, bits, slots, mask = W // 8, _PK.bits, [], 0
     for k in range(1, top):
         for g in range((top - 1 - k) // 2, -1, -1):

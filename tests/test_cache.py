@@ -1,7 +1,9 @@
 from __future__ import annotations
 
-import os
 import hashlib
+import os
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,20 +19,34 @@ from dessins.cache import (
     save_cache,
 )
 from dessins.cli import main
-from dessins.evolution import ConnectedSeries
+from dessins.evolution import _PK, ConnectedSeries
 from dessins.series import GradedSeries
+
+
+def _fraction_route(series):
+    """The v1 cache text of a series, through the Fraction pieces and
+    GradedSeries.render, which sorts each piece by its own key order."""
+    body = "\n".join(series.piece(d).render() for d in range(1, series.dmax + 1))
+    return f"DESSIN-F v1 dmax={series.dmax}\n{body}\n"
+
+
+def _same_series(a, b) -> bool:
+    return a._groups == b._groups and a._rows == b._rows
 
 
 def test_round_trip(engine6):
     text = render_cache(engine6)
-    assert text.splitlines()[0] == "DESSIN-F v1 dmax=6"
+    assert text.splitlines()[0] == "DESSIN-F v2 dmax=6"
+    assert text.splitlines()[1:5] == ["1 1 1", "2 2 1 1", "2 1,1 1", "3 3 1 1 3 1"]
     parsed = parse_cache(text)
+    assert _same_series(parsed, engine6)
     assert parsed.pieces == engine6.pieces
     assert render_cache(parsed) == text
 
 
 def test_d14_cache_bytes_are_pinned(engine14):
-    text = render_cache(engine14).encode("ascii")
+    # the v1 bytes of the d = 14 series, which earlier versions wrote
+    text = _fraction_route(engine14).encode("ascii")
     assert len(text) == 242283
     assert hashlib.sha256(text).hexdigest() == (
         "4749c0293251626d4e1b168f0269b86e9d7dd2f884e6c971cb1966c5b48e486c")
@@ -38,30 +54,41 @@ def test_d14_cache_bytes_are_pinned(engine14):
 
 def test_d16_cache_bytes_are_pinned(engine14):
     # every coefficient of degrees 15 and 16, as the earlier dict-based
-    # degree step rendered them
-    text = render_cache(engine14.extended_to(16)).encode("ascii")
+    # degree step rendered them in v1
+    text = _fraction_route(engine14.extended_to(16)).encode("ascii")
     assert len(text) == 631330
     assert hashlib.sha256(text).hexdigest() == (
         "f2327e409f9a1241fb88941749f6b57ad821ca45aeb59d454b7d883261e21164")
 
 
-def _fraction_route(series):
-    """The cache text through the Fraction pieces and GradedSeries.render,
-    which sorts each piece by its own key order."""
-    body = "\n".join(series.piece(d).render() for d in range(1, series.dmax + 1))
-    return f"DESSIN-F v1 dmax={series.dmax}\n{body}\n"
+def test_d14_v2_cache_bytes_are_pinned(engine14):
+    text = render_cache(engine14).encode("ascii")
+    assert len(text) == 80177
+    assert hashlib.sha256(text).hexdigest() == (
+        "f152d73067b49609b586e2a76bb478b96da3248fa878d9016def90ed56fcdaef")
+
+
+def test_d16_v2_cache_bytes_are_pinned(engine14):
+    text = render_cache(engine14.extended_to(16)).encode("ascii")
+    assert len(text) == 220490
+    assert hashlib.sha256(text).hexdigest() == (
+        "9466b80c5679a8460f8f5b7a2e783f4dc8eab50bf2fdcbe53417a5805a35cb15")
 
 
 @pytest.mark.parametrize("dmax", [*range(1, 11), 14])
 def test_render_matches_the_fraction_route(engine14, dmax):
+    # the v1 text of the Fraction route loads to the computed series, and
+    # that series, loaded or built, renders one v2 text, which loads back
     computed = engine14 if dmax == 14 else ConnectedSeries.compute(dmax)
-    want = _fraction_route(computed)
-    loaded = parse_cache(want)
+    loaded = parse_cache(_fraction_route(computed))
     # the constructor's groups filed in reverse canonical order
     built = ConnectedSeries([GradedSeries(dict(reversed(piece.terms.items())), dmax)
                              for piece in computed.pieces])
-    for series in (computed, loaded, built):
+    want = render_cache(computed)
+    for series in (loaded, built):
+        assert _same_series(series, computed)
         assert render_cache(series) == want
+    assert _same_series(parse_cache(want), computed)
 
 
 def test_d14_round_trip_keeps_marked_and_fraction_pieces(engine14):
@@ -73,15 +100,33 @@ def test_d14_round_trip_keeps_marked_and_fraction_pieces(engine14):
 
 
 def test_body_is_prefix_extension(engine6):
-    shallow = render_cache(engine6.extended_to(4))
-    deep = render_cache(engine6)
-    body4 = shallow.split("\n", 1)[1]
-    body6 = deep.split("\n", 1)[1]
-    assert body6.startswith(body4)
+    # the v2 body of a deeper cache byte-extends every shallower one
+    bodies = [render_cache(engine6.extended_to(d)).split("\n", 1)[1] for d in range(1, 7)]
+    assert all(deep.startswith(shallow) and deep != shallow
+               for shallow, deep in zip(bodies, bodies[1:]))
+
+
+def test_series_with_an_unstored_profile_round_trips(engine6):
+    # a constructor-built series with no count at the profile 1,1,1 of
+    # degree 3 (its one count moved to another genus-0 key, so every check
+    # passes): that profile is written as a line of zeros and read back to
+    # no group
+    pieces = list(engine6.pieces)
+    terms = dict(pieces[2].terms)
+    del terms[(1, 1, (3,))]
+    terms[(1, 3, (0, 0, 1))] += Fraction(1, 3)
+    pieces[2] = GradedSeries(terms, 6)
+    built = ConnectedSeries(pieces)
+    assert _PK.profile((3,))[1] not in built._groups[2]
+    text = render_cache(built)
+    assert "\n3 1,1,1 0\n" in text and "\n3 3 1 2 3 1\n" in text
+    loaded = parse_cache(text)
+    assert _same_series(loaded, built)
+    assert render_cache(loaded) == text
 
 
 def test_parse_rejects_corruption(engine6):
-    text = render_cache(engine6)
+    text = _fraction_route(engine6)
     with pytest.raises(ValueError):
         parse_cache("WRONG v9 dmax=2\n1 1 1 1 1/1\n")
     # drop the seed line: degree-1 piece then fails validation
@@ -119,9 +164,22 @@ def test_load_or_compute_extends(tmp_path):
     extended = load_or_compute(6, path)
     assert extended.dmax == 6
     new_text = path.read_text()
-    assert new_text.splitlines()[0] == "DESSIN-F v1 dmax=6"
+    assert new_text.splitlines()[0] == "DESSIN-F v2 dmax=6"
     assert new_text.split("\n", 1)[1].startswith(old_body)
     assert extended.pieces == ConnectedSeries.compute(6).pieces
+
+
+def test_v1_cache_is_kept_when_covering_and_rewritten_as_v2_when_extended(tmp_path, engine6):
+    path = tmp_path / "f.cache"
+    path.write_text(_fraction_route(engine6))
+    stamp = (path.stat().st_mtime_ns, path.read_bytes())
+    assert _same_series(load_or_compute(6, path), engine6)
+    assert _same_series(load_or_compute(4, path), engine6)
+    assert (path.stat().st_mtime_ns, path.read_bytes()) == stamp
+    path.write_text(_fraction_route(engine6.extended_to(4)))
+    extended = load_or_compute(6, path)
+    assert _same_series(extended, engine6)
+    assert path.read_text() == render_cache(engine6)
 
 
 def test_load_or_compute_without_cache():
@@ -130,17 +188,20 @@ def test_load_or_compute_without_cache():
 
 def test_load_reports_non_integral_cache_as_corrupt(tmp_path, engine6):
     path = tmp_path / "f.cache"
-    path.write_text(render_cache(engine6).replace("2 1 1 1,1 1/2", "2 1 1 1,1 1/3"))
+    path.write_text(_fraction_route(engine6).replace("2 1 1 1,1 1/2", "2 1 1 1,1 1/3"))
     with pytest.raises(ValueError, match="corrupt cache"):
         load_cache(path)
 
 
-def test_load_refuses_a_degree_past_the_limit(tmp_path):
+def test_load_refuses_a_degree_past_the_limit(tmp_path, monkeypatch):
+    # refused before any per-degree work: no line is read, no profile listed
     path = tmp_path / "f.cache"
-    path.write_text("DESSIN-F v1 dmax=32\nnot a cache line\n")  # refused before it
-    with pytest.raises(ValueError,
-                       match="corrupt cache .*degree 32 is beyond DMAX_LIMIT = 31"):
-        load_cache(path)
+    monkeypatch.setattr(cache, "_profile_lines", None)
+    for version in ("v1", "v2"):
+        path.write_text(f"DESSIN-F {version} dmax=32\nnot a cache line\n")
+        with pytest.raises(ValueError,
+                           match="corrupt cache .*degree 32 is beyond DMAX_LIMIT = 31"):
+            load_cache(path)
 
 
 def test_failed_write_leaves_previous_cache(tmp_path, engine6, monkeypatch):
@@ -185,7 +246,8 @@ LINE_EDITS = {
 
 
 def _mutated_cache8(engine10, mutation: str) -> str:
-    lines = render_cache(engine10.extended_to(8)).splitlines(keepends=True)
+    """A v1 cache of degree 8 with one mutation."""
+    lines = _fraction_route(engine10.extended_to(8)).splitlines(keepends=True)
     middle = len(lines) // 2  # an interior line of degree 7
     if mutation == "header_below_body":  # the body's degree 8 is past dmax
         return "".join(["DESSIN-F v1 dmax=7\n"] + lines[1:])
@@ -272,9 +334,9 @@ def _edited(text: str, index: int, edit: tuple) -> str:
 @example(index=0, edit=("chars", 17, 0, "0"))  # dmax=06
 @example(index=3, edit=("chars", 99, 0, "\r"))  # a Windows line end
 def test_single_line_edit_is_refused_or_round_trips(tmp_path_factory, engine6, index, edit):
-    # the reader accepts exactly the bytes render_cache writes: an edited
-    # cache is refused as corrupt or is the cache of what it loads
-    text = _edited(render_cache(engine6), index, edit)
+    # the v1 reader accepts exactly the bytes a v1 writer wrote: an edited
+    # v1 cache is refused as corrupt or is the v1 cache of what it loads
+    text = _edited(_fraction_route(engine6), index, edit)
     path = tmp_path_factory.mktemp("edit") / "f.cache"
     path.write_bytes(text.encode("ascii"))
     try:
@@ -282,4 +344,114 @@ def test_single_line_edit_is_refused_or_round_trips(tmp_path_factory, engine6, i
     except ValueError as exc:
         assert str(exc).startswith("corrupt cache")
         return
+    assert _fraction_route(series) == text
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.integers(0, 10 ** 4), edit=_EDITS)
+@example(index=2, edit=("insert", ""))  # a blank line after the seed's
+@example(index=4, edit=("replace", "3 3 1 1 3 1"))  # degree 3's first line twice
+@example(index=2, edit=("chars", 0, 0, " "))  # a leading space
+@example(index=0, edit=("chars", 17, 0, "0"))  # dmax=06
+@example(index=3, edit=("chars", 99, 0, "\r"))  # a Windows line end
+@example(index=4, edit=("chars", 8, 1, "0"))  # degree 3: a count moved within genus 0
+def test_single_line_edit_of_a_v2_cache_is_refused_or_round_trips(engine6, index, edit):
+    # the v2 reader accepts exactly the bytes render_cache writes
+    text = _edited(render_cache(engine6), index, edit)
+    try:
+        series = parse_cache(text)
+    except ValueError:
+        return
     assert render_cache(series) == text
+
+
+def _v2_edit(text: str, edit) -> str:
+    """text with one edit: a callable of the line list (header first,
+    the empty string after the final newline last), or (line number,
+    new line or None to drop it)."""
+    lines = text.split("\n")
+    if callable(edit):
+        edit(lines)
+    else:
+        at, new = edit
+        if new is None:
+            del lines[at - 1]
+        else:
+            lines[at - 1] = new
+    return "\n".join(lines)
+
+
+def _swap(i, j):
+    def edit(lines):
+        lines[i - 1], lines[j - 1] = lines[j - 1], lines[i - 1]
+    return edit
+
+
+#: one refusal of the v2 reader per case, on the cache of compute(6): the
+#: edit, the error and what its message must match; lines 5-7 are degree 3
+#: ("3 3 1 1 3 1", "3 2,1 3 3", "3 1,1,1 1"), lines 8-12 degree 4
+#: (first "4 4 5 1 5 6 6 1": slots (1,2) (1,4) (2,1) (2,3) (3,2) (4,1))
+V2_REFUSALS = {
+    "header_tag": ((1, "DESSIN-F v3 dmax=6"), r"^not a series cache \(header 'DESSIN-F v3"),
+    "header_dmax": ((1, "DESSIN-F v2 dmax=06"), r"^not a series cache \(header .*dmax=06"),
+    "header_below_body": ((1, "DESSIN-F v2 dmax=5"),
+                          r"^line 20: a line after the last profile of degree 5"),
+    "non_ascii": ((6, "3 2,1 3 \uff13"), r"^line 6: not ASCII$"),
+    "no_final_newline": (lambda lines: lines.pop(), r"^line 30 is cut short"),
+    "line_missing": ((11, None), r"^line 11: expected the line of degree 4, profile 2,1,1:"),
+    "last_line_missing": ((30, None), r"^line 30: expected the line of degree 6, "
+                                      r"profile 1,1,1,1,1,1, found the end of the file$"),
+    "line_extra": (lambda lines: lines.insert(-1, "6 1,1,1,1,1,1 1"),
+                   r"^line 31: a line after the last profile of degree 6"),
+    "line_repeated": (lambda lines: lines.insert(10, lines[10]),
+                      r"^line 12: expected the line of degree 4, profile 1,1,1,1:"),
+    "lines_reordered": (_swap(11, 12), r"^line 11: expected the line of degree 4, profile 2,1,1:"),
+    "degree_field": ((6, "4 2,1 3 3"), r"^line 6: expected the line of degree 3, profile 2,1:"),
+    "profile_token": ((6, "3 1,2 3 3"), r"^line 6: expected the line of degree 3, profile 2,1:"),
+    "too_few_fields": ((5, "3 3 1 1 3"), r"^line 5: expected 4 counts, got 3:"),
+    "too_many_fields": ((5, "3 3 1 1 3 1 0"), r"^line 5: expected 4 counts, got 5:"),
+    "double_space": ((5, "3 3 1  1 3 1"), r"^line 5: expected 4 counts, got 5:"),
+    "blank_line": (lambda lines: lines.insert(5, ""),
+                   r"^line 6: expected the line of degree 3, profile 2,1: ''$"),
+    "leading_zero": ((5, "3 3 01 1 3 1"), r"^line 5: count '01' is not a canonical numeral"),
+    "plus_sign": ((5, "3 3 +1 1 3 1"), r"^line 5: count '\+1' is not a canonical numeral"),
+    "underscore": ((8, "4 4 5 1 5 6 6 1_0"), r"^line 8: count '1_0' is not a canonical numeral"),
+    "minus_zero": ((8, "4 4 5 1 5 6 -0 7"), r"^line 8: count '-0' is not a canonical numeral"),
+    "carriage_return": ((5, "3 3 1 1 3 1\r"), r"^line 5: count '1\\r' is not a canonical numeral"),
+    "negative_count": ((8, "4 4 5 -1 5 6 6 3"), r"^line 8: negative count -1:"),
+    "seed_line": ((2, "1 1 2"), r"^line 2: degree-1 piece must be exactly u\*v\*t1: '1 1 2'$"),
+    "row_sum": ((6, "3 2,1 3 4"), r"^lines 5-7: degree-3 marked counts do not sum to A003319\(4\)$"),
+    "genus_column": ((8, "4 4 6 0 5 6 6 1"),
+                     r"^lines 8-12: degree-4 genus-0/1 marked counts differ from the closed forms$"),
+}
+
+
+@pytest.mark.parametrize("case", V2_REFUSALS)
+def test_v2_cache_refusals_name_their_line(engine6, case):
+    text = render_cache(engine6)
+    assert text.count("\n") == 30
+    edit, message = V2_REFUSALS[case]
+    with pytest.raises(ValueError, match=message):
+        parse_cache(_v2_edit(text, edit))
+
+
+def test_padded_v2_line_is_refused_before_any_numeral_is_read(engine6, monkeypatch):
+    text = _v2_edit(render_cache(engine6), (2, "1 1 1" + " 7" * 200000))
+    read = []
+
+    def spy(*args):
+        read.append(args)
+        return int(*args)
+
+    monkeypatch.setattr(cache, "int", spy, raising=False)
+    with pytest.raises(ValueError, match=r"^line 2: expected 1 counts, got 200001: "
+                                         r"'1 1 1 7 7 .{60,}'\.\.\.$"):
+        parse_cache(text)
+    assert read == [("6",)]  # the header's dmax only
+
+
+def test_v2_numeral_past_the_digit_limit_names_its_line(engine6):
+    text = _v2_edit(render_cache(engine6), (8, "4 4 5 1 5 6 6 " + "1" * 5000))
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    with pytest.raises(ValueError, match=r"^line 8: " if 0 < limit < 5000 else r"^lines 8-12: "):
+        parse_cache(text)
