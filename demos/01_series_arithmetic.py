@@ -40,6 +40,6 @@ t2 = GradedSeries.monomial(0, 0, (0, 1), Fraction(1), truncation=2)
 print("\n(t1 + t2) * t1 truncated at weight 2:")
 print(((t1 + t2) * t1).render())  # t1*t2 would have weight 3
 
-# canonical text round trip (the body format of a v1 series cache)
+# canonical text round trip (one line per term, each coefficient a Fraction)
 assert GradedSeries.parse(combo.render(), combo.truncation) == combo
 print("\nrender/parse round trip: exact")

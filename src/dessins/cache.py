@@ -24,24 +24,18 @@ count (before any numeral is converted), its counts must be canonical
 numerals (they are converted with ``int`` and rejoined with ``str``) and
 none may be negative, and its nonzero counts are filed into their
 profile group and genus row.  An unphysical key or a non-integral count
-cannot be written at all.
-
-The v1 format (header ``DESSIN-F v1 dmax=<D>``, one line ``d k l
-<profile> <num>/<den>`` per term in canonical key order, the bytes
-``GradedSeries.render`` gives each piece) is still read, as strictly as
-before: single spaces, a newline after every line and no blank one,
-numerals with no sign, leading zero or '_', each num/den in lowest terms
-and the keys strictly increasing in canonical order, each count checked
-as the ``ConnectedSeries`` constructor checks it.  A v1 cache that
-``load_or_compute`` extends is rewritten as v2.
-
-Both readers end with the same checks (``_check_degrees``): degree 1
-must be the seed and no degree empty, and each degree's row sum and
-genus-0 and genus-1 column sums are checked against A003319 and the
-closed forms, naming the lines of the degree.  So an edit that leaves a
+cannot be written at all.  Each degree is checked after its last line:
+degree 1 must be the seed, and each later degree's row sum and genus-0
+and genus-1 column sums are checked against A003319 and the closed
+forms, naming the lines of the degree.  So an edit that leaves a
 negative count or changes a row or genus-0/1 column sum is refused too.
 Only a positive move between two keys of the same degree and genus
 still loads; ``oracle`` and ``recursion`` catch it.
+
+The v1 format that earlier versions wrote (header ``DESSIN-F v1
+dmax=<D>``, one line per term with its Fraction coefficient) is refused
+before its body is read: the cache is derived data, so deleting it and
+rerunning writes the same series as v2.
 """
 
 from __future__ import annotations
@@ -51,27 +45,15 @@ import os
 from contextlib import suppress
 from functools import lru_cache
 from itertools import repeat
-from math import gcd
 from operator import mul
 from pathlib import Path
 from stat import S_ISDIR
 
 from .counts import marked_count_genus0, marked_count_genus1
-from .evolution import (
-    _PK,
-    DMAX_LIMIT,
-    ConnectedSeries,
-    _check_filed,
-    _filing,
-    _physical_slots,
-    _profile_entry,
-    _refuse_count,
-    indecomposable_count,
-)
-from .series import Multiplicities, from_parts, partition_weight, partitions, profile_text
+from .evolution import _PK, ConnectedSeries, _filing, _physical_slots, indecomposable_count
+from .series import partitions, profile_text
 
 HEADER_TAG = "DESSIN-F v2"
-V1_TAG = "DESSIN-F v1"
 
 
 @lru_cache(maxsize=None)
@@ -146,16 +128,18 @@ def _v2_line_error(lineno: int, line: str, head: str, size: int) -> ValueError:
     return ValueError(f"line {lineno}: {why}: {_shown(line)}")
 
 
-def _read_v2(lines: list[str], dmax: int, groups: list, rows: list) -> list[int]:
+def _read_v2(lines: list[str], dmax: int, groups: list, rows: list) -> None:
     """File the v2 body ``lines`` into the filing's groups and genus rows
     (nonzero counts only, so a profile with none stays out of its degree's
-    groups); return the number of lines of each degree."""
+    groups), checking each degree after its last line: degree 1 must be
+    the seed, and each later degree's marked counts must sum to
+    A003319(d+1) and its genus-0 and genus-1 counts equal the closed
+    forms, else ValueError naming the degree's lines."""
     n = 0  # body lines read
-    sizes = []
     for d in range(1, dmax + 1):
         profiles, row = groups[d - 1], rows[d - 1]
-        order = _profile_lines(d)
-        for prof, head, kls, genera in order:
+        first = n + 2  # the degree's first line
+        for prof, head, kls, genera in _profile_lines(d):
             if n == len(lines):
                 raise ValueError(f"line {n + 2}: expected the line of degree {d}, "
                                  f"profile {head.split()[1]}, found the end of the file")
@@ -179,147 +163,45 @@ def _read_v2(lines: list[str], dmax: int, groups: list, rows: list) -> list[int]
                     row[g] += v
             if group:
                 profiles[prof] = group
-        sizes.append(len(order))
-    if rows[0] != [1]:  # named here: _check_degrees names no line for it
-        raise ValueError(f"line 2: degree-1 piece must be exactly u*v*t1: {_shown(lines[0])}")
+        if d == 1:
+            if row != [1]:  # its one physical key is the seed's
+                raise ValueError(f"line 2: degree-1 piece must be exactly u*v*t1: "
+                                 f"{_shown(lines[0])}")
+        elif sum(row) != indecomposable_count(d + 1):
+            raise ValueError(f"lines {first}-{n + 1}: degree-{d} marked counts do not "
+                             f"sum to A003319({d + 1})")
+        elif [*row, 0][:2] != [marked_count_genus0(d), marked_count_genus1(d)]:
+            raise ValueError(f"lines {first}-{n + 1}: degree-{d} genus-0/1 marked "
+                             f"counts differ from the closed forms")
     if n < len(lines):
         raise ValueError(f"line {n + 2}: a line after the last profile of degree "
                          f"{dmax}: {_shown(lines[n])}")
-    return sizes
-
-
-#: the numerals d, k, l, den and a profile's parts are read with, each
-#: the canonical decimal of an int in 0 .. DMAX_LIMIT
-_NUMERALS = {str(i): i for i in range(DMAX_LIMIT + 1)}
-#: per weight d, d // den for each numeral den that divides d
-_QUOTIENTS = [{str(den): d // den for den in range(1, d + 1) if d % den == 0}
-              for d in range(DMAX_LIMIT + 1)]
-
-
-def _profile(token: str) -> Multiplicities | None:
-    """The multiplicities of a profile token as ``render_cache`` writes
-    them (parts in decreasing order, each a numeral of 1 .. DMAX_LIMIT),
-    or None."""
-    parts = [_NUMERALS.get(p) for p in token.split(",")]
-    if None in parts or 0 in parts:
-        return None
-    m = from_parts(parts)
-    return m if profile_text(m) == token else None
-
-
-def _line_error(lineno: int, line: str, dmax: int, prev: tuple) -> Exception:
-    """The error of body line ``lineno``, which failed the reader's check;
-    prev is the (order, profile) of the line before it.  A count that
-    fails is refused by ``_refuse_count``, as the constructor refuses it."""
-    try:
-        fields = line.split(" ")
-        if len(fields) != 5:
-            raise ValueError("expected 5 fields separated by single spaces")
-        sd, sk, sl, token, coeff = fields
-        snum, slash, sden = coeff.partition("/")
-        d, k, l, den = (_NUMERALS.get(s) for s in (sd, sk, sl, sden))
-        m = _profile(token)
-        if None in (d, k, l, den, m) or not slash or not _is_count(snum):
-            raise ValueError("not a term 'd k l <profile> <num>/<den>' in canonical numerals")
-        num = int(snum)
-        if den and gcd(num, den) != 1:
-            raise ValueError(f"{coeff} is not in lowest terms")
-        if (d << 2 * _PK.bits | k << _PK.bits | l, m) <= prev:
-            raise ValueError("key out of canonical order or repeated")
-        _refuse_count(dmax, d, (k, l, m), num, den, partition_weight(m))
-    except (ValueError, ArithmeticError) as exc:
-        return type(exc)(f"line {lineno}: {exc}: {line!r}")
-    return ValueError(f"line {lineno}: not a cache line: {line!r}")
-
-
-def _read_v1(lines: list[str], dmax: int, groups: list, rows: list) -> list[int]:
-    """File the v1 body ``lines`` into the filing's groups and genus rows,
-    each count checked as the constructor checks it
-    (``evolution._refuse_count``); return the number of lines of each
-    degree."""
-    bits = _PK.bits
-    profiles: dict = {}  # per token: m, weight, weight + 2 - parts, group, row, quotients
-    heads: dict = {}  # per "d k l" with 1 <= d <= dmax and k, l >= 1: order, d, kl, k + l
-    prev, prev_m = 0, ()
-    for lineno, line in enumerate(lines, 2):
-        try:
-            dkl, token, coeff = line.rsplit(" ", 2)
-        except ValueError:
-            raise _line_error(lineno, line, dmax, (prev, prev_m)) from None
-        entry = profiles.get(token)
-        if entry is None:
-            m = _profile(token)
-            if m is None:
-                raise _line_error(lineno, line, dmax, (prev, prev_m))
-            w, offset, group, row = _profile_entry(m, groups, rows)
-            entry = profiles[token] = (m, w, offset, group, row, _QUOTIENTS[w or 0])
-        m, w, offset, group, row, quotients = entry
-        h = heads.get(dkl)
-        if h is None:
-            nums = [_NUMERALS.get(s) for s in dkl.split(" ")]
-            if len(nums) != 3 or None in nums or 0 in nums or nums[0] > dmax:
-                raise _line_error(lineno, line, dmax, (prev, prev_m))
-            d, k, l = nums
-            h = heads[dkl] = (d << 2 * bits | k << bits | l, d, k << bits | l, k + l)
-        order, d, kl, kpl = h
-        snum, _, sden = coeff.partition("/")
-        q = quotients.get(sden)  # den divides d; its count is v = num * q
-        twice = offset - kpl
-        # the fast form of every check of _line_error, _is_count inlined
-        if (w != d or q is None or not snum.isdigit() or snum[0] == "0" or twice < 0
-                or twice & 1 or order < prev or order == prev and m <= prev_m
-                or gcd(v := int(snum) * q, d) != q):  # num/den in lowest terms
-            raise _line_error(lineno, line, dmax, (prev, prev_m))
-        prev, prev_m = order, m
-        group[kl] = v
-        row[twice >> 1] += v
-    return [sum(map(len, degree.values())) for degree in groups]
-
-
-def _check_degrees(groups: list, rows: list, sizes: list[int]) -> None:
-    """The closing checks of both readers: those of the filing (degree 1
-    is the seed, no degree is empty), then each degree's marked counts
-    must sum to A003319(d+1) and its genus-0 and genus-1 counts equal the
-    closed forms; sizes[d-1] is the number of body lines of degree d, so
-    a failure names its degree's lines."""
-    _check_filed(groups, rows)
-    last = 1 + sizes[0]  # the last line of degree 1
-    for d in range(2, len(rows) + 1):
-        first, last = last + 1, last + sizes[d - 1]
-        row = rows[d - 1]
-        if sum(row) != indecomposable_count(d + 1):
-            raise ValueError(f"lines {first}-{last}: degree-{d} marked counts do not "
-                             f"sum to A003319({d + 1})")
-        if [*row, 0][:2] != [marked_count_genus0(d), marked_count_genus1(d)]:
-            raise ValueError(f"lines {first}-{last}: degree-{d} genus-0/1 marked "
-                             f"counts differ from the closed forms")
 
 
 def parse_cache(text: str) -> ConnectedSeries:
     """The series a cache text holds, read in one pass to marked counts.
 
-    Only the bytes a writer of its version writes are read: an ASCII
-    text, its header (``DESSIN-F v2`` or ``v1`` and a dmax of at most
-    DMAX_LIMIT, checked before any per-degree work), then body lines
-    each ended by a newline.  A v2 body must hold the line of every
-    partition of every degree in order, each with its slot count of
-    canonical numerals, none negative, and degree 1 the seed's
-    (``render_cache``); a v1 body one line per term, in lowest terms and
-    strictly increasing canonical key order, each count checked as the
-    constructor checks it (``evolution._refuse_count``).  Then degree 1
-    must be the seed, no degree empty, and each degree's marked counts
-    must sum to A003319(d+1) and its genus-0 and genus-1 counts to the
-    closed forms (``_check_degrees``).  A failure raises ValueError
-    naming its line or lines; a v1 marked count that is not an integer
-    ArithmeticError.
+    Only the bytes ``render_cache`` writes are read: an ASCII text, its
+    header (``DESSIN-F v2`` and a dmax of at most DMAX_LIMIT, checked
+    before any per-degree work), then the line of every partition of
+    every degree in order, each ended by a newline and holding its slot
+    count of canonical numerals, none negative.  Each degree is checked
+    after its last line (``_read_v2``): degree 1 must be the seed, and
+    each later degree's marked counts must sum to A003319(d+1) and its
+    genus-0 and genus-1 counts to the closed forms.  A failure raises
+    ValueError naming its line or lines.  A v1 cache (header ``DESSIN-F
+    v1``, which earlier versions wrote) is refused before its body is
+    read, with the fix: delete it, and the next run writes the cache as
+    v2.
     """
     head, _, body = text.partition("\n")
     tag, _, dm = head.rpartition(" dmax=")
-    if tag not in (HEADER_TAG, V1_TAG) or not _is_count(dm):
+    if tag == "DESSIN-F v1":
+        raise ValueError("a v1 cache, which is no longer read: delete it, "
+                         "and the next run writes it as v2")
+    if tag != HEADER_TAG or not _is_count(dm):
         raise ValueError(f"not a series cache (header {head!r})")
     if not text.isascii():
-        if tag == V1_TAG:
-            raise ValueError("not a series cache (not ASCII)")
         at = next(i for i, c in enumerate(text) if not c.isascii())
         raise ValueError(f"line {text.count(chr(10), 0, at) + 1}: not ASCII")
     dmax = int(dm)
@@ -329,18 +211,17 @@ def parse_cache(text: str) -> ConnectedSeries:
         raise ValueError(f"line {cut} is cut short (no final newline)")
     lines = body.split("\n")
     lines.pop()  # the empty string after the final newline
-    read = _read_v2 if tag == HEADER_TAG else _read_v1
-    _check_degrees(groups, rows, read(lines, dmax, groups, rows))
+    _read_v2(lines, dmax, groups, rows)
     return ConnectedSeries._stored(groups, rows)
 
 
 def load_cache(path: str | Path) -> ConnectedSeries:
-    """Parse a cache file; every rejection, a non-integral marked count
-    included, is reported as ValueError("corrupt cache ...")."""
+    """Parse a cache file; every rejection is reported as
+    ValueError("corrupt cache ...")."""
     try:
         # the bytes as they are: a text read would turn \r\n into \n
         return parse_cache(Path(path).read_bytes().decode("ascii"))
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         raise ValueError(f"corrupt cache {str(path)!r}: {exc}") from exc
 
 
@@ -363,11 +244,11 @@ def load_or_compute(dmax: int, cache_path: str | Path | None = None) -> Connecte
 
     A cache that already covers dmax is left untouched (and may be
     deeper than requested); otherwise the cached degrees seed the
-    computation and the extended series is written back, as v2 whatever
-    the version read.  A new cache
-    whose directory is missing or not a directory is refused before any
-    computing, with the OSError its write would end in.  An empty path
-    is no cache.
+    computation and the extended series is written back.  A cache that
+    does not load (a v1 one included) is refused and left as it is.  A
+    new cache whose directory is missing or not a directory is refused
+    before any computing, with the OSError its write would end in.  An
+    empty path is no cache.
     """
     if not cache_path:
         return ConnectedSeries.compute(dmax)

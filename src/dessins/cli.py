@@ -330,8 +330,8 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         # the engine's own invariant checks (integrality and the keys of
         # each computed degree) and the oracle scan's (its keys and its
-        # pair total); cache input arrives as ValueError, see
-        # cache.load_cache
+        # pair total); a cache holds integer counts, and every refusal
+        # of one is a ValueError, see cache.parse_cache
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -295,27 +295,13 @@ def _filing(dmax: int) -> tuple[list[dict[int, dict[int, int]]], list[list[int]]
     return [{} for _ in range(dmax)], [[0] * ((d + 1) // 2) for d in range(1, dmax + 1)]
 
 
-def _profile_entry(m: Multiplicities, groups: list, rows: list) -> tuple:
-    """(weight, weight + 2 - parts, group, genus row) of the canonical
-    profile m among the filing's groups and rows: a count of degree d
-    passes at (k, l, m) when the weight is d and twice its genus,
-    weight + 2 - parts - k - l, is even and >= 0 (and k, l >= 1).  A
-    profile of no degree of the filing gets (None, -1, None, None), at
-    which no count passes."""
-    w = partition_weight(m)
-    if min(m, default=0) < 0 or not 1 <= w <= len(groups):
-        return None, -1, None, None
-    return (w, w + 2 - sum(m), groups[w - 1].setdefault(_PK.profile(m)[1], {}),
-            rows[w - 1])
-
-
 def _refuse_count(dmax: int, d: int, key: RawKey, num: int, den: int,
                   w: int | None) -> None:
     """Raise the error of the count num/den at key in piece d (w: the
-    weight ``_profile_entry`` gave its profile) that did not pass: a zero
-    den, a degree outside 1 .. dmax, a profile of another weight, a zero or
-    negative marked count and a key without an integer genus >= 0 raise
-    ValueError (any failure at d = 1: the seed's), a marked count
+    weight ``_checked_groups`` found for its profile) that did not pass: a
+    zero den, a degree outside 1 .. dmax, a profile of another weight, a
+    zero or negative marked count and a key without an integer genus >= 0
+    raise ValueError (any failure at d = 1: the seed's), a marked count
     d * num / den that is not an integer ArithmeticError."""
     if not den:
         raise ValueError(f"piece {d}: count at {key!r} has denominator 0")
@@ -334,32 +320,31 @@ def _refuse_count(dmax: int, d: int, key: RawKey, num: int, den: int,
     genus_at(d, key)  # raises the key's error
 
 
-def _check_filed(groups: list, rows: list) -> None:
-    """The closing checks of a filing: degree 1 is the seed and no degree
-    is empty, else ValueError."""
-    if rows[0] != [1]:  # its one physical key is the seed's
-        raise ValueError("degree-1 piece must be exactly u*v*t1")
-    for d, profiles in enumerate(groups[1:], 2):
-        if not profiles:
-            raise ValueError(f"piece {d} is empty")
-
-
 def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
                     ) -> tuple[list[dict[int, dict[int, int]]], list[list[int]]]:
     """The profile groups and genus rows of outside counts, the
     (d, key, num, den) of weighted counts num/den of degrees 1 .. dmax,
     in any order, in one pass that files each marked count d * num / den
-    as it checks it (``_profile_entry`` once per profile, and
-    ``_refuse_count`` names what a count that does not pass fails).  Then
-    the filing's closing checks, and no key may repeat (its counts would
-    all be in the genus row, one in its group; ValueError)."""
+    as it checks it.  Each profile m of weight w in 1 .. dmax is looked
+    up once (its group, genus row and w + 2 - parts); a count of degree
+    d passes at (k, l, m) when w = d, k and l are >= 1, twice its genus,
+    w + 2 - parts - k - l, is even and >= 0, and the marked count is a
+    positive integer; ``_refuse_count`` names what a count that does not
+    pass fails.  Then degree 1 must be the seed, no degree empty, and no
+    key may repeat (its counts would all be in the genus row, one in its
+    group); ValueError."""
     groups, rows = _filing(dmax)
     bits, found = _PK.bits, {}
     for d, key, num, den in terms:
         k, l, m = key
         entry = found.get(m)
         if entry is None:
-            entry = found[m] = _profile_entry(m, groups, rows)
+            w = partition_weight(m)
+            if min(m, default=0) < 0 or not 1 <= w <= dmax:
+                entry = found[m] = None, -1, None, None
+            else:
+                group = groups[w - 1].setdefault(_PK.profile(m)[1], {})
+                entry = found[m] = w, w + 2 - sum(m), group, rows[w - 1]
         w, offset, group, row = entry
         v, r = divmod(num * d, den) if den else (0, 0)  # den = 0 is refused below
         twice = offset - k - l
@@ -367,7 +352,11 @@ def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
             _refuse_count(dmax, d, key, num, den, w)
         group[l | k << bits] = v
         row[twice >> 1] += v
-    _check_filed(groups, rows)
+    if rows[0] != [1]:  # its one physical key is the seed's
+        raise ValueError("degree-1 piece must be exactly u*v*t1")
+    for d, profiles in enumerate(groups[1:], 2):
+        if not profiles:
+            raise ValueError(f"piece {d} is empty")
     for i, profiles in enumerate(groups):
         if sum(rows[i]) != sum(sum(group.values()) for group in profiles.values()):
             raise ValueError(f"piece {i + 1} repeats a key")
@@ -564,9 +553,8 @@ class ConnectedSeries:
     its genus row.  Every k, l and m_i is at most dmax <= DMAX_LIMIT <
     2^bits, so no field carries.  A degree is checked and collapsed by
     genus once, where it enters: computed, by ``_decode_degree``; outside
-    input, as it is filed (``_filing``, ``_profile_entry`` and
-    ``_refuse_count``): the constructor's pieces by ``_checked_groups``,
-    a cache's lines by ``cache.parse_cache``.
+    input, as it is filed (``_filing``): the constructor's pieces by
+    ``_checked_groups``, a cache's lines by ``cache.parse_cache``.
     ``extended_to`` packs the stored groups into slots as they are, and a
     cut-back shares its parent's groups.  KP reads the groups as stored;
     ``recursion_rhs`` keeps their slot form and its step outputs in

@@ -221,11 +221,10 @@ def test_degrees_past_the_limit_are_usage_errors(tmp_path, capsys):
         assert run(capsys, *argv)[0] == 2
     assert not path.exists()
     # a cache whose header claims such a degree is corrupt: exit 3
-    for version in ("v1", "v2"):
-        path.write_text(f"DESSIN-F {version} dmax=32\nnot a cache line\n")
-        code, out, err = run(capsys, "table", "--dmax", "3", "--cache", str(path))
-        assert (code, out) == (3, "")
-        assert err.startswith("error: corrupt cache") and "beyond DMAX_LIMIT = 31" in err
+    path.write_text("DESSIN-F v2 dmax=32\nnot a cache line\n")
+    code, out, err = run(capsys, "table", "--dmax", "3", "--cache", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: corrupt cache") and "beyond DMAX_LIMIT = 31" in err
 
 
 def test_coeff_degree_is_checked_before_the_profile(tmp_path, capsys, monkeypatch):
@@ -460,21 +459,6 @@ def test_corrupt_cache_is_io_error(tmp_path, capsys):
     code, _, err = run(capsys, "table", "--dmax", "2", "--cache", str(path))
     assert code == 3
     assert "error" in err
-
-
-def test_non_integral_cache_is_input_error(tmp_path, capsys):
-    from dessins.cache import load_or_compute
-
-    # a v2 cache holds integer marked counts: only a v1 one can hold a
-    # non-integral count
-    path = tmp_path / "bad.cache"
-    series = load_or_compute(3)
-    text = "DESSIN-F v1 dmax=3\n" + "".join(f"{p.render()}\n" for p in series.pieces)
-    assert "\n2 1 1 1,1 1/2\n" in text
-    path.write_text(text.replace("2 1 1 1,1 1/2", "2 1 1 1,1 1/3"))
-    code, _, err = run(capsys, "table", "--dmax", "3", "--cache", str(path))
-    assert code == 3
-    assert err.startswith("error: corrupt cache")
 
 
 def test_engine_invariant_failure_exits_1(capsys, monkeypatch):
