@@ -5,25 +5,28 @@ Text format (v2, the one ``render_cache`` writes): a header line
 partition m of d in canonical profile order (by multiplicities) one line
 ``d <profile> c_1 ... c_s``: the integer marked counts d * N of m's
 physical slots, the keys (k, l, m) with k, l >= 1 and l = top - 2g - k
-(top = d + 2 - parts), in the (k, l) order of
-``evolution._physical_slots``; a key with no count is written ``0``.
-Every partition of d >= 1 is realised (sigma a d-cycle), so every
-partition has its line.  The body is append-only by degree: the body of
-a deeper cache is a byte-prefix extension of any shallower one, and
-re-running with a covering cache reloads the pieces instead of
-recomputing them.  A cache is written to a temporary file beside it and
-renamed into place, so a crash or a second writer never leaves half a
-cache; a failed write removes that file and is reported at the cache's
-own path.
+(top = d + 2 - parts), in the (k, l) order of ``evolution._layout``; a
+key with no count is written ``0``.  That is the order of a profile's
+count list in ``ConnectedSeries``, so a line is written as its list
+joined and read back as one list.  Every partition of d >= 1 is realised
+(sigma a d-cycle), so every partition has its line.  The body is
+append-only by degree: the body of a deeper cache is a byte-prefix
+extension of any shallower one, and re-running with a covering cache
+reloads the pieces instead of recomputing them.  A cache is written to
+a temporary file beside it and renamed into place, so a crash or a
+second writer never leaves half a cache; a failed write removes that
+file and is reported at the cache's own path.
 
 Loading (``parse_cache``) reads exactly the bytes ``render_cache``
 writes, in one pass over the lines.  The next line's degree and profile
 are known in advance, so a missing, extra, repeated or reordered line is
 refused by comparing its head; then its field count must equal its slot
-count (before any numeral is converted), its counts must be canonical
-numerals (they are converted with ``int`` and rejoined with ``str``) and
-none may be negative, and its nonzero counts are filed into their
-profile group and genus row.  An unphysical key or a non-integral count
+count (its spaces are counted before any numeral is converted), and its
+counts must be canonical numerals, so none negative (one regular
+expression over the line's tail).  Its counts are then converted with
+``int`` into one list, stored as the profile's group unless every count
+is 0, and each degree's lists are summed by genus into its genus row
+(``evolution._genus_row``).  An unphysical key or a non-integral count
 cannot be written at all.  Each degree is checked after its last line:
 degree 1 must be the seed, and each later degree's row sum and genus-0
 and genus-1 column sums are checked against A003319 and the closed
@@ -42,50 +45,57 @@ from __future__ import annotations
 
 import errno
 import os
+import re
 from contextlib import suppress
 from functools import lru_cache
-from itertools import repeat
 from operator import mul
 from pathlib import Path
 from stat import S_ISDIR
 
 from .counts import marked_count_genus0, marked_count_genus1
-from .evolution import _PK, ConnectedSeries, _filing, _physical_slots, indecomposable_count
+from .evolution import (
+    _PK,
+    ConnectedSeries,
+    _filing,
+    _genus_row,
+    _layout,
+    indecomposable_count,
+)
 from .series import partitions, profile_text
 
 HEADER_TAG = "DESSIN-F v2"
 
 
-@lru_cache(maxsize=None)
-def _slots(top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(kls, genera): the kl and genus of each physical slot of a profile
-    with k + l + 2g = top, in the order of ``evolution._physical_slots``."""
-    slots = _physical_slots(top, 8, 1)[0]  # only kl and g are read
-    return tuple(kl for _, kl, _ in slots), tuple(g for *_, g in slots)
+#: the counts of a v2 line after its head: canonical numerals, one space apart
+_COUNTS = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*\Z")
 
 
 @lru_cache(maxsize=None)
-def _profile_lines(d: int) -> tuple[tuple[int, str, tuple[int, ...], tuple[int, ...]], ...]:
+def _profile_lines(d: int) -> tuple[tuple[int, str, int, int], ...]:
     """The v2 lines of degree d, one per partition m of d in canonical
     profile order (by multiplicities), as (packed profile, the line's
-    head ``"d <profile> "``, kls, genera), the last two ``_slots``'s.
-    The packed profile is the sum of m_i * E[i], as ``_PK.profile`` packs
-    it.  Memoised, like ``_slots``: every d (and top) is at most
-    DMAX_LIMIT + 1, so each memo holds at most 32 entries."""
-    units = _PK.E[1:]
-    return tuple((sum(map(mul, m, units)), f"{d} {profile_text(m)} ", *_slots(d + 2 - sum(m)))
-                 for m in sorted(partitions(d)))
+    head ``"d <profile> "``, top = d + 2 - parts, the number of physical
+    slots of that top).  The packed profile is the sum of m_i * E[i], as
+    ``_PK.profile`` packs it.  Memoised: every d is at most DMAX_LIMIT,
+    so the memo holds at most 31 entries."""
+    units, out = _PK.E[1:], []
+    for m in sorted(partitions(d)):
+        top = d + 2 - sum(m)
+        out.append((sum(map(mul, m, units)), f"{d} {profile_text(m)} ", top,
+                    len(_layout(top)[0])))
+    return tuple(out)
 
 
 def render_cache(series: ConnectedSeries) -> str:
     """The v2 cache text of a series, written from its profile groups:
-    per degree, one line per partition in canonical profile order, the
-    marked count of each of its physical slots, 0 where none is stored."""
+    per degree, one line per partition in canonical profile order, its
+    count list joined, or a 0 per physical slot where none is stored."""
     lines = [f"{HEADER_TAG} dmax={series.dmax}"]
     for d, profiles in enumerate(series._groups, 1):
-        for prof, head, kls, _ in _profile_lines(d):
-            group = profiles.get(prof, {})
-            lines.append(head + " ".join(map(str, map(group.get, kls, repeat(0)))))
+        get = profiles.get
+        for prof, head, _, size in _profile_lines(d):
+            counts = get(prof)
+            lines.append(head + (" ".join(map(str, counts)) if counts else " ".join("0" * size)))
     lines.append("")
     return "\n".join(lines)
 
@@ -97,7 +107,7 @@ def _is_count(s: str) -> bool:
 
 
 def _shown(line: str) -> str:
-    """A v2 line as an error message shows it: its repr, cut after 80
+    """A cache line as an error message shows it: its repr, cut after 80
     characters (a hostile line may be long)."""
     return repr(line) if len(line) <= 80 else f"{line[:80]!r}..."
 
@@ -130,39 +140,34 @@ def _v2_line_error(lineno: int, line: str, head: str, size: int) -> ValueError:
 
 def _read_v2(lines: list[str], dmax: int, groups: list, rows: list) -> None:
     """File the v2 body ``lines`` into the filing's groups and genus rows
-    (nonzero counts only, so a profile with none stays out of its degree's
-    groups), checking each degree after its last line: degree 1 must be
-    the seed, and each later degree's marked counts must sum to
-    A003319(d+1) and its genus-0 and genus-1 counts equal the closed
-    forms, else ValueError naming the degree's lines."""
-    n = 0  # body lines read
+    (a profile whose counts are all 0 stays out of its degree's groups),
+    checking each degree after its last line: degree 1 must be the seed,
+    and each later degree's marked counts must sum to A003319(d+1) and its
+    genus-0 and genus-1 counts equal the closed forms, else ValueError
+    naming the degree's lines."""
+    n, match = 0, _COUNTS.match  # n: body lines read
     for d in range(1, dmax + 1):
-        profiles, row = groups[d - 1], rows[d - 1]
+        profiles, lists = groups[d - 1], []
         first = n + 2  # the degree's first line
-        for prof, head, kls, genera in _profile_lines(d):
+        for prof, head, top, size in _profile_lines(d):
             if n == len(lines):
                 raise ValueError(f"line {n + 2}: expected the line of degree {d}, "
                                  f"profile {head.split()[1]}, found the end of the file")
             line = lines[n]
             n += 1
             # the field count before any numeral is converted, then the
-            # counts canonical (rejoined as written) and not negative
-            fields = line.split(" ")
-            if len(fields) != len(kls) + 2 or not line.startswith(head):
-                raise _v2_line_error(n + 1, line, head, len(kls))
+            # counts canonical (so none negative)
+            if line.count(" ") != size + 1 or not line.startswith(head) \
+                    or not match(line, len(head)):
+                raise _v2_line_error(n + 1, line, head, size)
             try:
-                counts = list(map(int, fields[2:]))
-            except ValueError:
-                raise _v2_line_error(n + 1, line, head, len(kls)) from None
-            if head + " ".join(map(str, counts)) != line or min(counts) < 0:
-                raise _v2_line_error(n + 1, line, head, len(kls))
-            group = {}
-            for kl, g, v in zip(kls, genera, counts):
-                if v:
-                    group[kl] = v
-                    row[g] += v
-            if group:
-                profiles[prof] = group
+                counts = list(map(int, line[len(head):].split(" ")))
+            except ValueError:  # a numeral past int's digit limit
+                raise _v2_line_error(n + 1, line, head, size) from None
+            if any(counts):
+                profiles[prof] = counts
+                lists.append((top, counts))
+        row = rows[d - 1] = _genus_row(d, lists)
         if d == 1:
             if row != [1]:  # its one physical key is the seed's
                 raise ValueError(f"line 2: degree-1 piece must be exactly u*v*t1: "
@@ -185,14 +190,15 @@ def parse_cache(text: str) -> ConnectedSeries:
     header (``DESSIN-F v2`` and a dmax of at most DMAX_LIMIT, checked
     before any per-degree work), then the line of every partition of
     every degree in order, each ended by a newline and holding its slot
-    count of canonical numerals, none negative.  Each degree is checked
-    after its last line (``_read_v2``): degree 1 must be the seed, and
-    each later degree's marked counts must sum to A003319(d+1) and its
-    genus-0 and genus-1 counts to the closed forms.  A failure raises
-    ValueError naming its line or lines.  A v1 cache (header ``DESSIN-F
-    v1``, which earlier versions wrote) is refused before its body is
-    read, with the fix: delete it, and the next run writes the cache as
-    v2.
+    count of canonical numerals, none negative, read as the profile's
+    count list.  Each degree is checked after its last line
+    (``_read_v2``): degree 1 must be the seed, and each later degree's
+    marked counts must sum to A003319(d+1) and its genus-0 and genus-1
+    counts to the closed forms.  A failure raises ValueError naming its
+    line or lines; a line it shows, the header included, is cut at 80
+    characters.  A v1 cache (header ``DESSIN-F v1``, which earlier
+    versions wrote) is refused before its body is read, with the fix:
+    delete it, and the next run writes the cache as v2.
     """
     head, _, body = text.partition("\n")
     tag, _, dm = head.rpartition(" dmax=")
@@ -200,7 +206,7 @@ def parse_cache(text: str) -> ConnectedSeries:
         raise ValueError("a v1 cache, which is no longer read: delete it, "
                          "and the next run writes it as v2")
     if tag != HEADER_TAG or not _is_count(dm):
-        raise ValueError(f"not a series cache (header {head!r})")
+        raise ValueError(f"not a series cache (header {_shown(head)})")
     if not text.isascii():
         at = next(i for i, c in enumerate(text) if not c.isascii())
         raise ValueError(f"line {text.count(chr(10), 0, at) + 1}: not ASCII")

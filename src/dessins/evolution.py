@@ -64,13 +64,17 @@ each slot a ``W``-bit field.  ``_linear_moves`` moves P as a whole:
   factor * j * m_j * j2 * m_j2, into pa + pb - E[j] - E[j2] + E[j+j2+1]
   for each part j of pa and j2 of pb.
 
-A degree ends in one decode pass over the physical slots, those with
-k >= 1 and l >= 1 (``_decode_degree``): one mask per profile refuses a
-count in any other slot, each physical slot is divided by the step's
-common denominator C (integrality), its row is the key's genus, and the
-count is filed into the degree's profile groups (see
-``ConnectedSeries``).  Skipping the other slots loses nothing: the mask
-has checked that they are zero.
+A degree ends in one decode pass (``_decode_degree``): per profile, one
+``Q, R = divmod(P, C)`` by the step's common denominator C and one test
+that Q has no bit outside the low h = W - bitlen(C) bits of its physical
+slots, those with k >= 1 and l >= 1.  If both pass, every slot of P is C
+times a count below 2^h (below), so Q's physical slots are the counts,
+read from its bytes in the slot order of ``_layout`` into the profile's
+count list (see ``ConnectedSeries``).  If either fails, a slot-by-slot
+scan of P names the fault: the lowest nonzero slot with k < 1 or l < 1,
+else the first physical slot that is not a multiple of C; a scan that
+finds neither (a count of 2^h or more) leaves the count to the A003319
+check.
 
 Slots cannot carry or wrap.  Every stored count and every contribution
 is non-negative, so every slot of a step is at most the sum of all its
@@ -85,9 +89,17 @@ Each step refuses its degree (ArithmeticError) unless T_d < 2^W, so no
 slot reaches 2^W and none carries into the next.  A stored count of
 2^W or more is refused as it is packed.  A connected key of weight n has
 k <= n <= dmax < K, so k never wraps into the next row.  On true counts
-S_n = A003319(n + 1) and T_d = C_d * A003319(d + 1), so W is that bound
-rounded up to whole bytes: 64 bits for dmax = 14 (59 bits at d = 14).
-After the decode, each degree's counts must sum to A003319(d + 1).
+S_n = A003319(n + 1) and T_d = C_d * A003319(d + 1), and W is the largest
+bitlen(C_d) + bitlen(A003319(d + 1)), d <= dmax, rounded up to whole
+bytes (``_slot_width``): 64 bits for dmax = 14 (60 bits at d = 14).
+
+The decode's one test is exact.  If R = 0 and every slot q_s of Q is
+below 2^h, then C * q_s < 2^bitlen(C) * 2^h = 2^W, so C * Q = P written
+in W-bit digits is the digits C * q_s, and as P's own digits are its
+slots (none carries), each slot of P is C * q_s: every physical count is
+integral and every other slot is 0.  Conversely true counts pass: each is
+at most their sum A003319(d + 1) < 2^h.  After the decode, each degree's
+counts must sum to A003319(d + 1).
 
 The partition function runs the same moves in the layout (k, l).  Its
 weight-n piece is A^n(1) / n!, A = (u+v)*grow + split_or_join + u*v*t1,
@@ -284,7 +296,44 @@ def join_components(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 # the degree recursion
 # ---------------------------------------------------------------------------
 
-def _filing(dmax: int) -> tuple[list[dict[int, dict[int, int]]], list[list[int]]]:
+@lru_cache(maxsize=None)
+def _layout(top: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
+    """The physical slots of a profile with k + l + 2g = top, the keys with
+    k >= 1 and l = top - 2g - k >= 1, by k and falling g, so by increasing
+    kl = l | k << bits: (kls, genera, index), index the position of each
+    kl.  A stored count list and a v2 cache line hold a profile's counts
+    in this order.  Memoised: every top is at most DMAX_LIMIT + 1."""
+    kls, genera = [], []
+    for k in range(1, top):
+        for g in range((top - 1 - k) // 2, -1, -1):
+            kls.append((top - 2 * g - k) | k << _PK.bits)
+            genera.append(g)
+    return tuple(kls), tuple(genera), {kl: i for i, kl in enumerate(kls)}
+
+
+@lru_cache(maxsize=None)
+def _profile_layout(prof: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
+    """``_layout`` of the packed profile prof, top = its weight + 2 - parts.
+    Memoised per profile: at most the partitions of 1 .. DMAX_LIMIT."""
+    parts = _PK.parts(prof)
+    return _layout(sum(i * x for i, x in parts) + 2 - sum(x for _, x in parts))
+
+
+def _genus_row(d: int, lists: Iterable[tuple[int, list[int]]]) -> list[int]:
+    """The genus row of degree d from its (top, counts) lists: the lists
+    of one top are summed slot by slot, then each sum goes to its slot's
+    genus."""
+    by_top: dict[int, list[list[int]]] = {}
+    for top, counts in lists:
+        by_top.setdefault(top, []).append(counts)
+    row = [0] * ((d + 1) // 2)
+    for top, same in by_top.items():
+        for g, v in zip(_layout(top)[1], map(sum, zip(*same))):
+            row[g] += v
+    return row
+
+
+def _filing(dmax: int) -> tuple[list[dict[int, list[int]]], list[list[int]]]:
     """Empty profile groups and zero genus rows of degrees 1 .. dmax, for
     outside counts to be filed into; a dmax below 1 or past DMAX_LIMIT
     raises ValueError."""
@@ -321,18 +370,19 @@ def _refuse_count(dmax: int, d: int, key: RawKey, num: int, den: int,
 
 
 def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
-                    ) -> tuple[list[dict[int, dict[int, int]]], list[list[int]]]:
+                    ) -> tuple[list[dict[int, list[int]]], list[list[int]]]:
     """The profile groups and genus rows of outside counts, the
     (d, key, num, den) of weighted counts num/den of degrees 1 .. dmax,
     in any order, in one pass that files each marked count d * num / den
     as it checks it.  Each profile m of weight w in 1 .. dmax is looked
-    up once (its group, genus row and w + 2 - parts); a count of degree
+    up once (its count list, genus row, top = w + 2 - parts and the
+    ``_layout`` index of that top); a count of degree
     d passes at (k, l, m) when w = d, k and l are >= 1, twice its genus,
     w + 2 - parts - k - l, is even and >= 0, and the marked count is a
     positive integer; ``_refuse_count`` names what a count that does not
     pass fails.  Then degree 1 must be the seed, no degree empty, and no
     key may repeat (its counts would all be in the genus row, one in its
-    group); ValueError."""
+    list); ValueError."""
     groups, rows = _filing(dmax)
     bits, found = _PK.bits, {}
     for d, key, num, den in terms:
@@ -341,16 +391,18 @@ def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
         if entry is None:
             w = partition_weight(m)
             if min(m, default=0) < 0 or not 1 <= w <= dmax:
-                entry = found[m] = None, -1, None, None
+                entry = found[m] = None, -1, None, None, None
             else:
-                group = groups[w - 1].setdefault(_PK.profile(m)[1], {})
-                entry = found[m] = w, w + 2 - sum(m), group, rows[w - 1]
-        w, offset, group, row = entry
+                top = w + 2 - sum(m)
+                index = _layout(top)[2]
+                group = groups[w - 1].setdefault(_PK.profile(m)[1], [0] * len(index))
+                entry = found[m] = w, top, group, rows[w - 1], index
+        w, top, group, row, index = entry
         v, r = divmod(num * d, den) if den else (0, 0)  # den = 0 is refused below
-        twice = offset - k - l
+        twice = top - k - l
         if r or twice < 0 or twice & 1 or k < 1 or l < 1 or v < 1 or w != d:
             _refuse_count(dmax, d, key, num, den, w)
-        group[l | k << bits] = v
+        group[index[l | k << bits]] = v
         row[twice >> 1] += v
     if rows[0] != [1]:  # its one physical key is the seed's
         raise ValueError("degree-1 piece must be exactly u*v*t1")
@@ -358,7 +410,7 @@ def _checked_groups(dmax: int, terms: Iterable[tuple[int, RawKey, int, int]]
         if not profiles:
             raise ValueError(f"piece {d} is empty")
     for i, profiles in enumerate(groups):
-        if sum(rows[i]) != sum(sum(group.values()) for group in profiles.values()):
+        if sum(rows[i]) != sum(map(sum, profiles.values())):
             raise ValueError(f"piece {i + 1} repeats a key")
     return groups, rows
 
@@ -384,26 +436,29 @@ def _step_denominator(d: int) -> int:
 
 
 def _slot_width(dmax: int) -> int:
-    """W, the slot width in bits for degrees up to dmax: the largest true
-    step total C_d * A003319(d + 1), d <= dmax, rounded up to whole bytes."""
-    top = max((_step_denominator(d) * indecomposable_count(d + 1)
-               for d in range(2, dmax + 1)), default=1)
-    return -(-top.bit_length() // 8) * 8
+    """W, the slot width in bits for degrees up to dmax: the largest
+    bitlen(C_d) + bitlen(A003319(d + 1)), d <= dmax, rounded up to whole
+    bytes.  It holds the true step total C_d * A003319(d + 1), and leaves
+    every true count below 2^h, h = W - bitlen(C_d), which the decode's
+    one test needs (module docstring)."""
+    bits = max((_step_denominator(d).bit_length() + indecomposable_count(d + 1).bit_length()
+                for d in range(2, dmax + 1)), default=1)
+    return -(-bits // 8) * 8
 
 
-def _kron_encode(groups: Mapping[int, Mapping[int, int]], d: int, W: int,
+def _kron_encode(groups: Mapping[int, Sequence[int]], d: int, W: int,
                  K: int) -> dict[int, int]:
     """Degree d's groups in their {packed profile: P} form, each count in
     its W-bit slot k + K*g."""
-    bits, mask, slots = _PK.bits, _PK.mask, {}
-    for prof, group in groups.items():
-        top, P = d + 2 - sum(x for _, x in _PK.parts(prof)), 0
-        for kl, v in group.items():
-            k, l = kl >> bits, kl & mask
+    bits, slots = _PK.bits, {}
+    for prof, counts in groups.items():
+        kls, genera, _ = _profile_layout(prof)
+        P = 0
+        for kl, g, v in zip(kls, genera, counts):
             if v >> W:
                 raise ArithmeticError(f"degree {d}: marked count at "
                                       f"{_PK.decode(prof | kl)!r} needs more than {W} bits")
-            P += v << W * (k + K * ((top - k - l) >> 1))
+            P += v << W * ((kl >> bits) + K * g)
         slots[prof] = P
     return slots
 
@@ -460,46 +515,68 @@ def _next_marked(kron: list[dict[int, int]], sums: list[int], d: int, W: int,
     return acc
 
 
-def _physical_slots(top: int, W: int, K: int) -> tuple[list[tuple[int, int, int]], int, int]:
-    """The physical slots of a profile with k + l + 2g = top, as (slots,
-    mask, size): slots the (byte offset, kl, g) of each slot (k, g) with
-    k >= 1 and l = top - 2g - k >= 1, by k and falling g (so by kl, the
-    order of the counts on a v2 cache line, too); mask the W-bit fields of
+def _physical_slots(top: int, W: int, K: int, h: int) -> tuple[list[int], int, int, int]:
+    """The physical slots of a profile with k + l + 2g = top in W-bit slots
+    k + K*g, as (offsets, mask, size, bad): offsets the byte offset of
+    each slot of ``_layout(top)``, in its order; mask the W-bit fields of
     those slots; size the bytes of its top // 2 genus rows, which hold
-    every such slot."""
-    wb, bits, slots, mask = W // 8, _PK.bits, [], 0
-    for k in range(1, top):
-        for g in range((top - 1 - k) // 2, -1, -1):
-            s = k + K * g
-            slots.append((s * wb, (top - 2 * g - k) | k << bits, g))
-            mask |= (1 << W) - 1 << W * s
-    return slots, mask, wb * K * (top // 2)
+    every such slot; bad every bit but the low h bits of those slots."""
+    wb, ones, offsets = W // 8, 0, []
+    for kl, g in zip(*_layout(top)[:2]):
+        s = (kl >> _PK.bits) + K * g
+        offsets.append(s * wb)
+        ones |= 1 << W * s
+    return offsets, ones * ((1 << W) - 1), wb * K * (top // 2), ~(ones * ((1 << h) - 1))
+
+
+def _scanned_counts(P: int, prof: int, d: int, C: int, W: int, K: int,
+                    layout: tuple) -> list[int]:
+    """The counts of the physical slots of P (``_decode_degree``'s layout
+    of prof's top), each slot divided by C, read slot by slot: a nonzero
+    slot outside them raises the ValueError of the lowest such key, whose
+    k < 1 or l < 1 (every slot with k, l >= 1 is in the mask), and a slot
+    that C does not divide raises ArithmeticError."""
+    offsets, mask, size, _ = layout
+    top, m = d + 2 - sum(x for _, x in _PK.parts(prof)), _PK.decode(prof)[2]
+    stray = P & ~mask
+    if stray:
+        s = ((stray & -stray).bit_length() - 1) // W
+        k, g = s % K, s // K
+        genus_at(d, (k, top - 2 * g - k, m))  # raises
+    raw, wb, counts = P.to_bytes(size, "little"), W // 8, []
+    for s, kl in zip(offsets, _layout(top)[0]):
+        v, r = divmod(int.from_bytes(raw[s:s + wb], "little"), C)
+        if r:
+            key = (kl >> _PK.bits, kl & _PK.mask, m)
+            raise ArithmeticError(f"marked count at {key!r} is not integral")
+        counts.append(v)
+    return counts
 
 
 def _decode_degree(acc: Mapping[int, int], d: int, W: int,
-                   K: int) -> tuple[dict[int, dict[int, int]], list[int], dict[int, int]]:
+                   K: int) -> tuple[dict[int, list[int]], list[int], dict[int, int]]:
     """The groups, genus row and slot form {profile: P // C} of the
-    degree-d step's output ``acc``, in one pass over the physical slots of
-    its profiles (``_physical_slots``, built once per top = d + 2 - parts):
-    slot k + K*g holds C times the count of (k, top - 2g - k, m).  A count
+    degree-d step's output ``acc``: slot k + K*g of a profile's P holds C
+    times the count of (k, top - 2g - k, m), top = d + 2 - parts.  A count
     that is not integral, a profile of another weight, a nonzero slot with
     k < 1 or l < 1, and counts that do not sum to A003319(d + 1) are
     engine invariant failures and raise ArithmeticError.
 
-    Reading only the physical slots is exact.  One ``P & ~mask`` per
-    profile refuses every bit outside them, naming the lowest such slot,
-    whose k < 1 or l < 1 (every slot with k, l >= 1 is in the mask); after
-    it P fits the rows the slots span, so ``to_bytes`` runs at their fixed
-    size.  Every physical slot is still divided by C (integrality) and
-    summed into the row that A003319 checks, and P // C is the slot form
-    of the same counts.
+    Per profile, Q, R = divmod(P, C) and one ``Q & bad`` test, bad every
+    bit but the low h = W - bitlen(C) bits of each physical slot
+    (``_physical_slots``, built once per top), check every slot at once
+    (module docstring); then Q fits the rows those slots span, so
+    ``to_bytes`` runs at their fixed size, and the count list is Q's
+    physical slots.  On a failed test ``_scanned_counts`` reads P slot by
+    slot and raises the fault it finds.  Q is the slot form of the counts.
+    A profile without a count (P = 0) is left out.
     """
     C, wb, from_bytes = _step_denominator(d), W // 8, int.from_bytes
-    zero = bytes(wb)
-    groups: dict[int, dict[int, int]] = {}
-    row = [0] * ((d + 1) // 2)
+    h = W - C.bit_length()  # >= bitlen(A003319(d + 1)) (_slot_width)
+    groups: dict[int, list[int]] = {}
+    lists: list[tuple[int, list[int]]] = []  # (top, counts), for the genus row
     stored: dict[int, int] = {}
-    layouts: dict[int, tuple] = {}  # per top: _physical_slots
+    layouts: dict[int, tuple] = {}  # per top: offsets, mask, size, bad
     try:
         for prof, P in acc.items():
             parts = _PK.parts(prof)
@@ -508,28 +585,21 @@ def _decode_degree(acc: Mapping[int, int], d: int, W: int,
             top = d + 2 - sum(x for _, x in parts)
             layout = layouts.get(top)
             if layout is None:
-                layout = layouts[top] = _physical_slots(top, W, K)
-            slots, mask, size = layout
-            stray = P & ~mask
-            if stray:
-                s = ((stray & -stray).bit_length() - 1) // W
-                k, g = s % K, s // K
-                genus_at(d, (k, top - 2 * g - k, _PK.decode(prof)[2]))  # raises
-            raw = P.to_bytes(size, "little")
-            group = groups[prof] = {}
-            for s, kl, g in slots:
-                chunk = raw[s:s + wb]
-                if chunk == zero:
-                    continue
-                v, r = divmod(from_bytes(chunk, "little"), C)
-                if r:
-                    key = (kl >> _PK.bits, kl & _PK.mask, _PK.decode(prof)[2])
-                    raise ArithmeticError(f"marked count at {key!r} is not integral")
-                group[kl] = v
-                row[g] += v
-            stored[prof] = P // C
+                layout = layouts[top] = _physical_slots(top, W, K, h)
+            offsets, _, size, bad = layout
+            Q, R = divmod(P, C)
+            if R or Q & bad:
+                counts = _scanned_counts(P, prof, d, C, W, K, layout)
+            else:
+                raw = Q.to_bytes(size, "little")
+                counts = [from_bytes(raw[s:s + wb], "little") for s in offsets]
+            if Q:
+                groups[prof] = counts
+                lists.append((top, counts))
+                stored[prof] = Q
     except ValueError as exc:
         raise ArithmeticError(f"computed degree {d}: {exc}") from exc
+    row = _genus_row(d, lists)
     want = indecomposable_count(d + 1)
     if sum(row) != want:
         raise ArithmeticError(f"computed degree {d}: marked counts sum to "
@@ -548,18 +618,22 @@ class ConnectedSeries:
     """Homogeneous pieces of the connected series for degrees 1 .. dmax.
 
     One form is stored: per degree, the marked counts d * N by packed
-    profile, {profile: {kl: d * N}} with kl = l | k << bits in the
-    package's one packing ``_PK`` (a key's code is profile + kl), beside
-    its genus row.  Every k, l and m_i is at most dmax <= DMAX_LIMIT <
+    profile (in the package's one packing ``_PK``), {profile: [d * N,
+    ...]}, beside its genus row.  A profile's list holds the count of each
+    of its physical slots in the order of ``_layout`` (by kl = l | k <<
+    bits; a key's code is profile + kl), which is also the order of its
+    v2 cache line; 0 is a key without a count, and a profile without any
+    is not stored.  Every k, l and m_i is at most dmax <= DMAX_LIMIT <
     2^bits, so no field carries.  A degree is checked and collapsed by
     genus once, where it enters: computed, by ``_decode_degree``; outside
     input, as it is filed (``_filing``): the constructor's pieces by
     ``_checked_groups``, a cache's lines by ``cache.parse_cache``.
     ``extended_to`` packs the stored groups into slots as they are, and a
-    cut-back shares its parent's groups.  KP reads the groups as stored;
-    ``recursion_rhs`` keeps their slot form and its step outputs in
-    ``_steps``, built on first use, which a cut-back starts without.
-    Tuple keys and Fractions are built per call.
+    cut-back shares its parent's groups.  KP pairs each list with its
+    kls once per evaluator; ``recursion_rhs`` keeps the groups' slot form
+    and its step outputs in ``_steps``, built on first use, which a
+    cut-back starts without.  Tuple keys and Fractions are built per
+    call.
     """
 
     __slots__ = ("_groups", "_rows", "_steps")
@@ -585,7 +659,7 @@ class ConnectedSeries:
     @classmethod
     def compute(cls, dmax: int) -> "ConnectedSeries":
         """Build the series up to degree dmax from the one-edge seed."""
-        seed = {_PK.encode((0, 0, SEED_KEY[2])): {_PK.encode((1, 1, ())): 1}}
+        seed = {_PK.encode((0, 0, SEED_KEY[2])): [1]}  # its one slot, (1, 1)
         return cls._stored([seed], [[1]]).extended_to(dmax)
 
     def extended_to(self, dmax: int) -> "ConnectedSeries":
@@ -629,14 +703,15 @@ class ConnectedSeries:
         kl above the rank of its profile."""
         if not 1 <= d <= self.dmax:
             raise TruncationError(f"degree {d} outside 1..{self.dmax}")
-        ranked = sorted((_PK.decode(prof)[2], group)
-                        for prof, group in self._groups[d - 1].items())
+        ranked = sorted((_PK.decode(prof)[2], _profile_layout(prof), counts)
+                        for prof, counts in self._groups[d - 1].items())
         rb = len(ranked).bit_length()  # every rank fits rb bits
         out = {}
-        for code in sorted(kl << rb | r for r, (_, group) in enumerate(ranked) for kl in group):
-            m, group = ranked[code & (1 << rb) - 1]
+        for code in sorted(kl << rb | r for r, (_, (kls, *_), counts) in enumerate(ranked)
+                           for kl, v in zip(kls, counts) if v):
+            m, (_, _, index), counts = ranked[code & (1 << rb) - 1]
             kl = code >> rb
-            out[kl >> _PK.bits, kl & _PK.mask, m] = group[kl]
+            out[kl >> _PK.bits, kl & _PK.mask, m] = counts[index[kl]]
         return out
 
     def piece(self, d: int) -> GradedSeries:
@@ -652,8 +727,9 @@ class ConnectedSeries:
             raise TruncationError(f"weight {d} beyond computed degree {self.dmax}")
         if not (1 <= k <= d and 1 <= l <= d):
             return Fraction(0)
-        group = self._groups[d - 1].get(prof, {})
-        return Fraction(group.get(l | k << _PK.bits, 0), d)
+        counts = self._groups[d - 1].get(prof)
+        i = None if counts is None else _layout(d + 2 - sum(m))[2].get(l | k << _PK.bits)
+        return Fraction(0 if i is None else counts[i], d)
 
     def combined(self) -> GradedSeries:
         """All pieces merged into one series truncated at dmax."""

@@ -15,27 +15,28 @@ equation moved to one side.  Further hierarchy equations can be added to
 KP_EQUATIONS without touching the evaluator.
 
 The evaluator reads the series' stored profile groups (in the package's
-one packing ``_PK``, see ``ConnectedSeries``) and runs one pair
-convolution, ``_convolve``, with plain integer coefficients.  With
-F_d = M_d / d (M_d the integer marked piece), the s^n value of a product
-of r derivative factors is the sum over n_1 + ... + n_r = n of prod_j
-U_j(n_j) / n_j, U_j the factor's derivative of M.  Each prod n_j divides
-n! (it divides prod n_j!, which divides n!), so P_n = n! times that value
-is an integer.  One factor has P_n = (n-1)! U(n), a derivative of the
-integer piece G_n = n! F_n = (n-1)! M_n; appending a factor gives the
-binomial convolution P_n = sum_b C(n, b) P_head(n-b) (b-1)! U(b).  With L
-the lcm of an equation's coefficient denominators, L * n! times its
-residual is the integer sum of (coeff * L) P_n, which vanishes exactly
-when the residual does; a Fraction is formed only when residual() returns
-it.
+one packing ``_PK``, see ``ConnectedSeries``), each profile's count list
+paired once with its kls into [(kl, M), ...] (a count of 0 adds nothing),
+and runs one pair convolution, ``_convolve``, with plain integer
+coefficients.  With F_d = M_d / d (M_d the integer marked piece), the
+s^n value of a product of r derivative factors is the sum over n_1 + ...
++ n_r = n of prod_j U_j(n_j) / n_j, U_j the factor's derivative of M.
+Each prod n_j divides n! (it divides prod n_j!, which divides n!), so
+P_n = n! times that value is an integer.  One factor has P_n = (n-1)!
+U(n), a derivative of the integer piece G_n = n! F_n = (n-1)! M_n;
+appending a factor gives the binomial convolution P_n = sum_b C(n, b)
+P_head(n-b) (b-1)! U(b).  With L the lcm of an equation's coefficient
+denominators, L * n! times its residual is the integer sum of (coeff *
+L) P_n, which vanishes exactly when the residual does; a Fraction is
+formed only when residual() returns it.
 
 Derivatives are profile factors.  A multi-derivative d^a (a_i
 t_i-derivatives) maps every key of one profile m to the profile m -
 sum a_i e_i with the same k and l, times prod m_i! / (m_i - a_i)!, so a
 derivative table holds one (profile, factor, entries) item per profile
-group of a degree, the entries a view of the series' own {kl: M}
-group, with nothing copied per key.  A product convolves each pair of
-groups in one call, the factors multiplied and the profiles added.  A
+group of a degree, the entries that profile's (kl, M) pairs, shared by
+every derivative table.  A product convolves each pair of groups in one
+call, the factors multiplied and the profiles added.  A
 square (the same factor twice, as in (1,1)^2, (1,2)^2 and (1,1,1)^2)
 has equal terms at b and n - b, since C(n, b) = C(n, n - b): it sums
 b < n - b doubled and b = n / 2 once.
@@ -57,7 +58,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm
 from typing import Sequence
 
-from .evolution import _PK, ConnectedSeries
+from .evolution import _PK, ConnectedSeries, _profile_layout
 from .series import GradedSeries, TruncationError
 
 MultiIndex = tuple[int, ...]
@@ -148,10 +149,11 @@ def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
 
 class KpEvaluator:
     """Derivative and product tables for residuals up to one s-bound, read
-    from the series' stored groups.  Entry n of a derivative table is a
-    [(profile, factor, entries), ...] list, one item per profile group of
-    degree n; entry n of a product table is a packed [(code, int), ...]
-    list."""
+    from the series' stored groups, paired once per evaluator: per degree
+    {profile: [(kl, M), ...]}, one pair per count.  Entry n of a derivative
+    table is a [(profile, factor, entries), ...] list, one item per profile
+    group of degree n, entries its pairs; entry n of a product table is a
+    packed [(code, int), ...] list."""
 
     def __init__(self, series: ConnectedSeries, nmax: int):
         if nmax < 0:
@@ -160,7 +162,9 @@ class KpEvaluator:
             raise TruncationError(
                 f"s-degree {nmax} beyond computed degree {series.dmax}")
         self.nmax = nmax
-        self._groups = [None, *series._groups[:nmax]]
+        self._pairs = [None] + [{prof: list(zip(_profile_layout(prof)[0], counts))
+                                 for prof, counts in groups.items()}
+                                for groups in series._groups[:nmax]]
         self._derivs: dict[MultiIndex, list] = {}
         self._products: dict[tuple[MultiIndex, ...], list] = {}
 
@@ -168,7 +172,7 @@ class KpEvaluator:
         """Entry d: the multi-derivative of G_d = (d-1)! M_d, as one item
         (profile - sum of E[i], (d-1)! * prod m_i! / (m_i - a_i)!, entries)
         per profile group with every m_i >= a_i, a_i the times i occurs in
-        multi; the entries are a view of the group's (kl, M) items."""
+        multi; the entries are the group's (kl, M) pairs."""
         tables = self._derivs.get(multi)
         if tables is None:
             bits, mask, E = _PK.bits, _PK.mask, _PK.E
@@ -178,12 +182,12 @@ class KpEvaluator:
             tables = self._derivs[multi] = [None]
             for d in range(1, self.nmax + 1):
                 items, fd = [], factorial(d - 1)
-                for prof, group in self._groups[d].items():
+                for prof, pairs in self._pairs[d].items():
                     f = fd
                     for shift, a in alpha:
                         f *= perm(prof >> shift & mask, a)  # 0 when m_i < a_i
                     if f:
-                        items.append((prof - drop, f, group.items()))
+                        items.append((prof - drop, f, pairs))
                 tables.append(items)
         return tables
 

@@ -131,6 +131,13 @@ def test_parse_rejects_corruption():
         parse_cache("WRONG v9 dmax=2\n1 1 1 1 1/1\n")
 
 
+def test_long_header_is_cut_in_its_refusal():
+    with pytest.raises(ValueError, match=r"^not a series cache \(header 'xxx.{77}'\.\.\.\)$") \
+            as info:
+        parse_cache("x" * 100000 + "\n1 1 1\n")
+    assert len(str(info.value)) < 200
+
+
 def test_save_and_load(tmp_path, engine6):
     path = tmp_path / "series.cache"
     save_cache(path, engine6)
@@ -386,6 +393,13 @@ V2_REFUSALS = {
     "minus_zero": ((8, "4 4 5 1 5 6 -0 7"), r"^line 8: count '-0' is not a canonical numeral"),
     "carriage_return": ((5, "3 3 1 1 3 1\r"), r"^line 5: count '1\\r' is not a canonical numeral"),
     "negative_count": ((8, "4 4 5 -1 5 6 6 3"), r"^line 8: negative count -1:"),
+    "hexadecimal": ((5, "3 3 0x1 1 3 1"), r"^line 5: count '0x1' is not a canonical numeral"),
+    "decimal_point": ((5, "3 3 1 1.0 3 1"), r"^line 5: count '1\.0' is not a canonical numeral"),
+    "exponent": ((5, "3 3 1 1 1e3 1"), r"^line 5: count '1e3' is not a canonical numeral"),
+    "tab": ((5, "3 3 1 1 3 1\t"), r"^line 5: count '1\\t' is not a canonical numeral"),
+    "leading_space": ((5, " 3 3 1 1 3 1"),
+                      r"^line 5: expected the line of degree 3, profile 3: ' 3 3 1 1 3 1'$"),
+    "trailing_space": ((5, "3 3 1 1 3 1 "), r"^line 5: expected 4 counts, got 5: '3 3 1 1 3 1 '$"),
     "seed_line": ((2, "1 1 2"), r"^line 2: degree-1 piece must be exactly u\*v\*t1: '1 1 2'$"),
     "row_sum": ((6, "3 2,1 3 4"), r"^lines 5-7: degree-3 marked counts do not sum to A003319\(4\)$"),
     "genus_column": ((8, "4 4 6 0 5 6 6 1"),

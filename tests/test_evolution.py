@@ -19,8 +19,11 @@ from dessins.evolution import (
     _kron_encode,
     _linear_moves,
     _next_marked,
+    _profile_layout,
     _slot_width,
+    _step_denominator,
     grow_cycle,
+    indecomposable_count,
     join_components,
     next_piece,
     partition_function,
@@ -212,14 +215,14 @@ def _assembled_piece(pieces, d):
 
 def _step(series, d):
     """The degree-d step and decode of the engine on the series' groups
-    below d, packed in slots for dmax = d; the decoded groups as a
+    below d, packed in slots for dmax = d; the decoded count lists as a
     tuple-keyed piece, and the genus row."""
     W, K = _slot_width(d), d + 1
     kron = [_kron_encode(series._groups[n - 1], n, W, K) for n in range(1, d)]
     sums = [sum(series.marked_piece(n).values()) for n in range(1, d)]
     groups, row, _ = _decode_degree(_next_marked(kron, sums, d, W, K), d, W, K)
-    return {_PK.decode(prof + kl): v for prof, group in groups.items()
-            for kl, v in group.items()}, row
+    return {_PK.decode(prof + kl): v for prof, counts in groups.items()
+            for kl, v in zip(_profile_layout(prof)[0], counts) if v}, row
 
 
 @pytest.mark.parametrize("d", range(2, 10))
@@ -293,7 +296,8 @@ def test_partition_function_refuses_degrees_past_the_limit():
 
 def test_every_entry_stores_one_form():
     # computed, loaded from a cache, given as pieces, or cut back: a series
-    # holds the same {profile: {kl: M}} groups in the one packing
+    # holds the same {profile: [M, ...]} groups in the one packing, each
+    # list one count per physical slot of its profile, and some nonzero
     computed = ConnectedSeries.compute(10)
     deeper = ConnectedSeries.compute(12)
     recursion_rhs(deeper, 2, 1, (0, 1))  # builds deeper's step memo
@@ -303,6 +307,10 @@ def test_every_entry_stores_one_form():
     for series in forms:
         assert series._groups == computed._groups
         assert series._rows == computed._rows
+    for d, groups in enumerate(computed._groups, 1):
+        for prof, counts in groups.items():
+            assert type(counts) is list and any(counts)
+            assert len(counts) == len(_profile_layout(prof)[0])
     # a cut-back shares its parent's groups, not its step memo
     assert cut._groups == deeper._groups[:10]
     assert all(a is b for a, b in zip(cut._groups, deeper._groups))
@@ -441,7 +449,23 @@ COMPUTED_FAULTS = [
     pytest.param([(3, (0, 0, 1), 1, 0, F(1, 2))], type(None),
                  "marked count at (1, 3, (0, 0, 1)) is not integral",
                  id="non-integral-physical-slot"),
+    # C = 6 at d = 4, in 16-bit slots: 1 in slot (1, 0) and 2 in slot (2, 0)
+    # add 2^16 + 2^33, a multiple of 6, so P stays divisible by C though
+    # neither slot is; the first non-integral slot is named
+    pytest.param([(4, (0, 0, 0, 1), 1, 0, F(1, 6)), (4, (0, 0, 0, 1), 2, 0, F(1, 3))],
+                 type(None), "marked count at (1, 4, (0, 0, 0, 1)) is not integral",
+                 id="carry-keeps-the-profile-divisible"),
+    # C = 6 in slot (0, 0): divisible, and outside the physical slots
+    pytest.param([(4, (0, 0, 0, 1), 0, 0, 1)], NonPhysicalKeyError,
+                 "computed degree 4: key (0, 5, (0, 0, 0, 1)) needs k, l >= 1 and weight >= 1",
+                 id="stray-slot-holds-a-multiple-of-C"),
 ]
+
+
+def test_carry_plant_keeps_the_profile_divisible():
+    W, C = _slot_width(5), _step_denominator(4)
+    assert (W, C) == (16, 6)
+    assert ((1 << W) + (2 << 2 * W)) % C == 0
 
 
 @pytest.mark.parametrize("plants, cause, message", COMPUTED_FAULTS)
@@ -465,6 +489,17 @@ def test_profile_checked_at_each_degree(plant):
     with pytest.raises(ArithmeticError,
                        match="^computed degree 3: piece 3 is not homogeneous of weight 3$"):
         ConnectedSeries.compute(4)
+
+
+def test_slot_width_leaves_the_decode_check_exact():
+    # whole bytes, and bitlen(C_d) + bitlen(A003319(d + 1)) bits for every
+    # d <= dmax: a true count stays below 2^h, h = W - bitlen(C_d)
+    for dmax in range(2, DMAX_LIMIT + 1):
+        W = _slot_width(dmax)
+        need = max(_step_denominator(d).bit_length() + indecomposable_count(d + 1).bit_length()
+                   for d in range(2, dmax + 1))
+        assert W % 8 == 0 and need <= W < need + 8, dmax
+    assert _slot_width(26) == 136  # 129 bits are needed at d = 26
 
 
 def test_step_refuses_a_total_past_the_slots():
