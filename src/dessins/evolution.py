@@ -629,10 +629,10 @@ class ConnectedSeries:
     input, as it is filed (``_filing``): the constructor's pieces by
     ``_checked_groups``, a cache's lines by ``cache.parse_cache``.
     ``extended_to`` packs the stored groups into slots as they are, and a
-    cut-back shares its parent's groups.  KP pairs each list with its
-    kls once per evaluator; ``recursion_rhs`` keeps the groups' slot form
-    and its step outputs in ``_steps``, built on first use, which a
-    cut-back starts without.  Tuple keys and Fractions are built per
+    cut-back shares its parent's groups.  KP packs the groups it reads
+    into slots once per evaluator; ``recursion_rhs`` keeps the groups'
+    slot form and its step outputs in ``_steps``, built on first use,
+    which a cut-back starts without.  Tuple keys and Fractions are built per
     call.
     """
 

@@ -14,40 +14,59 @@ factors) pairs, each factor a multi-index of t-derivatives, and the whole
 equation moved to one side.  Further hierarchy equations can be added to
 KP_EQUATIONS without touching the evaluator.
 
-The evaluator reads the series' stored profile groups (in the package's
-one packing ``_PK``, see ``ConnectedSeries``), each profile's count list
-paired once with its kls into [(kl, M), ...] (a count of 0 adds nothing),
-and runs one pair convolution, ``_convolve``, with plain integer
-coefficients.  With F_d = M_d / d (M_d the integer marked piece), the
-s^n value of a product of r derivative factors is the sum over n_1 + ...
-+ n_r = n of prod_j U_j(n_j) / n_j, U_j the factor's derivative of M.
-Each prod n_j divides n! (it divides prod n_j!, which divides n!), so
-P_n = n! times that value is an integer.  One factor has P_n = (n-1)!
-U(n), a derivative of the integer piece G_n = n! F_n = (n-1)! M_n;
-appending a factor gives the binomial convolution P_n = sum_b C(n, b)
-P_head(n-b) (b-1)! U(b).  With L the lcm of an equation's coefficient
-denominators, L * n! times its residual is the integer sum of (coeff *
-L) P_n, which vanishes exactly when the residual does; a Fraction is
-formed only when residual() returns it.
+With F_d = M_d / d (M_d the integer marked piece), the s^n value of a
+product of r derivative factors is the sum over n_1 + ... + n_r = n of
+prod_j U_j(n_j) / n_j, U_j the factor's derivative of M.  Each prod n_j
+divides n! (it divides prod n_j!, which divides n!), so P_n = n! times
+that value, V_n, is an integer.  One factor has V_n = (n-1)! U(n), a
+derivative of the integer piece G_n = n! F_n = (n-1)! M_n; appending a
+factor gives the binomial convolution V_n = sum_b C(n, b) V_head(n-b)
+(b-1)! U(b).  A square (the same factor twice, as in (1,1)^2, (1,2)^2
+and (1,1,1)^2) has equal terms at b and n - b, since C(n, b) = C(n, n -
+b): it sums b < n - b doubled and b = n / 2 once.  With L the lcm of an
+equation's coefficient denominators, L * n! times its residual is the
+integer sum of (coeff * L) V_n, which vanishes exactly when the
+residual does; a Fraction is formed only when residual() returns it.
 
-Derivatives are profile factors.  A multi-derivative d^a (a_i
-t_i-derivatives) maps every key of one profile m to the profile m -
-sum a_i e_i with the same k and l, times prod m_i! / (m_i - a_i)!, so a
-derivative table holds one (profile, factor, entries) item per profile
-group of a degree, the entries that profile's (kl, M) pairs, shared by
-every derivative table.  A product convolves each pair of groups in one
-call, the factors multiplied and the profiles added.  A
-square (the same factor twice, as in (1,1)^2, (1,2)^2 and (1,1,1)^2)
-has equal terms at b and n - b, since C(n, b) = C(n, n - b): it sums
-b < n - b doubled and b = n / 2 once.
+The evaluator works on the engine's slot form.  Each profile group of
+degree d (in the package's one packing ``_PK``, see ``ConnectedSeries``)
+becomes one int P, packed by ``evolution._kron_encode``: the count of
+(k, l, m) in W-bit slot k + K*g, K = nmax + 1, g the genus of the key,
+so k + l + 2g = c, the profile's top d + 2 - parts.  Only the groups
+that some derivative reads are packed.  The tables are lists of
+(profile, P) items:
 
-Codes cannot carry or alias.  A table entry at s-degree n is a
-derivative of one piece of weight n, or a product of derivatives of
-pieces whose weights sum to n.  A derivative subtracts e_i only from a
-profile with m_i >= a_i (elsewhere the factor is 0 and the group
-dropped), and pieces have k, l, m_i <= weight, so every field of every
-code, sums included, stays in 0 .. n <= nmax <= dmax <= DMAX_LIMIT <
-2^bits.
+* A multi-derivative d^a (a_i t_i-derivatives) keeps each key's k and
+  l, so it keeps P: a group of profile m with every m_i >= a_i becomes
+  m - sum a_i E[i] with P times (d-1)! prod m_i! / (m_i - a_i)!, and
+  every other group drops out.
+* A product of two groups is the one multiplication Pa * Pb, added times
+  C(n, b) at profile pa + pb.  k and g add, so c adds too, and k <= n <=
+  nmax < K never wraps into the next genus row.  Profiles cannot carry
+  either: E[i] is subtracted only where m_i >= a_i, and every part count
+  of a sum stays <= n <= nmax <= DMAX_LIMIT < 2^bits.
+* A residual adds, per profile, each term's P times its signed integer
+  scale.  A term of r factors with #A derivative indices in all has c =
+  n - p + (2r - #A) at a profile of p parts (each derivative index
+  removes one part from its source's top), so two terms differ in c by
+  an even amount (``KpEquation.lifts`` refuses an equation whose terms
+  do not).  Each term is shifted up by (e0 - e) / 2 genus rows, W*K bits
+  each, e = 2r - #A and e0 the largest e of the equation; then every
+  term keeps l = c0 - k - 2g with c0 = n - p + e0, and a slot is one key.
+
+Slots cannot carry, and the zero test is exact.  Counts, factors and
+binomials are positive, so every table is non-negative and the sum of
+its slots is an exact scalar total T(n), which the same recursion gives
+on the groups' count sums.  B is the largest of every table's T(n) and
+every residual's sum over terms of |scale| * T(n), over the equations
+the evaluator serves and n <= nmax, and W = bitlen(B) + 1.  Every slot
+of a table or a residual is then below 2^(W-1) in magnitude: no slot
+carries into the next, and a residual's int has one balanced base-2^W
+digit per slot, its value in -2^(W-1) .. 2^(W-1) - 1.  Those digits are
+unique, so a residual vanishes exactly when every profile's int is 0,
+and a nonzero int is decoded, one balanced digit at a time, into its
+nonzero coefficients.  W is 80 bits for the four equations at nmax = 14.
+Nothing is kept between evaluators.
 """
 
 from __future__ import annotations
@@ -58,7 +77,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm
 from typing import Sequence
 
-from .evolution import _PK, ConnectedSeries, _profile_layout
+from .evolution import _PK, ConnectedSeries, _kron_encode
 from .series import GradedSeries, TruncationError
 
 MultiIndex = tuple[int, ...]
@@ -79,6 +98,18 @@ class KpEquation:
         if len(weights) != 1:
             raise ValueError(f"equation {self.id} is not weight-homogeneous")
         return weights.pop()
+
+    def lifts(self) -> tuple[int, ...]:
+        """2r - #A for each term (r factors, #A derivative indices): a
+        term's table at s-degree n holds the keys of a profile of p parts
+        in slots with k + l + 2g = n - p + 2r - #A.  Raises ValueError
+        unless every term has the same parity, which shifting each term
+        by whole genus rows into one layout needs."""
+        lifts = tuple(2 * len(factors) - sum(map(len, factors))
+                      for _, factors in self.terms)
+        if len({e & 1 for e in lifts}) > 1:
+            raise ValueError(f"equation {self.id} mixes terms of odd and even 2r - #A")
+        return lifts
 
 
 def _eq(eq_id: int, *terms) -> KpEquation:
@@ -134,112 +165,161 @@ def equation_by_id(eq_id: int) -> KpEquation:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _convolve(ta: list, tb: list, out: dict, factor=1, inc=0) -> None:
-    """Add factor * (ta)(tb), every key shifted by inc, to out: the product
-    of two packed [(key, coeff), ...] lists is one key addition per pair.
-    Zero sums stay in out."""
-    get = out.get
-    for c1, v1 in ta:
-        kc = c1 + inc
-        fv = factor * v1
-        for c2, v2 in tb:
-            key = kc + c2
-            out[key] = get(key, 0) + fv * v2
+def _pairs(n: int, factors: tuple[MultiIndex, ...]) -> list[tuple[int, int]]:
+    """(b, C(n, b)) for each term of the binomial convolution of factors at
+    s-degree n; a square's terms at b and n - b are equal, so it takes b <=
+    n / 2 and doubles b < n - b."""
+    square = len(factors) == 2 and factors[0] == factors[1]
+    return [(b, comb(n, b) << (square and 2 * b < n))
+            for b in range(1, n // 2 + 1 if square else n)]
+
+
+def _digits(R: int, W: int):
+    """(slot, digit) of each nonzero balanced digit of R in base 2^W, each
+    digit in -2^(W-1) .. 2^(W-1) - 1."""
+    half, mask, s = 1 << W - 1, (1 << W) - 1, 0
+    while R:
+        v = ((R & mask) ^ half) - half
+        if v:
+            yield s, v
+        R = (R - v) >> W
+        s += 1
+
+
+def _reads(groups: Sequence[dict], multi: MultiIndex) -> list:
+    """Entry d: (profile, profile - sum of E[i], (d-1)! * prod m_i! /
+    (m_i - a_i)!) for each profile group of degree d with every m_i >=
+    a_i, a_i the times i occurs in multi, the groups the multi-derivative
+    of G_d = (d-1)! M_d reads."""
+    bits, mask, E = _PK.bits, _PK.mask, _PK.E
+    # (the shift of m_i's field, a_i) for each index i in multi
+    alpha = [(bits * (i + 1), a) for i, a in Counter(multi).items()]
+    drop = sum(E[i] for i in multi)
+    out: list = [[]]
+    for d, profiles in enumerate(groups, 1):
+        items, fd = [], factorial(d - 1)
+        for prof in profiles:
+            f = fd
+            for shift, a in alpha:
+                f *= perm(prof >> shift & mask, a)  # 0 when m_i < a_i
+            if f:
+                items.append((prof, prof - drop, f))
+        out.append(items)
+    return out
 
 
 class KpEvaluator:
-    """Derivative and product tables for residuals up to one s-bound, read
-    from the series' stored groups, paired once per evaluator: per degree
-    {profile: [(kl, M), ...]}, one pair per count.  Entry n of a derivative
-    table is a [(profile, factor, entries), ...] list, one item per profile
-    group of degree n, entries its pairs; entry n of a product table is a
-    packed [(code, int), ...] list."""
+    """Term tables and residuals of some equations up to one s-bound, in
+    slot form (module docstring).  Entry n of the table of a term's
+    factors is a [(profile, P), ...] list: for one factor, an item per
+    profile group of degree n that its derivative reads, P the group's
+    int times the derivative's factor; for two or more, an item per
+    profile of V_n.  W is sized for the equations given, and only they
+    are served; a product table is built on first use."""
 
-    def __init__(self, series: ConnectedSeries, nmax: int):
+    def __init__(self, series: ConnectedSeries, nmax: int,
+                 equations: Sequence[KpEquation] = KP_EQUATIONS):
         if nmax < 0:
             raise ValueError(f"s-degree bound {nmax} is negative")
         if nmax > series.dmax:
             raise TruncationError(
                 f"s-degree {nmax} beyond computed degree {series.dmax}")
         self.nmax = nmax
-        self._pairs = [None] + [{prof: list(zip(_profile_layout(prof)[0], counts))
-                                 for prof, counts in groups.items()}
-                                for groups in series._groups[:nmax]]
-        self._derivs: dict[MultiIndex, list] = {}
-        self._products: dict[tuple[MultiIndex, ...], list] = {}
+        # per equation: L, its largest lift e0, and per term its integer
+        # scale, its factors and the genus rows it is shifted up by
+        self._plans: dict[KpEquation, tuple[int, int, list]] = {}
+        for eq in equations:
+            eq.weight()  # audit homogeneity before trusting the data
+            lifts = eq.lifts()
+            L, top = lcm(*(coeff.denominator for coeff, _ in eq.terms)), max(lifts)
+            self._plans[eq] = (L, top, [
+                (coeff.numerator * (L // coeff.denominator), factors, (top - e) >> 1)
+                for (coeff, factors), e in zip(eq.terms, lifts)])
+        groups = series._groups[:nmax]
+        reads = {(multi,): _reads(groups, multi) for multi in {
+            multi for eq in self._plans for _, factors in eq.terms for multi in factors}}
+        read = [{src: groups[d - 1][src] for r in reads.values() for src, _, _ in r[d]}
+                for d in range(nmax + 1)]
+        sums = [{src: sum(counts) for src, counts in by_src.items()} for by_src in read]
+        self._totals = {key: [sum(f * sums[d][src] for src, _, f in items)
+                              for d, items in enumerate(r)] for key, r in reads.items()}
+        bound = max((sum(abs(scale) * self._total(factors)[n] for scale, factors, _ in terms)
+                     for _, _, terms in self._plans.values() for n in range(1, nmax + 1)),
+                    default=0)
+        self.W = W = max(bound, 0, *map(max, self._totals.values())).bit_length() + 1
+        self._K = K = nmax + 1
+        packed = [_kron_encode(by_src, d, W, K) for d, by_src in enumerate(read)]
+        self._tables: dict[tuple[MultiIndex, ...], list] = {
+            key: [[(prof, f * packed[d][src]) for src, prof, f in items]
+                  for d, items in enumerate(r)] for key, r in reads.items()}
 
-    def _deriv(self, multi: MultiIndex) -> list:
-        """Entry d: the multi-derivative of G_d = (d-1)! M_d, as one item
-        (profile - sum of E[i], (d-1)! * prod m_i! / (m_i - a_i)!, entries)
-        per profile group with every m_i >= a_i, a_i the times i occurs in
-        multi; the entries are the group's (kl, M) pairs."""
-        tables = self._derivs.get(multi)
-        if tables is None:
-            bits, mask, E = _PK.bits, _PK.mask, _PK.E
-            # (the shift of m_i's field, a_i) for each index i in multi
-            alpha = [(bits * (i + 1), a) for i, a in Counter(multi).items()]
-            drop = sum(E[i] for i in multi)
-            tables = self._derivs[multi] = [None]
-            for d in range(1, self.nmax + 1):
-                items, fd = [], factorial(d - 1)
-                for prof, pairs in self._pairs[d].items():
-                    f = fd
-                    for shift, a in alpha:
-                        f *= perm(prof >> shift & mask, a)  # 0 when m_i < a_i
-                    if f:
-                        items.append((prof - drop, f, pairs))
-                tables.append(items)
-        return tables
-
-    def _product(self, factors: tuple[MultiIndex, ...]) -> list:
-        """Entry n: P_n, n! times the s^n value of a product of two or more
-        factors, the binomial convolution of its head and last factor group
-        by group; a head of two or more factors is its flattened product
-        table, one group per degree.  A square doubles b < n - b."""
-        out = self._products.get(factors)
+    def _total(self, factors: tuple[MultiIndex, ...]) -> list[int]:
+        """Entry n: T(n), the slot sum of the table of factors, the totals
+        run through ``_table``'s recursion."""
+        out = self._totals.get(factors)
         if out is None:
-            *head, last = factors
-            U = self._deriv(last)
-            square = head == [last]
-            A = self._deriv(head[0]) if len(head) == 1 else [
-                [(0, 1, terms)] for terms in self._product(tuple(head))]
-            out = self._products[factors] = [()] * (self.nmax + 1)
-            for n in range(len(factors), self.nmax + 1):
-                acc: dict = {}
-                for b in range(1, n // 2 + 1 if square else n):
-                    c = comb(n, b) << (square and 2 * b < n)
-                    for pb, fb, eb in U[b]:
-                        for pa, fa, ea in A[n - b]:
-                            _convolve(ea, eb, acc, c * fa * fb, pa + pb)
-                out[n] = [(code, v) for code, v in acc.items() if v]
+            A, U = self._total(factors[:-1]), self._totals[factors[-1:]]
+            out = self._totals[factors] = [0] * len(factors) + [
+                sum(c * A[n - b] * U[b] for b, c in _pairs(n, factors))
+                for n in range(len(factors), self.nmax + 1)]
         return out
 
-    def _scaled_residual(self, eq: KpEquation, n: int) -> tuple[dict, int]:
-        """(L * n! times the s^n residual as packed ints, L * n!)."""
+    def _table(self, factors: tuple[MultiIndex, ...]) -> list:
+        """Entry n: the table of factors; for two or more, V_n, the binomial
+        convolution of the head and the last factor: one multiplication Pa
+        * Pb per pair of groups, times C(n, b), added at profile pa + pb."""
+        out = self._tables.get(factors)
+        if out is None:
+            A, U = self._table(factors[:-1]), self._table(factors[-1:])
+            out = self._tables[factors] = [[] for _ in range(self.nmax + 1)]
+            for n in range(len(factors), self.nmax + 1):
+                acc: dict[int, int] = {}
+                get = acc.get
+                for b, c in _pairs(n, factors):
+                    for pb, Pb in U[b]:
+                        Pb *= c
+                        for pa, Pa in A[n - b]:
+                            key = pa + pb
+                            acc[key] = get(key, 0) + Pa * Pb
+                out[n] = list(acc.items())
+        return out
+
+    def _residual(self, eq: KpEquation, n: int) -> dict[int, int]:
+        """L * n! times the s^n residual of eq, one int per profile in the
+        equation's common layout, the profiles whose int is nonzero."""
+        plan = self._plans.get(eq)
+        if plan is None:
+            raise ValueError(f"equation {eq.id} is not one this evaluator serves")
         if not 1 <= n <= self.nmax:
             raise TruncationError(f"s-degree {n} outside 1..{self.nmax}")
-        L = lcm(*(coeff.denominator for coeff, _ in eq.terms))
-        acc: dict = {}
-        for coeff, factors in eq.terms:  # each term times the unit series 1
-            scale = coeff.numerator * (L // coeff.denominator)
-            if len(factors) > 1:
-                _convolve(((0, 1),), self._product(factors)[n], acc, scale)
-                continue
-            for prof, f, entries in self._deriv(factors[0])[n]:
-                _convolve(((0, 1),), entries, acc, scale * f, prof)
-        return {code: v for code, v in acc.items() if v}, L * factorial(n)
+        row = self.W * self._K
+        acc: dict[int, int] = {}
+        get = acc.get
+        for scale, factors, rows in plan[2]:
+            for prof, P in self._table(factors)[n]:
+                acc[prof] = get(prof, 0) + (scale * P << row * rows)
+        return {prof: R for prof, R in acc.items() if R}
+
+    def residual_terms(self, eq: KpEquation, n: int) -> int:
+        """The number of nonzero coefficients of the s^n residual."""
+        return sum(1 for R in self._residual(eq, n).values() for _ in _digits(R, self.W))
 
     def residual(self, eq: KpEquation, n: int) -> GradedSeries:
         """s^n coefficient of the residual; a polynomial in u, v, t."""
-        terms, den = self._scaled_residual(eq, n)
-        decode = _PK.decode
-        return GradedSeries({decode(code): Fraction(v, den)
-                             for code, v in terms.items()}, n, _raw=True)
+        slots = self._residual(eq, n)
+        L, top, _ = self._plans[eq]
+        den, K, bits, terms = L * factorial(n), self._K, _PK.bits, {}
+        for prof, R in slots.items():
+            c = n - sum(x for _, x in _PK.parts(prof)) + top  # k + l + 2g
+            for s, v in _digits(R, self.W):
+                g, k = divmod(s, K)
+                terms[_PK.decode(prof | (c - k - 2 * g) | k << bits)] = Fraction(v, den)
+        return GradedSeries(terms, n, _raw=True)
 
 
 def kp_residual(series: ConnectedSeries, eq: KpEquation, n: int) -> GradedSeries:
     """Residual polynomial of one equation at one s-degree (must be zero)."""
-    return KpEvaluator(series, n).residual(eq, n)
+    return KpEvaluator(series, n, (eq,)).residual(eq, n)
 
 
 @dataclass(frozen=True)
@@ -267,11 +347,10 @@ def kp_report(series: ConnectedSeries, nmax: int,
     Passes overall iff every residual is the identically zero polynomial;
     nmax = 0 is a vacuous pass; a negative nmax raises ValueError.
     """
-    evaluator = KpEvaluator(series, nmax)
+    evaluator = KpEvaluator(series, nmax, equations)
     rows = []
     for eq in equations:
-        eq.weight()  # audit homogeneity before trusting the data
         for n in range(1, nmax + 1):
-            terms = len(evaluator._scaled_residual(eq, n)[0])
+            terms = evaluator.residual_terms(eq, n)
             rows.append(KpRow(eq.id, n, terms, not terms))
     return KpReport(nmax, tuple(rows))

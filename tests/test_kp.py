@@ -11,6 +11,7 @@ from dessins.kp import (
     KpEquation,
     KpEvaluator,
     KpRow,
+    _digits,
     equation_by_id,
     kp_report,
     kp_residual,
@@ -27,6 +28,33 @@ def test_weight_audit_rejects_mixed_terms():
                           (Fraction(1), ((1, 2),))))
     with pytest.raises(ValueError):
         bad.weight()
+
+
+#: both terms have weight 3, but 2r - #A is 0 for (1, 2) and 1 for (3,):
+#: their tables could not be shifted by whole genus rows into one layout
+MIXED_PARITY = KpEquation(98, ((Fraction(1), ((1, 2),)),
+                               (Fraction(1), ((3,),))))
+
+
+def test_lift_audit_rejects_mixed_parity():
+    assert MIXED_PARITY.weight() == 3
+    with pytest.raises(ValueError, match="odd and even"):
+        MIXED_PARITY.lifts()
+    assert [eq.lifts() for eq in KP_EQUATIONS] == [
+        (0, 0, 0, -2), (0, 0, 0, -2), (0, 0, 0, 0, -2, -2, -2, -4),
+        (0, 0, 0, 0, 0, -2, -2, -2, -4)]
+
+
+def test_evaluator_refuses_mixed_parity_and_unserved_equations(engine6):
+    with pytest.raises(ValueError, match="odd and even"):
+        KpEvaluator(engine6, 6, (MIXED_PARITY,))
+    with pytest.raises(ValueError, match="odd and even"):
+        kp_report(engine6, 6, (MIXED_PARITY,))
+    # W covers the equations an evaluator is built for, and only they
+    one = KpEvaluator(engine6, 6, KP_EQUATIONS[:1])
+    assert one.W <= KpEvaluator(engine6, 6).W
+    with pytest.raises(ValueError, match="equation 2 is not one"):
+        one.residual(KP_EQUATIONS[1], 3)
 
 
 def test_equation_lookup():
@@ -210,3 +238,98 @@ def test_report_at_degree_14(engine14):
     report = kp_report(engine14, 14)
     assert report.rows == tuple(KpRow(eq, n, 0, True)
                                 for eq in (1, 2, 3, 4) for n in range(1, 15))
+
+
+def _slot_values(P: int, W: int) -> list[int]:
+    """The W-bit slots of a non-negative P, lowest first."""
+    out, mask = [], (1 << W) - 1
+    while P:
+        out.append(P & mask)
+        P >>= W
+    return out
+
+
+def test_table_slots_sum_to_their_totals(engine10):
+    # every table, products included, is non-negative and sums to the
+    # scalar total the slot width is sized from: no slot carried
+    evaluator = KpEvaluator(engine10, 10)
+    for eq in KP_EQUATIONS:
+        for n in range(1, 11):
+            evaluator.residual_terms(eq, n)
+    products = [f for f in evaluator._tables if len(f) > 1]
+    assert len(products) == 7
+    for factors, table in evaluator._tables.items():
+        total = evaluator._total(factors)
+        for n, items in enumerate(table):
+            assert sum(sum(_slot_values(P, evaluator.W)) for _, P in items) == total[n]
+    # W = bitlen(B) + 1, B the largest total and residual bound
+    bound = max(sum(abs(scale) * evaluator._total(factors)[n] for scale, factors, _ in terms)
+                for _, _, terms in evaluator._plans.values() for n in range(1, 11))
+    assert evaluator.W == max(bound, *map(max, evaluator._totals.values())).bit_length() + 1
+
+
+#: kp_report(mutated, 10), mutated = engine10 with N + 1 at (1, 2, (3, 1)):
+#: residual_terms per row, equations 1..4, n = 1..10 (as computed by the
+#: (kl, M) pair convolution this evaluator replaced)
+PINNED_TERMS = (0, 0, 0, 0, 0, 0, 1, 1, 3, 7,
+                0, 0, 0, 0, 1, 0, 1, 3, 3, 11,
+                0, 0, 0, 0, 0, 0, 0, 3, 6, 7,
+                0, 0, 0, 0, 0, 0, 0, 3, 6, 8)
+
+
+@pytest.fixture(scope="module")
+def pinned(engine10) -> ConnectedSeries:
+    key = (1, 2, (3, 1))
+    assert key[2][0] >= 2
+    return _corrupt(engine10, 5, key)
+
+
+def test_failing_report_is_pinned(pinned):
+    report = kp_report(pinned, 10)
+    assert report.rows == tuple(
+        KpRow(eq, n, terms, not terms)
+        for (eq, n), terms in zip(((eq, n) for eq in (1, 2, 3, 4) for n in range(1, 11)),
+                                  PINNED_TERMS))
+    signs = set()
+    for row, eq in zip(report.rows, (eq for eq in KP_EQUATIONS for _ in range(10))):
+        residual = kp_residual(pinned, eq, row.n)
+        assert row.residual_terms == len(residual.terms), row
+        signs.update(c > 0 for c in residual.terms.values())
+    assert signs == {False, True}
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_residual_slots_fit_the_slot_width(engine10, delta):
+    # each term's table decoded slot by slot (exact: it is non-negative
+    # and does not carry), scaled and shifted into the equation's layout
+    # and summed, is the residual, and every such slot is below 2^(W-1):
+    # the residual's balanced digits are those slots
+    series = _corrupt(engine10, 5, (1, 2, (3, 1)), delta)
+    evaluator = KpEvaluator(series, 10)
+    W, K = evaluator.W, evaluator._K
+    signed = set()
+    for eq in KP_EQUATIONS:
+        _, _, terms = evaluator._plans[eq]
+        for n in range(1, 11):
+            want: dict = {}
+            for scale, factors, rows in terms:
+                for prof, P in evaluator._table(factors)[n]:
+                    slots = want.setdefault(prof, {})
+                    for s, v in enumerate(_slot_values(P, W)):
+                        slots[s + K * rows] = slots.get(s + K * rows, 0) + scale * v
+            got = evaluator._residual(eq, n)
+            for prof, slots in want.items():
+                nonzero = {s: v for s, v in slots.items() if v}
+                assert all(abs(v) < 1 << W - 1 for v in nonzero.values())
+                assert dict(_digits(got.get(prof, 0), W)) == nonzero, (eq.id, n)
+                signed.update(v > 0 for v in nonzero.values())
+    assert signed == {False, True}
+
+
+def test_report_keeps_no_state(engine10):
+    series = engine10.extended_to(8)
+    groups = [{prof: list(counts) for prof, counts in g.items()} for g in series._groups]
+    first = kp_report(series, 8)
+    assert series._steps is None
+    assert [dict(g) for g in series._groups] == groups
+    assert kp_report(series, 8) == first
