@@ -48,20 +48,19 @@ import os
 import re
 from contextlib import suppress
 from functools import lru_cache
-from operator import mul
 from pathlib import Path
 from stat import S_ISDIR
 
 from .counts import marked_count_genus0, marked_count_genus1
 from .evolution import (
-    _PK,
     ConnectedSeries,
     _filing,
     _genus_row,
     _layout,
+    _packed_partitions,
     indecomposable_count,
 )
-from .series import partitions, profile_text
+from .series import profile_text
 
 HEADER_TAG = "DESSIN-F v2"
 
@@ -73,16 +72,14 @@ _COUNTS = re.compile(r"(?:0|[1-9][0-9]*)(?: (?:0|[1-9][0-9]*))*\Z")
 @lru_cache(maxsize=None)
 def _profile_lines(d: int) -> tuple[tuple[int, str, int, int], ...]:
     """The v2 lines of degree d, one per partition m of d in canonical
-    profile order (by multiplicities), as (packed profile, the line's
-    head ``"d <profile> "``, top = d + 2 - parts, the number of physical
-    slots of that top).  The packed profile is the sum of m_i * E[i], as
-    ``_PK.profile`` packs it.  Memoised: every d is at most DMAX_LIMIT,
-    so the memo holds at most 31 entries."""
-    units, out = _PK.E[1:], []
-    for m in sorted(partitions(d)):
+    profile order (by multiplicities, ``evolution._packed_partitions``),
+    as (packed profile, the line's head ``"d <profile> "``, top = d + 2 -
+    parts, the number of physical slots of that top).  Memoised: every d
+    is at most DMAX_LIMIT, so the memo holds at most 31 entries."""
+    out = []
+    for m, prof in _packed_partitions(d):
         top = d + 2 - sum(m)
-        out.append((sum(map(mul, m, units)), f"{d} {profile_text(m)} ", top,
-                    len(_layout(top)[0])))
+        out.append((prof, f"{d} {profile_text(m)} ", top, len(_layout(top)[0])))
     return tuple(out)
 
 

@@ -64,6 +64,17 @@ each slot a ``W``-bit field.  ``_linear_moves`` moves P as a whole:
   factor * j * m_j * j2 * m_j2, into pa + pb - E[j] - E[j2] + E[j+j2+1]
   for each part j of pa and j2 of pb.
 
+Stored counts enter the slot form a genus row at a time
+(``_kron_encode``).  Row g of a profile of top c = weight + 2 - parts
+holds its slots k = 1 .. c - 1 - 2g, contiguous W-bit fields, so the
+row is built as R = R << W | count over falling k, each count shifting
+an int no wider than its row, and is placed by one P |= R << W*(1 + K*g)
+(the rows do not overlap, so OR is addition).  Each profile's counts are
+checked once, max(counts) >> W, before any is packed; a count of 2^W or
+more names the lowest such key in ``_layout`` order.  The profile record
+of ``_PK`` gives every reader a profile's weight and top without summing
+its parts.
+
 A degree ends in one decode pass (``_decode_degree``): per profile, one
 ``Q, R = divmod(P, C)`` by the step's common denominator C and one test
 that Q has no bit outside the low h = W - bitlen(C) bits of its physical
@@ -121,7 +132,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Iterable, Mapping, Sequence
+from operator import mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .series import (
     GradedSeries,
@@ -131,6 +143,7 @@ from .series import (
     canonical_multiplicities,
     genus_at,
     partition_weight,
+    partitions,
 )
 
 SEED_KEY: RawKey = (1, 1, (1,))
@@ -144,10 +157,11 @@ DMAX_LIMIT = 31  # the largest degree computed, loaded or packed (5-bit fields)
 class _Packing:
     """The one bit-field layout of packed keys, ``_PK``: fields of
     DMAX_LIMIT.bit_length() bits, and E[i] = 1 << bits*(i+1), the vector
-    of a part of size i, for every i <= DMAX_LIMIT + 1.  The decoded
-    profile and its part list are kept per packed profile (a key's fields
-    above k and l), and the weight and packed profile per multiplicity
-    vector as a caller gives it, since keys share few profiles."""
+    of a part of size i, for every i <= DMAX_LIMIT + 1.  One record is
+    kept per packed profile (a key's fields above k and l): its decoded
+    profile, its part list, its weight and its top, weight + 2 - parts;
+    and the weight and packed profile per multiplicity vector as a caller
+    gives it, since keys share few profiles."""
 
     __slots__ = ("bits", "mask", "E", "_memo", "_codes")
 
@@ -155,7 +169,7 @@ class _Packing:
         self.bits = bits = DMAX_LIMIT.bit_length()  # 2^bits > DMAX_LIMIT
         self.mask = (1 << bits) - 1
         self.E = [0, *(1 << bits * (i + 1) for i in range(1, DMAX_LIMIT + 2))]
-        self._memo: dict[int, tuple[Multiplicities, tuple[tuple[int, int], ...]]] = {}
+        self._memo: dict[int, tuple[Multiplicities, tuple[tuple[int, int], ...], int, int]] = {}
         self._codes: dict[tuple, tuple[int, int]] = {}
 
     def profile(self, m: Sequence[int]) -> tuple[int, int]:
@@ -176,14 +190,22 @@ class _Packing:
         k, l, m = key
         return self.profile(m)[1] | k << self.bits | l
 
-    def _decoded(self, prof: int) -> tuple[Multiplicities, tuple[tuple[int, int], ...]]:
+    def _decoded(self, prof: int) -> tuple[Multiplicities, tuple[tuple[int, int], ...], int, int]:
         bits, mask, code, out = self.bits, self.mask, prof, []
         while code:
             out.append(code & mask)
             code >>= bits
-        entry = self._memo[prof] = (
-            tuple(out), tuple((i, x) for i, x in enumerate(out, 1) if x))
+        parts = tuple((i, x) for i, x in enumerate(out, 1) if x)
+        w = sum(i * x for i, x in parts)
+        entry = self._memo[prof] = (tuple(out), parts, w, w + 2 - sum(out))
         return entry
+
+    def record(self, code: int) -> tuple[Multiplicities, tuple[tuple[int, int], ...], int, int]:
+        """(m, parts, weight, top) of the profile of a key code or packed
+        profile: the multiplicity vector, (i, m_i) for every part size i
+        present, the weight sum i * m_i and top = weight + 2 - parts."""
+        prof = code >> 2 * self.bits
+        return self._memo.get(prof) or self._decoded(prof)
 
     def decode(self, code: int) -> RawKey:
         bits, mask = self.bits, self.mask
@@ -296,27 +318,50 @@ def join_components(a: GradedSeries, b: GradedSeries) -> GradedSeries:
 # the degree recursion
 # ---------------------------------------------------------------------------
 
+Layout = tuple[tuple[int, ...], tuple[int, ...], dict[int, int], tuple[tuple[int, ...], ...]]
+
+
 @lru_cache(maxsize=None)
-def _layout(top: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
+def _layout(top: int) -> Layout:
     """The physical slots of a profile with k + l + 2g = top, the keys with
     k >= 1 and l = top - 2g - k >= 1, by k and falling g, so by increasing
-    kl = l | k << bits: (kls, genera, index), index the position of each
-    kl.  A stored count list and a v2 cache line hold a profile's counts
-    in this order.  Memoised: every top is at most DMAX_LIMIT + 1."""
+    kl = l | k << bits: (kls, genera, index, rows), index the position of
+    each kl, and rows[g], for each genus g < top // 2, the positions of
+    its slots k = top - 1 - 2g, ..., 1, by falling k.  A stored count
+    list and a v2 cache line hold a profile's counts in this order.
+    Memoised: every top is at most DMAX_LIMIT + 1."""
     kls, genera = [], []
     for k in range(1, top):
         for g in range((top - 1 - k) // 2, -1, -1):
             kls.append((top - 2 * g - k) | k << _PK.bits)
             genera.append(g)
-    return tuple(kls), tuple(genera), {kl: i for i, kl in enumerate(kls)}
+    index = {kl: i for i, kl in enumerate(kls)}
+    rows = tuple(tuple(index[(top - 2 * g - k) | k << _PK.bits]
+                       for k in range(top - 1 - 2 * g, 0, -1))
+                 for g in range(top // 2))
+    return tuple(kls), tuple(genera), index, rows
 
 
 @lru_cache(maxsize=None)
-def _profile_layout(prof: int) -> tuple[tuple[int, ...], tuple[int, ...], dict[int, int]]:
-    """``_layout`` of the packed profile prof, top = its weight + 2 - parts.
+def _profile_layout(prof: int) -> Layout:
+    """``_layout`` of the packed profile prof, at its record's top.
     Memoised per profile: at most the partitions of 1 .. DMAX_LIMIT."""
-    parts = _PK.parts(prof)
-    return _layout(sum(i * x for i, x in parts) + 2 - sum(x for _, x in parts))
+    return _layout(_PK.record(prof)[3])
+
+
+def _packed_partitions(n: int) -> Iterator[tuple[Multiplicities, int]]:
+    """The partitions m of n >= 0 in canonical profile order (by
+    multiplicity vector), each with its packed profile, the sum of m_i *
+    E[i] as ``_PK.profile`` packs it."""
+    units = _PK.E[1:]
+    return ((m, sum(map(mul, m, units))) for m in sorted(partitions(n)))
+
+
+@lru_cache(maxsize=None)
+def _partition_profiles(n: int) -> tuple[int, ...]:
+    """The packed profiles of ``_packed_partitions(n)``, in its order.
+    Memoised: n is at most DMAX_LIMIT, and only the ints are kept."""
+    return tuple(prof for _, prof in _packed_partitions(n))
 
 
 def _genus_row(d: int, lists: Iterable[tuple[int, list[int]]]) -> list[int]:
@@ -449,16 +494,22 @@ def _slot_width(dmax: int) -> int:
 def _kron_encode(groups: Mapping[int, Sequence[int]], d: int, W: int,
                  K: int) -> dict[int, int]:
     """Degree d's groups in their {packed profile: P} form, each count in
-    its W-bit slot k + K*g."""
-    bits, slots = _PK.bits, {}
+    its W-bit slot k + K*g, packed a genus row at a time (module
+    docstring).  A count of 2^W or more raises ArithmeticError naming the
+    first such key in ``_layout`` order."""
+    slots, row = {}, W * K
     for prof, counts in groups.items():
-        kls, genera, _ = _profile_layout(prof)
+        kls, _, _, rows = _profile_layout(prof)
+        if max(counts) >> W:
+            kl = next(kl for kl, v in zip(kls, counts) if v >> W)
+            raise ArithmeticError(f"degree {d}: marked count at "
+                                  f"{_PK.decode(prof | kl)!r} needs more than {W} bits")
         P = 0
-        for kl, g, v in zip(kls, genera, counts):
-            if v >> W:
-                raise ArithmeticError(f"degree {d}: marked count at "
-                                      f"{_PK.decode(prof | kl)!r} needs more than {W} bits")
-            P += v << W * ((kl >> bits) + K * g)
+        for g, falling in enumerate(rows):
+            R = 0
+            for i in falling:
+                R = R << W | counts[i]
+            P |= R << W + row * g
         slots[prof] = P
     return slots
 
@@ -537,7 +588,7 @@ def _scanned_counts(P: int, prof: int, d: int, C: int, W: int, K: int,
     k < 1 or l < 1 (every slot with k, l >= 1 is in the mask), and a slot
     that C does not divide raises ArithmeticError."""
     offsets, mask, size, _ = layout
-    top, m = d + 2 - sum(x for _, x in _PK.parts(prof)), _PK.decode(prof)[2]
+    m, _, _, top = _PK.record(prof)
     stray = P & ~mask
     if stray:
         s = ((stray & -stray).bit_length() - 1) // W
@@ -579,10 +630,9 @@ def _decode_degree(acc: Mapping[int, int], d: int, W: int,
     layouts: dict[int, tuple] = {}  # per top: offsets, mask, size, bad
     try:
         for prof, P in acc.items():
-            parts = _PK.parts(prof)
-            if sum(i * x for i, x in parts) != d:
+            _, _, w, top = _PK.record(prof)
+            if w != d:
                 raise ValueError(f"piece {d} is not homogeneous of weight {d}")
-            top = d + 2 - sum(x for _, x in parts)
             layout = layouts.get(top)
             if layout is None:
                 layout = layouts[top] = _physical_slots(top, W, K, h)
@@ -645,7 +695,7 @@ class ConnectedSeries:
 
     def _set(self, groups: Sequence[dict], rows: Sequence[list[int]]) -> "ConnectedSeries":
         self._groups, self._rows = tuple(groups), tuple(rows)
-        self._steps: tuple | None = None  # of recursion_rhs: W, sums, packed degrees, steps
+        self._steps: tuple | None = None  # of recursion_rhs: W, mask, sums, packed degrees, steps
         return self
 
     @classmethod
@@ -709,7 +759,7 @@ class ConnectedSeries:
         out = {}
         for code in sorted(kl << rb | r for r, (_, (kls, *_), counts) in enumerate(ranked)
                            for kl, v in zip(kls, counts) if v):
-            m, (_, _, index), counts = ranked[code & (1 << rb) - 1]
+            m, (_, _, index, _), counts = ranked[code & (1 << rb) - 1]
             kl = code >> rb
             out[kl >> _PK.bits, kl & _PK.mask, m] = counts[index[kl]]
         return out
@@ -728,7 +778,7 @@ class ConnectedSeries:
         if not (1 <= k <= d and 1 <= l <= d):
             return Fraction(0)
         counts = self._groups[d - 1].get(prof)
-        i = None if counts is None else _layout(d + 2 - sum(m))[2].get(l | k << _PK.bits)
+        i = None if counts is None else _profile_layout(prof)[2].get(l | k << _PK.bits)
         return Fraction(0 if i is None else counts[i], d)
 
     def combined(self) -> GradedSeries:
@@ -803,8 +853,10 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
     The key is slot k + K*g of its profile's polynomial in the step
     output, C_d times its marked count, so the value is that slot over
     C_d * d.  The degrees are packed and each degree's step output is
-    kept on the series (``ConnectedSeries._steps``), built on first use:
-    a query of degree d packs only the degrees below d not yet packed.
+    kept on the series (``ConnectedSeries._steps``) with C_d * d and the
+    row shift W*K, built on first use: a query of degree d packs only the
+    degrees below d not yet packed, and a key then costs one dict read,
+    one shift and one Fraction.
 
     A read cannot alias.  A key with k < 1, l < 1 or no integer genus
     g >= 0 is answered 0 before any slot is read; otherwise k + l + 2g =
@@ -821,18 +873,18 @@ def recursion_rhs(cs: ConnectedSeries, k: int, l: int,
         raise TruncationError(f"weight {d} beyond computed degree {cs.dmax}")
     if d <= 1:  # no lower piece to insert an edge into; E[1] is t1's profile
         return Fraction(int(k == l == 1 and prof == _PK.E[1]))
-    twice = d + 2 - sum(x for _, x in _PK.parts(prof)) - k - l  # 2g
+    twice = _PK.record(prof)[3] - k - l  # 2g
     if k < 1 or l < 1 or twice < 0 or twice & 1:
         return Fraction(0)
     if cs._steps is None:
         sums = [sum(row) for row in cs._rows]
         W = max(_step_total(sums, n) for n in range(2, cs.dmax + 1)).bit_length()
-        cs._steps = (W, sums, [], {})
-    W, sums, kron, steps = cs._steps
-    K = cs.dmax + 1
-    acc = steps.get(d)
-    if acc is None:
+        cs._steps = (W, (1 << W) - 1, sums, [], {})
+    W, mask, sums, kron, steps = cs._steps
+    step = steps.get(d)
+    if step is None:
+        K = cs.dmax + 1
         kron.extend(_kron_encode(cs._groups[n - 1], n, W, K) for n in range(len(kron) + 1, d))
-        acc = steps[d] = _next_marked(kron, sums, d, W, K)
-    slot = acc.get(prof, 0) >> W * (k + K * (twice >> 1)) & (1 << W) - 1
-    return Fraction(slot, _step_denominator(d) * d)
+        step = steps[d] = (_next_marked(kron, sums, d, W, K), _step_denominator(d) * d, W * K)
+    acc, den, row = step
+    return Fraction(acc.get(prof, 0) >> W * k + row * (twice >> 1) & mask, den)

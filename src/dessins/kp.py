@@ -33,13 +33,16 @@ degree d (in the package's one packing ``_PK``, see ``ConnectedSeries``)
 becomes one int P, packed by ``evolution._kron_encode``: the count of
 (k, l, m) in W-bit slot k + K*g, K = nmax + 1, g the genus of the key,
 so k + l + 2g = c, the profile's top d + 2 - parts.  Only the groups
-that some derivative reads are packed.  The tables are lists of
-(profile, P) items:
+that some derivative reads are packed, and they are found by
+construction, not by a scan of the stored groups.  The tables are lists
+of (profile, P) items:
 
 * A multi-derivative d^a (a_i t_i-derivatives) keeps each key's k and
   l, so it keeps P: a group of profile m with every m_i >= a_i becomes
-  m - sum a_i E[i] with P times (d-1)! prod m_i! / (m_i - a_i)!, and
-  every other group drops out.
+  m - D, D = sum a_i E[i], with P times (d-1)! prod m_i! / (m_i - a_i)!,
+  and every other group drops out.  So at degree d it reads exactly the
+  profiles q + D, q a partition of d - w (w = sum i a_i), that the
+  series stores (``_reads``); no other profile is visited.
 * A product of two groups is the one multiplication Pa * Pb, added times
   C(n, b) at profile pa + pb.  k and g add, so c adds too, and k <= n <=
   nmax < K never wraps into the next genus row.  Profiles cannot carry
@@ -77,7 +80,7 @@ from fractions import Fraction
 from math import comb, factorial, lcm, perm
 from typing import Sequence
 
-from .evolution import _PK, ConnectedSeries, _kron_encode
+from .evolution import _PK, ConnectedSeries, _kron_encode, _partition_profiles
 from .series import GradedSeries, TruncationError
 
 MultiIndex = tuple[int, ...]
@@ -187,23 +190,26 @@ def _digits(R: int, W: int):
 
 
 def _reads(groups: Sequence[dict], multi: MultiIndex) -> list:
-    """Entry d: (profile, profile - sum of E[i], (d-1)! * prod m_i! /
-    (m_i - a_i)!) for each profile group of degree d with every m_i >=
-    a_i, a_i the times i occurs in multi, the groups the multi-derivative
-    of G_d = (d-1)! M_d reads."""
+    """Entry d: (profile, profile - D, (d-1)! * prod m_i! / (m_i - a_i)!)
+    for each profile group of degree d that the multi-derivative of G_d =
+    (d-1)! M_d reads, a_i the times i occurs in multi and D the sum of
+    a_i E[i].  Those are the stored groups of profile q + D, q a partition
+    of d - w, w = sum of multi (``_partition_profiles``); no other group
+    is visited.  q + D cannot carry: its every part count is at most d."""
     bits, mask, E = _PK.bits, _PK.mask, _PK.E
     # (the shift of m_i's field, a_i) for each index i in multi
     alpha = [(bits * (i + 1), a) for i, a in Counter(multi).items()]
-    drop = sum(E[i] for i in multi)
+    drop, w = sum(E[i] for i in multi), sum(multi)
     out: list = [[]]
     for d, profiles in enumerate(groups, 1):
         items, fd = [], factorial(d - 1)
-        for prof in profiles:
-            f = fd
-            for shift, a in alpha:
-                f *= perm(prof >> shift & mask, a)  # 0 when m_i < a_i
-            if f:
-                items.append((prof, prof - drop, f))
+        for q in _partition_profiles(d - w) if d >= w else ():
+            src = q + drop
+            if src in profiles:
+                f = fd
+                for shift, a in alpha:
+                    f *= perm(src >> shift & mask, a)
+                items.append((src, q, f))
         out.append(items)
     return out
 
@@ -310,7 +316,8 @@ class KpEvaluator:
         L, top, _ = self._plans[eq]
         den, K, bits, terms = L * factorial(n), self._K, _PK.bits, {}
         for prof, R in slots.items():
-            c = n - sum(x for _, x in _PK.parts(prof)) + top  # k + l + 2g
+            _, _, w, t = _PK.record(prof)
+            c = n - (w + 2 - t) + top  # k + l + 2g: n - parts + e0
             for s, v in _digits(R, self.W):
                 g, k = divmod(s, K)
                 terms[_PK.decode(prof | (c - k - 2 * g) | k << bits)] = Fraction(v, den)

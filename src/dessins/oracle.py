@@ -58,6 +58,7 @@ table run never loads it; ``transitive_pair_counts`` loads it first.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -366,7 +367,8 @@ def transitive_pair_counts(d: int, method: str = "classes",
     The class representatives are scanned on ``threads`` worker threads
     (0 for auto), one task each, never more threads than classes or than
     the auto count; this thread adds up the histograms in class order, so
-    the result never depends on the schedule.
+    the result never depends on the schedule.  With one worker no pool is
+    started: this thread scans the classes itself.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -386,11 +388,12 @@ def transitive_pair_counts(d: int, method: str = "classes",
     classes = list(partitions(d))
     tables = _tau_tables(d)
     auto = _auto_threads()
+    workers = min(threads or auto, auto, len(classes))
     hist = np.zeros((d + 1, len(tables.types) * (d + 1)), dtype=np.int64)
-    with ThreadPoolExecutor(max_workers=min(threads or auto, auto,
-                                            len(classes))) as pool:
-        scans = pool.map(lambda m: _scan_sigma(_representative(m), tables),
-                         classes)
+    with ExitStack() as stack:
+        scan = map if workers == 1 else \
+            stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
+        scans = scan(lambda m: _scan_sigma(_representative(m), tables), classes)
         for m, binned in zip(classes, scans):  # k = cycles of sigma
             hist[sum(m)] += _class_size(m, d) * binned
     cells = hist.reshape(d + 1, len(tables.types), d + 1)  # [k, t, l]

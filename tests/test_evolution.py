@@ -19,6 +19,8 @@ from dessins.evolution import (
     _kron_encode,
     _linear_moves,
     _next_marked,
+    _packed_partitions,
+    _partition_profiles,
     _profile_layout,
     _slot_width,
     _step_denominator,
@@ -38,6 +40,7 @@ from dessins.series import (
     exp_series,
     genus_of,
     partition_weight,
+    partitions,
     physical_keys,
 )
 
@@ -516,6 +519,63 @@ def test_step_refuses_a_total_past_the_slots():
     with pytest.raises(ArithmeticError, match=r"^degree 2: marked count at \(1, 1, \(2,\)\) "
                                               "needs more than 8 bits$"):
         ConnectedSeries([seed, scaled]).extended_to(3)
+
+
+def _shift_add_packed(groups, W, K):
+    """The reference packer: each count shifted to its slot k + K*g and added."""
+    out = {}
+    for prof, counts in groups.items():
+        kls, genera, *_ = _profile_layout(prof)
+        out[prof] = sum(v << W * ((kl >> _PK.bits) + K * g)
+                        for kl, g, v in zip(kls, genera, counts))
+    return out
+
+
+def test_row_packer_equals_shift_add_packer(engine14):
+    K = 15
+    for W in (64, 80):
+        for d, groups in enumerate(engine14._groups, 1):
+            assert _kron_encode(groups, d, W, K) == _shift_add_packed(groups, W, K), (W, d)
+    rng = random.Random(33)
+    for W in (8, 136):
+        for d in (1, 5, 9, 14):
+            groups = {prof: [rng.choice((0, rng.getrandbits(W), (1 << W) - 1))
+                             for _ in counts]
+                      for prof, counts in engine14._groups[d - 1].items()}
+            assert _kron_encode(groups, d, W, K) == _shift_add_packed(groups, W, K), (W, d)
+
+
+def test_packer_names_the_lower_of_two_overflowing_counts():
+    # degree 5, profile 5^1 (top 6): in _layout order the slots (k, l) are
+    # (1, 1) of genus 2, (1, 3) of genus 1, (1, 5) of genus 0, (2, 2), ...;
+    # the genus-2 key is named whichever count is larger, though the rows
+    # are packed from genus 0 up
+    prof = _PK.profile((0, 0, 0, 0, 1))[1]
+    kls = _profile_layout(prof)[0]
+    assert _profile_layout(prof)[1][:3] == (2, 1, 0)
+    for low, high in ((1 << 8, 1 << 20), (1 << 20, 1 << 8)):
+        counts = [0] * len(kls)
+        counts[0], counts[2] = low, high
+        with pytest.raises(ArithmeticError, match=r"^degree 5: marked count at "
+                                                  r"\(1, 1, \(0, 0, 0, 0, 1\)\) "
+                                                  r"needs more than 8 bits$"):
+            _kron_encode({prof: counts}, 5, 8, 6)
+
+
+def test_profile_record_equals_weight_and_parts():
+    # every partition with d <= 20: the record of its packed profile, and
+    # the canonical list of the partitions of d packed
+    for d in range(21):
+        ordered = sorted(partitions(d))
+        packed = tuple((m, _PK.profile(m)[1]) for m in ordered)
+        assert tuple(_packed_partitions(d)) == packed
+        assert _partition_profiles(d) == tuple(prof for _, prof in packed)
+        for m in ordered:
+            w, prof = _PK.profile(m)
+            parts = tuple((i, x) for i, x in enumerate(m, 1) if x)
+            assert w == partition_weight(m) == d
+            assert _PK.record(prof) == (m, parts, d, d + 2 - sum(m))
+            assert _PK.parts(prof) == parts and _PK.decode(prof | 5 << _PK.bits | 3) == (5, 3, m)
 
 
 def test_coefficient_lookup(engine6):

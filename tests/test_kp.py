@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import factorial, perm
 
 import pytest
 
-from dessins.evolution import ConnectedSeries, recursion_rhs
+from dessins.evolution import _PK, ConnectedSeries, recursion_rhs
 from dessins.kp import (
     KP_EQUATIONS,
     KpEquation,
     KpEvaluator,
     KpRow,
     _digits,
+    _reads,
     equation_by_id,
     kp_report,
     kp_residual,
@@ -333,3 +336,37 @@ def test_report_keeps_no_state(engine10):
     assert series._steps is None
     assert [dict(g) for g in series._groups] == groups
     assert kp_report(series, 8) == first
+
+
+def _scanned_reads(groups, multi):
+    """The reference for ``_reads``: every stored profile visited, each
+    kept when its factor (d-1)! prod m_i! / (m_i - a_i)! is nonzero."""
+    bits, mask, E = _PK.bits, _PK.mask, _PK.E
+    alpha = [(bits * (i + 1), a) for i, a in Counter(multi).items()]
+    drop = sum(E[i] for i in multi)
+    out = [[]]
+    for d, profiles in enumerate(groups, 1):
+        items = []
+        for prof in profiles:
+            f = factorial(d - 1)
+            for shift, a in alpha:
+                f *= perm(prof >> shift & mask, a)
+            if f:
+                items.append((prof, prof - drop, f))
+        out.append(items)
+    return out
+
+
+def test_reads_by_construction_equal_the_full_scan(engine14):
+    # a series without the profile 2 1 of degree 3 (m = (1, 1)), which the
+    # (1, 2)-derivative reads at q the empty partition: it is skipped
+    pieces = list(engine14.extended_to(6).pieces)
+    pieces[2] = GradedSeries({key: c for key, c in pieces[2].terms.items()
+                              if key[2] != (1, 1)}, 6)
+    missing = ConnectedSeries(pieces)
+    assert _PK.profile((1, 1))[1] not in missing._groups[2]
+    multis = {multi for eq in KP_EQUATIONS for _, factors in eq.terms for multi in factors}
+    for series in (engine14, missing):
+        for multi in multis:
+            got, want = _reads(series._groups, multi), _scanned_reads(series._groups, multi)
+            assert [sorted(items) for items in got] == [sorted(items) for items in want], multi
