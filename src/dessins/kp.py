@@ -232,7 +232,8 @@ class KpEvaluator:
                 f"s-degree {nmax} beyond computed degree {series.dmax}")
         self.nmax = nmax
         # per equation: L, its largest lift e0, and per term its integer
-        # scale, its factors and the genus rows it is shifted up by
+        # scale, its factors and the genus rows it is shifted up by; the
+        # keys keep each equation alive, so _by_id's ids stay its own
         self._plans: dict[KpEquation, tuple[int, int, list]] = {}
         for eq in equations:
             eq.weight()  # audit homogeneity before trusting the data
@@ -241,6 +242,7 @@ class KpEvaluator:
             self._plans[eq] = (L, top, [
                 (coeff.numerator * (L // coeff.denominator), factors, (top - e) >> 1)
                 for (coeff, factors), e in zip(eq.terms, lifts)])
+        self._by_id = {id(eq): plan for eq, plan in self._plans.items()}
         groups = series._groups[:nmax]
         reads = {(multi,): _reads(groups, multi) for multi in {
             multi for eq in self._plans for _, factors in eq.terms for multi in factors}}
@@ -290,12 +292,21 @@ class KpEvaluator:
                 out[n] = list(acc.items())
         return out
 
+    def _plan(self, eq: KpEquation) -> tuple[int, int, list]:
+        """eq's plan, found by identity, or for an equal equation built
+        elsewhere by comparison: no lookup hashes an equation (and with it
+        every Fraction).  Raises ValueError for an equation not served."""
+        plan = self._by_id.get(id(eq))
+        if plan is None:
+            plan = next((plan for served, plan in self._plans.items() if served == eq), None)
+            if plan is None:
+                raise ValueError(f"equation {eq.id} is not one this evaluator serves")
+        return plan
+
     def _residual(self, eq: KpEquation, n: int) -> dict[int, int]:
         """L * n! times the s^n residual of eq, one int per profile in the
         equation's common layout, the profiles whose int is nonzero."""
-        plan = self._plans.get(eq)
-        if plan is None:
-            raise ValueError(f"equation {eq.id} is not one this evaluator serves")
+        plan = self._plan(eq)
         if not 1 <= n <= self.nmax:
             raise TruncationError(f"s-degree {n} outside 1..{self.nmax}")
         row = self.W * self._K
@@ -313,7 +324,7 @@ class KpEvaluator:
     def residual(self, eq: KpEquation, n: int) -> GradedSeries:
         """s^n coefficient of the residual; a polynomial in u, v, t."""
         slots = self._residual(eq, n)
-        L, top, _ = self._plans[eq]
+        L, top, _ = self._plan(eq)
         den, K, bits, terms = L * factorial(n), self._K, _PK.bits, {}
         for prof, R in slots.items():
             _, _, w, t = _PK.record(prof)

@@ -27,18 +27,40 @@ i and i + 1 of a row; if they sit at positions a and b, the row's
 lexicographic (Lehmer) rank moves by +(d-1-a)! when a < b and by
 -(d-1-b)! otherwise.  The tables keep that move, swap[i][r], for each of
 the d - 1 transpositions, and check at build time that each is a
-fixed-point-free involution of the rows.  The scan writes sigma as a
-word in the s_i (a bubble sort of its images; d - parts letters for a
-class representative) and pushes the row types through one gather per
-letter.  A relabelled row index is uint16 while d! <= 2^16 (d <= 8) and
-int32 at d = 9; the tables take (d-1) * d! of them, 0.56 MB at d = 8
-and 11.6 MB at d = 9.
+fixed-point-free involution of the rows.  So if a vector holds a value
+at the row of sigma*tau_r for every r, one gather through swap[i] gives
+the value at the row of sigma*s_i*tau_r: it multiplies sigma by s_i on
+the right.  A relabelled row index is uint16 while d! <= 2^16 (d <= 8)
+and int32 at d = 9; the tables take (d-1) * d! of them, 0.56 MB at
+d = 8 and 11.6 MB at d = 9.
+
+The representative of the type lambda (parts lambda_1 >= lambda_2 >= ...)
+has for its cycles blocks of consecutive points, largest first, and its
+word is the concatenation of the blocks' letters: a block of r points
+from a gives a, a+1, ..., a+r-2, and s_a s_{a+1} ... s_{a+r-2} is the
+r-cycle on the block.  Every prefix of such a word is the word of
+another type, (lambda_1, ..., lambda_(j-1), q+1, 1, ..., 1), so the p(d)
+words form a tree under "drop the last letter", rooted at the
+identity's empty word.  The scan walks that tree and pushes the row
+types along it, one gather per edge: p(d) - 1 gathers in all (21 at
+d = 8, 29 at d = 9).  A node's children grow its last block or open a
+new block of 2 points, and the walk visits the new block first.  So it
+keeps a node's vector only while the node's grown child waits, and
+each such node on the current path has a last block and is followed by
+a new block: the current node has more blocks of 2 or more points than
+there are kept nodes, and the walk keeps at most d/2 vectors alive, the
+current one included.
+
 The type index is int16: it is below p(d), the number of partitions of
-d, and a cycle count is at most d, so the scan's bin index
-tidx * (d + 1) + l stays below p(d) * (d + 1) = 300 at d = 9.  Each
-representative's int64 bincount, times its class size, is added into
-row k = parts of one (d + 1, p(d) * (d + 1)) int64 array.  No entry can
-overflow: each one is at most the d!^2 <= (9!)^2 < 2^37 pairs of degree d.
+d, and a cycle count is at most d, so the bin index t * (d + 1) + l of
+a product of type t and a tau of l cycles is below nb = p(d) * (d + 1)
+= 300 at d = 9.  A row whose pair is not transitive has nb added to its
+index, and one bincount of 2 * nb bins keeps its first nb: every index
+stays below 2 * nb <= 600 at d = 9, so int16 holds it.  Each class's
+int64 histogram, times its class size, is added into row k = parts of
+its task's (d + 1, nb) int64 array, and the tasks' arrays into one.
+No entry can overflow: each one is at most the d!^2 <= (9!)^2 < 2^37
+pairs of degree d.
 
 Transitivity is read from the invariant-subset table.  The pair is
 transitive iff no proper, nonempty union of sigma-cycles is tau-invariant
@@ -46,10 +68,13 @@ transitive iff no proper, nonempty union of sigma-cycles is tau-invariant
 0, since its complement is invariant too.  So each row of S_d stores one
 bit per set S containing 0: is tau(S) = S?  Sets and their images are
 uint16 bitmasks, exact for d <= 16; the table holds 2^(d-1) bits per row
-(11.6 MB at d = 9).  None of these bounds fails at d = 10 (the index
-would be int32, the bins 462, the masks 10 bits), but the tables would
-take about 410 MB, 232 MB of it subset bits; so the tables refuse every
-degree past CLASSES_LIMIT = 9 by size, not by overflow.
+(11.6 MB at d = 9), word-major: closed[w] is one contiguous column of
+uint64 over the rows, so a test of one word reads one column.  A
+representative's cycles are runs of consecutive bits.  None of these
+bounds fails at d = 10 (the index would be int32, the bins 924, the
+masks 10 bits), but the tables would take about 410 MB, 232 MB of it
+subset bits; so the tables refuse every degree past CLASSES_LIMIT = 9
+by size, not by overflow.
 
 numpy is imported by the functions that scan, not with the module, so a
 table run never loads it; ``transitive_pair_counts`` loads it first.
@@ -57,12 +82,11 @@ table run never loads it; ``transitive_pair_counts`` loads it first.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations as iter_permutations
+from itertools import chain, islice, permutations as iter_permutations
 from math import factorial
 from operator import mul
 import os
@@ -81,6 +105,7 @@ from .series import (
 
 CLASSES_LIMIT = 9   # p(d) * d! pairs
 NAIVE_LIMIT = 5     # d!^2 pairs in pure Python
+_BLOCK = 1 << 15    # rows binned at once: temporaries of at most 256 kB
 
 
 def cycle_type(p) -> Multiplicities:
@@ -142,7 +167,7 @@ class _Tables(NamedTuple):
     tidx: np.ndarray       # int16 index into types of each row's cycle type
     types: list            # the partitions of d in code order
     lcounts: np.ndarray    # int8 cycle count of each row
-    closed: np.ndarray     # (d!, words) bits: does T[r] fix {0} | (s << 1)?
+    closed: np.ndarray     # (words, d!) uint64: does T[r] fix {0} | (s << 1)?
 
 
 @lru_cache(maxsize=1)
@@ -150,11 +175,12 @@ def _tau_tables(d: int) -> _Tables:
     """Shared per-degree tables: all of S_d in lexicographic order, each
     row's relabellings by the adjacent transpositions and its cycle type,
     and the sets containing 0 that each row maps onto themselves (bit
-    s % 64 of word s // 64 of row r: does T[r] map {0} | (s << 1) onto
+    s % 64 of closed[s // 64, r]: does T[r] map {0} | (s << 1) onto
     itself?).  Only the last degree's tables are kept.  Images of all
     2^(d-1) sets are built by subset doubling,
-    img(S | x) = img(S) | 1 << T[r, x], on a (set, row) uint16 buffer of
-    1 MB, which fixes the row chunk of the one pass.
+    img(S | x) = img(S) | 1 << T[r, x], on a (row, set) uint16 buffer of
+    1 MB, which fixes the row chunk of the one pass; each row's bits are
+    packed along its own sets and its words placed in their columns.
     """
     if d > CLASSES_LIMIT:
         raise ValueError(f"tables of degree {d} exceed the class-reduced "
@@ -182,9 +208,11 @@ def _tau_tables(d: int) -> _Tables:
     n_sets = 1 << (d - 1)
     sets = (np.arange(n_sets, dtype=np.uint16) << 1) | 1
     rows = max(1, (1 << 20) // (2 * n_sets))
-    img = np.empty((n_sets, rows), dtype=np.uint16)
+    img = np.empty((rows, n_sets), dtype=np.uint16)
+    words = -(-n_sets // 64)
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)  # padding stays 0
     tidx = np.empty(N, dtype=np.int16)
-    closed = np.zeros((N, 8 * -(-n_sets // 64)), dtype=np.uint8)
+    closed = np.empty((words, N), dtype=np.uint64)
     points = np.arange(d, dtype=np.int8)
     for lo in range(0, N, rows):
         P = T[lo:lo + rows]
@@ -203,14 +231,15 @@ def _tau_tables(d: int) -> _Tables:
             Q = Q.ravel()[step].reshape(n, d)  # next power of every row
         tidx[lo:lo + n] = np.searchsorted(type_codes,
                                           power[length].sum(axis=1))
-        bit = np.left_shift(np.uint16(1), P.T.astype(np.uint16))
-        img[0, :n] = bit[0]
+        bit = np.left_shift(np.uint16(1), P.astype(np.uint16))
+        img[:n, 0] = bit[:, 0]
         for x in range(1, d):
             half = 1 << (x - 1)
-            np.bitwise_or(img[:half, :n], bit[x], out=img[half:2 * half, :n])
-        packed = np.packbits(img[:, :n] == sets[:, None], axis=0,
-                             bitorder="little")
-        closed[lo:lo + n, :len(packed)] = packed.T
+            np.bitwise_or(img[:n, :half], bit[:, x:x + 1],
+                          out=img[:n, half:2 * half])
+        packed[:n, :-(-n_sets // 8)] = np.packbits(img[:n] == sets, axis=1,
+                                                   bitorder="little")
+        closed[:, lo:lo + n] = packed[:n].view("<u8").T
     del img  # the check's temporaries take the chunk buffer's place
     identity = np.arange(N, dtype=swap.dtype)
     for i, s in enumerate(swap):
@@ -219,74 +248,97 @@ def _tau_tables(d: int) -> _Tables:
             raise ArithmeticError(f"degree {d}: relabelling by s_{i} is not "
                                   f"a fixed-point-free involution")
     lcounts = np.array([sum(m) for m in types], dtype=np.int8)[tidx]
-    return _Tables(T, swap, tidx, types, lcounts, closed.view("<u8"))
+    return _Tables(T, swap, tidx, types, lcounts, closed)
 
 
-def _cycle_masks(sigma) -> list[int]:
-    """Bitmask of every sigma-cycle, by least element (0's cycle first)."""
-    masks = []
-    seen = 0
-    for start in range(len(sigma)):
-        if not seen >> start & 1:
-            mask, x = 0, start
-            while not mask >> x & 1:
-                mask |= 1 << x
-                x = sigma[x]
-            masks.append(mask)
-            seen |= mask
-    return masks
-
-
-def _transitive_rows(sigma, tables) -> np.ndarray:
-    """Is (sigma, tau_r) transitive, for every row r: does tau_r fix no
-    proper union of sigma-cycles that contains 0?"""
+def _class_walk(tables):
+    """(parts, values) for every cycle type of degree d, parts largest
+    first and values the type index at the row of sigma*tau_r, for every
+    row r, sigma the type's block representative: a walk of the tree of
+    class words (module docstring), one gather per type but the
+    identity's, which starts it with the rows' own types."""
     import numpy as np
-    first, *rest = _cycle_masks(sigma)
+    d = tables.T.shape[1]
+    # (the parent's values, the letter to multiply by, the child's blocks
+    # of two or more points)
+    todo = [(tables.tidx, None, ())]
+    while todo:
+        values, letter, blocks = todo.pop()
+        if letter is not None:  # np.take: no intp copy of a narrow index
+            values = np.take(values, tables.swap[letter])
+        used = sum(blocks)
+        yield blocks + (1,) * (d - used), values
+        if used < d and blocks and (len(blocks) == 1
+                                    or blocks[-1] < blocks[-2]):
+            # grow the last block by the point after it: letter used - 1
+            todo.append((values, used - 1, blocks[:-1] + (blocks[-1] + 1,)))
+        if used + 2 <= d:  # popped first: a new block, points used, used + 1
+            todo.append((values, used, blocks + (2,)))
+
+
+def _union_mask(cycles) -> int:
+    """Bit s is set iff {0} | (s << 1) is a proper union of the given
+    cycles (bitmasks, 0's cycle first): the sets of ``closed`` whose
+    invariance under tau makes (sigma, tau) intransitive."""
+    first, *rest = cycles
     unions = [first]
     for cycle in rest:
         unions += [u | cycle for u in unions]
-    mask = 0  # bit s: S_s is one of those unions (the last one is all)
-    for u in unions[:-1]:
+    mask = 0
+    for u in unions[:-1]:  # the last union is every point
         mask |= 1 << (u >> 1)
-    hit = np.zeros(len(tables.closed), dtype=bool)
-    for w, column in enumerate(tables.closed.T):
+    return mask
+
+
+def _hits(mask: int, closed) -> np.ndarray:
+    """Does column r of a (words, rows) block of ``closed`` have a bit of
+    mask, for every r: does tau_r fix one of mask's sets?"""
+    import numpy as np
+    hit = None  # the OR of every word's bits that mask selects
+    for w, column in enumerate(closed):
         word = mask >> (64 * w) & 0xFFFF_FFFF_FFFF_FFFF
         if word:
-            hit |= (column & word) != 0
-    return ~hit
+            bits = column & np.uint64(word)
+            hit = bits if hit is None else np.bitwise_or(hit, bits, out=hit)
+    if hit is None:  # sigma is one cycle: every pair is transitive
+        return np.zeros(closed.shape[1], dtype=bool)
+    return hit != 0
 
 
-def _word(sigma) -> list[int]:
-    """Letters i of sigma as a word in the adjacent transpositions s_i,
-    sigma = s_i1 * s_i2 * ... * s_ik: a bubble sort of its images, one
-    letter per inversion (d - parts of them for a class representative)."""
-    images, swaps = list(sigma), []
-    for top in range(len(images) - 1, 0, -1):
-        for j in range(top):
-            if images[j] > images[j + 1]:
-                images[j], images[j + 1] = images[j + 1], images[j]
-                swaps.append(j)
-    return swaps[::-1]  # sigma * s_j1 * ... * s_jk = 1
-
-
-def _compose(values: np.ndarray, sigma, tables) -> np.ndarray:
-    """values at the row of sigma * tau_r, for every row r: one gather
-    per letter of sigma's word, as s_i * tau_r is row swap[i][r]."""
-    import numpy as np
-    for i in _word(sigma):  # np.take: no intp copy of a narrow index
-        values = np.take(values, tables.swap[i])
-    return values
-
-
-def _scan_sigma(sigma, tables) -> np.ndarray:
+def _binned(cycles, values, tables) -> np.ndarray:
     """The int64 histogram of the transitive pairs (sigma, tau) over every
-    tau, at t * (d + 1) + l: t indexes sigma*tau's type, l is tau's cycles."""
+    tau, at t * (d + 1) + l: t indexes sigma*tau's type, l is tau's
+    cycles; sigma's cycles are given as bitmasks, 0's first, and values
+    holds the type index at the row of sigma*tau_r for every row r.  An
+    intransitive row's index is moved past the nb bins that are kept.
+    Rows are binned in blocks of _BLOCK, so no temporary passes 256 kB."""
     import numpy as np
     d = tables.T.shape[1]
-    trans = _transitive_rows(sigma, tables)
-    # the products sigma*tau_r run over S_d once: type each by its row
-    combined = _compose(tables.tidx, sigma, tables) * (d + 1) + tables.lcounts
-    return np.bincount(combined[trans], minlength=len(tables.types) * (d + 1))
+    nb = len(tables.types) * (d + 1)
+    mask = _union_mask(cycles)
+    counts = np.zeros(2 * nb, dtype=np.int64)
+    for lo in range(0, len(values), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        index = values[rows] * (d + 1) + tables.lcounts[rows]  # < nb, int16
+        index += _hits(mask, tables.closed[:, rows]) * np.int16(nb)  # < 2nb
+        counts += np.bincount(index, minlength=2 * nb)
+    return counts[:nb]
+
+
+def _bin_classes(batch, tables) -> np.ndarray:
+    """The (d + 1, nb) int64 sum, over the (parts, values) of
+    ``_class_walk`` in batch (a list or the walk itself), of each class's
+    histogram times its class size, in row k = parts."""
+    import numpy as np
+    d = tables.T.shape[1]
+    hist = np.zeros((d + 1, len(tables.types) * (d + 1)), dtype=np.int64)
+    for parts, values in batch:
+        # the representative's cycles: blocks of consecutive points
+        cycles = [((1 << r) - 1) << sum(parts[:i])
+                  for i, r in enumerate(parts)]
+        hist[len(parts)] += (_class_size(from_parts(parts), d)
+                             * _binned(cycles, values, tables))
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +367,6 @@ class PairCounts:
         """Automorphism-weighted counts: labelled counts over d!."""
         fd = factorial(self.d)
         return {key: Fraction(c, fd) for key, c in sorted(self.counts.items())}
-
-
-def _representative(m: Multiplicities) -> tuple[int, ...]:
-    """A permutation with cycle type m: consecutive cycles."""
-    images = []
-    start = 0
-    for i, mult in enumerate(m):
-        size = i + 1
-        for _ in range(mult):
-            images.extend(list(range(start + 1, start + size)) + [start])
-            start += size
-    return tuple(images)
 
 
 def _class_size(m: Multiplicities, d: int) -> int:
@@ -364,11 +404,15 @@ def transitive_pair_counts(d: int, method: str = "classes",
     method "classes" scans one sigma per cycle type with conjugacy-class
     weights (d <= 9), "naive" is the no-numpy reference scan over all
     d!^2 pairs (d <= 5).  Refuses degrees beyond the supported bound.
-    The class representatives are scanned on ``threads`` worker threads
-    (0 for auto), one task each, never more threads than classes or than
-    the auto count; this thread adds up the histograms in class order, so
-    the result never depends on the schedule.  With one worker no pool is
-    started: this thread scans the classes itself.
+    This thread walks the class words and hands the classes, in walk
+    order, to ``threads`` worker threads (0 for auto), never more
+    threads than classes or than the auto count.  A task bins up to
+    1 MB of vectors (one class at least, and no more than a worker's
+    share of the classes), and at most one task per worker waits beyond
+    those being binned.  This thread adds up the tasks' histograms in
+    walk order, so the result never depends on the schedule.  With one
+    worker no pool is started: this thread bins each class as the walk
+    yields it.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -383,20 +427,31 @@ def transitive_pair_counts(d: int, method: str = "classes",
     if d > CLASSES_LIMIT:
         raise ValueError(f"class-reduced enumeration supports "
                          f"d <= {CLASSES_LIMIT}")
-    import numpy as np  # here, before the pool: never first in a worker
+    # here, before the pool: never first in a worker; a table run loads
+    # neither numpy nor the thread pool's modules
+    import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
 
-    classes = list(partitions(d))
     tables = _tau_tables(d)
+    n_classes = len(tables.types)
     auto = _auto_threads()
-    workers = min(threads or auto, auto, len(classes))
-    hist = np.zeros((d + 1, len(tables.types) * (d + 1)), dtype=np.int64)
-    with ExitStack() as stack:
-        scan = map if workers == 1 else \
-            stack.enter_context(ThreadPoolExecutor(max_workers=workers)).map
-        scans = scan(lambda m: _scan_sigma(_representative(m), tables), classes)
-        for m, binned in zip(classes, scans):  # k = cycles of sigma
-            hist[sum(m)] += _class_size(m, d) * binned
-    cells = hist.reshape(d + 1, len(tables.types), d + 1)  # [k, t, l]
+    workers = min(threads or auto, auto, n_classes)
+    walk = _class_walk(tables)
+    if workers == 1:
+        hist = _bin_classes(walk, tables)
+    else:
+        per_task = max(1, min(-(-n_classes // workers),
+                              (1 << 20) // tables.tidx.nbytes))
+        hist = np.zeros((d + 1, n_classes * (d + 1)), dtype=np.int64)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            waiting: deque = deque()
+            while batch := list(islice(walk, per_task)):
+                waiting.append(pool.submit(_bin_classes, batch, tables))
+                if len(waiting) > workers:
+                    hist += waiting.popleft().result()
+            for task in waiting:
+                hist += task.result()
+    cells = hist.reshape(d + 1, n_classes, d + 1)  # [k, t, l]
     counts = {(int(k), int(l), tables.types[t]): int(cells[k, t, l])
               for k, t, l in zip(*np.nonzero(cells))}
     return _checked(d, counts, method)

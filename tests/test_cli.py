@@ -181,19 +181,21 @@ def test_cold_table_collapses_each_computed_degree_once(tmp_path, capsys,
 
 
 def test_table_run_leaves_numpy_unloaded():
-    # only the oracle scans need numpy: importing the package and running a
-    # table, in a fresh interpreter, must not load it
+    # only the oracle scans need numpy and the thread pool: importing the
+    # package and running a table, in a fresh interpreter, must load
+    # neither
     env = {k: v for k, v in os.environ.items() if k != "DESSIN_CACHE"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"),
                     env.get("PYTHONPATH")) if p)
     code = ("import sys, dessins; from dessins.cli import main; "
             "rc = main(['table', '--dmax', '6']); "
-            "print(rc, 'numpy' in sys.modules, file=sys.stderr)")
+            "print(rc, 'numpy' in sys.modules, "
+            "'concurrent.futures' in sys.modules, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=False)
     assert proc.stdout.startswith("d,g,")
-    assert proc.stderr == "0 False\n"
+    assert proc.stderr == "0 False False\n"
 
 
 def test_table_usage_errors(capsys):
@@ -500,16 +502,16 @@ def test_engine_row_sum_failure_exits_1(capsys, plant):
 def test_unphysical_oracle_key_exits_1(capsys, monkeypatch):
     from dessins import oracle
 
-    real_scan = oracle._scan_sigma
+    real_binned = oracle._binned
 
-    def stray_scan(sigma, tables):
-        binned = real_scan(sigma, tables)
-        if oracle.cycle_count(sigma) == 1:  # k = 1
+    def stray_binned(cycles, values, tables):
+        binned = real_binned(cycles, values, tables)
+        if len(cycles) == 1:  # k = 1
             # l = 1 at the type (0, 0, 0, 1): d - k - l - parts + 2 = 3, odd
             binned[tables.types.index((0, 0, 0, 1)) * 5 + 1] += 1
         return binned
 
-    monkeypatch.setattr(oracle, "_scan_sigma", stray_scan)
+    monkeypatch.setattr(oracle, "_binned", stray_binned)
     code, out, err = run(capsys, "oracle", "--d", "4")
     assert code == 1
     assert out == ""
@@ -541,16 +543,16 @@ def test_oracle_key_of_another_degree_exits_1(capsys, monkeypatch):
 def test_oracle_pair_total_exits_1(capsys, monkeypatch):
     from dessins import oracle
 
-    real_scan = oracle._scan_sigma
+    real_binned = oracle._binned
 
-    def extra_scan(sigma, tables):
-        binned = real_scan(sigma, tables)
-        if oracle.cycle_count(sigma) == 1:  # k = 1
+    def extra_binned(cycles, values, tables):
+        binned = real_binned(cycles, values, tables)
+        if len(cycles) == 1:  # k = 1
             # l = 1 at the type (4,): physical, only the total can tell
             binned[tables.types.index((4,)) * 5 + 1] += 1
         return binned
 
-    monkeypatch.setattr(oracle, "_scan_sigma", extra_scan)
+    monkeypatch.setattr(oracle, "_binned", extra_binned)
     code, out, err = run(capsys, "oracle", "--d", "4", "--threads", "1")
     assert code == 1
     assert out == ""

@@ -60,6 +60,39 @@ def test_evaluator_refuses_mixed_parity_and_unserved_equations(engine6):
         one.residual(KP_EQUATIONS[1], 3)
 
 
+def test_report_hashes_no_equation_once_the_evaluator_is_built(engine10, monkeypatch):
+    # a lookup finds its plan by identity: hashing a KpEquation hashes
+    # every Fraction of its terms, so no report may do it per residual
+    built, building = [], []
+    real_init, real_hash = KpEvaluator.__init__, KpEquation.__hash__
+
+    def init(self, *args, **kwargs):
+        building.append(self)  # an evaluator may hash while it is built
+        real_init(self, *args, **kwargs)
+        building.remove(self)
+        built.append(self)
+
+    def hash_(eq):
+        assert building or not built, \
+            f"equation {eq.id} hashed after the evaluator was built"
+        return real_hash(eq)
+
+    monkeypatch.setattr(KpEvaluator, "__init__", init)
+    monkeypatch.setattr(KpEquation, "__hash__", hash_)
+    report = kp_report(engine10, 10)
+    assert report.passed and len(report.rows) == 40 and built
+    # an equal equation built elsewhere is served, hashing nothing either
+    evaluator = built[0]
+    for eq in KP_EQUATIONS:
+        equal = KpEquation(eq.id, tuple(eq.terms))
+        assert equal is not eq and equal == eq
+        assert evaluator.residual_terms(equal, 7) == 0
+        assert evaluator.residual(equal, 7).terms == {}
+    one = KpEvaluator(engine10, 4, KP_EQUATIONS[:1])
+    with pytest.raises(ValueError, match="equation 2 is not one"):
+        one.residual_terms(KpEquation(2, tuple(KP_EQUATIONS[1].terms)), 3)
+
+
 def test_equation_lookup():
     assert equation_by_id(3).id == 3
     with pytest.raises(ValueError):

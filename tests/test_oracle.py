@@ -1,26 +1,30 @@
 from __future__ import annotations
 
+import concurrent.futures
+from concurrent.futures import Future
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from dessins import oracle
+from dessins.counts import indecomposable_count
 from dessins.evolution import ConnectedSeries
 from dessins.oracle import (
     CLASSES_LIMIT,
     PairCounts,
     _auto_threads,
-    _compose,
-    _representative,
-    _scan_sigma,
+    _bin_classes,
+    _binned,
+    _class_walk,
+    _hits,
     _tau_tables,
-    _transitive_rows,
-    _word,
+    _union_mask,
     compare_with_series,
     cycle_count,
     cycle_type,
@@ -31,8 +35,94 @@ from dessins.series import (
     GradedSeries,
     NonPhysicalKeyError,
     TruncationError,
+    from_parts,
     partitions,
 )
+
+
+# ---------------------------------------------------------------------------
+# the per-letter scan the class walk replaced, kept as a reference: sigma
+# is written as a word by a bubble sort of its images and the row types
+# are pushed through one gather per letter
+# ---------------------------------------------------------------------------
+
+def _representative(m):
+    """A permutation with cycle type m: consecutive cycles, shortest first."""
+    images = []
+    start = 0
+    for i, mult in enumerate(m):
+        size = i + 1
+        for _ in range(mult):
+            images.extend(list(range(start + 1, start + size)) + [start])
+            start += size
+    return tuple(images)
+
+
+def _word(sigma):
+    """Letters i of sigma = s_i1 * s_i2 * ... * s_ik, one per inversion."""
+    images, swaps = list(sigma), []
+    for top in range(len(images) - 1, 0, -1):
+        for j in range(top):
+            if images[j] > images[j + 1]:
+                images[j], images[j + 1] = images[j + 1], images[j]
+                swaps.append(j)
+    return swaps[::-1]  # sigma * s_j1 * ... * s_jk = 1
+
+
+def _compose(values, sigma, tables):
+    """values at the row of sigma * tau_r, for every row r."""
+    for i in _word(sigma):
+        values = values[tables.swap[i]]
+    return values
+
+
+def _cycle_masks(sigma):
+    """Bitmask of every sigma-cycle, by least element (0's cycle first)."""
+    masks, seen = [], 0
+    for start in range(len(sigma)):
+        if not seen >> start & 1:
+            mask, x = 0, start
+            while not mask >> x & 1:
+                mask |= 1 << x
+                x = sigma[x]
+            masks.append(mask)
+            seen |= mask
+    return masks
+
+
+def _transitive_rows(sigma, tables):
+    """Is (sigma, tau_r) transitive, for every row r."""
+    return ~_hits(_union_mask(_cycle_masks(sigma)), tables.closed)
+
+
+def _scan_sigma(sigma, tables):
+    """The histogram of the transitive pairs at t * (d + 1) + l, by the
+    old route: compose, then keep the transitive rows, then bin."""
+    d = tables.T.shape[1]
+    trans = _transitive_rows(sigma, tables)
+    combined = _compose(tables.tidx, sigma, tables) * (d + 1) + tables.lcounts
+    return np.bincount(combined[trans], minlength=len(tables.types) * (d + 1))
+
+
+def _block_representative(parts):
+    """The walk's representative: blocks of consecutive points, in the
+    order of parts, each block a -> a+1 -> ... -> a+r-1 -> a."""
+    images, start = [], 0
+    for r in parts:
+        images.extend(list(range(start + 1, start + r)) + [start])
+        start += r
+    return tuple(images)
+
+
+def _rows_of(perms, T):
+    """The row of each permutation (a (n, d) array) in the lexicographic T."""
+    d = T.shape[1]
+    weight = [factorial(d - 1 - j) for j in range(d)]
+    rank = np.zeros(len(perms), dtype=np.int64)
+    for j in range(d):  # Lehmer digit j: later images below the one at j
+        below = (perms[:, j + 1:] < perms[:, j:j + 1]).sum(axis=1)
+        rank += below * weight[j]
+    return rank
 
 
 def test_cycle_type_examples():
@@ -85,7 +175,7 @@ def test_threads_do_not_change_counts():
 
 @pytest.mark.parametrize("auto", [None, 3])
 def test_worker_count_is_capped_at_auto(monkeypatch, auto):
-    # a stub executor records max_workers and maps in the calling thread,
+    # a stub executor records max_workers and runs each task in the calling thread,
     # so no thread is started; auto=3 puts the cap below the p(5) = 7
     # sigmas of d=5 on any machine.  One worker starts no executor at all.
     requested = []
@@ -100,12 +190,14 @@ def test_worker_count_is_capped_at_auto(monkeypatch, auto):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable):
-            return list(map(fn, iterable))
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
 
     if auto is not None:
         monkeypatch.setattr(oracle, "_auto_threads", lambda: auto)
-    monkeypatch.setattr(oracle, "ThreadPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
     cap = oracle._auto_threads()
     want = transitive_pair_counts(5, "naive").counts
     asked = (0, 1, 2, 4, 7, 120, 100000)
@@ -114,6 +206,22 @@ def test_worker_count_is_capped_at_auto(monkeypatch, auto):
     workers = [min(t or cap, cap, 7) for t in asked]
     assert requested == [w for w in workers if w > 1]
     assert all(1 < w <= cap for w in requested)
+
+
+def test_many_workers_under_a_short_switch_interval(monkeypatch):
+    # six workers, more than this machine's cores, with the interpreter
+    # switching threads as often as it can: a class binned twice or lost
+    # would change the counts (or fail the pair total)
+    monkeypatch.setattr(oracle, "_auto_threads", lambda: 6)
+    want = {d: transitive_pair_counts(d, threads=1) for d in (6, 7, 8)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            for d, counts in want.items():
+                assert transitive_pair_counts(d, threads=6) == counts, d
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_negative_threads_are_refused(engine6):
@@ -159,14 +267,15 @@ def test_row_types_across_chunks():
 
 def test_relabel_bounds_and_refuse_degree_10():
     # the bounds that carry the scan to d = 9: a relabelled row index holds
-    # d! - 1, the int16 bin index holds p(d) * (d + 1), and the subset
-    # masks are uint16; d = 10 is refused by the tables' size instead
+    # d! - 1, the int16 bin index holds 2 * p(d) * (d + 1) (an intransitive
+    # row's bin is moved up by p(d) * (d + 1)), and the subset masks are
+    # uint16; d = 10 is refused by the tables' size instead
     for d in range(1, 9):
         swap = _tau_tables(d).swap
         assert swap.dtype == np.uint16 and swap.shape == (d - 1, factorial(d))
     assert factorial(CLASSES_LIMIT) - 1 <= np.iinfo(np.int32).max
     n_types = sum(1 for _ in partitions(CLASSES_LIMIT))
-    assert n_types * (CLASSES_LIMIT + 1) <= np.iinfo(np.int16).max
+    assert 2 * n_types * (CLASSES_LIMIT + 1) <= np.iinfo(np.int16).max
     assert CLASSES_LIMIT <= 16
     with pytest.raises(ValueError, match="exceed"):
         _tau_tables(10)  # refused before the 10! table is built
@@ -189,15 +298,16 @@ def test_pair_counts_are_u_v_symmetric():
 
 def test_table_build_and_scan_hold_no_whole_table_temporary():
     # at d = 9 one (d!, d) int32 temporary is 12.5 MiB: the build holds
-    # at most a few MiB besides the tables it keeps, and a scan of one
-    # sigma only vectors of d! entries
+    # at most a few MiB besides the tables it keeps, and the one-thread
+    # scan of every class only the walk's vectors of d! entries and one
+    # block's temporaries
     _tau_tables.cache_clear()
     tracemalloc.start()
     try:
         tables = _tau_tables(9)
         build_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        _scan_sigma(_representative((2, 2, 1)), tables)
+        transitive_pair_counts(9, threads=1)
         scan_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -240,7 +350,7 @@ def test_transitive_rows_second_word():
     tables = _tau_tables(8)
     perms = [tuple(p) for p in tables.T.tolist()]
     sigma = (3, 7, 6, 0, 4, 1, 2, 5)  # cycles (0 3)(1 7 5)(2 6)(4)
-    assert tables.closed.shape[1] == 2
+    assert tables.closed.shape[0] == 2
     trans = _transitive_rows(sigma, tables)
     assert trans.tolist() == [is_transitive(sigma, tau) for tau in perms]
 
@@ -252,7 +362,9 @@ def test_tables_hold_no_gather_indices():
         for name, value in tables._asdict().items():
             if isinstance(value, np.ndarray):
                 assert not (value.shape == (n, d) and value.dtype == np.intp), name
-        assert tables.closed.shape == (n, -(-2 ** (d - 1) // 64))
+        # word-major: one contiguous column of n words per 64 sets
+        assert tables.closed.shape == (-(-2 ** (d - 1) // 64), n)
+        assert tables.closed.dtype == np.uint64 and tables.closed.flags.c_contiguous
 
 
 def _check_composition(d, sigmas, every=1):
@@ -283,7 +395,8 @@ def test_product_rows_compose():
 
 def test_scan_is_conjugation_invariant():
     # a sigma whose cycles are not runs of consecutive points bins
-    # exactly as its class representative: the class reduction is exact
+    # exactly as its class's walked representative: the class reduction
+    # is exact
     d = 6
     tables = _tau_tables(d)
     rep = _representative((1, 1, 1))  # cycles (0)(1 2)(3 4 5)
@@ -293,10 +406,99 @@ def test_scan_is_conjugation_invariant():
         sigma[pi[x]] = pi[rep[x]]  # sigma = pi rep pi^-1
     assert sigma == [5, 4, 1, 3, 2, 0]  # cycles (0 5)(1 4 2)(3)
     assert cycle_type(sigma) == cycle_type(rep)
-    a = _scan_sigma(tuple(sigma), tables)
-    b = _scan_sigma(rep, tables)
+    a = _binned(_cycle_masks(sigma), _compose(tables.tidx, sigma, tables), tables)
+    walked = {parts: values for parts, values in _class_walk(tables)}
+    b = _binned([0b111, 0b11000, 0b100000], walked[(3, 2, 1)], tables)
     assert a.dtype == np.int64 and a.shape == (len(tables.types) * (d + 1),)
     assert np.array_equal(a, b) and a.any()
+    assert np.array_equal(a, _scan_sigma(rep, tables))
+
+
+def _class_word(parts):
+    """The walk's word of a type: a block of r points from a gives the
+    letters a, a+1, ..., a+r-2."""
+    word, start = [], 0
+    for r in parts:
+        word += range(start, start + r - 1)
+        start += r
+    return tuple(word)
+
+
+def test_class_words_are_prefix_closed():
+    # the walk yields every type once, parts largest first, and every
+    # prefix of a type's word is the word of another type
+    for d in range(1, CLASSES_LIMIT + 1):
+        parts = [parts for parts, _ in _class_walk(_tau_tables(d))]
+        assert all(list(p) == sorted(p, reverse=True) for p in parts)
+        assert sorted(map(from_parts, parts)) == sorted(partitions(d))
+        words = {_class_word(p) for p in parts}
+        assert len(words) == len(parts)
+        assert all(word[:j] in words for word in words for j in range(len(word)))
+
+
+@pytest.mark.parametrize("d", [8, 9])
+def test_scan_gathers_once_per_class_but_the_identity(monkeypatch, d):
+    # a stub np.take counts the gathers of whole scans on one and two
+    # threads: p(d) - 1 each, 21 at d = 8 and 29 at d = 9
+    gathers = []
+    real_take = np.take
+
+    def counting_take(*args, **kwargs):
+        gathers.append(1)
+        return real_take(*args, **kwargs)
+
+    _tau_tables(d)
+    monkeypatch.setattr(np, "take", counting_take)
+    p = sum(1 for _ in partitions(d))
+    for threads in (1, 2):
+        gathers.clear()
+        transitive_pair_counts(d, threads=threads)
+        assert len(gathers) == p - 1 == {8: 21, 9: 29}[d]
+
+
+def test_walked_vectors_are_the_product_types():
+    # each type's walked vector is tidx at the row of sigma * tau_r, sigma
+    # the type's block representative and the row computed from T: every
+    # row at d <= 6, every 37th row at d = 8 and 9
+    for d, every in [*((d, 1) for d in range(1, 7)), (8, 37), (9, 37)]:
+        tables = _tau_tables(d)
+        T = tables.T[::every].astype(np.int64)
+        for parts, values in _class_walk(tables):
+            sigma = np.array(_block_representative(parts))
+            rows = _rows_of(sigma[T], tables.T)  # (sigma * tau)(x) = sigma[tau[x]]
+            assert np.array_equal(values[::every], tables.tidx[rows]), (d, parts)
+            assert cycle_type(sigma.tolist()) == from_parts(parts)
+
+
+def test_walk_keeps_few_vectors():
+    # the walk visits a node's new block before its grown block, so at
+    # most d/2 vectors it made are alive, the one it yields included
+    import weakref
+    for d in range(2, CLASSES_LIMIT + 1):
+        tables = _tau_tables(d)
+        made, most = [], 0
+        for _, values in _class_walk(tables):
+            if values is not tables.tidx:
+                made.append(weakref.ref(values))
+            del values
+            most = max(most, sum(ref() is not None for ref in made))
+        assert most <= d // 2, (d, most)
+
+
+@pytest.mark.parametrize("d", [*range(1, 9), pytest.param(9, marks=pytest.mark.slow)])
+def test_class_histograms_match_the_per_letter_scan(d):
+    # every class's binned histogram equals the old per-letter scan's, on
+    # the walk's block representative and on the old shortest-first one
+    tables = _tau_tables(d)
+    for parts, values in _class_walk(tables):
+        sigma = _block_representative(parts)
+        binned = _binned(_cycle_masks(sigma), values, tables)
+        assert np.array_equal(binned, _scan_sigma(sigma, tables)), parts
+        old = _scan_sigma(_representative(from_parts(parts)), tables)
+        assert np.array_equal(binned, old), parts
+    # and a task's sum weighs each class by its size in row k = parts
+    total = _bin_classes(list(_class_walk(tables)), tables).sum()
+    assert total == factorial(d - 1) * indecomposable_count(d + 1)
 
 
 def test_convention_independence():
