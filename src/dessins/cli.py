@@ -90,8 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("classes", "naive"), default="classes")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--threads", type=int, default=0, metavar="N",
-                   help="worker threads for the brute-force scan, 0 = auto "
-                        "(affects speed only; outputs are identical)")
+                   help="accepted and checked (N >= 0), but changes nothing: "
+                        "the brute-force scan runs on one thread")
     _add_common(p)
     p.set_defaults(func=cmd_oracle)
 

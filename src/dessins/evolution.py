@@ -174,16 +174,23 @@ class _Packing:
 
     def profile(self, m: Sequence[int]) -> tuple[int, int]:
         """(weight, packed profile) of the multiplicity vector m, any
-        sequence, trailing zeros allowed; memoised per tuple(m).  A
-        negative entry raises ValueError, on every call: it is never
-        memoised."""
+        sequence, trailing zeros allowed; memoised per tuple(m) of at
+        most DMAX_LIMIT + 1 entries.  A negative entry raises ValueError,
+        on every call: it is never memoised.  A vector that fits no field
+        layout, with more than DMAX_LIMIT + 1 entries past its trailing
+        zeros or an entry above mask, has a weight past DMAX_LIMIT; it is
+        not packed, and its profile reads -1."""
         m = m if type(m) is tuple else tuple(m)
         entry = self._codes.get(m)
         if entry is None:
             mm, prof = canonical_multiplicities(m), 0
+            if len(mm) > DMAX_LIMIT + 1 or max(mm, default=0) > self.mask:
+                return partition_weight(mm), -1
             for x in reversed(mm):
                 prof = prof << self.bits | x
-            entry = self._codes[m] = (partition_weight(mm), prof << 2 * self.bits)
+            entry = (partition_weight(mm), prof << 2 * self.bits)
+            if len(m) <= DMAX_LIMIT + 1:
+                self._codes[m] = entry
         return entry
 
     def encode(self, key: RawKey) -> int:
@@ -748,20 +755,17 @@ class ConnectedSeries:
         return tuple(self.piece(d) for d in range(1, self.dmax + 1))
 
     def marked_piece(self, d: int) -> dict[RawKey, int]:
-        """d times the degree-d piece, with integer coefficients, in
-        canonical order (by k, l and m): each count sorts by one int, its
-        kl above the rank of its profile."""
+        """d times the degree-d piece, with integer coefficients, by
+        profile group and each group's slot order; a reader that needs
+        an order sorts."""
         if not 1 <= d <= self.dmax:
             raise TruncationError(f"degree {d} outside 1..{self.dmax}")
-        ranked = sorted((_PK.decode(prof)[2], _profile_layout(prof), counts)
-                        for prof, counts in self._groups[d - 1].items())
-        rb = len(ranked).bit_length()  # every rank fits rb bits
-        out = {}
-        for code in sorted(kl << rb | r for r, (_, (kls, *_), counts) in enumerate(ranked)
-                           for kl, v in zip(kls, counts) if v):
-            m, (_, _, index, _), counts = ranked[code & (1 << rb) - 1]
-            kl = code >> rb
-            out[kl >> _PK.bits, kl & _PK.mask, m] = counts[index[kl]]
+        bits, mask, out = _PK.bits, _PK.mask, {}
+        for prof, counts in self._groups[d - 1].items():
+            m = _PK.record(prof)[0]
+            for kl, v in zip(_profile_layout(prof)[0], counts):
+                if v:
+                    out[kl >> bits, kl & mask, m] = v
         return out
 
     def piece(self, d: int) -> GradedSeries:

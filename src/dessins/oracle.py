@@ -56,11 +56,11 @@ d, and a cycle count is at most d, so the bin index t * (d + 1) + l of
 a product of type t and a tau of l cycles is below nb = p(d) * (d + 1)
 = 300 at d = 9.  A row whose pair is not transitive has nb added to its
 index, and one bincount of 2 * nb bins keeps its first nb: every index
-stays below 2 * nb <= 600 at d = 9, so int16 holds it.  Each class's
-int64 histogram, times its class size, is added into row k = parts of
-its task's (d + 1, nb) int64 array, and the tasks' arrays into one.
-No entry can overflow: each one is at most the d!^2 <= (9!)^2 < 2^37
-pairs of degree d.
+stays below 2 * nb <= 600 at d = 9, so int16 holds it.  The calling
+thread bins each class as the walk yields it: its int64 histogram,
+times its class size, is added into row k = parts of one (d + 1, nb)
+int64 array.  No entry can overflow: each one is at most the
+d!^2 <= (9!)^2 < 2^37 pairs of degree d.
 
 Transitivity is read from the invariant-subset table.  The pair is
 transitive iff no proper, nonempty union of sigma-cycles is tau-invariant
@@ -77,19 +77,17 @@ subset bits; so the tables refuse every degree past CLASSES_LIMIT = 9
 by size, not by overflow.
 
 numpy is imported by the functions that scan, not with the module, so a
-table run never loads it; ``transitive_pair_counts`` loads it first.
+table run never loads it.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, permutations as iter_permutations
+from itertools import chain, permutations as iter_permutations
 from math import factorial
 from operator import mul
-import os
 from typing import NamedTuple
 
 from .counts import indecomposable_count
@@ -325,14 +323,14 @@ def _binned(cycles, values, tables) -> np.ndarray:
     return counts[:nb]
 
 
-def _bin_classes(batch, tables) -> np.ndarray:
+def _bin_classes(walk, tables) -> np.ndarray:
     """The (d + 1, nb) int64 sum, over the (parts, values) of
-    ``_class_walk`` in batch (a list or the walk itself), of each class's
-    histogram times its class size, in row k = parts."""
+    ``_class_walk`` in walk order, of each class's histogram times its
+    class size, in row k = parts."""
     import numpy as np
     d = tables.T.shape[1]
     hist = np.zeros((d + 1, len(tables.types) * (d + 1)), dtype=np.int64)
-    for parts, values in batch:
+    for parts, values in walk:
         # the representative's cycles: blocks of consecutive points
         cycles = [((1 << r) - 1) << sum(parts[:i])
                   for i, r in enumerate(parts)]
@@ -389,13 +387,6 @@ def _naive_counts(d: int) -> dict[RawKey, int]:
     return counts
 
 
-def _auto_threads() -> int:
-    """CPUs this process may run on, at most 8."""
-    if hasattr(os, "sched_getaffinity"):
-        return min(8, len(os.sched_getaffinity(0)))
-    return min(8, os.cpu_count() or 1)
-
-
 def transitive_pair_counts(d: int, method: str = "classes",
                            threads: int = 1) -> PairCounts:
     """Count transitive pairs binned by (cycles of sigma, cycles of tau,
@@ -404,15 +395,10 @@ def transitive_pair_counts(d: int, method: str = "classes",
     method "classes" scans one sigma per cycle type with conjugacy-class
     weights (d <= 9), "naive" is the no-numpy reference scan over all
     d!^2 pairs (d <= 5).  Refuses degrees beyond the supported bound.
-    This thread walks the class words and hands the classes, in walk
-    order, to ``threads`` worker threads (0 for auto), never more
-    threads than classes or than the auto count.  A task bins up to
-    1 MB of vectors (one class at least, and no more than a worker's
-    share of the classes), and at most one task per worker waits beyond
-    those being binned.  This thread adds up the tasks' histograms in
-    walk order, so the result never depends on the schedule.  With one
-    worker no pool is started: this thread bins each class as the walk
-    yields it.
+    The calling thread walks the class words and bins each class as
+    the walk yields it, into one histogram in walk order.  ``threads``
+    is kept for its callers and changes nothing, not even the thread
+    that scans; a negative value is refused.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -427,33 +413,12 @@ def transitive_pair_counts(d: int, method: str = "classes",
     if d > CLASSES_LIMIT:
         raise ValueError(f"class-reduced enumeration supports "
                          f"d <= {CLASSES_LIMIT}")
-    # here, before the pool: never first in a worker; a table run loads
-    # neither numpy nor the thread pool's modules
-    import numpy as np
-    from concurrent.futures import ThreadPoolExecutor
-
     tables = _tau_tables(d)
-    n_classes = len(tables.types)
-    auto = _auto_threads()
-    workers = min(threads or auto, auto, n_classes)
-    walk = _class_walk(tables)
-    if workers == 1:
-        hist = _bin_classes(walk, tables)
-    else:
-        per_task = max(1, min(-(-n_classes // workers),
-                              (1 << 20) // tables.tidx.nbytes))
-        hist = np.zeros((d + 1, n_classes * (d + 1)), dtype=np.int64)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            waiting: deque = deque()
-            while batch := list(islice(walk, per_task)):
-                waiting.append(pool.submit(_bin_classes, batch, tables))
-                if len(waiting) > workers:
-                    hist += waiting.popleft().result()
-            for task in waiting:
-                hist += task.result()
-    cells = hist.reshape(d + 1, n_classes, d + 1)  # [k, t, l]
-    counts = {(int(k), int(l), tables.types[t]): int(cells[k, t, l])
-              for k, t, l in zip(*np.nonzero(cells))}
+    cells = _bin_classes(_class_walk(tables), tables).reshape(
+        d + 1, len(tables.types), d + 1)  # [k, t, l]
+    nonzero = cells.nonzero()
+    counts = {(k, l, tables.types[t]): c for k, t, l, c in zip(
+        *(i.tolist() for i in nonzero), cells[nonzero].tolist())}
     return _checked(d, counts, method)
 
 
@@ -485,8 +450,10 @@ def compare_with_series(series: ConnectedSeries, d: int, method: str = "classes"
     """Exact per-type comparison of the engine against the brute force.
 
     Returns the oracle table and the list of disagreeing keys (empty iff
-    the two agree on every type of degree d).  A degree the series does
-    not hold raises TruncationError before any scan.
+    the two agree on every type of degree d), in key order.  A degree
+    the series does not hold raises TruncationError before any scan.
+    ``threads`` is checked and passed on as ``transitive_pair_counts``
+    takes it: the scan runs on the calling thread whatever its value.
     """
     marked = series.marked_piece(d)
     table = transitive_pair_counts(d, method, threads)

@@ -261,6 +261,24 @@ def test_packing_holds_every_key_up_to_the_limit():
     assert _PK.E[:3] == [0, 1 << 10, 1 << 15]
 
 
+def test_packing_memoises_no_vector_past_the_layout(engine6):
+    # a vector too long for the fields, or with an entry above the mask,
+    # is neither packed nor memoised; its weight still refuses it, and a
+    # long vector of trailing zeros is read as its short form
+    too_long = (0,) * 200_000 + (1,)
+    wide = (0, _PK.mask + 1)
+    zeros = (1,) + (0,) * 200_000
+    before = dict(_PK._codes)
+    for m in (too_long, wide):
+        for read in (engine6.coefficient, lambda *key: recursion_rhs(engine6, *key)):
+            with pytest.raises(TruncationError):
+                read(1, 1, m)
+    assert engine6.coefficient(1, 1, zeros) == engine6.coefficient(1, 1, (1,)) == 1
+    assert recursion_rhs(engine6, 1, 1, zeros) == 1
+    assert _PK.profile(too_long) == (200_001, -1)
+    assert _PK._codes == before | {(1,): _PK.profile((1,))}
+
+
 @pytest.mark.parametrize("start, stop", [(3, 9), (12, 17)])
 def test_extension_reuses_the_stored_groups(start, stop):
     # the stored groups enter the slots of the larger bound as they are;

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
-import concurrent.futures
-from concurrent.futures import Future
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 import os
+from pathlib import Path
+import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,6 @@ from dessins.evolution import ConnectedSeries
 from dessins.oracle import (
     CLASSES_LIMIT,
     PairCounts,
-    _auto_threads,
     _bin_classes,
     _binned,
     _class_walk,
@@ -166,62 +166,39 @@ def test_methods_agree():
 
 
 def test_threads_do_not_change_counts():
-    # threads=1 scans on the calling thread, threads=2 through the pool
+    # threads is accepted and changes nothing: every value scans the same
     for d in range(1, 9):
-        a = transitive_pair_counts(d, "classes", threads=1)
-        b = transitive_pair_counts(d, "classes", threads=2)
-        assert a == b, d
+        want = transitive_pair_counts(d, "classes", threads=1)
+        for threads in (0, 2, 8):
+            assert transitive_pair_counts(d, "classes", threads=threads) == want, (d, threads)
 
 
-@pytest.mark.parametrize("auto", [None, 3])
-def test_worker_count_is_capped_at_auto(monkeypatch, auto):
-    # a stub executor records max_workers and runs each task in the calling thread,
-    # so no thread is started; auto=3 puts the cap below the p(5) = 7
-    # sigmas of d=5 on any machine.  One worker starts no executor at all.
-    requested = []
+def test_scan_starts_no_thread(monkeypatch):
+    # every class is binned on the calling thread, whatever threads asks for
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
 
-    class SerialExecutor:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    if auto is not None:
-        monkeypatch.setattr(oracle, "_auto_threads", lambda: auto)
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
-    cap = oracle._auto_threads()
-    want = transitive_pair_counts(5, "naive").counts
-    asked = (0, 1, 2, 4, 7, 120, 100000)
-    for threads in asked:
-        assert transitive_pair_counts(5, "classes", threads=threads).counts == want
-    workers = [min(t or cap, cap, 7) for t in asked]
-    assert requested == [w for w in workers if w > 1]
-    assert all(1 < w <= cap for w in requested)
+    want = {d: transitive_pair_counts(d, threads=1) for d in (6, 8)}
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for d, table in want.items():
+        for threads in (0, 2, 8):
+            assert transitive_pair_counts(d, threads=threads) == table, (d, threads)
 
 
-def test_many_workers_under_a_short_switch_interval(monkeypatch):
-    # six workers, more than this machine's cores, with the interpreter
-    # switching threads as often as it can: a class binned twice or lost
-    # would change the counts (or fail the pair total)
-    monkeypatch.setattr(oracle, "_auto_threads", lambda: 6)
-    want = {d: transitive_pair_counts(d, threads=1) for d in (6, 7, 8)}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            for d, counts in want.items():
-                assert transitive_pair_counts(d, threads=6) == counts, d
-    finally:
-        sys.setswitchinterval(interval)
+def test_scan_loads_no_thread_pool():
+    # in a fresh interpreter, the bench's two-thread comparison at d = 8
+    # leaves the thread pool's modules unloaded
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    env.get("PYTHONPATH")) if p)
+    code = ("import sys; from dessins.evolution import ConnectedSeries; "
+            "from dessins.oracle import compare_with_series; "
+            "table, diffs = compare_with_series(ConnectedSeries.compute(8), 8, threads=2); "
+            "print(len(table.counts), diffs, 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "218 [] False\n", "")
 
 
 def test_negative_threads_are_refused(engine6):
@@ -238,13 +215,6 @@ def test_degree_past_the_series_fails_before_the_scan(monkeypatch):
     monkeypatch.setattr(oracle, "transitive_pair_counts", refuse)
     with pytest.raises(TruncationError):
         compare_with_series(ConnectedSeries.compute(3), 8)
-
-
-def test_auto_thread_count_fits_affinity():
-    n = _auto_threads()
-    assert 1 <= n <= 8
-    if hasattr(os, "sched_getaffinity"):
-        assert n <= len(os.sched_getaffinity(0))
 
 
 def test_row_types_match_cycle_type():
@@ -438,8 +408,8 @@ def test_class_words_are_prefix_closed():
 
 @pytest.mark.parametrize("d", [8, 9])
 def test_scan_gathers_once_per_class_but_the_identity(monkeypatch, d):
-    # a stub np.take counts the gathers of whole scans on one and two
-    # threads: p(d) - 1 each, 21 at d = 8 and 29 at d = 9
+    # a stub np.take counts the gathers of whole scans with threads 1
+    # and 2: p(d) - 1 each, 21 at d = 8 and 29 at d = 9
     gathers = []
     real_take = np.take
 
