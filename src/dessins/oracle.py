@@ -15,19 +15,40 @@ reduction is exact because every binned statistic is invariant under
 simultaneous conjugation.  A tiny pure-Python scan over all d!^2 pairs
 (method "naive") cross-checks the vectorized kernel at small d.
 
+Two facts leave most of the (sigma, tau) pairs unscanned.  Swapping
+the colours, (sigma, tau) -> (tau, sigma), maps transitive pairs to
+transitive pairs, exchanges k and l, the cycle counts of sigma and tau,
+and takes sigma*tau to tau*sigma = sigma^-1 (sigma*tau) sigma, of the
+same type: N(k, l, m) = N(l, k, m).  And Euler's formula
+k + l + faces = d + 2 - 2g, with g >= 0 and at least one face, gives
+k + l <= d + 1 for every transitive pair.  So a class of k cycles bins
+only the taus with k <= l <= d + 1 - k, a class with k > (d + 1) / 2
+bins none, and the pairs with k > l are read from their mirrors.  The
+rows of S_d are ordered by cycle count, then lexicographically, so each
+band is one slice of rows.  The scan bins 335 996 (class, row) pairs
+over 15 classes at d = 8, not 887 040 over all 22, and 3 821 548 over
+23 at d = 9, not 10 886 400 over 30.
+
 Everything the scan needs of tau is read from per-degree tables over
-S_d (about 28 MB at d = 9), filled in one pass over chunks of rows that
-holds no temporary larger than one chunk.  A row's cycle type comes
-from first returns: a point's cycle length is the first j with
-tau^j(x) = x, and m_i is the number of points of length i over i.  As
-tau runs over S_d, so does sigma*tau, and the scan reads each product's
-type at its row.  It finds that row by relabelling, not by search.
-Left multiplication by the adjacent transposition s_i swaps the values
-i and i + 1 of a row; if they sit at positions a and b, the row's
-lexicographic (Lehmer) rank moves by +(d-1-a)! when a < b and by
--(d-1-b)! otherwise.  The tables keep that move, swap[i][r], for each of
-the d - 1 transpositions, and check at build time that each is a
-fixed-point-free involution of the rows.  So if a vector holds a value
+S_d (about 28 MB at d = 9), filled in two passes over chunks of rows
+that hold no temporary larger than one chunk.  The first types the rows
+in lexicographic order, a stable sort by cycle count then orders T and
+the row types, and the second fills the relabellings and the subset
+bits at each lexicographic rank's new row.  Besides the tables it keeps,
+the build holds the rank-to-row map (1.4 MB at d = 9) and one chunk's
+buffers, about 3.5 MB in all at its peak; a scan holds about 6 MB.  A
+row's cycle type comes from first returns: a point's cycle length is
+the first j with tau^j(x) = x, and m_i is the number of points of
+length i over i.  As tau runs over S_d, so does sigma*tau, and the scan
+reads each product's type at its row.  It finds that row by
+relabelling, not by search.  Left multiplication by the adjacent
+transposition s_i swaps the values i and i + 1 of a row; if they sit at
+positions a and b, the row's lexicographic (Lehmer) rank moves by
++(d-1-a)! when a < b and by -(d-1-b)! otherwise, and the rank-to-row
+map gives the new row.  The tables keep that move, swap[i][r], for each
+of the d - 1 transpositions, and check at build time that each is a
+fixed-point-free involution of the rows and that the cycle counts do
+not decrease along the rows.  So if a vector holds a value
 at the row of sigma*tau_r for every r, one gather through swap[i] gives
 the value at the row of sigma*s_i*tau_r: it multiplies sigma by s_i on
 the right.  A relabelled row index is uint16 while d! <= 2^16 (d <= 8)
@@ -57,9 +78,10 @@ a product of type t and a tau of l cycles is below nb = p(d) * (d + 1)
 = 300 at d = 9.  A row whose pair is not transitive has nb added to its
 index, and one bincount of 2 * nb bins keeps its first nb: every index
 stays below 2 * nb <= 600 at d = 9, so int16 holds it.  The calling
-thread bins each class as the walk yields it: its int64 histogram,
-times its class size, is added into row k = parts of one (d + 1, nb)
-int64 array.  No entry can overflow: each one is at most the
+thread bins each class as the walk yields it, over its band of rows:
+its int64 histogram, times its class size, is added into row k = parts
+of one (d + 1, nb) int64 array, and the mirror then fills the entries
+with k > l.  No entry can overflow: each one is at most the
 d!^2 <= (9!)^2 < 2^37 pairs of degree d.
 
 Transitivity is read from the invariant-subset table.  The pair is
@@ -85,7 +107,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, permutations as iter_permutations
+from itertools import permutations as iter_permutations
 from math import factorial
 from operator import mul
 from typing import NamedTuple
@@ -160,7 +182,7 @@ def is_transitive(sigma, tau) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Tables(NamedTuple):
-    T: np.ndarray          # (d!, d) int8, all of S_d in lexicographic order
+    T: np.ndarray          # (d!, d) int8, S_d by cycle count, then lexicographic
     swap: np.ndarray       # (d-1, d!) row of s_i * T[r]: uint16, or int32 at d = 9
     tidx: np.ndarray       # int16 index into types of each row's cycle type
     types: list            # the partitions of d in code order
@@ -170,23 +192,25 @@ class _Tables(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _tau_tables(d: int) -> _Tables:
-    """Shared per-degree tables: all of S_d in lexicographic order, each
-    row's relabellings by the adjacent transpositions and its cycle type,
-    and the sets containing 0 that each row maps onto themselves (bit
-    s % 64 of closed[s // 64, r]: does T[r] map {0} | (s << 1) onto
-    itself?).  Only the last degree's tables are kept.  Images of all
+    """Shared per-degree tables: all of S_d ordered by cycle count, then
+    lexicographically, each row's relabellings by the adjacent
+    transpositions and its cycle type, and the sets containing 0 that
+    each row maps onto themselves (bit s % 64 of closed[s // 64, r]: does
+    T[r] map {0} | (s << 1) onto itself?).  Only the last degree's tables
+    are kept.  A first pass over lexicographic row chunks types every
+    row; the stable sort by cycle count then orders T, tidx and lcounts
+    before swap and closed exist, and a second pass over chunks of
+    lexicographic ranks fills those at each rank's row.  Images of all
     2^(d-1) sets are built by subset doubling,
     img(S | x) = img(S) | 1 << T[r, x], on a (row, set) uint16 buffer of
-    1 MB, which fixes the row chunk of the one pass; each row's bits are
+    1 MB, which fixes the row chunk of both passes; each row's bits are
     packed along its own sets and its words placed in their columns.
     """
     if d > CLASSES_LIMIT:
         raise ValueError(f"tables of degree {d} exceed the class-reduced "
                          f"scan's d <= {CLASSES_LIMIT}")
     import numpy as np
-    # filled straight from the generator: no d! tuples held at once
-    T = np.fromiter(chain.from_iterable(iter_permutations(range(d))), np.int8,
-                    count=factorial(d) * d).reshape(-1, d)
+    T = _lexicographic_rows(d)
     N = len(T)
     # a type's code has digit i * m_i <= d at (d + 1)^(i-1): the number of
     # points on i-cycles, so each point adds the power of its cycle
@@ -195,31 +219,13 @@ def _tau_tables(d: int) -> _Tables:
     digit = [(i + 1) * p for i, p in enumerate(power.tolist())]
     types = sorted(partitions(d), key=lambda m: sum(map(mul, m, digit)))
     type_codes = np.array([sum(map(mul, m, digit)) for m in types])
-    # swapping the values i and i + 1 at positions a < b raises the Lehmer
-    # digit at a by one, so the rank by (d-1-a)!; at a > b it lowers the
-    # digit at b, and the rank by (d-1-b)!: the step at a * d + b
-    weight = [factorial(d - 1 - j) for j in range(d)]
-    rank_step = np.array([weight[a] if a < b else -weight[b]
-                          for a in range(d) for b in range(d)], dtype=np.int32)
-    swap = np.empty((d - 1, N),
-                    dtype=np.uint16 if N <= 1 << 16 else np.int32)
     n_sets = 1 << (d - 1)
-    sets = (np.arange(n_sets, dtype=np.uint16) << 1) | 1
     rows = max(1, (1 << 20) // (2 * n_sets))
-    img = np.empty((rows, n_sets), dtype=np.uint16)
-    words = -(-n_sets // 64)
-    packed = np.zeros((rows, 8 * words), dtype=np.uint8)  # padding stays 0
-    tidx = np.empty(N, dtype=np.int16)
-    closed = np.empty((words, N), dtype=np.uint64)
     points = np.arange(d, dtype=np.int8)
+    tidx = np.empty(N, dtype=np.int16)
     for lo in range(0, N, rows):
         P = T[lo:lo + rows]
         n = len(P)
-        where = np.empty((n, d), dtype=np.int8)  # where[r, v]: v's position
-        where[np.arange(n)[:, None], P] = points
-        pair = (where[:, :-1] * d + where[:, 1:]).T  # < d * d <= 81
-        swap[:, lo:lo + n] = rank_step[pair] + np.arange(lo, lo + n,
-                                                         dtype=np.int32)
         # a point's cycle length is the first j with P^j(x) = x, so one
         # less is the number of powers j = 1, 2, ... before it returns
         step = ((np.arange(n, dtype=np.intp) * d)[:, None] + P).ravel()
@@ -229,6 +235,37 @@ def _tau_tables(d: int) -> _Tables:
             Q = Q.ravel()[step].reshape(n, d)  # next power of every row
         tidx[lo:lo + n] = np.searchsorted(type_codes,
                                           power[length].sum(axis=1))
+    del P  # a view that would keep the lexicographic T alive
+    lcounts = np.array([sum(m) for m in types], dtype=np.int8)[tidx]
+    # rows by cycle count, lexicographic within one: the rows a class
+    # bins, k <= l <= d + 1 - k, are one slice
+    order = np.argsort(lcounts, kind="stable")
+    T, tidx, lcounts = T[order], tidx[order], lcounts[order]
+    index = np.uint16 if N <= 1 << 16 else np.int32
+    row_of = np.empty(N, dtype=index)  # the row of each lexicographic rank
+    row_of[order] = np.arange(N, dtype=index)
+    del order
+    # swapping the values i and i + 1 at positions a < b raises the Lehmer
+    # digit at a by one, so the rank by (d-1-a)!; at a > b it lowers the
+    # digit at b, and the rank by (d-1-b)!: the step at a * d + b
+    weight = [factorial(d - 1 - j) for j in range(d)]
+    rank_step = np.array([weight[a] if a < b else -weight[b]
+                          for a in range(d) for b in range(d)], dtype=np.int32)
+    swap = np.empty((d - 1, N), dtype=index)
+    sets = (np.arange(n_sets, dtype=np.uint16) << 1) | 1
+    img = np.empty((rows, n_sets), dtype=np.uint16)
+    words = -(-n_sets // 64)
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)  # padding stays 0
+    closed = np.empty((words, N), dtype=np.uint64)
+    for lo in range(0, N, rows):  # ranks lo, lo + 1, ...: no rank to compute
+        at = row_of[lo:lo + rows]
+        P = T[at]
+        n = len(P)
+        where = np.empty((n, d), dtype=np.int8)  # where[r, v]: v's position
+        where[np.arange(n)[:, None], P] = points
+        pair = (where[:, :-1] * d + where[:, 1:]).T  # < d * d <= 81
+        swap[:, at] = row_of[rank_step[pair] + np.arange(lo, lo + n,
+                                                         dtype=np.int32)]
         bit = np.left_shift(np.uint16(1), P.astype(np.uint16))
         img[:n, 0] = bit[:, 0]
         for x in range(1, d):
@@ -237,16 +274,34 @@ def _tau_tables(d: int) -> _Tables:
                           out=img[:n, half:2 * half])
         packed[:n, :-(-n_sets // 8)] = np.packbits(img[:n] == sets, axis=1,
                                                    bitorder="little")
-        closed[:, lo:lo + n] = packed[:n].view("<u8").T
-    del img  # the check's temporaries take the chunk buffer's place
+        closed[:, at] = packed[:n].view("<u8").T
+    del img, row_of, at  # the checks' temporaries take their place
     identity = np.arange(N, dtype=swap.dtype)
     for i, s in enumerate(swap):
         # s_i is a fixed-point-free involution, and so is its relabelling
         if not (np.array_equal(s[s], identity) and (s != identity).all()):
             raise ArithmeticError(f"degree {d}: relabelling by s_{i} is not "
                                   f"a fixed-point-free involution")
-    lcounts = np.array([sum(m) for m in types], dtype=np.int8)[tidx]
+    if (np.diff(lcounts) < 0).any():
+        raise ArithmeticError(f"degree {d}: rows are not ordered by cycle "
+                              f"count")
     return _Tables(T, swap, tidx, types, lcounts, closed)
+
+
+def _lexicographic_rows(d: int) -> np.ndarray:
+    """All of S_d as a (d!, d) int8 array in lexicographic order: the rows
+    of S_n are, for each first value v, v followed by the rows of S_(n-1)
+    with every value v or above raised by one."""
+    import numpy as np
+    T = np.zeros((1, 0), dtype=np.int8)
+    for n in range(1, d + 1):
+        block = len(T)
+        U = np.empty((n * block, n), dtype=np.int8)
+        for v in range(n):
+            U[v * block:(v + 1) * block, 0] = v
+            U[v * block:(v + 1) * block, 1:] = T + (T >= v)
+        T = U
+    return T
 
 
 def _class_walk(tables):
@@ -304,12 +359,14 @@ def _hits(mask: int, closed) -> np.ndarray:
 
 
 def _binned(cycles, values, tables) -> np.ndarray:
-    """The int64 histogram of the transitive pairs (sigma, tau) over every
-    tau, at t * (d + 1) + l: t indexes sigma*tau's type, l is tau's
-    cycles; sigma's cycles are given as bitmasks, 0's first, and values
-    holds the type index at the row of sigma*tau_r for every row r.  An
-    intransitive row's index is moved past the nb bins that are kept.
-    Rows are binned in blocks of _BLOCK, so no temporary passes 256 kB."""
+    """The int64 histogram of the transitive pairs (sigma, tau) over the
+    rows of values, at t * (d + 1) + l: t indexes sigma*tau's type, l is
+    tau's cycles; sigma's cycles are given as bitmasks, 0's first, and
+    values holds the type index at the row of sigma*tau_r for every row
+    r, which the tables' lcounts and closed hold too (a band of rows is
+    passed as tables with those two cut to it).  An intransitive row's
+    index is moved past the nb bins that are kept.  Rows are binned in
+    blocks of _BLOCK, so no temporary passes 256 kB."""
     import numpy as np
     d = tables.T.shape[1]
     nb = len(tables.types) * (d + 1)
@@ -324,18 +381,33 @@ def _binned(cycles, values, tables) -> np.ndarray:
 
 
 def _bin_classes(walk, tables) -> np.ndarray:
-    """The (d + 1, nb) int64 sum, over the (parts, values) of
-    ``_class_walk`` in walk order, of each class's histogram times its
-    class size, in row k = parts."""
+    """The (d + 1, nb) int64 histogram of every transitive pair, row k =
+    sigma's cycles.  Each (parts, values) of ``_class_walk`` with k =
+    parts <= (d + 1) / 2 adds its histogram times its class size, binned
+    over the band of rows k <= l <= d + 1 - k only; the pairs with k > l
+    are then read from the mirror, N(k, t, l) = N(l, t, k) (module
+    docstring)."""
     import numpy as np
     d = tables.T.shape[1]
-    hist = np.zeros((d + 1, len(tables.types) * (d + 1)), dtype=np.int64)
+    n_types = len(tables.types)
+    hist = np.zeros((d + 1, n_types * (d + 1)), dtype=np.int64)
+    # the first row with l cycles or more, for l = 0, ..., d + 1
+    start = np.searchsorted(tables.lcounts, np.arange(d + 2)).tolist()
     for parts, values in walk:
+        k = len(parts)
+        if 2 * k > d + 1:  # the band is empty: every pair has l < k
+            continue
+        band = slice(start[k], start[d + 2 - k])
+        rows = tables._replace(lcounts=tables.lcounts[band],
+                               closed=tables.closed[:, band])
         # the representative's cycles: blocks of consecutive points
         cycles = [((1 << r) - 1) << sum(parts[:i])
                   for i, r in enumerate(parts)]
-        hist[len(parts)] += (_class_size(from_parts(parts), d)
-                             * _binned(cycles, values, tables))
+        hist[k] += (_class_size(from_parts(parts), d)
+                    * _binned(cycles, values[band], rows))
+    cells = hist.reshape(d + 1, n_types, d + 1)  # [k, t, l], 0 where k > l
+    mirrored = np.tri(d + 1, k=-1, dtype=bool)  # [k, l]: k > l
+    cells += np.where(mirrored[:, None, :], cells.transpose(2, 1, 0), 0)
     return hist
 
 
